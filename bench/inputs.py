@@ -6,12 +6,8 @@ same inputs.  The engine only ever sees the payloads built here.
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
-from pathlib import Path
-
-HERE = Path(__file__).resolve().parent
 
 # The README's gl(2|1) fixture: evaluation points at the cube roots of
 # unity, pinned by the weight polynomials (x^3-1, x^3-1, 1).
@@ -36,7 +32,7 @@ WORKED_SAMPLE_POOL = (
 
 # gl(3|1), weight (1,1,1,0) at the points 0, 1, 2: the population grows
 # without bound, so every task caps the breadth-first depth.  Depth 4 gives
-# 352 nodes in about 1.5 s; depth 6 takes 4-11 s a task, too few tasks
+# 352 nodes in about 1.5-2.5 s; depth 6 takes 4-11 s a task, too few tasks
 # for a steady median in one run.
 GL31_PROBLEM = {
     "M": 3,
@@ -46,18 +42,19 @@ GL31_PROBLEM = {
 }
 GL31_SEED = {"parity": [1, 1, 1, -1], "ys": [["1"], ["1"], ["1"]]}
 GL31_MAX_DEPTH = 4
-
-
-def gl31_pool() -> list[tuple[tuple[int, int, int], int, int]]:
-    """Sample triples with the node and edge counts recorded for them.
-
-    The pool holds the triples of distinct integers in [-6, 6] whose
-    depth-capped population has the generic size (no two sampled family
-    members coincide) and whose task time at the seed commit lay within 8%
-    of the median over those triples, so all tasks do about the same work.
-    """
-    rows = json.loads((HERE / "gl31_pool.json").read_text())
-    return [((a, b, c), nodes, edges) for a, b, c, nodes, edges in rows]
+GL31_NODES, GL31_EDGES = 352, 384
+# Triples of distinct integers in [-6, 6] whose depth-capped population has
+# the generic size GL31_NODES, GL31_EDGES (no two sampled family members
+# coincide) and whose task time at the seed commit lay within 8% of the
+# median over those triples, so all tasks do about the same work.
+GL31_SAMPLE_POOL = (
+    (-6, -5, 1), (-6, -5, 6), (-6, -4, 1), (-6, -4, 3), (-6, -4, 4), (-6, -4, 5),
+    (-6, 1, 3), (-6, 1, 6), (-6, 3, 4), (-6, 3, 5), (-6, 4, 5), (-6, 4, 6), (-6, 5, 6),
+    (-5, -4, 5), (-5, -4, 6), (-5, -3, 3), (-5, -3, 4), (-5, -3, 5), (-5, -3, 6),
+    (-5, 1, 3), (-5, 3, 4), (-5, 4, 5), (-5, 4, 6), (-4, -3, 1), (-4, -3, 5), (-4, -1, 3),
+    (-4, 1, 3), (-4, 3, 4), (-4, 3, 5), (-4, 4, 5), (-4, 4, 6), (-3, -1, 6), (-3, 1, 4),
+    (-3, 4, 5), (1, 4, 6),
+)
 
 
 def _shuffled_cycles(rng: random.Random, pool, count: int) -> list:
@@ -73,9 +70,9 @@ def worked_samples(seed: int, count: int) -> list[tuple[int, int, int]]:
     return _shuffled_cycles(random.Random(f"worked_gl21/{seed}"), WORKED_SAMPLE_POOL, count)
 
 
-def gl31_samples(seed: int, count: int):
-    """Pool entries (triple, nodes, edges) for the gl(3|1) problem."""
-    return _shuffled_cycles(random.Random(f"gl31_growth/{seed}"), gl31_pool(), count)
+def gl31_samples(seed: int, count: int) -> list[tuple[int, int, int]]:
+    """Sample triples for the gl(3|1) problem."""
+    return _shuffled_cycles(random.Random(f"gl31_growth/{seed}"), GL31_SAMPLE_POOL, count)
 
 
 def interlacing_levels(zs, roots) -> list[int] | None:
@@ -148,3 +145,23 @@ def gl11_system(rng: random.Random) -> dict:
 def gl11_systems(seed: int, count: int) -> list[dict]:
     rng = random.Random(f"gl11_spectra/{seed}")
     return [gl11_system(rng) for _ in range(count)]
+
+
+# Task time over the generated systems spreads tenfold, and a run covers
+# only a hundred or two of them, so systems drawn afresh for each seed
+# would make the mix, not the engine, set the figures.  The pool holds the
+# positions in gl11_systems(GL11_POOL_SEED, 120) whose task time at the
+# seed commit (median of three, calibrated as in yardstick.py) lay within
+# 20% of the median over those 120 systems.
+GL11_POOL_SEED = 1809
+GL11_POOL = (
+    6, 11, 14, 15, 16, 19, 28, 32, 34, 42, 44, 45, 49, 53, 54, 55,
+    58, 60, 72, 73, 81, 82, 89, 90, 93, 96, 102, 105, 108, 109, 113, 118,
+)
+
+
+def gl11_samples(seed: int, count: int) -> list[dict]:
+    """gl(1|1) systems for the workload: the pool, in seeded order."""
+    systems = gl11_systems(GL11_POOL_SEED, GL11_POOL[-1] + 1)
+    pool = [systems[i] for i in GL11_POOL]
+    return _shuffled_cycles(random.Random(f"gl11_spectra/{seed}"), pool, count)

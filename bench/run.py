@@ -1,27 +1,33 @@
 """gaudin benchmark: seeded exact-pipeline workloads, end to end and per layer.
 
-    python3 bench/run.py --workload worked_gl21 --seed 1 --seconds 27 --trace 0
+    python3 bench/run.py --workload worked_gl21 --seed 1 --seconds 24 --trace 0
     python3 bench/run.py --workload all            # every workload, one table each
 
 Workloads (see tasks.py): ``worked_gl21``, ``gl31_growth``, ``gl11_spectra``.
 Loads are closed-loop: one process, no threads, each task starts when the
-previous one has ended.
+previous one has ended; only the gauge described below runs beside it.
 
 ``--trace 0`` measures the end-to-end metrics.  The run is split over
 three worker processes run one after another; each one imports gaudin,
 builds the seed's inputs and runs one untimed warm-up task (its set-up,
-timed from the moment the process was started), then runs timed tasks for
-a third of ``--seconds``.  Reported: ``tasks_per_s`` (verified tasks per
-timed second), ``task_s.p50`` (median task seconds), ``setup_s`` (median
-set-up of the three workers) and ``peak_rss_mb`` (largest worker peak
-resident set).  ``fail_ratio`` is printed in the table; the result line
-carries it as ``failed`` of ``attempted``.
+counted from the moment the process was started), then runs timed tasks
+for a third of ``--seconds``.  Each worker shares one CPU with a gauge
+process (yardstick.py) that samples the CPU's current speed, and every
+time is reported in calibrated seconds: CPU seconds scaled to a fixed
+reference speed, so that a slower phase of a shared machine does not read
+as a slower program.  Reported: ``tasks_per_s`` (verified tasks per timed
+second), ``task_s.p50`` (median task seconds), ``setup_s`` (median set-up
+of the three workers) and ``peak_rss_mb`` (largest worker peak resident
+set).  The table also prints wall seconds and the machine's pace.
+``fail_ratio`` is printed in the table; the result line carries it as
+``failed`` of ``attempted``.
 
 ``--trace 1`` runs a fixed number of the seed's tasks, so that its counts
 repeat exactly.  Each task runs untraced, then is replayed as the public
 calls it makes inside spans, then lower layers are probed on its data.
 Reported: every metric of layers.json, per traced task, and
-``trace.overhead_ratio``.  Spans are written to ``bench/out/``.
+``trace.overhead_ratio``; their seconds are wall seconds, not calibrated.
+Spans are written to ``bench/out/``.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -45,7 +52,10 @@ SRC = ROOT / "src"
 WORKLOAD_NAMES = ("worked_gl21", "gl31_growth", "gl11_spectra")
 SETUPS = 3
 END_TO_END = ("tasks_per_s", "task_s.p50", "setup_s", "peak_rss_mb")
-WORKER_TIMEOUT_S = 55  # a run with a stuck worker still ends within three minutes
+# A worker gets its share of --seconds plus this margin for its set-up and
+# its last task; a worker that overruns it is killed and counted as one
+# failed task.  Three stuck workers at --seconds 24 take 159 s.
+WORKER_MARGIN_S = 45
 
 
 def layer_metrics() -> list[tuple[str, str, str]]:
@@ -93,19 +103,22 @@ def attempt(workload, item):
 def timed_window(workload, order, seconds: float) -> dict:
     """Closed loop over ``order``, cycled, until ``seconds`` have passed.
 
-    A task that fails its check or raises is counted and the loop goes on.
+    Each task is recorded as [start, end, CPU seconds], start and end on
+    the ``perf_counter`` clock.  A task that fails its check or raises is
+    counted and the loop goes on.
     """
-    times, verified, failed = [], 0, 0
+    spans, verified, failed = [], 0, 0
     start = time.perf_counter()
     while time.perf_counter() - start < seconds:
-        took, _, problems = attempt(workload, order[len(times) % len(order)])
-        times.append(took)
+        began, cpu = time.perf_counter(), time.process_time()
+        _, _, problems = attempt(workload, order[len(spans) % len(order)])
+        spans.append([began, time.perf_counter(), time.process_time() - cpu])
         if problems:
             failed += 1
             print(f"task failed: {problems}", file=sys.stderr)
         else:
             verified += 1
-    return {"times": times, "verified": verified, "failed": failed, "attempted": len(times)}
+    return {"spans": spans, "verified": verified, "failed": failed, "attempted": len(spans)}
 
 
 def worker(args) -> None:
@@ -115,45 +128,91 @@ def worker(args) -> None:
     workload = tasks.WORKLOADS[args.workload]
     items = workload.items(args.seed, workload.stream + 1)
     _, _, problems = attempt(workload, items[0])  # the warm-up task
-    setup_s = time.time() - args.started
+    setup = [args.started, time.perf_counter(), time.process_time()]
     if problems:
         print(f"warm-up task failed: {problems}", file=sys.stderr)
     counts = timed_window(workload, items[1:][args.part :: SETUPS], args.seconds)
     counts["attempted"] += 1
     counts["failed"] += bool(problems)
-    print(json.dumps({"setup_s": setup_s, "peak_rss_mb": peak_rss_mb(), **counts}))
+    print(json.dumps({"setup": setup, "peak_rss_mb": peak_rss_mb(), **counts}))
+
+
+def run_worker(name: str, seed: int, seconds: float, part: int) -> dict | None:
+    """One worker next to its gauge; its figures in calibrated seconds, or None."""
+    import yardstick
+
+    gauge = subprocess.Popen(
+        [sys.executable, str(BENCH / "yardstick.py")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        cmd = [
+            sys.executable, str(Path(__file__).resolve()), "--worker",
+            "--workload", name, "--seed", str(seed), "--seconds", repr(seconds),
+            "--part", str(part),
+        ]
+        try:
+            proc = subprocess.run(
+                cmd + ["--started", repr(time.perf_counter())], stdout=subprocess.PIPE,
+                text=True, timeout=seconds + WORKER_MARGIN_S, check=False,
+            )
+        except subprocess.TimeoutExpired:
+            print(f"{name}: worker {part} timed out", file=sys.stderr)
+            return None
+    finally:
+        samples, _ = gauge.communicate("")
+    if proc.returncode != 0:
+        print(f"{name}: worker {part} exited {proc.returncode}", file=sys.stderr)
+        return None
+    raw = json.loads(proc.stdout.strip().splitlines()[-1])
+    samples = [tuple(map(float, line.split())) for line in samples.splitlines() if line]
+    if not samples:
+        print(f"{name}: the gauge of worker {part} took no sample", file=sys.stderr)
+        return None
+
+    def cal(start, end, cpu_s):
+        return yardstick.calibrated(cpu_s, samples, start, end)
+
+    return {
+        **raw,
+        "setup_s": cal(*raw["setup"]),
+        "times": [cal(*span) for span in raw["spans"]],
+        "wall": [end - start for start, end, _ in raw["spans"]],
+        "pace": statistics.median(s for _, s in samples) / yardstick.REFERENCE_S,
+    }
 
 
 def end_to_end(name: str, seed: int, seconds: float) -> dict:
-    parts = []
+    # Workers and gauges inherit this CPU, so each gauge times the CPU its
+    # worker runs on.
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    parts, lost = [], 0
     for part in range(SETUPS):
-        cmd = [
-            sys.executable, str(Path(__file__).resolve()), "--worker",
-            "--workload", name, "--seed", str(seed),
-            "--seconds", repr(seconds / SETUPS), "--part", str(part),
-        ]
-        started = time.time()
-        proc = subprocess.run(
-            cmd + ["--started", repr(started)],
-            stdout=subprocess.PIPE, text=True, timeout=WORKER_TIMEOUT_S, check=False,
-        )
-        if proc.returncode != 0:
-            raise SystemExit(f"{name}: worker {part} exited {proc.returncode}")
-        parts.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        result = run_worker(name, seed, seconds / SETUPS, part)
+        if result is None:
+            lost += 1
+        else:
+            parts.append(result)
+    attempted = sum(p["attempted"] for p in parts) + lost
+    failed = sum(p["failed"] for p in parts) + lost
+    print(f"{name}  seed={seed}  seconds={seconds:g}")
+    print(f"  {'fail_ratio':<14} {failed / attempted:<12.4f} {'':<5} {failed} of {attempted} attempted"
+          + (f", {lost} lost with their worker" if lost else ""))
+    if not parts:
+        return {"correct": False, "attempted": attempted, "failed": failed, "metrics": {}}
     times = [t for p in parts for t in p["times"]]
-    attempted = sum(p["attempted"] for p in parts)
-    failed = sum(p["failed"] for p in parts)
+    wall = [t for p in parts for t in p["wall"]]
     verified = sum(p["verified"] for p in parts)
     metrics = {
         "tasks_per_s": (verified / sum(times), "1/s", f"{verified} verified tasks in {sum(times):.1f} s"),
-        "task_s.p50": (statistics.median(times), "s", f"n={len(times)}"),
-        "setup_s": (statistics.median(p["setup_s"] for p in parts), "s", f"median of {SETUPS} set-ups"),
-        "peak_rss_mb": (max(p["peak_rss_mb"] for p in parts), "MB", f"max of {SETUPS} processes"),
+        "task_s.p50": (statistics.median(times), "s", f"n={len(times)}; wall {statistics.median(wall):.4g} s"),
+        "setup_s": (statistics.median(p["setup_s"] for p in parts), "s", f"median of {len(parts)} set-ups"),
+        "peak_rss_mb": (max(p["peak_rss_mb"] for p in parts), "MB", f"max of {len(parts)} processes"),
     }
-    print(f"{name}  seed={seed}  seconds={seconds:g}")
-    print(f"  {'fail_ratio':<14} {failed / attempted:<12.4f} {'':<5} {failed} of {attempted} attempted")
     for key, (value, unit, note) in metrics.items():
         print(f"  {key:<14} {value:<12.6g} {unit:<5} {note}")
+    paces = ", ".join(f"{p['pace']:.3f}" for p in parts)
+    print(f"  machine pace (yardstick seconds / reference, per worker): {paces}")
     return {
         "correct": failed == 0,
         "attempted": attempted,
@@ -257,7 +316,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES + ("all",))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=27)
+    parser.add_argument("--seconds", type=float, default=24)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--part", type=int, default=0, help=argparse.SUPPRESS)

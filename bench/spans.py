@@ -53,25 +53,15 @@ class Tracer:
 
 
 def self_times(spans) -> list[float]:
-    """Each span's duration minus the part of it its children cover.
+    """Each span's duration minus its children's durations.
 
-    Children are clipped to the parent's interval and overlapping children
-    are merged, so a covered instant is subtracted once.
+    A Tracer is a single stack, so children run one after another inside
+    their parent and never overlap.
     """
-    children = defaultdict(list)
-    for name, start, end, parent, task in spans:
+    out = [end - start for _, start, end, _, _ in spans]
+    for _, start, end, parent, _ in spans:
         if parent >= 0:
-            children[parent].append((start, end))
-    out = []
-    for index, (name, start, end, parent, task) in enumerate(spans):
-        covered = 0.0
-        reach = start
-        for c_start, c_end in sorted(children[index]):
-            c_start, c_end = max(c_start, reach), min(c_end, end)
-            if c_end > c_start:
-                covered += c_end - c_start
-                reach = c_end
-        out.append((end - start) - covered)
+            out[parent] -= end - start
     return out
 
 

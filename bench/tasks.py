@@ -115,8 +115,6 @@ class Item:
     """One task's input, plus what the generator knows about its answer."""
 
     samples: tuple = ()
-    nodes: int = 0
-    edges: int = 0
     system: dict | None = None
     roots: tuple = ()
 
@@ -293,10 +291,7 @@ class Gl31Growth:
     stream = 48
 
     def items(self, seed: int, count: int) -> list[Item]:
-        return [
-            Item(samples=triple, nodes=nodes, edges=edges)
-            for triple, nodes, edges in inputs.gl31_samples(seed, count)
-        ]
+        return [Item(samples=s) for s in inputs.gl31_samples(seed, count)]
 
     def replay(self, item: Item, tr) -> tuple[dict, State]:
         problem = tr.call("jsonio.problem_from_json", jsonio.problem_from_json, inputs.GL31_PROBLEM)
@@ -327,10 +322,10 @@ class Gl31Growth:
         problems = []
         if pop["eigenvalues_conserved"] is not True:
             problems.append("eigenvalues not conserved")
-        if len(pop["nodes"]) != item.nodes or len(pop["edges"]) != item.edges:
+        if len(pop["nodes"]) != inputs.GL31_NODES or len(pop["edges"]) != inputs.GL31_EDGES:
             problems.append(
                 f"population has {len(pop['nodes'])} nodes, {len(pop['edges'])} edges;"
-                f" recorded {item.nodes}, {item.edges}"
+                f" recorded {inputs.GL31_NODES}, {inputs.GL31_EDGES}"
             )
         size = len(pop["nodes"])
         if any(not (0 <= e["from"] < size and 0 <= e["to"] < size) for e in pop["edges"]):
@@ -351,7 +346,7 @@ class Gl11Spectra:
     def items(self, seed: int, count: int) -> list[Item]:
         return [
             Item(system={"weights": s["weights"], "points": s["points"]}, roots=tuple(s["roots"]))
-            for s in inputs.gl11_systems(seed, count)
+            for s in inputs.gl11_samples(seed, count)
         ]
 
     def run(self, item: Item) -> dict:

@@ -16,6 +16,7 @@ import inputs  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
 import tasks  # noqa: E402
+import yardstick  # noqa: E402
 from gaudin.rational import Poly  # noqa: E402
 from gaudin.reps import master_polynomial  # noqa: E402
 
@@ -26,6 +27,8 @@ def test_inputs_are_a_function_of_the_seed():
     assert inputs.worked_samples(7, 10) == inputs.worked_samples(7, 10)
     assert inputs.gl31_samples(7, 10) == inputs.gl31_samples(7, 10)
     assert inputs.gl31_samples(7, 10) != inputs.gl31_samples(8, 10)
+    assert inputs.gl11_samples(7, 10) == inputs.gl11_samples(7, 10)
+    assert inputs.gl11_samples(7, 10) != inputs.gl11_samples(8, 10)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -41,28 +44,30 @@ def test_gl11_systems_have_rational_roots_and_positive_levels(seed):
         assert master_polynomial(hs, zs) == Poly.from_roots(roots)
 
 
-def test_sample_triples_are_distinct_scalars_from_their_pools():
+def test_samples_come_from_their_pools():
     for triple in inputs.worked_samples(3, 50):
         assert len(set(triple)) == 3
         assert triple in inputs.WORKED_SAMPLE_POOL
-    for triple, nodes, edges in inputs.gl31_samples(3, 50):
+    for triple in inputs.gl31_samples(3, 50):
         assert len(set(triple)) == 3
-        assert (nodes, edges) == (352, 384)
+        assert triple in inputs.GL31_SAMPLE_POOL
+    pool = inputs.gl11_systems(inputs.GL11_POOL_SEED, inputs.GL11_POOL[-1] + 1)
+    for system in inputs.gl11_samples(3, 50):
+        assert system in [pool[i] for i in inputs.GL11_POOL]
 
 
 def test_self_time_on_a_synthetic_tree():
     rows = [
         ["root", 0.0, 10.0, -1, 0],
         ["a", 1.0, 4.0, 0, 0],
-        ["b", 3.0, 6.0, 0, 0],  # overlaps a: [3, 4] is covered once
+        ["b", 4.5, 6.0, 0, 0],
         ["c", 5.0, 5.5, 2, 0],
-        ["d", 9.0, 12.0, 0, 0],  # runs past its parent: clipped at 10
         ["a", 20.0, 21.0, -1, 1],
     ]
-    assert spans.self_times(rows) == pytest.approx([4.0, 3.0, 2.5, 0.5, 3.0, 1.0])
+    assert spans.self_times(rows) == pytest.approx([5.5, 3.0, 1.0, 0.5, 1.0])
     totals = spans.by_name(rows)
     assert totals["a"] == (pytest.approx(4.0), 2)
-    assert totals["root"] == (pytest.approx(4.0), 1)
+    assert totals["root"] == (pytest.approx(5.5), 1)
 
 
 def test_tracer_records_parents_and_tasks():
@@ -107,14 +112,15 @@ def test_worked_check_catches_a_wrong_node_count():
 
 def test_gl31_check_catches_counts_and_dangling_edges():
     workload = tasks.WORKLOADS["gl31_growth"]
-    item = tasks.Item(samples=(1, 5, 6), nodes=3, edges=2)
+    item = tasks.Item(samples=(1, 5, 6))
+    nodes, edges = inputs.GL31_NODES, inputs.GL31_EDGES
     good = {
-        "nodes": [{}, {}, {}],
-        "edges": [{"from": 0, "to": 1}, {"from": 1, "to": 2}],
+        "nodes": [{}] * nodes,
+        "edges": [{"from": k % nodes, "to": (k + 1) % nodes} for k in range(edges)],
         "eigenvalues_conserved": True,
     }
     assert workload.check(item, tasks.Outcome(payloads={"population": good})) == []
-    for change in ({"nodes": [{}, {}]}, {"edges": [{"from": 0, "to": 3}] * 2},
+    for change in ({"nodes": [{}] * (nodes - 1)}, {"edges": [{"from": 0, "to": nodes}] * edges},
                    {"eigenvalues_conserved": False}):
         bad = {**good, **change}
         assert workload.check(item, tasks.Outcome(payloads={"population": bad}))
@@ -145,7 +151,18 @@ def test_failed_tasks_are_counted_and_do_not_stop_the_window():
     counts = run.timed_window(_FlakyWorkload(), [0, 1, 2, 3], seconds=0.05)
     assert counts["attempted"] >= 4
     assert counts["failed"] >= 2
-    assert counts["verified"] + counts["failed"] == counts["attempted"] == len(counts["times"])
+    assert counts["verified"] + counts["failed"] == counts["attempted"] == len(counts["spans"])
+    assert all(start <= end and cpu >= 0 for start, end, cpu in counts["spans"])
+
+
+def test_calibration_scales_cpu_seconds_by_the_pace_inside_the_interval():
+    ref = yardstick.REFERENCE_S
+    samples = [(1.0, ref), (2.0, 2 * ref), (3.0, 4 * ref), (9.0, 3 * ref)]
+    assert yardstick.pace(samples, 1.5, 3.5) == pytest.approx(3 * ref)
+    assert yardstick.calibrated(6.0, samples, 1.5, 3.5) == pytest.approx(2.0)
+    assert yardstick.calibrated(6.0, samples, 1.0, 1.0) == pytest.approx(6.0)
+    assert yardstick.calibrated(6.0, samples, 7.0, 8.0) == pytest.approx(2.0)  # nearest: t=9
+    assert 0 < yardstick.yardstick() < 1
 
 
 def test_metric_names_match_benchmark_json():
