@@ -153,10 +153,8 @@ class ReproductionFamily:
     """
 
     direction: int
-    kind: str
     particular: Poly
     homogeneous: Poly
-    target_parity: ParitySequence
 
     def member(self, c) -> Poly:
         return (self.particular - self.homogeneous * qq(c)).monic()
@@ -171,13 +169,7 @@ def bosonic_reproduce(point: BethePoint, i: int) -> ReproductionFamily:
         raise CriterionFailed(f"no polynomial Wronskian partner in direction {i}")
     if len(homogeneous) != 1 or homogeneous[0].monic() != point.y(i).monic():
         raise InvalidInput("unexpected homogeneous solution space")
-    return ReproductionFamily(
-        direction=i,
-        kind="bosonic",
-        particular=particular,
-        homogeneous=point.y(i),
-        target_parity=s,
-    )
+    return ReproductionFamily(direction=i, particular=particular, homogeneous=point.y(i))
 
 
 def fermionic_reproduce(point: BethePoint, i: int) -> BethePoint:
@@ -206,19 +198,13 @@ def bae_check_criterion(point: BethePoint) -> bool:
         raise NotGeneric("; ".join(failures))
     s = point.parity
     for i in range(1, len(s)):
-        if s[i] == s[i + 1]:
-            particular, _ = _wronskian_system(point.y(i), bosonic_rhs(point, i))
-            if particular is None:
-                return False
-        else:
-            try:
-                rhs = fermionic_rhs(point, i)
-            except DegenerateReproduction:
-                continue  # zero right side: the zero polynomial solves the relation
-            if not rhs.is_polynomial():
-                return False
-            if rhs.as_poly().try_exact_div(point.y(i)) is None:
-                return False
+        reproduce = bosonic_reproduce if s[i] == s[i + 1] else fermionic_reproduce
+        try:
+            reproduce(point, i)
+        except CriterionFailed:
+            return False
+        except DegenerateReproduction:
+            continue  # zero right side: the zero polynomial solves the relation
     return True
 
 
@@ -343,13 +329,10 @@ class Population:
         self.nodes: dict[tuple, BethePoint] = {}
         self.edges: list[Edge] = []
         self.diagnostics: list[str] = []
-        self.generic_flags: dict[tuple, bool] = {}
 
     def add(self, point: BethePoint) -> tuple:
         key = point.key()
-        if key not in self.nodes:
-            self.nodes[key] = point
-            self.generic_flags[key] = genericity_check(point)[0]
+        self.nodes.setdefault(key, point)
         return key
 
     def points(self) -> list[BethePoint]:
@@ -398,8 +381,9 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
     Same-parity families are materialized at the supplied scalar samples
     (the degeneration member is the node itself); each projective family
     line is sampled only once.  Reproductions are applied wherever the
-    defining formulas stay exact; failures and genericity findings are
-    recorded as diagnostics instead of aborting the whole exploration.
+    defining formulas stay exact; a direction where no reproduction exists
+    is recorded in ``diagnostics`` instead of aborting the whole
+    exploration.  Only the seed is checked for genericity.
     """
     samples = [qq(c) for c in samples]
     if not samples:

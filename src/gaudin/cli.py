@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 invariant or theorem violation, 2 I/O or parse
 error, 3 unsupported regime (atypical data, unfactorable polynomials,
 size guards).
+
+Each subcommand has two steps: ``read`` turns the JSON payload and the
+options into engine objects, ``run`` computes and returns the output
+payload with its success flag.  :func:`main` maps failures to exit codes
+once, through :data:`EXIT_CODES`.
 """
 
 from __future__ import annotations
@@ -34,11 +39,19 @@ from .reps import TensorSystem, gl11_module, gl11_spectrum_report
 from .spaces import kernel_spaces, space_weight_polys, verify_operator_to_population
 from .weights import ParitySequence, ProblemData, Weight
 
-UNSUPPORTED = (
-    AtypicalUnsupported,
-    UnsupportedFactorization,
-    TooLarge,
-    UnsupportedIrrationalRamification,
+# Python errors that mean "malformed payload" when raised while reading it.
+# Raised while computing they are bugs and propagate.
+MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError)
+
+# Engine errors by exit code and stderr label; the first matching row wins.
+EXIT_CODES = (
+    (InvalidInput, 2, "bad input"),
+    (
+        (AtypicalUnsupported, UnsupportedFactorization, TooLarge, UnsupportedIrrationalRamification),
+        3,
+        "unsupported",
+    ),
+    (EngineError, 1, "engine failure"),
 )
 
 
@@ -70,157 +83,117 @@ def _parse_samples(text):
     return [qq(part.strip()) for part in text.split(",") if part.strip()]
 
 
-def cmd_population(args) -> int:
-    data = _load(args.input)
-    try:
-        problem = jsonio.problem_from_json(data["problem"])
-        seed = jsonio.point_from_json(problem, data["seed"])
-        samples = _parse_samples(args.samples)
-        pop = populate(seed, samples, max_depth=args.max_depth)
-        invariant = verify_r_invariance(pop)
-        payload = jsonio.population_to_json(pop)
-        payload["R_invariant"] = invariant
-        payload["components"] = {
-            ",".join(map(str, parity)): len(points)
-            for parity, points in pop.by_parity().items()
-        }
-        if problem.points is not None:
-            table = []
-            for point in pop.points():
-                sites = admissible_sites(point)
-                table.append(
-                    {
-                        "node": jsonio.point_to_json(point),
-                        "admissible": sites,
-                        "eigenvalues": {
-                            str(k): jsonio.scalar_to_json(v)
-                            for k, v in zip(
-                                range(1, problem.n_points + 1), gaudin_eigenvalues(point)
-                            )
-                        }
-                        if len(sites) == problem.n_points
-                        else None,
+def read_seed(data, args):
+    problem = jsonio.problem_from_json(data["problem"])
+    seed = jsonio.point_from_json(problem, data["seed"])
+    return seed, _parse_samples(args.samples), args.max_depth
+
+
+def run_population(seed, samples, max_depth):
+    problem = seed.problem
+    pop = populate(seed, samples, max_depth=max_depth)
+    invariant = verify_r_invariance(pop)
+    payload = jsonio.population_to_json(pop)
+    payload["R_invariant"] = invariant
+    payload["components"] = {
+        ",".join(map(str, parity)): len(points)
+        for parity, points in pop.by_parity().items()
+    }
+    if problem.points is not None:
+        table = []
+        for point in pop.points():
+            sites = admissible_sites(point)
+            table.append(
+                {
+                    "node": jsonio.point_to_json(point),
+                    "admissible": sites,
+                    "eigenvalues": {
+                        str(k): jsonio.scalar_to_json(v)
+                        for k, v in zip(
+                            range(1, problem.n_points + 1), gaudin_eigenvalues(point)
+                        )
                     }
-                )
-            payload["eigenvalue_table"] = table
-            payload["eigenvalues_conserved"] = eigenvalue_conservation(pop)
-        else:
-            payload["eigenvalue_table"] = None
-    except (KeyError, InvalidInput) as exc:
-        return _fail(f"bad input: {exc}", 2)
-    except UNSUPPORTED as exc:
-        return _fail(f"unsupported: {exc}", 3)
-    except EngineError as exc:
-        return _fail(f"engine failure: {exc}", 1)
-    _emit(payload, args.out)
-    ok = payload["R_invariant"] and payload.get("eigenvalues_conserved", True)
-    return 0 if ok else 1
+                    if len(sites) == problem.n_points
+                    else None,
+                }
+            )
+        payload["eigenvalue_table"] = table
+        payload["eigenvalues_conserved"] = eigenvalue_conservation(pop)
+    else:
+        payload["eigenvalue_table"] = None
+    return payload, invariant and payload.get("eigenvalues_conserved", True)
 
 
-def cmd_check_bae(args) -> int:
-    data = _load(args.input)
-    try:
-        problem = jsonio.problem_from_json(data["problem"])
-        parity = jsonio.parity_from_json(data["parity"])
-        tlists = [[jsonio.scalar_from_json(t) for t in row] for row in data["t"]]
-        satisfied = bae_check_direct(problem, parity, tlists)
-    except (KeyError, InvalidInput) as exc:
-        return _fail(f"bad input: {exc}", 2)
-    except UNSUPPORTED as exc:
-        return _fail(f"unsupported: {exc}", 3)
-    except EngineError as exc:
-        return _fail(f"engine failure: {exc}", 1)
-    _emit({"satisfied": satisfied}, args.out)
-    return 0 if satisfied else 1
+def read_check_bae(data, args):
+    problem = jsonio.problem_from_json(data["problem"])
+    parity = jsonio.parity_from_json(data["parity"])
+    tlists = [[jsonio.scalar_from_json(t) for t in row] for row in data["t"]]
+    return problem, parity, tlists
 
 
-def cmd_rpdo_equal(args) -> int:
-    data = _load(args.input)
-    try:
-        fa = jsonio.factorization_from_json(data["A"])
-        fb = jsonio.factorization_from_json(data["B"])
-        equal = fa.same_operator(fb)
-    except (KeyError, InvalidInput) as exc:
-        return _fail(f"bad input: {exc}", 2)
-    except EngineError as exc:
-        return _fail(f"engine failure: {exc}", 1)
-    _emit({"equal": equal}, args.out)
-    return 0 if equal else 1
+def run_check_bae(problem, parity, tlists):
+    satisfied = bae_check_direct(problem, parity, tlists)
+    return {"satisfied": satisfied}, satisfied
 
 
-def cmd_space(args) -> int:
-    data = _load(args.input)
-    try:
-        problem = jsonio.problem_from_json(data["problem"])
-        seed = jsonio.point_from_json(problem, data["seed"])
-        samples = _parse_samples(args.samples)
-        pop = populate(seed, samples, max_depth=args.max_depth)
-        space = kernel_spaces(pop)
-        report = verify_operator_to_population(pop)
-        payload = {
-            "space": jsonio.space_to_json(space),
-            "TW": [jsonio.poly_to_json(t) for t in space_weight_polys(space)],
-            "verification": report,
-        }
-    except (KeyError, InvalidInput) as exc:
-        return _fail(f"bad input: {exc}", 2)
-    except UNSUPPORTED as exc:
-        return _fail(f"unsupported: {exc}", 3)
-    except EngineError as exc:
-        return _fail(f"engine failure: {exc}", 1)
-    _emit(payload, args.out)
-    return 0
+def read_rpdo_equal(data, args):
+    return jsonio.factorization_from_json(data["A"]), jsonio.factorization_from_json(data["B"])
 
 
-def cmd_gl11_spectrum(args) -> int:
-    data = _load(args.input)
-    try:
-        weights = data["weights"]
-        points = [jsonio.scalar_from_json(z) for z in data["points"]]
-        modules = [
-            gl11_module(jsonio.scalar_from_json(str(p)), jsonio.scalar_from_json(str(q)))
-            for p, q in weights
-        ]
-        system = TensorSystem(modules, points)
-        report = gl11_spectrum_report(system)
-    except (KeyError, InvalidInput) as exc:
-        return _fail(f"bad input: {exc}", 2)
-    except UNSUPPORTED as exc:
-        return _fail(f"unsupported: {exc}", 3)
-    except EngineError as exc:
-        return _fail(f"engine failure: {exc}", 1)
-    _emit(report, args.out)
-    ok = report["counts_match"] and report["eigenvalues_match"]
-    return 0 if ok else 1
+def run_rpdo_equal(fa, fb):
+    equal = fa.same_operator(fb)
+    return {"equal": equal}, equal
 
 
-def _selftest_problem() -> tuple[ProblemData, BethePoint]:
+def run_space(seed, samples, max_depth):
+    pop = populate(seed, samples, max_depth=max_depth)
+    space = kernel_spaces(pop)
+    report = verify_operator_to_population(pop)
+    payload = {
+        "space": jsonio.space_to_json(space),
+        "TW": [jsonio.poly_to_json(t) for t in space_weight_polys(space)],
+        "verification": report,
+    }
+    return payload, True
+
+
+def read_gl11_spectrum(data, args):
+    points = [jsonio.scalar_from_json(z) for z in data["points"]]
+    modules = [
+        gl11_module(jsonio.scalar_from_json(str(p)), jsonio.scalar_from_json(str(q)))
+        for p, q in data["weights"]
+    ]
+    return (TensorSystem(modules, points),)
+
+
+def run_gl11_spectrum(system):
+    report = gl11_spectrum_report(system)
+    return report, report["counts_match"] and report["eigenvalues_match"]
+
+
+def run_selftest():
     x3m1 = Poly((-1, 0, 0, 1))
-    problem = ProblemData(
-        2,
-        1,
-        [Weight(2, 1, (1, 1, 0))] * 3,
-        ts=[x3m1, x3m1, Poly.one()],
-    )
+    problem = ProblemData(2, 1, [Weight(2, 1, (1, 1, 0))] * 3, ts=[x3m1, x3m1, Poly.one()])
     seed = BethePoint(problem, ParitySequence.standard(2, 1), [Poly.one(), Poly.one()])
-    return problem, seed
+    pop = populate(seed, [qq(0), qq(1), qq(2)])
+    checks = {
+        "population_size": len(pop.nodes),
+        "three_components": len(pop.by_parity()) == 3,
+        "R_invariant": verify_r_invariance(pop),
+        "bijection": verify_operator_to_population(pop)["space_polys_match"],
+    }
+    return checks, checks["three_components"] and checks["R_invariant"] and checks["bijection"]
 
 
-def cmd_selftest(args) -> int:
-    try:
-        _, seed = _selftest_problem()
-        pop = populate(seed, [qq(0), qq(1), qq(2)])
-        checks = {
-            "population_size": len(pop.nodes),
-            "three_components": len(pop.by_parity()) == 3,
-            "R_invariant": verify_r_invariance(pop),
-            "bijection": verify_operator_to_population(pop)["space_polys_match"],
-        }
-    except EngineError as exc:
-        return _fail(f"selftest failure: {exc}", 1)
-    _emit(checks, args.out)
-    ok = checks["three_components"] and checks["R_invariant"] and checks["bijection"]
-    return 0 if ok else 1
+# name: (help, read step or None when no input is read, run step)
+COMMANDS = {
+    "population": ("explore a population and verify invariants", read_seed, run_population),
+    "check-bae": ("exact residue check of explicit Bethe roots", read_check_bae, run_check_bae),
+    "rpdo-equal": ("compare two complete factorizations", read_rpdo_equal, run_rpdo_equal),
+    "space": ("kernel space, weight polynomials, bijection check", read_seed, run_space),
+    "gl11-spectrum": ("divisor/eigenvector report for gl(1|1)", read_gl11_spectrum, run_gl11_spectrum),
+    "selftest": ("run the built-in worked example", None, run_selftest),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,44 +202,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Bethe-ansatz population engine for gl(M|N) Gaudin models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--input", default="-", help="input JSON file (default stdin)")
+    for name, (help_text, read, run) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if read is not None:
+            p.add_argument("--input", default="-", help="input JSON file (default stdin)")
         p.add_argument("--out", default=None, help="output JSON file (default stdout)")
-        p.add_argument("--max-depth", type=int, default=16)
-        p.add_argument("--samples", default="0,1,2", help="comma-separated scalars")
-        p.add_argument("--jobs", type=int, default=1, help="parallelism budget (advisory)")
-
-    p = sub.add_parser("population", help="explore a population and verify invariants")
-    common(p)
-    p.set_defaults(func=cmd_population)
-
-    p = sub.add_parser("check-bae", help="exact residue check of explicit Bethe roots")
-    common(p)
-    p.set_defaults(func=cmd_check_bae)
-
-    p = sub.add_parser("rpdo-equal", help="compare two complete factorizations")
-    common(p)
-    p.set_defaults(func=cmd_rpdo_equal)
-
-    p = sub.add_parser("space", help="kernel space, weight polynomials, bijection check")
-    common(p)
-    p.set_defaults(func=cmd_space)
-
-    p = sub.add_parser("gl11-spectrum", help="divisor/eigenvector report for gl(1|1)")
-    common(p)
-    p.set_defaults(func=cmd_gl11_spectrum)
-
-    p = sub.add_parser("selftest", help="run the built-in worked example")
-    common(p)
-    p.set_defaults(func=cmd_selftest)
+        if read is read_seed:  # the population explorers
+            p.add_argument("--max-depth", type=int, default=16)
+            p.add_argument("--samples", default="0,1,2", help="comma-separated scalars")
+        p.set_defaults(read=read, run=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        if args.read is None:
+            inputs = ()
+        else:
+            try:
+                inputs = args.read(_load(args.input), args)
+            except MALFORMED as exc:
+                raise InvalidInput(exc) from exc
+        payload, ok = args.run(*inputs)
+    except EngineError as exc:
+        code, label = next((c, lbl) for types, c, lbl in EXIT_CODES if isinstance(exc, types))
+        return _fail(f"{label}: {exc}", code)
+    _emit(payload, args.out)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ unity, are handled exactly through their minimal polynomials.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from .bethe import BethePoint, Population, population_factorization
@@ -78,7 +79,12 @@ def exponents(basis, place) -> list[int]:
 
 
 class RationalSpace:
-    """Even/odd pair of rational-function bases, with optional problem data."""
+    """Even/odd pair of rational-function bases, with optional problem data.
+
+    The places, the even and odd exponent tables, their denominators and
+    the weight polynomials are computed on first use and cached, so the
+    bases must not change afterwards.
+    """
 
     def __init__(self, vbasis, ubasis, problem=None):
         self.vbasis = tuple(f if isinstance(f, RatFun) else RatFun(f) for f in vbasis)
@@ -96,8 +102,61 @@ class RationalSpace:
     def __repr__(self):
         return f"RationalSpace({self.m}|{self.n})"
 
+    @cached_property
+    def places(self) -> list[Poly]:
+        return detect_places(self)
 
-def detect_places(space: RationalSpace, extra=()) -> list[Poly]:
+    @cached_property
+    def even_exponents(self) -> dict[Poly, list[int]]:
+        return _exponent_table(self.vbasis, self.places)
+
+    @cached_property
+    def odd_exponents(self) -> dict[Poly, list[int]]:
+        return _exponent_table(self.ubasis, self.places)
+
+    @cached_property
+    def even_denominator(self) -> Poly:
+        return _denominator_from_exponents(self.even_exponents)
+
+    @cached_property
+    def odd_denominator(self) -> Poly:
+        return _denominator_from_exponents(self.odd_exponents)
+
+    @cached_property
+    def weight_polys(self) -> tuple[Poly, ...]:
+        """See :func:`space_weight_polys`."""
+        m, n = self.m, self.n
+        ev, od = self.even_exponents, self.odd_exponents
+        pv, pu = self.even_denominator, self.odd_denominator
+
+        def tv(i: int) -> RatFun:  # 1-based even index
+            out = RatFun.one()
+            for pl in self.places:
+                e = ev[pl][m - i] - (m - i)
+                out = out * RatFun(pl) ** e
+            return out
+
+        def tu(i: int) -> RatFun:  # 1-based odd index
+            out = RatFun.one()
+            for pl in self.places:
+                e = -od[pl][i - 1] + (i - 1)
+                out = out * RatFun(pl) ** e
+            return out
+
+        out: list[Poly] = []
+        for i in range(1, m):
+            out.append(tv(i).as_poly())
+        if m:
+            out.append((tv(m) * RatFun(pv)).as_poly())
+        if n:
+            ratio = RatFun(pu) / RatFun(pv)
+            out.append(ratio.as_poly())
+            for i in range(2, n + 1):
+                out.append(tu(i).as_poly())
+        return tuple(p.monic() if not p.is_zero() else p for p in out)
+
+
+def detect_places(space: RationalSpace) -> list[Poly]:
     """Coprime places where exponent data can be nontrivial.
 
     Every subset Wronskian of each graded part (and every even/odd pair
@@ -115,28 +174,25 @@ def detect_places(space: RationalSpace, extra=()) -> list[Poly]:
             w = wronskian([v, u])
             if not w.is_zero():
                 polys += [w.num, w.den]
-    for e in extra:
-        polys.append(_as_place(e))
     if space.problem is not None and space.problem.points is not None:
         for z in space.problem.points:
             polys.append(Poly((-z, 1)))
     return coprime_basis([p for p in polys if p.degree > 0])
 
 
-def _exponent_table(basis, places):
-    return {pl: exponents(basis, pl) for pl in places}
+def _exponent_table(basis, places) -> dict[Poly, list[int]]:
+    return {pl: exponents(basis, pl) for pl in places} if basis else {}
 
 
-def _denominator_from_exponents(table, places) -> Poly:
+def _denominator_from_exponents(table) -> Poly:
     p = Poly.one()
-    for pl in places:
-        e1 = table[pl][0]
-        if e1 < 0:
-            p = p * pl ** (-e1)
+    for pl, ladder in table.items():
+        if ladder[0] < 0:
+            p = p * pl ** (-ladder[0])
     return p
 
 
-def space_weight_polys(space: RationalSpace, extra_places=()) -> list[Poly]:
+def space_weight_polys(space: RationalSpace) -> list[Poly]:
     """The weight polynomials a graded space of rational functions carries.
 
     Entries follow the even-block/odd-block assembly: even entries are
@@ -144,48 +200,14 @@ def space_weight_polys(space: RationalSpace, extra_places=()) -> list[Poly]:
     through, the first odd entry is the denominator ratio, and the
     remaining odd entries carry the odd staircase.
     """
-    m, n = space.m, space.n
-    places = detect_places(space, extra_places)
-    ev = _exponent_table(space.vbasis, places) if m else {}
-    od = _exponent_table(space.ubasis, places) if n else {}
-    pv = _denominator_from_exponents(ev, places) if m else Poly.one()
-    pu = _denominator_from_exponents(od, places) if n else Poly.one()
-
-    def tv(i: int) -> RatFun:  # 1-based even index
-        out = RatFun.one()
-        for pl in places:
-            e = ev[pl][m - i] - (m - i)
-            out = out * RatFun(pl) ** e
-        return out
-
-    def tu(i: int) -> RatFun:  # 1-based odd index
-        out = RatFun.one()
-        for pl in places:
-            e = -od[pl][i - 1] + (i - 1)
-            out = out * RatFun(pl) ** e
-        return out
-
-    out: list[Poly] = []
-    for i in range(1, m):
-        out.append(tv(i).as_poly())
-    if m:
-        out.append((tv(m) * RatFun(pv)).as_poly())
-    if n:
-        ratio = RatFun(pu) / RatFun(pv)
-        out.append(ratio.as_poly())
-        for i in range(2, n + 1):
-            out.append(tu(i).as_poly())
-    return [p.monic() if not p.is_zero() else p for p in out]
+    return list(space.weight_polys)
 
 
-def is_gl_space(space: RationalSpace, extra_places=()) -> tuple[bool, list[str]]:
+def is_gl_space(space: RationalSpace) -> tuple[bool, list[str]]:
     """The four equivalent membership conditions, with failure reports."""
     m, n = space.m, space.n
-    places = detect_places(space, extra_places)
-    ev = _exponent_table(space.vbasis, places) if m else {}
-    od = _exponent_table(space.ubasis, places) if n else {}
-    pv = _denominator_from_exponents(ev, places) if m else Poly.one()
-    pu = _denominator_from_exponents(od, places) if n else Poly.one()
+    places, od = space.places, space.odd_exponents
+    pv, pu = space.even_denominator, space.odd_denominator
     failures = []
     ratio = RatFun(pu) / RatFun(pv)
     if not ratio.is_polynomial():
@@ -268,16 +290,13 @@ def flag_polynomial(space: RationalSpace, flag: SuperFlag, a: int, b: int) -> Po
     by the collision correction and the space's weight polynomials, is a
     polynomial whenever the space satisfies the membership conditions.
     """
-    tw = space_weight_polys(space)
+    tw = space.weight_polys
     m, n = space.m, space.n
-    places = detect_places(space)
-    ev = _exponent_table(space.vbasis, places) if m else {}
-    pv = _denominator_from_exponents(ev, places) if m else Poly.one()
     w = wronskian(list(flag.vorder[:a]) + list(flag.uorder[:b])) if a + b else RatFun.one()
     if w.is_zero():
         raise InvalidFlag("dependent flag members")
     corr = collision_poly(tw, m, n, a, b)
-    val = w * RatFun(corr) * RatFun(pv)
+    val = w * RatFun(corr) * RatFun(space.even_denominator)
     for j in range(1, b + 1):
         val = val * RatFun(tw[m + j - 1])
     for j in range(0, a):

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -133,6 +134,35 @@ class TestCriterion:
         p = BethePoint(prob, ParitySequence.standard(2, 0), [X])
         with pytest.raises(NotGeneric):
             bae_check_criterion(p)
+
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            gl2_problem([1, 1], [0, 1]),
+            gl2_problem([1, 1, 1], [0, 1, 3]),
+            gl11_problem([(1, 0)] * 2, [0, 1]),
+            gl11_problem([(1, 0)] * 3, [0, 1, 2]),
+        ],
+        ids=["gl2-01", "gl2-013", "gl11-01", "gl11-012"],
+    )
+    def test_agrees_with_direct_check(self, problem):
+        # the criterion is solvability of the reproductions; on generic
+        # one- and two-root tuples it must decide like the residue check
+        roots = sorted({Q(a, b) for a in range(-6, 7) for b in (1, 2, 3, 5)})
+        parity = ParitySequence.standard(problem.m, problem.n)
+        generic = 0
+        for count in (1, 2):
+            for ts in combinations_with_replacement(roots, count):
+                y = Poly.one()
+                for t in ts:
+                    y = y * (X - t)
+                p = BethePoint(problem, parity, [y])
+                if not genericity_check(p)[0]:
+                    continue
+                generic += 1
+                assert bae_check_criterion(p) == bae_check_direct(problem, parity, [list(ts)]), ts
+        assert generic > 0
 
 
 class TestBosonic:

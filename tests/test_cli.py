@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gaudin.cli import main
+from gaudin.cli import build_parser, main
 
 WORKED_PROBLEM = {
     "M": 2,
@@ -169,3 +169,74 @@ class TestSelftest:
         assert main(["selftest", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["population_size"] == 12
+
+
+GL11_PROBLEM = {
+    "M": 1,
+    "N": 1,
+    "parity": [1, -1],
+    "weights": [["1", "0"], ["1", "0"]],
+    "points": ["0", "1"],
+}
+GL11_SEED = {"parity": [1, -1], "ys": [["1"]]}
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "command, payload, options",
+        [
+            ("population", {"problem": dict(WORKED_PROBLEM, M="x"), "seed": WORKED_SEED}, []),
+            ("population", [], []),
+            ("space", [], []),
+            ("rpdo-equal", [], []),
+            ("gl11-spectrum", [], []),
+            ("population", {"problem": dict(GL11_PROBLEM, points=["1/0", "1"]), "seed": GL11_SEED}, []),
+            ("check-bae", {"problem": GL11_PROBLEM, "parity": [1, -1], "t": [["abc"]]}, []),
+            ("gl11-spectrum", {"weights": [["1"]], "points": ["0"]}, []),
+            ("population", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED}, ["--samples=abc"]),
+        ],
+        ids=[
+            "M-not-int",
+            "list-population",
+            "list-space",
+            "list-rpdo-equal",
+            "list-gl11-spectrum",
+            "point-1/0",
+            "root-abc",
+            "gl11-short-weight",
+            "samples-abc",
+        ],
+    )
+    def test_malformed_payload_exits_two(self, tmp_path, capsys, command, payload, options):
+        inp = write(tmp_path, "in.json", payload)
+        assert main([command, "--input", inp, *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad input: ")
+
+    def test_key_error_while_computing_propagates(self, tmp_path, monkeypatch):
+        # only the read step turns Python errors into "bad input"
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr("gaudin.cli.populate", broken)
+        inp = write(tmp_path, "in.json", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED})
+        with pytest.raises(KeyError, match="internal"):
+            main(["population", "--input", inp])
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("population", {"input", "out", "samples", "max_depth"}),
+            ("space", {"input", "out", "samples", "max_depth"}),
+            ("check-bae", {"input", "out"}),
+            ("rpdo-equal", {"input", "out"}),
+            ("gl11-spectrum", {"input", "out"}),
+            ("selftest", {"out"}),
+        ],
+    )
+    def test_options_per_subcommand(self, command, options):
+        args = build_parser().parse_args([command])
+        assert set(vars(args)) - {"command", "read", "run"} == options

@@ -130,12 +130,10 @@ class TestIsGlSpace:
         # random combinations as well
         rng = random.Random(404)
         space = kernel_spaces(worked_population)
-        from gaudin.spaces import detect_places, _exponent_table, _denominator_from_exponents
         from gaudin.rational import order_at_place
 
-        places = detect_places(space)
-        ev = _exponent_table(space.vbasis, places)
-        pv = _denominator_from_exponents(ev, places)
+        places = space.places
+        pv = space.even_denominator
         if pv.degree == 0:
             pv = Poly.one()
         for _ in range(6):
@@ -210,6 +208,20 @@ class TestFlagPolynomialAndGeneratingMap:
         space = kernel_spaces(pop)
         flag = SuperFlag(ParitySequence.standard(2, 0), space.vbasis, [])
         assert flag_polynomial(space, flag, 2, 0) == Poly.one()
+
+    def test_places_detected_once_per_space(self, worked_population, monkeypatch):
+        import gaudin.spaces
+
+        space = kernel_spaces(worked_population)
+        flag = SuperFlag(ParitySequence.standard(2, 1), space.vbasis, space.ubasis)
+        calls = []
+        detect = gaudin.spaces.detect_places
+        monkeypatch.setattr(
+            gaudin.spaces, "detect_places", lambda *args: calls.append(args) or detect(*args)
+        )
+        assert len(generating_tuple(space, flag)) == 2
+        generating_tuple(space, flag)
+        assert calls == [(space,)]
 
     def test_seed_recovered(self, worked_population, worked_seed):
         space = kernel_spaces(worked_population)
