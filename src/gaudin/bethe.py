@@ -40,6 +40,8 @@ class BethePoint:
     __slots__ = ("problem", "parity", "ys")
 
     def __init__(self, problem: ProblemData, parity: ParitySequence, ys):
+        if (parity.m, parity.n) != (problem.m, problem.n):
+            raise InvalidInput("parity sequence must have the problem's M|N shape")
         ys = tuple(y if isinstance(y, Poly) else Poly(y) for y in ys)
         if len(ys) != problem.m + problem.n - 1:
             raise InvalidInput("tuple length must be M+N-1")

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 invariant or theorem violation, 2 I/O or parse
-error, 3 unsupported regime (atypical data, unfactorable polynomials,
-size guards).
+Exit codes: 0 success, 1 invariant or theorem violation, 2 I/O, parse or
+malformed-input error, 3 unsupported regime (atypical data, non-polynomial
+weights, unfactorable polynomials, size guards).
 
 Each subcommand has two steps: ``read`` turns the JSON payload and the
 options into engine objects, ``run`` computes and returns the output
@@ -28,26 +28,31 @@ from .bethe import (
 )
 from .errors import (
     AtypicalUnsupported,
+    DegenerateInput,
     EngineError,
     InvalidInput,
+    InvalidPoints,
     TooLarge,
     UnsupportedFactorization,
     UnsupportedIrrationalRamification,
+    UnsupportedWeight,
 )
 from .rational import Poly, qq
 from .reps import TensorSystem, gl11_module, gl11_spectrum_report
 from .spaces import kernel_spaces, space_weight_polys, verify_operator_to_population
 from .weights import ParitySequence, ProblemData, Weight
 
-# Python errors that mean "malformed payload" when raised while reading it.
-# Raised while computing they are bugs and propagate.
-MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError)
+# Errors that mean "malformed payload" when raised while reading it.
+# Raised while computing, the Python ones are bugs and propagate, and the
+# engine ones go through EXIT_CODES.
+MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, InvalidPoints, DegenerateInput)
 
 # Engine errors by exit code and stderr label; the first matching row wins.
 EXIT_CODES = (
     (InvalidInput, 2, "bad input"),
     (
-        (AtypicalUnsupported, UnsupportedFactorization, TooLarge, UnsupportedIrrationalRamification),
+        (AtypicalUnsupported, UnsupportedFactorization, UnsupportedWeight, TooLarge,
+         UnsupportedIrrationalRamification),
         3,
         "unsupported",
     ),

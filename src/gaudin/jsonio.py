@@ -53,10 +53,6 @@ def diffop_to_json(op: DiffOp) -> list[dict]:
     return [ratfun_to_json(c) for c in op.coeffs]
 
 
-def diffop_from_json(data) -> DiffOp:
-    return DiffOp([ratfun_from_json(c) for c in data])
-
-
 def fraction_to_json(fr: OreFraction) -> dict:
     m = fr.minimal()
     return {"num": diffop_to_json(m.num), "den": diffop_to_json(m.den)}
@@ -64,13 +60,6 @@ def fraction_to_json(fr: OreFraction) -> dict:
 
 def parity_from_json(data) -> ParitySequence:
     return ParitySequence(data)
-
-
-def factorization_to_json(fac: CompleteFactorization) -> dict:
-    return {
-        "parity": list(fac.parity.entries),
-        "factors": [ratfun_to_json(a) for a in fac.coefficients],
-    }
 
 
 def factorization_from_json(data) -> CompleteFactorization:

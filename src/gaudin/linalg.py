@@ -14,10 +14,6 @@ from .errors import InternalInconsistency
 Q = Fraction
 
 
-def _copy(mat):
-    return [[Q(x) for x in row] for row in mat]
-
-
 def solve_linear(rows, rhs):
     """Affine solution set of A x = b over the rationals.
 

@@ -217,12 +217,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def nth_derivative(self, n: int) -> "Poly":
-        p = self
-        for _ in range(n):
-            p = p.derivative()
-        return p
-
     def monic(self) -> "Poly":
         if self.is_zero():
             raise DegenerateInput("the zero polynomial has no monic form")
@@ -527,12 +521,6 @@ class RatFun:
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
-
-    def nth_derivative(self, n: int) -> "RatFun":
-        f = self
-        for _ in range(n):
-            f = f.derivative()
-        return f
 
     def __call__(self, z) -> Fraction:
         z = qq(z)

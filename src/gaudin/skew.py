@@ -4,6 +4,12 @@ Operators are stored densely by power of the derivation; multiplication
 uses the exchange rule (derivation * a = a * derivation + a').  Fractions
 keep the denominator on the right, matching the factored products the
 engine manufactures; left fractions are never materialized.
+
+A complete factorization reaches its fraction one way: first-order
+exchanges carry it to the standard parity (all even factors first), where
+it reads A * B^(-1) with A and B plain products of first-order factors,
+and the minimal form of that pair is the fraction.  The general fraction
+product stays available for fractions that arrive unfactored.
 """
 
 from __future__ import annotations
@@ -322,23 +328,43 @@ class CompleteFactorization:
     def __repr__(self):
         return f"CompleteFactorization(parity={list(self.parity.entries)}, {len(self.coefficients)} factors)"
 
-    def factor(self, i: int) -> DiffOp:
-        """The operator D - a_i (1-based)."""
-        return DiffOp.first_order(self.coefficients[i - 1])
+    def standard_pair(self) -> tuple[DiffOp, DiffOp]:
+        """Operators (A, B) with A * B^(-1) equal to the product.
+
+        Each even factor moves left past the odd factors before it by the
+        backward exchange; where it meets (D - c)^(-1)(D - c), that product
+        is 1 and both factors drop.  A multiplies the even factors in
+        order, B the odd factors in reverse order.
+        """
+        evens: list[RatFun] = []
+        odds: list[RatFun] = []
+        for sign, a in zip(self.parity.entries, self.coefficients):
+            if sign == -1:
+                odds.append(a)
+                continue
+            for j in range(len(odds) - 1, -1, -1):
+                if odds[j] == a:
+                    del odds[j]
+                    break
+                a, odds[j] = ore_swap(odds[j], a, backward=True)
+            else:
+                evens.append(a)
+        return _product(evens), _product(odds[::-1])
 
     def to_fraction(self) -> OreFraction:
-        out = OreFraction.one()
-        for i in range(1, len(self.parity) + 1):
-            piece = (
-                OreFraction.of_operator(self.factor(i))
-                if self.parity[i] == 1
-                else OreFraction.inverse_of(self.factor(i))
-            )
-            out = out * piece
-        return out.minimal()
+        return OreFraction(*self.standard_pair()).minimal()
 
     def same_operator(self, other: "CompleteFactorization") -> bool:
         return self.to_fraction().same_operator(other.to_fraction())
+
+
+def _product(coefficients) -> DiffOp:
+    """The operator (D - a_1)(D - a_2)...(D - a_k), built from the right:
+    a first-order factor on the left needs only first derivatives."""
+    out = DiffOp.one()
+    for a in reversed(coefficients):
+        out = DiffOp.first_order(a) * out
+    return out
 
 
 def refactor_to_parity(fac: CompleteFactorization, target: ParitySequence) -> CompleteFactorization:

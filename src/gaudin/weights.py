@@ -128,9 +128,6 @@ class ParitySequence:
             raise InternalInconsistency("bubble path failed")
         return tuple(path)
 
-    def path_from_standard(self) -> tuple[int, ...]:
-        return ParitySequence.standard(self.m, self.n).path_to(self)
-
 
 def cartan_pairing(s: ParitySequence, i: int, j: int) -> int:
     """Symmetrized Cartan pairing (alpha_i, alpha_j) for the parity s."""

@@ -26,6 +26,7 @@ from gaudin import (
 from gaudin.errors import (
     CriterionFailed,
     InvalidConfiguration,
+    InvalidInput,
     NotAdmissible,
     NotGeneric,
 )
@@ -247,6 +248,11 @@ class TestPopulate:
         seed = BethePoint(prob, ParitySequence.standard(2, 0), [X - 1])
         with pytest.raises(CriterionFailed):
             populate(seed, [Q(0)])
+
+    def test_parity_must_have_the_problem_shape(self, worked_problem):
+        # a gl(3|0) parity passes the length check for a gl(2|1) problem
+        with pytest.raises(InvalidInput):
+            BethePoint(worked_problem, ParitySequence((1, 1, 1)), [Poly.one(), Poly.one()])
 
 
 class TestPopulationOperator:

@@ -142,6 +142,15 @@ class TestRpdoEqual:
         inp = write(tmp_path, "in.json", {"A": fa, "B": fb})
         assert main(["rpdo-equal", "--input", inp]) == 1
 
+    def test_cancelling_pairs(self, tmp_path, capsys):
+        # (D - x)(D - x)^(-1) and (D - x)^(-1)(D - x) are both 1
+        x = {"num": ["0", "1"], "den": ["1"]}
+        fa = {"parity": [1, -1], "factors": [x, x]}
+        fb = {"parity": [-1, 1], "factors": [x, x]}
+        inp = write(tmp_path, "in.json", {"A": fa, "B": fb})
+        assert main(["rpdo-equal", "--input", inp]) == 0
+        assert json.loads(capsys.readouterr().out) == {"equal": True}
+
 
 class TestGl11Spectrum:
     def test_generic(self, tmp_path):
@@ -179,6 +188,8 @@ GL11_PROBLEM = {
     "points": ["0", "1"],
 }
 GL11_SEED = {"parity": [1, -1], "ys": [["1"]]}
+ONE_FACTOR = {"parity": [1, -1], "factors": [{"num": ["0"]}]}
+ZERO_DENOMINATOR = {"parity": [1, -1], "factors": [{"num": ["1"], "den": ["0"]}, {"num": ["0"]}]}
 
 
 class TestInputContract:
@@ -194,6 +205,13 @@ class TestInputContract:
             ("check-bae", {"problem": GL11_PROBLEM, "parity": [1, -1], "t": [["abc"]]}, []),
             ("gl11-spectrum", {"weights": [["1"]], "points": ["0"]}, []),
             ("population", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED}, ["--samples=abc"]),
+            ("population", {"problem": WORKED_PROBLEM, "seed": dict(WORKED_SEED, parity=[1, 1, 1])}, []),
+            ("population", {"problem": dict(GL11_PROBLEM, points=["0", "0"]), "seed": GL11_SEED}, []),
+            ("check-bae", {"problem": dict(GL11_PROBLEM, points=["0", "0"]), "parity": [1, -1], "t": [["1/2"]]}, []),
+            ("gl11-spectrum", {"weights": [["1", "0"], ["1", "0"]], "points": ["0", "0"]}, []),
+            ("gl11-spectrum", {"weights": [], "points": []}, []),
+            ("rpdo-equal", {"A": ONE_FACTOR, "B": ONE_FACTOR}, []),
+            ("rpdo-equal", {"A": ZERO_DENOMINATOR, "B": ZERO_DENOMINATOR}, []),
         ],
         ids=[
             "M-not-int",
@@ -205,6 +223,13 @@ class TestInputContract:
             "root-abc",
             "gl11-short-weight",
             "samples-abc",
+            "seed-parity-111",
+            "population-repeated-points",
+            "check-bae-repeated-points",
+            "gl11-repeated-points",
+            "gl11-empty",
+            "rpdo-factor-count",
+            "rpdo-zero-denominator",
         ],
     )
     def test_malformed_payload_exits_two(self, tmp_path, capsys, command, payload, options):
@@ -213,6 +238,14 @@ class TestInputContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("bad input: ")
+
+    def test_non_polynomial_weight_exits_three(self, tmp_path, capsys):
+        problem = dict(WORKED_PROBLEM, weights=[["1/2", "1", "0"]] * 3)
+        inp = write(tmp_path, "in.json", {"problem": problem, "seed": WORKED_SEED})
+        assert main(["population", "--input", inp]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("unsupported: ")
 
     def test_key_error_while_computing_propagates(self, tmp_path, monkeypatch):
         # only the read step turns Python errors into "bad input"

@@ -235,6 +235,45 @@ class TestRefactor:
         assert fac.same_operator(other)
 
 
+def rand_log_deriv(rng):
+    """c / (x - r): the shape of a population factor's coefficient."""
+    return RatFun(Poly.const(rng.randint(-2, 2)), X - rng.randint(-2, 2))
+
+
+def ore_fold(fac):
+    """Reference product: multiply the factors' fractions one at a time."""
+    out = OreFraction.one()
+    for sign, a in zip(fac.parity.entries, fac.coefficients):
+        op = DiffOp.first_order(a)
+        out = out * (OreFraction.of_operator(op) if sign == 1 else OreFraction.inverse_of(op))
+    return out.minimal()
+
+
+class TestStandardPair:
+    def test_to_fraction_agrees_with_ore_fold(self):
+        rng = random.Random(59)
+        for size in range(1, 5):
+            for m in range(size + 1):
+                for parity in ParitySequence.all_sequences(m, size - m):
+                    s = parity.entries
+                    coeffs = [rand_log_deriv(rng) for _ in range(size)]
+                    cases = [coeffs]
+                    # equal adjacent mixed pairs; (D-a)^(-1)(D-a) takes the cancellation
+                    for i in range(size - 1):
+                        if s[i] != s[i + 1]:
+                            cases.append(coeffs[: i + 1] + [coeffs[i]] + coeffs[i + 2 :])
+                    for cs in cases:
+                        fac = CompleteFactorization(parity, cs)
+                        assert fac.to_fraction().same_operator(ore_fold(fac)), (s, cs)
+
+    def test_standard_parity_multiplies_in_place(self):
+        a, b, c = RatFun(X), RatFun(Poly.one(), X), RatFun(X**2)
+        fac = CompleteFactorization(ParitySequence((1, -1, -1)), [a, b, c])
+        num, den = fac.standard_pair()
+        assert num == DiffOp.first_order(a)
+        assert den == DiffOp.first_order(c) * DiffOp.first_order(b)
+
+
 class TestRationalKernel:
     def test_second_derivative(self):
         op = D * D
