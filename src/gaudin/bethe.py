@@ -29,8 +29,6 @@ from .weights import (
     cartan_pairing,
     pair_eps,
     pair_weight_alpha,
-    ratio_poly,
-    step_radical,
 )
 
 
@@ -82,14 +80,14 @@ def genericity_check(point: BethePoint) -> tuple[bool, list[str]]:
     """The three genericity conditions; returns (ok, failure descriptions)."""
     s = point.parity
     size = len(s) - 1
-    ts = point.ts()
+    ratios = point.problem.parity_data(s).ratios
     failures = []
     for i in range(1, size + 1):
         yi = point.y(i)
         if s[i] * s[i + 1] == 1 and yi.degree > 0:
             if poly_gcd(yi, yi.derivative()).degree > 0:
                 failures.append(f"y_{i} has a repeated root")
-        rp = ratio_poly(ts, s, i)
+        rp = ratios[i - 1]
         if yi.degree > 0 and rp.degree > 0 and poly_gcd(yi, rp).degree > 0:
             failures.append(f"y_{i} meets the weight-poly ratio at position {i}")
     for i in range(1, size + 1):
@@ -129,20 +127,19 @@ def _wronskian_system(y: Poly, rhs: Poly):
 
 
 def bosonic_rhs(point: BethePoint, i: int) -> Poly:
-    ts = point.ts()
-    return ratio_poly(ts, point.parity, i) * point.y(i - 1) * point.y(i + 1)
+    rp = point.problem.parity_data(point.parity).ratios[i - 1]
+    return rp * point.y(i - 1) * point.y(i + 1)
 
 
 def fermionic_rhs(point: BethePoint, i: int) -> RatFun:
     """Right side of the mixed-parity relation, as a rational function."""
-    ts = point.ts()
-    s = point.parity
-    arg = RatFun(ts[i - 1] * ts[i] * point.y(i - 1), point.y(i + 1))
+    data = point.problem.parity_data(point.parity)
+    arg = RatFun(data.ts[i - 1] * data.ts[i] * point.y(i - 1), point.y(i + 1))
     if arg.derivative().is_zero():
         raise DegenerateReproduction(
             f"constant logarithmic-derivative argument in direction {i}"
         )
-    pi_i = step_radical(ts, s, i)
+    pi_i = data.radicals[i - 1]
     return log_deriv(arg) * RatFun(pi_i * point.y(i - 1) * point.y(i + 1))
 
 
@@ -323,6 +320,11 @@ class Edge:
     scalar: Fraction | None = None
 
 
+def _line_key(point: BethePoint, i: int) -> tuple:
+    others = tuple(y.coeffs for j, y in enumerate(point.ys) if j != i - 1)
+    return (point.parity.entries, i, others)
+
+
 class Population:
     """Closure of a seed tuple under reproductions, with dedup and edges."""
 
@@ -331,10 +333,16 @@ class Population:
         self.nodes: dict[tuple, BethePoint] = {}
         self.edges: list[Edge] = []
         self.diagnostics: list[str] = []
+        # (parity entries, direction i, coefficients of the entries other
+        # than y_i) -> the nodes that share them
+        self._lines: dict[tuple, list[BethePoint]] = {}
 
     def add(self, point: BethePoint) -> tuple:
         key = point.key()
-        self.nodes.setdefault(key, point)
+        if key not in self.nodes:
+            self.nodes[key] = point
+            for i in range(1, len(point.ys) + 1):
+                self._lines.setdefault(_line_key(point, i), []).append(point)
         return key
 
     def points(self) -> list[BethePoint]:
@@ -363,10 +371,8 @@ def _family_sibling_exists(pop: Population, point: BethePoint, i: int, family: R
         list(family.particular.coeffs) + [Q(0)] * (width - len(family.particular.coeffs)),
         list(family.homogeneous.coeffs) + [Q(0)] * (width - len(family.homogeneous.coeffs)),
     ]
-    for other in pop.nodes.values():
-        if other is point or other.parity != point.parity:
-            continue
-        if any(other.ys[j] != point.ys[j] for j in range(len(point.ys)) if j != i - 1):
+    for other in pop._lines.get(_line_key(point, i), []):
+        if other is point:
             continue
         cand = other.ys[i - 1]
         if cand.degree + 1 > width:
@@ -444,24 +450,25 @@ def verify_r_invariance(pop: Population) -> bool:
     return all(population_operator(p).same_operator(base) for p in pts[1:])
 
 
+def _admissible_at(point: BethePoint, k) -> bool:
+    """Whether k is a site (1-based) where the eigenvalue formula is well defined."""
+    zs = point.problem.points
+    if k not in range(1, len(zs) + 1):
+        return False
+    z = zs[k - 1]
+    ratios = point.problem.parity_data(point.parity).ratios
+    return not any(
+        rp.degree > 0 and rp(z) == 0 and point.y(i)(z) == 0
+        for i, rp in enumerate(ratios, start=1)
+    )
+
+
 def admissible_sites(point: BethePoint) -> list[int]:
     """Sites k (1-based) where the eigenvalue formula is well defined."""
     problem = point.problem
     if problem.points is None:
         raise InvalidInput("admissibility needs rational evaluation points")
-    s = point.parity
-    ts = point.ts()
-    out = []
-    for k, z in enumerate(problem.points, start=1):
-        ok = True
-        for i in range(1, len(s)):
-            rp = ratio_poly(ts, s, i)
-            if rp.degree > 0 and rp(z) == 0 and point.y(i)(z) == 0:
-                ok = False
-                break
-        if ok:
-            out.append(k)
-    return out
+    return [k for k in range(1, len(problem.points) + 1) if _admissible_at(point, k)]
 
 
 def gaudin_eigenvalue(point: BethePoint, k: int) -> Fraction:
@@ -473,11 +480,17 @@ def gaudin_eigenvalue(point: BethePoint, k: int) -> Fraction:
     problem = point.problem
     if problem.points is None:
         raise InvalidInput("eigenvalues need rational evaluation points")
-    if k not in admissible_sites(point):
+    if not _admissible_at(point, k):
         raise NotAdmissible(k)
+    return _eigenvalue_at(point, k)
+
+
+def _eigenvalue_at(point: BethePoint, k: int) -> Fraction:
+    """``gaudin_eigenvalue`` at a site already known to be admissible."""
+    problem = point.problem
     s = point.parity
     zs = problem.points
-    coords = [w.coords_at(s) for w in problem.weights]
+    coords = problem.weights[k - 1].coords_at(s)
     eps = [w.eps_at(s) for w in problem.weights]
     zk = zs[k - 1]
     total = Q(0)
@@ -485,15 +498,16 @@ def gaudin_eigenvalue(point: BethePoint, k: int) -> Fraction:
         if r != k:
             total += pair_eps(eps[k - 1], eps[r - 1], problem.m) / (zk - zr)
     for i in range(1, len(s)):
-        pairing = pair_weight_alpha(coords[k - 1], s, i)
+        pairing = pair_weight_alpha(coords, s, i)
         if pairing == 0:
             continue
         yi = point.y(i)
         if yi.degree == 0:
             continue
-        if yi(zk) == 0:
+        value = yi(zk)
+        if value == 0:
             raise NotAdmissible(k)
-        total -= pairing * yi.derivative()(zk) / yi(zk)
+        total -= pairing * yi.derivative()(zk) / value
     return total
 
 
@@ -502,12 +516,29 @@ def gaudin_eigenvalues(point: BethePoint) -> list[Fraction]:
 
 
 def eigenvalue_conservation(pop: Population) -> bool:
-    """Eigenvalue equality across every edge, at mutually admissible sites."""
+    """Eigenvalue equality across every edge, at mutually admissible sites.
+
+    Each node's sites and each (node, site) eigenvalue are computed once, on
+    first use in edge order.
+    """
+    sites: dict[tuple, set[int]] = {}
+    values: dict[tuple, Fraction] = {}
+
+    def sites_of(key) -> set[int]:
+        found = sites.get(key)
+        if found is None:
+            found = sites[key] = set(admissible_sites(pop.nodes[key]))
+        return found
+
+    def value(key, k: int) -> Fraction:
+        found = values.get((key, k))
+        if found is None:
+            found = values[key, k] = _eigenvalue_at(pop.nodes[key], k)
+        return found
+
     for edge in pop.edges:
-        a = pop.nodes[edge.source]
-        b = pop.nodes[edge.target]
-        shared = set(admissible_sites(a)) & set(admissible_sites(b))
+        shared = sites_of(edge.source) & sites_of(edge.target)
         for k in sorted(shared):
-            if gaudin_eigenvalue(a, k) != gaudin_eigenvalue(b, k):
+            if value(edge.source, k) != value(edge.target, k):
                 return False
     return True

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import (
     InternalInconsistency,
@@ -311,7 +312,7 @@ def weight_polys_by_swaps(target: ParitySequence, ts_standard) -> list[Poly]:
     s = ParitySequence.standard(target.m, target.n)
     ts = list(ts_standard)
     for i in s.path_to(target):
-        r = step_radical(ts, s, i)
+        r = radical(ts[i - 1] * ts[i])
         new_left = ts[i] * r
         new_right = ts[i - 1].exact_div(r)
         ts[i - 1], ts[i] = new_left, new_right
@@ -406,6 +407,24 @@ def weight_at_infinity(s: ParitySequence, weights, ls) -> tuple[Fraction, ...]:
     return tuple(total)
 
 
+class ParityData(NamedTuple):
+    """Weight polynomials at one parity with each position's derived data.
+
+    ``ratios[i - 1]`` is ``ratio_poly(ts, s, i)`` and ``radicals[i - 1]`` is
+    ``step_radical(ts, s, i)``.
+    """
+
+    ts: tuple[Poly, ...]
+    ratios: tuple[Poly, ...]
+    radicals: tuple[Poly, ...]
+
+    @staticmethod
+    def build(s: ParitySequence, ts) -> "ParityData":
+        ts = tuple(ts)
+        ratios = tuple(ratio_poly(ts, s, i) for i in range(1, len(s)))
+        return ParityData(ts, ratios, tuple(radical(p) for p in ratios))
+
+
 class ProblemData:
     """Weights, evaluation points and weight polynomials of one Gaudin problem.
 
@@ -439,21 +458,24 @@ class ProblemData:
                 weight_polys(ParitySequence.standard(self.m, self.n), self.weights, self.points)
             )
         s0 = ParitySequence.standard(self.m, self.n)
-        for i in range(1, self.m + self.n):
-            ratio_poly(self.ts_standard, s0, i)  # raises if not a polynomial
-        self._ts_cache: dict[tuple[int, ...], tuple[Poly, ...]] = {
-            s0.entries: self.ts_standard
+        # building the record raises if a standard ratio is not a polynomial
+        self._parity_data: dict[tuple[int, ...], ParityData] = {
+            s0.entries: ParityData.build(s0, self.ts_standard)
         }
 
     @property
     def n_points(self) -> int:
         return len(self.weights)
 
-    def ts_at(self, s: ParitySequence) -> tuple[Poly, ...]:
+    def parity_data(self, s: ParitySequence) -> ParityData:
+        """The weight polynomials at parity s and their ratios, built once."""
         key = s.entries
-        if key not in self._ts_cache:
-            self._ts_cache[key] = tuple(weight_polys_by_swaps(s, self.ts_standard))
-        return self._ts_cache[key]
+        if key not in self._parity_data:
+            self._parity_data[key] = ParityData.build(s, weight_polys_by_swaps(s, self.ts_standard))
+        return self._parity_data[key]
+
+    def ts_at(self, s: ParitySequence) -> tuple[Poly, ...]:
+        return self.parity_data(s).ts
 
     def typical(self) -> bool:
         return typical_sequence(self.weights)

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import gaudin.weights
 from gaudin import (
     BethePoint,
     OreFraction,
@@ -23,6 +24,7 @@ from gaudin import (
     population_operator,
     verify_r_invariance,
 )
+from gaudin.bethe import _family_sibling_exists
 from gaudin.errors import (
     CriterionFailed,
     InvalidConfiguration,
@@ -30,6 +32,7 @@ from gaudin.errors import (
     NotAdmissible,
     NotGeneric,
 )
+from gaudin.linalg import column_span_contains
 from gaudin.reps import master_polynomial
 
 X = Poly.x()
@@ -43,6 +46,13 @@ def gl2_problem(exponents, zs):
 def gl11_problem(pqs, zs):
     ws = [Weight(1, 1, pq) for pq in pqs]
     return ProblemData(1, 1, ws, points=zs)
+
+
+def gl31_population(depth):
+    """The gl(3|1) problem of three (1,1,1,0) sites at 0, 1, 2, grown to a depth."""
+    prob = ProblemData(3, 1, [Weight(3, 1, (1, 1, 1, 0))] * 3, points=[0, 1, 2])
+    seed = BethePoint(prob, ParitySequence.standard(3, 1), [Poly.one()] * 3)
+    return populate(seed, [Q(-6), Q(-5), Q(1)], max_depth=depth)
 
 
 class TestGenericity:
@@ -249,6 +259,42 @@ class TestPopulate:
         with pytest.raises(CriterionFailed):
             populate(seed, [Q(0)])
 
+    def test_sibling_index_matches_full_scan(self):
+        def full_scan(pop, point, i, family):
+            width = max(family.particular.degree, family.homogeneous.degree) + 1
+            span = [
+                list(f.coeffs) + [Q(0)] * (width - len(f.coeffs))
+                for f in (family.particular, family.homogeneous)
+            ]
+            for other in pop.nodes.values():
+                if other is point or other.parity != point.parity:
+                    continue
+                if any(other.ys[j] != point.ys[j] for j in range(len(point.ys)) if j != i - 1):
+                    continue
+                cand = other.ys[i - 1]
+                if cand.degree + 1 > width:
+                    continue
+                vec = list(cand.coeffs) + [Q(0)] * (width - len(cand.coeffs))
+                if column_span_contains(span, vec):
+                    return True
+            return False
+
+        pop = gl31_population(2)  # nodes at depth 2 are not expanded
+        outcomes = set()
+        for point in pop.points():
+            s = point.parity
+            for i in range(1, len(s)):
+                if s[i] != s[i + 1]:
+                    continue
+                try:
+                    family = bosonic_reproduce(point, i)
+                except CriterionFailed:
+                    continue
+                found = _family_sibling_exists(pop, point, i, family)
+                assert found == full_scan(pop, point, i, family), (point, i)
+                outcomes.add(found)
+        assert outcomes == {True, False}
+
     def test_parity_must_have_the_problem_shape(self, worked_problem):
         # a gl(3|0) parity passes the length check for a gl(2|1) problem
         with pytest.raises(InvalidInput):
@@ -345,6 +391,20 @@ class TestEigenvalues:
         with pytest.raises(NotAdmissible):
             gaudin_eigenvalue(p, 1)
 
+    def test_all_eigenvalues_need_every_site_admissible(self):
+        prob = gl11_problem([(1, 0), (1, 0)], [0, 1])
+        p = BethePoint(prob, ParitySequence.standard(1, 1), [X])
+        with pytest.raises(NotAdmissible):
+            gaudin_eigenvalues(p)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_site_out_of_range(self, k):
+        prob = gl11_problem([(1, 0), (1, 0)], [0, 1])
+        p = BethePoint(prob, ParitySequence.standard(1, 1), [Poly.one()])
+        assert admissible_sites(p) == [1, 2]
+        with pytest.raises(NotAdmissible):
+            gaudin_eigenvalue(p, k)
+
     def test_conservation_across_edges(self):
         prob = gl11_problem([(1, 0), (2, 1), (1, 1)], [0, 1, 3])
         seed = BethePoint(prob, ParitySequence.standard(1, 1), [Poly.one()])
@@ -358,6 +418,34 @@ class TestEigenvalues:
         pop = populate(seed, [Q(5), Q(7)])
         assert len(pop.nodes) >= 6
         assert eigenvalue_conservation(pop)
+
+    def test_conservation_detects_a_changed_eigenvalue(self, rational_gl21_problem):
+        seed = BethePoint(
+            rational_gl21_problem, ParitySequence.standard(2, 1), [Poly.one()] * 2
+        )
+        pop = populate(seed, [Q(5), Q(7)])
+        edge = pop.edges[0]
+        source, target = pop.nodes[edge.source], pop.nodes[edge.target]
+        # an extra root at 10 shifts the eigenvalue without touching a site
+        bad = BethePoint(target.problem, target.parity, [y * (X - 10) for y in target.ys])
+        shared = set(admissible_sites(source)) & set(admissible_sites(bad))
+        assert any(gaudin_eigenvalue(bad, k) != gaudin_eigenvalue(source, k) for k in shared)
+        pop.nodes[edge.target] = bad
+        assert not eigenvalue_conservation(pop)
+
+
+    def test_weight_ratios_built_once_per_parity(self, monkeypatch):
+        calls = []
+        ratio_poly = gaudin.weights.ratio_poly
+        monkeypatch.setattr(
+            gaudin.weights,
+            "ratio_poly",
+            lambda ts, s, i: calls.append((s.entries, i)) or ratio_poly(ts, s, i),
+        )
+        pop = gl31_population(2)
+        assert eigenvalue_conservation(pop)
+        assert len(calls) == len(set(calls))
+        assert len(calls) <= len(pop.by_parity()) * 3
 
 
 class TestReproductionSoundness:
