@@ -20,8 +20,8 @@ from .errors import (
     NotAdmissible,
     NotGeneric,
 )
-from .linalg import column_span_contains, solve_linear
-from .rational import Poly, Q, RatFun, log_deriv, poly_gcd, qq
+from .linalg import column_span_contains
+from .rational import Poly, Q, RatFun, first_order_poly_solutions, log_deriv, multiplicity, poly_gcd, qq
 from .skew import CompleteFactorization, OreFraction
 from .weights import (
     ParitySequence,
@@ -99,33 +99,6 @@ def genericity_check(point: BethePoint) -> tuple[bool, list[str]]:
     return (not failures, failures)
 
 
-def _wronskian_system(y: Poly, rhs: Poly):
-    """Polynomial solutions of  y w' - y' w = rhs  up to the degree bound.
-
-    Returns (particular or None, homogeneous basis); the homogeneous
-    solutions are exactly the multiples of y.
-    """
-    dbound = max(rhs.degree - y.degree + 1, y.degree, 0)
-    yp = y.derivative()
-    nrows = max(y.degree + max(dbound - 1, 0), yp.degree + dbound, rhs.degree) + 1
-    rows = []
-    vec = []
-    for k in range(nrows):
-        row = []
-        for j in range(dbound + 1):
-            c = Q(0)
-            if j >= 1:
-                c += j * y.coeff(k - j + 1)
-            c -= yp.coeff(k - j)
-            row.append(c)
-        rows.append(row)
-        vec.append(rhs.coeff(k))
-    sol, null = solve_linear(rows, vec)
-    particular = None if sol is None else Poly(sol)
-    homogeneous = [Poly(v) for v in null]
-    return particular, homogeneous
-
-
 def bosonic_rhs(point: BethePoint, i: int) -> Poly:
     rp = point.problem.parity_data(point.parity).ratios[i - 1]
     return rp * point.y(i - 1) * point.y(i + 1)
@@ -163,12 +136,15 @@ def bosonic_reproduce(point: BethePoint, i: int) -> ReproductionFamily:
     s = point.parity
     if s[i] != s[i + 1]:
         raise InvalidInput(f"direction {i} is not same-parity")
-    particular, homogeneous = _wronskian_system(point.y(i), bosonic_rhs(point, i))
+    y, rhs = point.y(i), bosonic_rhs(point, i)
+    # y w' - y' w = rhs; the homogeneous solutions are the multiples of y
+    bound = max(rhs.degree - y.degree + 1, y.degree, 0)
+    particular, homogeneous = first_order_poly_solutions(y, y.derivative(), rhs, bound)
     if particular is None:
         raise CriterionFailed(f"no polynomial Wronskian partner in direction {i}")
-    if len(homogeneous) != 1 or homogeneous[0].monic() != point.y(i).monic():
+    if len(homogeneous) != 1 or homogeneous[0].monic() != y.monic():
         raise InvalidInput("unexpected homogeneous solution space")
-    return ReproductionFamily(direction=i, particular=particular, homogeneous=point.y(i))
+    return ReproductionFamily(direction=i, particular=particular, homogeneous=y)
 
 
 def fermionic_reproduce(point: BethePoint, i: int) -> BethePoint:
@@ -281,13 +257,7 @@ def bae_check_direct(problem: ProblemData, parity: ParitySequence, tlists) -> bo
             if num.is_zero():
                 continue  # identically satisfied
             for t in set(ts_c):
-                count = sum(1 for x in ts_c if x == t)
-                mult = 0
-                probe = num
-                while probe.degree >= 0 and probe(t) == 0:
-                    probe = probe.exact_div(Poly((-t, 1)))
-                    mult += 1
-                if count > mult:
+                if ts_c.count(t) > multiplicity(num, Poly((-t, 1))):
                     return False
     return True
 
@@ -401,7 +371,6 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
     pop = Population(seed.problem)
     seed_key = pop.add(seed)
     frontier = [(seed_key, 0)]
-    enqueued = {seed_key}
     qpos = 0
     while qpos < len(frontier):
         key, depth = frontier[qpos]
@@ -412,11 +381,11 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
         s = point.parity
 
         def _record(child: BethePoint, direction: int, kind: str, scalar=None):
-            ckey = pop.add(child)
-            pop.edges.append(Edge(key, ckey, direction, kind, scalar))
-            if ckey not in enqueued:
-                enqueued.add(ckey)
+            ckey = child.key()
+            if ckey not in pop.nodes:
                 frontier.append((ckey, depth + 1))
+            pop.add(child)
+            pop.edges.append(Edge(key, ckey, direction, kind, scalar))
 
         for i in range(1, len(s)):
             if s[i] == s[i + 1]:

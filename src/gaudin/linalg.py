@@ -117,10 +117,6 @@ def identity(n):
     return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
 
 
-def zeros(n, m):
-    return [[Q(0)] * m for _ in range(n)]
-
-
 def transpose(a):
     if not a:
         return []

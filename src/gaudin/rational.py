@@ -8,7 +8,7 @@ with trailing zeros trimmed, so the zero polynomial is the empty tuple.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import (
     DegenerateInput,
@@ -16,6 +16,7 @@ from .errors import (
     NonRationalAntiderivative,
     UnsupportedFactorization,
 )
+from .linalg import solve_linear
 
 Q = Fraction
 
@@ -354,9 +355,7 @@ def rational_roots(f: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
         roots.append((Q(0), k))
     if f.degree == 0:
         return roots, f
-    den_lcm = 1
-    for c in f.coeffs:
-        den_lcm = den_lcm * c.denominator // _gcd_int(den_lcm, c.denominator)
+    den_lcm = lcm(*(c.denominator for c in f.coeffs))
     ints = [int(c * den_lcm) for c in f.coeffs]
     a0, an = abs(ints[0]), abs(ints[-1])
     cands = set()
@@ -372,12 +371,6 @@ def rational_roots(f: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
         if m:
             roots.append((r, m))
     return roots, f
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
 
 
 def _divisors(n: int) -> list[int]:
@@ -605,11 +598,7 @@ def zero_pole_radical(f) -> Poly:
 
 def order_at(f, z) -> int:
     """Order of vanishing of f at z; negative for a pole."""
-    f = _as_ratfun(f)
-    if f.is_zero():
-        raise DegenerateInput("order of the zero function")
-    lin = Poly((-qq(z), 1))
-    return multiplicity(f.num, lin) - multiplicity(f.den, lin)
+    return order_at_place(f, Poly((-qq(z), 1)))
 
 
 def order_at_place(f, place: Poly) -> int:
@@ -618,6 +607,22 @@ def order_at_place(f, place: Poly) -> int:
     if f.is_zero():
         raise DegenerateInput("order of the zero function")
     return multiplicity(f.num, place) - multiplicity(f.den, place)
+
+
+def first_order_poly_solutions(p: Poly, q: Poly, rhs: Poly, bound: int):
+    """Polynomial solutions w of  p w' - q w = rhs  with deg w <= bound.
+
+    Returns (particular or None, homogeneous basis).  The particular
+    solution sets the free coefficients of the linear system to zero.
+    """
+    # row k: coefficient of x^k in p (x^j)' - q x^j, for each unknown x^j
+    nrows = max(p.degree + max(bound - 1, 0), q.degree + bound, rhs.degree) + 1
+    rows = [
+        [(j * p.coeff(k - j + 1) if j >= 1 else Q(0)) - q.coeff(k - j) for j in range(bound + 1)]
+        for k in range(nrows)
+    ]
+    sol, null = solve_linear(rows, [rhs.coeff(k) for k in range(nrows)])
+    return (None if sol is None else Poly(sol)), [Poly(v) for v in null]
 
 
 def _poly_antiderivative(p: Poly) -> Poly:
@@ -646,34 +651,11 @@ def rational_antiderivative(f) -> RatFun:
             b = b * part ** (mult - 1)
         if b.degree == 0:
             raise NonRationalAntiderivative(f"simple poles only: {f!r}")
-        dmax = b.degree - 1
-        # unknowns a_0..a_dmax in a/b with (a' b - a b') * den == rem * b^2
-        bq = b * den
-        bpq = b.derivative() * den
-        rhs = rem * b * b
-        ncols = dmax + 1
-        deg_bound = max(bq.degree + max(dmax - 1, 0), bpq.degree + dmax, rhs.degree)
-        rows = []
-        rvec = []
-        for k in range(deg_bound + 1):
-            row = []
-            for j in range(ncols):
-                c = Q(0)
-                # coefficient of x^k in (x^j)' * bq  =  j * bq[k - j + 1]
-                if j >= 1:
-                    c += j * bq.coeff(k - j + 1)
-                # minus coefficient of x^k in x^j * bpq
-                c -= bpq.coeff(k - j)
-                row.append(c)
-            rows.append(row)
-            rvec.append(rhs.coeff(k))
-        from .linalg import solve_linear
-
-        sol, _null = solve_linear(rows, rvec)
+        # a/b with (a' b - a b') * den == rem * b^2 and deg a < deg b
+        sol, _null = first_order_poly_solutions(b * den, b.derivative() * den, rem * b * b, b.degree - 1)
         if sol is None:
             raise NonRationalAntiderivative(f"logarithmic part present: {f!r}")
-        a = Poly(sol)
-        out = result + RatFun(a, b)
+        out = result + RatFun(sol, b)
     if out.derivative() != f:
         raise InternalInconsistency("antiderivative verification failed")
     return out

@@ -129,23 +129,12 @@ def highest_vector_at(module: SuperModule, parity: ParitySequence):
     for i in s.path_to(parity):
         if coords[i - 1] + coords[i] != 0:
             a, b = s.sigma[i], s.sigma[i - 1]  # e^s_{i+1, i}
-            vec = _apply_sparse(module.matrix(a, b), vec, module.dim)
+            vec = sparse_apply(module.matrix(a, b), vec)
         coords = swap_coords(coords, s, i)
         s = s.swapped(i)
     if all(v == 0 for v in vec):
         raise InternalInconsistency("vanishing highest weight vector")
     return vec
-
-
-def _apply_sparse(op: Sparse, vec, dim):
-    out = [Q(0)] * dim
-    for col, entries in op.items():
-        v = vec[col]
-        if v == 0:
-            continue
-        for row, val in entries:
-            out[row] += val * v
-    return out
 
 
 class TensorSystem:
@@ -392,7 +381,7 @@ def weight_function(system: TensorSystem, parity: ParitySequence, tlists):
             for k, block in enumerate(blocks):
                 vec = list(highest[k])
                 for j in reversed(block):
-                    vec = _apply_sparse(f_ops[colours[j] - 1][k], vec, system.dims[k])
+                    vec = sparse_apply(f_ops[colours[j] - 1][k], vec)
                 legs.append(vec)
             piece = _tensor_of(system, legs)
             for i in range(system.dim):

@@ -300,30 +300,28 @@ def ore_swap(a: RatFun, b: RatFun, *, backward: bool = False) -> tuple[RatFun, R
 class CompleteFactorization:
     """Ordered first-order factors (D - a_i)^(s_i) with a parity sequence.
 
-    ``primitives`` optionally carries rational functions g_i with
-    ln' g_i = a_i; they travel through exchanges and make exact kernel
+    ``primitives`` carries rational functions g_i with ln' g_i = a_i when
+    the factorization is built by :meth:`from_primitives`, and is None
+    otherwise; they travel through exchanges and make exact kernel
     computations possible.
     """
 
     __slots__ = ("parity", "coefficients", "primitives")
 
-    def __init__(self, parity: ParitySequence, coefficients, primitives=None):
+    def __init__(self, parity: ParitySequence, coefficients):
         coefficients = tuple(_as_coeff(c) for c in coefficients)
         if len(coefficients) != len(parity):
             raise DegenerateInput("factor count must match parity length")
-        if primitives is not None:
-            primitives = tuple(_as_coeff(g) for g in primitives)
-            for g, a in zip(primitives, coefficients):
-                if g.is_zero() or log_deriv(g) != a:
-                    raise InternalInconsistency("primitive does not match factor")
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "primitives", primitives)
+        object.__setattr__(self, "primitives", None)
 
     @staticmethod
     def from_primitives(parity: ParitySequence, primitives) -> "CompleteFactorization":
         primitives = tuple(_as_coeff(g) for g in primitives)
-        return CompleteFactorization(parity, [log_deriv(g) for g in primitives], primitives)
+        fac = CompleteFactorization(parity, [log_deriv(g) for g in primitives])
+        object.__setattr__(fac, "primitives", primitives)
+        return fac
 
     def __repr__(self):
         return f"CompleteFactorization(parity={list(self.parity.entries)}, {len(self.coefficients)} factors)"
@@ -371,7 +369,9 @@ def refactor_to_parity(fac: CompleteFactorization, target: ParitySequence) -> Co
     """Transport a complete factorization to another parity sequence.
 
     Applies the first-order exchange along a bubble path of adjacent
-    transpositions; the represented fraction is unchanged.
+    transpositions; the represented fraction is unchanged.  Primitives
+    travel along, and their logarithmic derivatives must reproduce the
+    exchanged coefficients.
     """
     parity = fac.parity
     coeffs = list(fac.coefficients)
@@ -392,7 +392,12 @@ def refactor_to_parity(fac: CompleteFactorization, target: ParitySequence) -> Co
                 diff = a - b  # equals c_old - d_old in the backward role
                 prims[i - 1], prims[i] = gb / diff, ga / diff
         parity = parity.swapped(i)
-    return CompleteFactorization(parity, coeffs, prims)
+    if prims is None:
+        return CompleteFactorization(parity, coeffs)
+    out = CompleteFactorization.from_primitives(parity, prims)
+    if out.coefficients != tuple(coeffs):
+        raise InternalInconsistency("primitive does not match factor")
+    return out
 
 
 def first_order_solve(primitive: RatFun, rhs: RatFun) -> RatFun:

@@ -128,30 +128,16 @@ class RationalSpace:
         ev, od = self.even_exponents, self.odd_exponents
         pv, pu = self.even_denominator, self.odd_denominator
 
-        def tv(i: int) -> RatFun:  # 1-based even index
-            out = RatFun.one()
-            for pl in self.places:
-                e = ev[pl][m - i] - (m - i)
-                out = out * RatFun(pl) ** e
-            return out
-
-        def tu(i: int) -> RatFun:  # 1-based odd index
-            out = RatFun.one()
-            for pl in self.places:
-                e = -od[pl][i - 1] + (i - 1)
-                out = out * RatFun(pl) ** e
-            return out
-
         out: list[Poly] = []
         for i in range(1, m):
-            out.append(tv(i).as_poly())
+            out.append(_staircase(ev, m - i, 1).as_poly())
         if m:
-            out.append((tv(m) * RatFun(pv)).as_poly())
+            out.append((_staircase(ev, 0, 1) * RatFun(pv)).as_poly())
         if n:
             ratio = RatFun(pu) / RatFun(pv)
             out.append(ratio.as_poly())
             for i in range(2, n + 1):
-                out.append(tu(i).as_poly())
+                out.append(_staircase(od, i - 1, -1).as_poly())
         return tuple(p.monic() if not p.is_zero() else p for p in out)
 
 
@@ -181,6 +167,15 @@ def detect_places(space: RationalSpace) -> list[Poly]:
 
 def _exponent_table(basis, places) -> dict[Poly, list[int]]:
     return {pl: exponents(basis, pl) for pl in places} if basis else {}
+
+
+def _staircase(table, j: int, sign: int) -> RatFun:
+    """Product over the places of place^(sign * (e_j - j)), e_j the 0-based
+    j-th exponent of each ladder in the table."""
+    out = RatFun.one()
+    for pl, ladder in table.items():
+        out = out * RatFun(pl) ** (sign * (ladder[j] - j))
+    return out
 
 
 def _denominator_from_exponents(table) -> Poly:
@@ -216,20 +211,13 @@ def is_gl_space(space: RationalSpace) -> tuple[bool, list[str]]:
             failures.append("denominator ratio shares a root with the even denominator")
     if m >= 2:
         vbar = [f * RatFun(pv) for f in space.vbasis]
-        evbar = _exponent_table(vbar, places)
-        t_m1 = RatFun.one()
-        for pl in places:
-            e = evbar[pl][1] - 1  # second exponent of the cleared even part
-            t_m1 = t_m1 * RatFun(pl) ** e
+        # second exponent of the cleared even part
+        t_m1 = _staircase(_exponent_table(vbar, places), 1, 1)
         if not (t_m1 / RatFun(pv)).is_polynomial():
             failures.append("second even staircase entry not divisible by the denominator")
     if n:
         # last odd entry must be polynomial
-        t_last = RatFun.one()
-        for pl in places:
-            e = -od[pl][n - 1] + (n - 1)
-            t_last = t_last * RatFun(pl) ** e
-        if not t_last.is_polynomial():
+        if not _staircase(od, n - 1, -1).is_polynomial():
             failures.append("top odd exponent exceeds its staircase bound")
     if n >= 2:
         ubar = [f * RatFun(pu) for f in space.ubasis]
@@ -264,6 +252,16 @@ class SuperFlag:
         self.uorder = tuple(f if isinstance(f, RatFun) else RatFun(f) for f in uorder)
         if parity.m != len(self.vorder) or parity.n != len(self.uorder):
             raise InvalidInput("flag sizes must match the parity sequence")
+        self._wronskians: dict[tuple[int, int], RatFun] = {}
+
+    def wronskian(self, a: int, b: int) -> RatFun:
+        """Wronskian of the first a even and first b odd members (1 when
+        both are 0), computed once per flag."""
+        key = (a, b)
+        if key not in self._wronskians:
+            members = self.vorder[:a] + self.uorder[:b]
+            self._wronskians[key] = wronskian(members) if members else RatFun.one()
+        return self._wronskians[key]
 
     def __repr__(self):
         return f"SuperFlag(parity={list(self.parity.entries)})"
@@ -291,7 +289,7 @@ def flag_polynomial(space: RationalSpace, flag: SuperFlag, a: int, b: int) -> Po
     """
     tw = space.weight_polys
     m, n = space.m, space.n
-    w = wronskian(list(flag.vorder[:a]) + list(flag.uorder[:b])) if a + b else RatFun.one()
+    w = flag.wronskian(a, b)
     if w.is_zero():
         raise InvalidFlag("dependent flag members")
     corr = collision_poly(tw, m, n, a, b)
@@ -328,22 +326,13 @@ def flag_factorization(space: RationalSpace, flag: SuperFlag) -> CompleteFactori
     """Complete factorization attached to a superflag via Wronskian ratios."""
     s = flag.parity
     prims = []
-    prev_cache: dict[tuple[int, int], RatFun] = {}
-
-    def wr(a: int, b: int) -> RatFun:
-        key = (a, b)
-        if key not in prev_cache:
-            fam = list(flag.vorder[:a]) + list(flag.uorder[:b])
-            prev_cache[key] = wronskian(fam) if fam else RatFun.one()
-        return prev_cache[key]
-
     for i in range(1, len(s) + 1):
         a = s.ones_after(i)
         b = s.minus_before(i)
         if s[i] == 1:
-            num, den = wr(a + 1, b), wr(a, b)
+            num, den = flag.wronskian(a + 1, b), flag.wronskian(a, b)
         else:
-            num, den = wr(a, b + 1), wr(a, b)
+            num, den = flag.wronskian(a, b + 1), flag.wronskian(a, b)
         if num.is_zero() or den.is_zero():
             raise InvalidFlag("dependent flag members")
         prims.append(num / den)

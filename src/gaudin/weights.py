@@ -432,6 +432,8 @@ class ProblemData:
     are supplied directly; that is how problems whose natural evaluation
     points are irrational (for instance roots of unity) are represented,
     since only the rational-coefficient polynomials ever enter the engine.
+    There is one point per weight and there are M+N weight polynomials;
+    when both are given, ``ts`` must be the weight polynomials of the points.
     """
 
     def __init__(self, m, n, weights, points=None, ts=None, parity=None):
@@ -444,20 +446,26 @@ class ProblemData:
             if not w.is_polynomial():
                 raise UnsupportedWeight(f"non-polynomial weight in problem data: {w!r}")
         self.points = None if points is None else tuple(qq(z) for z in points)
-        if self.points is not None and len(set(self.points)) != len(self.points):
-            raise InvalidPoints("evaluation points must be pairwise distinct")
+        if self.points is not None:
+            if len(self.points) != len(self.weights):
+                raise InvalidInput("there must be one evaluation point per weight")
+            if len(set(self.points)) != len(self.points):
+                raise InvalidPoints("evaluation points must be pairwise distinct")
         self.parity = parity or ParitySequence.standard(self.m, self.n)
         if (self.parity.m, self.parity.n) != (self.m, self.n):
             raise InvalidInput("parity shape does not match problem shape")
-        if ts is not None:
-            self.ts_standard = tuple(ts)
-        else:
-            if self.points is None:
-                raise InvalidInput("problem needs either points or weight polynomials")
-            self.ts_standard = tuple(
-                weight_polys(ParitySequence.standard(self.m, self.n), self.weights, self.points)
-            )
         s0 = ParitySequence.standard(self.m, self.n)
+        ts = None if ts is None else tuple(ts)
+        if ts is not None and len(ts) != self.m + self.n:
+            raise InvalidInput("there must be M+N weight polynomials")
+        if self.points is None:
+            if ts is None:
+                raise InvalidInput("problem needs either points or weight polynomials")
+            self.ts_standard = ts
+        else:
+            self.ts_standard = tuple(weight_polys(s0, self.weights, self.points))
+            if ts is not None and ts != self.ts_standard:
+                raise InvalidInput("weight polynomials differ from those of the points")
         # building the record raises if a standard ratio is not a polynomial
         self._parity_data: dict[tuple[int, ...], ParityData] = {
             s0.entries: ParityData.build(s0, self.ts_standard)

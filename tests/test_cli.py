@@ -190,6 +190,7 @@ GL11_PROBLEM = {
 GL11_SEED = {"parity": [1, -1], "ys": [["1"]]}
 ONE_FACTOR = {"parity": [1, -1], "factors": [{"num": ["0"]}]}
 ZERO_DENOMINATOR = {"parity": [1, -1], "factors": [{"num": ["1"], "den": ["0"]}, {"num": ["0"]}]}
+TWO_POINTS_PROBLEM = dict({k: v for k, v in WORKED_PROBLEM.items() if k != "Ts"}, points=["0", "1"])
 
 
 class TestInputContract:
@@ -212,6 +213,10 @@ class TestInputContract:
             ("gl11-spectrum", {"weights": [], "points": []}, []),
             ("rpdo-equal", {"A": ONE_FACTOR, "B": ONE_FACTOR}, []),
             ("rpdo-equal", {"A": ZERO_DENOMINATOR, "B": ZERO_DENOMINATOR}, []),
+            ("population", {"problem": TWO_POINTS_PROBLEM, "seed": WORKED_SEED}, []),
+            ("population", {"problem": dict(WORKED_PROBLEM, Ts=WORKED_PROBLEM["Ts"][:2]), "seed": WORKED_SEED}, []),
+            ("population", {"problem": dict(WORKED_PROBLEM, Ts=WORKED_PROBLEM["Ts"] + [["1"]]), "seed": WORKED_SEED}, []),
+            ("population", {"problem": dict(WORKED_PROBLEM, points=["0", "1", "2"]), "seed": WORKED_SEED}, []),
         ],
         ids=[
             "M-not-int",
@@ -230,6 +235,10 @@ class TestInputContract:
             "gl11-empty",
             "rpdo-factor-count",
             "rpdo-zero-denominator",
+            "two-points-three-weights",
+            "two-Ts",
+            "four-Ts",
+            "Ts-not-of-points",
         ],
     )
     def test_malformed_payload_exits_two(self, tmp_path, capsys, command, payload, options):

@@ -20,6 +20,7 @@ from gaudin.linalg import solve_linear
 from gaudin.rational import (
     coprime_basis,
     factor_rational_quadratic,
+    first_order_poly_solutions,
     multiplicity,
     rational_roots,
     squarefree_decomposition,
@@ -169,6 +170,50 @@ class TestAntiderivative:
         g = RatFun(num, den)
         got = rational_antiderivative(g.derivative())
         assert got.derivative() == g.derivative()
+
+
+def _rand_poly(rng, degree):
+    return Poly([Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(degree)] + [Q(rng.randint(1, 4))])
+
+
+class TestFirstOrderPolySolutions:
+    def test_wronskian_shape(self):
+        rng = random.Random(71)
+        for _ in range(25):
+            p = _rand_poly(rng, rng.randint(0, 3))
+            w = _rand_poly(rng, rng.randint(0, 4))
+            rhs = p * w.derivative() - p.derivative() * w
+            bound = max(rhs.degree - p.degree + 1, p.degree, 0)
+            part, homog = first_order_poly_solutions(p, p.derivative(), rhs, bound)
+            assert part is not None
+            assert p * part.derivative() - p.derivative() * part == rhs
+            # the homogeneous solutions are exactly the multiples of p
+            assert len(homog) == 1
+            assert homog[0].monic() == p.monic()
+            assert (w - part).try_exact_div(p) is not None
+
+    def test_antiderivative_shape(self):
+        rng = random.Random(72)
+        for _ in range(25):
+            p = _rand_poly(rng, rng.randint(1, 3))
+            q = _rand_poly(rng, rng.randint(0, 2))
+            if q == p.derivative():
+                continue
+            bound = rng.randint(0, 3)
+            w = _rand_poly(rng, bound)
+            rhs = p * w.derivative() - q * w
+            part, homog = first_order_poly_solutions(p, q, rhs, bound)
+            assert part is not None and part.degree <= bound
+            assert p * part.derivative() - q * part == rhs
+            for h in homog:
+                assert not h.is_zero() and h.degree <= bound
+                assert p * h.derivative() - q * h == Poly.zero()
+
+    def test_no_polynomial_solution(self):
+        # x w' - w = x is solved by x log x only
+        for bound in range(4):
+            part, _homog = first_order_poly_solutions(X, Poly.one(), X, bound)
+            assert part is None
 
 
 class TestOrderAt:

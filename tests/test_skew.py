@@ -17,7 +17,8 @@ from gaudin import (
     right_divide,
     right_gcd,
 )
-from gaudin.errors import DegenerateInput, DegenerateSwap, UnsupportedOperator
+from gaudin import skew
+from gaudin.errors import DegenerateInput, DegenerateSwap, InternalInconsistency, UnsupportedOperator
 
 X = Poly.x()
 D = DiffOp.derivation()
@@ -233,6 +234,30 @@ class TestRefactor:
         fac = self._fac()
         other = refactor_to_parity(fac, ParitySequence((-1, 1)))
         assert fac.same_operator(other)
+
+    def test_mismatched_transport_raises(self, monkeypatch):
+        swap = skew.ore_swap
+
+        def shifted(a, b, **kwargs):
+            c, d = swap(a, b, **kwargs)
+            return c + 1, d
+
+        monkeypatch.setattr(skew, "ore_swap", shifted)
+        with pytest.raises(InternalInconsistency):
+            refactor_to_parity(self._fac(), ParitySequence((-1, 1)))
+
+    def test_one_log_derivative_per_primitive(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return log_deriv(f)
+
+        monkeypatch.setattr(skew, "log_deriv", counted)
+        prims = [RatFun(X**2 + 1), RatFun(X, X - 1), RatFun(X + 3)]
+        fac = CompleteFactorization.from_primitives(ParitySequence((1, -1, 1)), prims)
+        assert len(calls) == 3
+        assert fac.coefficients == tuple(log_deriv(g) for g in prims)
 
 
 def rand_log_deriv(rng):

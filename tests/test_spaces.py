@@ -275,6 +275,23 @@ class TestFlagFactorization:
         assert refactor_to_parity(fac0, s1).coefficients == fac1.coefficients
 
 
+    def test_flag_wronskians_built_once(self, worked_population, monkeypatch):
+        import gaudin.spaces
+
+        space = kernel_spaces(worked_population)
+        space.weight_polys  # the space's own Wronskians, computed before counting
+        flag = SuperFlag(ParitySequence((1, -1, 1)), space.vbasis, space.ubasis)
+        calls = []
+        wr = gaudin.spaces.wronskian
+        monkeypatch.setattr(
+            gaudin.spaces, "wronskian", lambda fs: calls.append(tuple(fs)) or wr(fs)
+        )
+        generating_tuple(space, flag)
+        flag_factorization(space, flag)
+        assert calls
+        assert len(calls) == len(set(calls))
+
+
 class TestWronskiIdentity:
     def test_random_tuples(self):
         rng = random.Random(2024)
