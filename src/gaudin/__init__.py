@@ -57,6 +57,7 @@ from .bethe import (
     populate,
     population_factorization,
     population_operator,
+    site_eigenvalues,
     verify_r_invariance,
 )
 from .spaces import (

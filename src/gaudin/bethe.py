@@ -21,13 +21,12 @@ from .errors import (
     NotGeneric,
 )
 from .linalg import column_span_contains
-from .rational import Poly, Q, RatFun, first_order_poly_solutions, log_deriv, multiplicity, poly_gcd, qq
+from .rational import Poly, Q, RatFun, first_order_poly_solutions, multiplicity, poly_gcd, qq
 from .skew import CompleteFactorization, OreFraction
 from .weights import (
     ParitySequence,
     ProblemData,
     cartan_pairing,
-    pair_eps,
     pair_weight_alpha,
 )
 
@@ -104,16 +103,20 @@ def bosonic_rhs(point: BethePoint, i: int) -> Poly:
     return rp * point.y(i - 1) * point.y(i + 1)
 
 
-def fermionic_rhs(point: BethePoint, i: int) -> RatFun:
-    """Right side of the mixed-parity relation, as a rational function."""
+def fermionic_rhs(point: BethePoint, i: int) -> Poly:
+    """Right side of the mixed-parity relation, a polynomial.
+
+    It is pi_i y_{i-1} y_{i+1} times the logarithmic derivative of
+    T_i T_{i+1} y_{i-1} / y_{i+1}, whose poles are all simple.
+    """
     data = point.problem.parity_data(point.parity)
-    arg = RatFun(data.ts[i - 1] * data.ts[i] * point.y(i - 1), point.y(i + 1))
-    if arg.derivative().is_zero():
-        raise DegenerateReproduction(
-            f"constant logarithmic-derivative argument in direction {i}"
-        )
-    pi_i = data.radicals[i - 1]
-    return log_deriv(arg) * RatFun(pi_i * point.y(i - 1) * point.y(i + 1))
+    left, right = point.y(i - 1), point.y(i + 1)
+    rhs = left * right * data.fermionic[i - 1] + data.radicals[i - 1] * (
+        left.derivative() * right - left * right.derivative()
+    )
+    if rhs.is_zero():
+        raise DegenerateReproduction(f"constant logarithmic-derivative argument in direction {i}")
+    return rhs
 
 
 @dataclass(frozen=True)
@@ -151,10 +154,7 @@ def fermionic_reproduce(point: BethePoint, i: int) -> BethePoint:
     s = point.parity
     if s[i] == s[i + 1]:
         raise InvalidInput(f"direction {i} is not mixed-parity")
-    rhs = fermionic_rhs(point, i)
-    if not rhs.is_polynomial():
-        raise CriterionFailed(f"division data not polynomial in direction {i}")
-    quo = rhs.as_poly().try_exact_div(point.y(i))
+    quo = fermionic_rhs(point, i).try_exact_div(point.y(i))
     if quo is None or quo.is_zero():
         raise CriterionFailed(f"entry y_{i} does not divide the partner product")
     ys = list(point.ys)
@@ -419,95 +419,55 @@ def verify_r_invariance(pop: Population) -> bool:
     return all(population_operator(p).same_operator(base) for p in pts[1:])
 
 
-def _admissible_at(point: BethePoint, k) -> bool:
-    """Whether k is a site (1-based) where the eigenvalue formula is well defined."""
-    zs = point.problem.points
-    if k not in range(1, len(zs) + 1):
-        return False
-    z = zs[k - 1]
-    ratios = point.problem.parity_data(point.parity).ratios
-    return not any(
-        rp.degree > 0 and rp(z) == 0 and point.y(i)(z) == 0
-        for i, rp in enumerate(ratios, start=1)
-    )
+def site_eigenvalues(point: BethePoint) -> dict[int, Fraction]:
+    """Quadratic-Hamiltonian eigenvalue at each admissible site k (1-based).
+
+    A site is admissible unless some y_i whose simple root pairs nonzero
+    with the site's weight vanishes there.  Root sums enter through
+    logarithmic derivatives of the y-entries, so no root extraction is
+    needed.
+    """
+    if point.problem.points is None:
+        raise InvalidInput("eigenvalues need rational evaluation points")
+    out = {}
+    for k, (z, total, pairings) in enumerate(point.problem.parity_data(point.parity).sites, start=1):
+        for i, pairing in pairings:
+            yi = point.y(i)
+            value = yi(z)
+            if value == 0:
+                break
+            total -= pairing * yi.derivative()(z) / value
+        else:
+            out[k] = total
+    return out
 
 
 def admissible_sites(point: BethePoint) -> list[int]:
     """Sites k (1-based) where the eigenvalue formula is well defined."""
-    problem = point.problem
-    if problem.points is None:
-        raise InvalidInput("admissibility needs rational evaluation points")
-    return [k for k in range(1, len(problem.points) + 1) if _admissible_at(point, k)]
+    return list(site_eigenvalues(point))
 
 
 def gaudin_eigenvalue(point: BethePoint, k: int) -> Fraction:
-    """Quadratic-Hamiltonian eigenvalue at site k from the tuple.
-
-    Root sums enter through logarithmic derivatives of the y-entries, so
-    no root extraction is needed.
-    """
-    problem = point.problem
-    if problem.points is None:
-        raise InvalidInput("eigenvalues need rational evaluation points")
-    if not _admissible_at(point, k):
+    """Quadratic-Hamiltonian eigenvalue at site k from the tuple."""
+    value = site_eigenvalues(point).get(k)
+    if value is None:
         raise NotAdmissible(k)
-    return _eigenvalue_at(point, k)
-
-
-def _eigenvalue_at(point: BethePoint, k: int) -> Fraction:
-    """``gaudin_eigenvalue`` at a site already known to be admissible."""
-    problem = point.problem
-    s = point.parity
-    zs = problem.points
-    coords = problem.weights[k - 1].coords_at(s)
-    eps = [w.eps_at(s) for w in problem.weights]
-    zk = zs[k - 1]
-    total = Q(0)
-    for r, zr in enumerate(zs, start=1):
-        if r != k:
-            total += pair_eps(eps[k - 1], eps[r - 1], problem.m) / (zk - zr)
-    for i in range(1, len(s)):
-        pairing = pair_weight_alpha(coords, s, i)
-        if pairing == 0:
-            continue
-        yi = point.y(i)
-        if yi.degree == 0:
-            continue
-        value = yi(zk)
-        if value == 0:
-            raise NotAdmissible(k)
-        total -= pairing * yi.derivative()(zk) / value
-    return total
+    return value
 
 
 def gaudin_eigenvalues(point: BethePoint) -> list[Fraction]:
-    return [gaudin_eigenvalue(point, k) for k in range(1, point.problem.n_points + 1)]
+    values = site_eigenvalues(point)
+    for k in range(1, point.problem.n_points + 1):
+        if k not in values:
+            raise NotAdmissible(k)
+    return list(values.values())
 
 
 def eigenvalue_conservation(pop: Population) -> bool:
-    """Eigenvalue equality across every edge, at mutually admissible sites.
-
-    Each node's sites and each (node, site) eigenvalue are computed once, on
-    first use in edge order.
-    """
-    sites: dict[tuple, set[int]] = {}
-    values: dict[tuple, Fraction] = {}
-
-    def sites_of(key) -> set[int]:
-        found = sites.get(key)
-        if found is None:
-            found = sites[key] = set(admissible_sites(pop.nodes[key]))
-        return found
-
-    def value(key, k: int) -> Fraction:
-        found = values.get((key, k))
-        if found is None:
-            found = values[key, k] = _eigenvalue_at(pop.nodes[key], k)
-        return found
-
+    """Eigenvalue equality across every edge, at mutually admissible sites."""
+    values = {key: site_eigenvalues(point) for key, point in pop.nodes.items()}
     for edge in pop.edges:
-        shared = sites_of(edge.source) & sites_of(edge.target)
-        for k in sorted(shared):
-            if value(edge.source, k) != value(edge.target, k):
-                return False
+        source, target = values[edge.source], values[edge.target]
+        if any(source[k] != target[k] for k in source.keys() & target.keys()):
+            return False
     return True

@@ -21,9 +21,8 @@ from .bethe import (
     BethePoint,
     bae_check_direct,
     eigenvalue_conservation,
-    gaudin_eigenvalues,
-    admissible_sites,
     populate,
+    site_eigenvalues,
     verify_r_invariance,
 )
 from .errors import (
@@ -107,18 +106,13 @@ def run_population(seed, samples, max_depth):
     if problem.points is not None:
         table = []
         for point in pop.points():
-            sites = admissible_sites(point)
+            values = site_eigenvalues(point)
             table.append(
                 {
                     "node": jsonio.point_to_json(point),
-                    "admissible": sites,
-                    "eigenvalues": {
-                        str(k): jsonio.scalar_to_json(v)
-                        for k, v in zip(
-                            range(1, problem.n_points + 1), gaudin_eigenvalues(point)
-                        )
-                    }
-                    if len(sites) == problem.n_points
+                    "admissible": list(values),
+                    "eigenvalues": {str(k): jsonio.scalar_to_json(v) for k, v in values.items()}
+                    if len(values) == problem.n_points
                     else None,
                 }
             )

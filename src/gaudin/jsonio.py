@@ -22,11 +22,16 @@ def scalar_to_json(x: Fraction) -> str:
 
 
 def scalar_from_json(s) -> Fraction:
-    if isinstance(s, str):
-        return Fraction(s)
-    if isinstance(s, int):
+    # JSON true and false decode to bool, a subclass of int
+    if isinstance(s, str) or (isinstance(s, int) and not isinstance(s, bool)):
         return Fraction(s)
     raise InvalidInput(f"bad scalar payload: {s!r}")
+
+
+def _int_from_json(x, what: str) -> int:
+    if isinstance(x, bool):
+        raise InvalidInput(f"bad {what} payload: {x!r}")
+    return int(x)
 
 
 def poly_to_json(p: Poly) -> list[str]:
@@ -59,7 +64,7 @@ def fraction_to_json(fr: OreFraction) -> dict:
 
 
 def parity_from_json(data) -> ParitySequence:
-    return ParitySequence(data)
+    return ParitySequence([_int_from_json(e, "parity entry") for e in data])
 
 
 def factorization_from_json(data) -> CompleteFactorization:
@@ -85,7 +90,7 @@ def problem_to_json(problem: ProblemData) -> dict:
 
 def problem_from_json(data) -> ProblemData:
     try:
-        m, n = int(data["M"]), int(data["N"])
+        m, n = _int_from_json(data["M"], "M"), _int_from_json(data["N"], "N")
         weights = [Weight(m, n, [scalar_from_json(c) for c in row]) for row in data["weights"]]
         points = data.get("points")
         if points is not None:

@@ -408,21 +408,43 @@ def weight_at_infinity(s: ParitySequence, weights, ls) -> tuple[Fraction, ...]:
 
 
 class ParityData(NamedTuple):
-    """Weight polynomials at one parity with each position's derived data.
+    """Weight polynomials at one parity with each position's and site's data.
 
     ``ratios[i - 1]`` is ``ratio_poly(ts, s, i)`` and ``radicals[i - 1]`` is
-    ``step_radical(ts, s, i)``.
+    ``step_radical(ts, s, i)``.  At a mixed position ``fermionic[i - 1]`` is
+    the polynomial pi_i (T_i T_{i+1})' / (T_i T_{i+1}) with pi_i the radical;
+    it is None at a same-parity position.  ``sites[k - 1]`` is
+    (z_k, sum_{r != k} (L_k, L_r) / (z_k - z_r), the nonzero pairings
+    (i, (L_k, alpha_i^s))) with L the s-highest weights; it is empty when
+    the problem has no points.
     """
 
     ts: tuple[Poly, ...]
     ratios: tuple[Poly, ...]
     radicals: tuple[Poly, ...]
+    fermionic: tuple[Poly | None, ...]
+    sites: tuple[tuple[Fraction, Fraction, tuple[tuple[int, Fraction], ...]], ...]
 
     @staticmethod
-    def build(s: ParitySequence, ts) -> "ParityData":
+    def build(s: ParitySequence, ts, weights=(), points=None) -> "ParityData":
         ts = tuple(ts)
         ratios = tuple(ratio_poly(ts, s, i) for i in range(1, len(s)))
-        return ParityData(ts, ratios, tuple(radical(p) for p in ratios))
+        radicals = tuple(radical(p) for p in ratios)
+        fermionic = tuple(
+            None if s[i] == s[i + 1] else p.derivative().exact_div(p.exact_div(r))
+            for i, (p, r) in enumerate(zip(ratios, radicals), start=1)
+        )
+        sites = []
+        if points is not None:
+            eps = [w.eps_at(s) for w in weights]
+            for k, (w, zk) in enumerate(zip(weights, points)):
+                total = Q(0)
+                for r, zr in enumerate(points):
+                    if r != k:
+                        total += pair_eps(eps[k], eps[r], s.m) / (zk - zr)
+                pairings = ((i, pair_weight_alpha(w.coords_at(s), s, i)) for i in range(1, len(s)))
+                sites.append((zk, total, tuple((i, c) for i, c in pairings if c != 0)))
+        return ParityData(ts, ratios, radicals, fermionic, tuple(sites))
 
 
 class ProblemData:
@@ -468,7 +490,7 @@ class ProblemData:
                 raise InvalidInput("weight polynomials differ from those of the points")
         # building the record raises if a standard ratio is not a polynomial
         self._parity_data: dict[tuple[int, ...], ParityData] = {
-            s0.entries: ParityData.build(s0, self.ts_standard)
+            s0.entries: ParityData.build(s0, self.ts_standard, self.weights, self.points)
         }
 
     @property
@@ -476,10 +498,11 @@ class ProblemData:
         return len(self.weights)
 
     def parity_data(self, s: ParitySequence) -> ParityData:
-        """The weight polynomials at parity s and their ratios, built once."""
+        """The weight polynomials at parity s and their derived data, built once."""
         key = s.entries
         if key not in self._parity_data:
-            self._parity_data[key] = ParityData.build(s, weight_polys_by_swaps(s, self.ts_standard))
+            ts = weight_polys_by_swaps(s, self.ts_standard)
+            self._parity_data[key] = ParityData.build(s, ts, self.weights, self.points)
         return self._parity_data[key]
 
     def ts_at(self, s: ParitySequence) -> tuple[Poly, ...]:

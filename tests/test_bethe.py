@@ -24,15 +24,17 @@ from gaudin import (
     population_operator,
     verify_r_invariance,
 )
-from gaudin.bethe import _family_sibling_exists
+from gaudin.bethe import _family_sibling_exists, fermionic_rhs
 from gaudin.errors import (
     CriterionFailed,
+    DegenerateReproduction,
     InvalidConfiguration,
     InvalidInput,
     NotAdmissible,
     NotGeneric,
 )
 from gaudin.linalg import column_span_contains
+from gaudin.rational import RatFun, log_deriv
 from gaudin.reps import master_polynomial
 
 X = Poly.x()
@@ -232,6 +234,20 @@ class TestFermionic:
         child = fermionic_reproduce(p, 1)
         assert p.ys[0].degree + child.ys[0].degree == m - 1
         assert child.ys[0] == nt.monic()
+
+    def test_constant_argument_is_degenerate(self):
+        # T_1 = T_2 = 1 and y_0 = y_2 = 1: the argument T_1 T_2 y_0 / y_2 is 1
+        prob = gl11_problem([(0, 0)], [0])
+        p = BethePoint(prob, ParitySequence.standard(1, 1), [Poly.one()])
+        with pytest.raises(DegenerateReproduction):
+            fermionic_reproduce(p, 1)
+
+    def test_entry_not_dividing_the_right_side_fails(self):
+        # the right side is 2x - 1, which x - 5 does not divide
+        prob = gl11_problem([(1, 0), (1, 0)], [0, 1])
+        p = BethePoint(prob, ParitySequence.standard(1, 1), [X - 5])
+        with pytest.raises(CriterionFailed):
+            fermionic_reproduce(p, 1)
 
 
 class TestPopulate:
@@ -446,6 +462,59 @@ class TestEigenvalues:
         assert eigenvalue_conservation(pop)
         assert len(calls) == len(set(calls))
         assert len(calls) <= len(pop.by_parity()) * 3
+
+    def test_site_data_built_once_per_parity(self, monkeypatch):
+        calls = []
+        eps_at = Weight.eps_at
+        monkeypatch.setattr(Weight, "eps_at", lambda w, s: calls.append(s.entries) or eps_at(w, s))
+        pop = gl31_population(2)
+        assert eigenvalue_conservation(pop)
+        assert len(calls) <= len(pop.by_parity()) * len(pop.problem.weights)
+
+
+def rational_gl21_population():
+    """The population of tests/golden/rational_gl21.json at the default samples."""
+    prob = ProblemData(2, 1, [Weight(2, 1, (1, 1, 0))] * 3, points=[0, 1, 2])
+    seed = BethePoint(prob, ParitySequence.standard(2, 1), [Poly.one()] * 2)
+    return populate(seed, [Q(0), Q(1), Q(2)])
+
+
+@pytest.mark.parametrize(
+    "grow", [lambda: gl31_population(2), rational_gl21_population], ids=["gl31-depth-2", "rational-gl21"]
+)
+class TestPerParityIdentities:
+    """The per-parity formulas against the definitions they replace."""
+
+    def test_admissible_sites_follow_the_ratio_roots(self, grow):
+        # reference: k is inadmissible when z_k is a root of some
+        # non-constant ratio polynomial and of the matching y_i
+        for point in grow().points():
+            ratios = point.problem.parity_data(point.parity).ratios
+            expected = [
+                k
+                for k, z in enumerate(point.problem.points, start=1)
+                if not any(
+                    rp.degree > 0 and rp(z) == 0 and point.y(i)(z) == 0
+                    for i, rp in enumerate(ratios, start=1)
+                )
+            ]
+            assert admissible_sites(point) == expected
+
+    def test_fermionic_rhs_is_the_cleared_log_derivative(self, grow):
+        for point in grow().points():
+            s = point.parity
+            data = point.problem.parity_data(s)
+            for i in range(1, len(s)):
+                if s[i] == s[i + 1]:
+                    continue
+                left, right = point.y(i - 1), point.y(i + 1)
+                arg = RatFun(data.ts[i - 1] * data.ts[i] * left, right)
+                expected = log_deriv(arg) * RatFun(data.radicals[i - 1] * left * right)
+                if expected.is_zero():
+                    with pytest.raises(DegenerateReproduction):
+                        fermionic_rhs(point, i)
+                else:
+                    assert expected == fermionic_rhs(point, i)
 
 
 class TestReproductionSoundness:

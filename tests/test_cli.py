@@ -191,6 +191,10 @@ GL11_SEED = {"parity": [1, -1], "ys": [["1"]]}
 ONE_FACTOR = {"parity": [1, -1], "factors": [{"num": ["0"]}]}
 ZERO_DENOMINATOR = {"parity": [1, -1], "factors": [{"num": ["1"], "den": ["0"]}, {"num": ["0"]}]}
 TWO_POINTS_PROBLEM = dict({k: v for k, v in WORKED_PROBLEM.items() if k != "Ts"}, points=["0", "1"])
+# tests/golden/rational_gl21.json's problem with a JSON true for one weight coordinate
+RATIONAL_GL21_TRUE_COORD = dict(
+    TWO_POINTS_PROBLEM, points=["0", "1", "2"], weights=[[True, "1", "0"]] + [["1", "1", "0"]] * 2
+)
 
 
 class TestInputContract:
@@ -217,6 +221,10 @@ class TestInputContract:
             ("population", {"problem": dict(WORKED_PROBLEM, Ts=WORKED_PROBLEM["Ts"][:2]), "seed": WORKED_SEED}, []),
             ("population", {"problem": dict(WORKED_PROBLEM, Ts=WORKED_PROBLEM["Ts"] + [["1"]]), "seed": WORKED_SEED}, []),
             ("population", {"problem": dict(WORKED_PROBLEM, points=["0", "1", "2"]), "seed": WORKED_SEED}, []),
+            ("population", {"problem": RATIONAL_GL21_TRUE_COORD, "seed": WORKED_SEED}, []),
+            ("population", {"problem": WORKED_PROBLEM, "seed": dict(WORKED_SEED, parity=[True, True, -1])}, []),
+            ("check-bae", {"problem": GL11_PROBLEM, "parity": [1, -1], "t": [[True]]}, []),
+            ("population", {"problem": dict(GL11_PROBLEM, M=True), "seed": GL11_SEED}, []),
         ],
         ids=[
             "M-not-int",
@@ -239,6 +247,10 @@ class TestInputContract:
             "two-Ts",
             "four-Ts",
             "Ts-not-of-points",
+            "weight-coordinate-true",
+            "seed-parity-true",
+            "root-true",
+            "M-true",
         ],
     )
     def test_malformed_payload_exits_two(self, tmp_path, capsys, command, payload, options):
