@@ -126,7 +126,10 @@ def run_population(seed, samples, max_depth):
 def read_check_bae(data, args):
     problem = jsonio.problem_from_json(data["problem"])
     parity = jsonio.parity_from_json(data["parity"])
-    tlists = [[jsonio.scalar_from_json(t) for t in row] for row in data["t"]]
+    tlists = [
+        [jsonio.scalar_from_json(t) for t in jsonio.array_from_json(row, "root row")]
+        for row in jsonio.array_from_json(data["t"], "t")
+    ]
     return problem, parity, tlists
 
 
@@ -157,11 +160,10 @@ def run_space(seed, samples, max_depth):
 
 
 def read_gl11_spectrum(data, args):
-    points = [jsonio.scalar_from_json(z) for z in data["points"]]
-    modules = [
-        gl11_module(jsonio.scalar_from_json(str(p)), jsonio.scalar_from_json(str(q)))
-        for p, q in data["weights"]
-    ]
+    points = [jsonio.scalar_from_json(z) for z in jsonio.array_from_json(data["points"], "points")]
+    weights = jsonio.array_from_json(data["weights"], "weights")
+    rows = [jsonio.array_from_json(row, "weight") for row in weights]
+    modules = [gl11_module(jsonio.scalar_from_json(p), jsonio.scalar_from_json(q)) for p, q in rows]
     return (TensorSystem(modules, points),)
 
 

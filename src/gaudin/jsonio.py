@@ -34,14 +34,19 @@ def _int_from_json(x, what: str) -> int:
     return int(x)
 
 
+def array_from_json(data, what: str) -> list:
+    # Python would iterate a string character by character
+    if not isinstance(data, list):
+        raise InvalidInput(f"bad {what} payload: {data!r}")
+    return data
+
+
 def poly_to_json(p: Poly) -> list[str]:
     return [scalar_to_json(c) for c in p.coeffs]
 
 
 def poly_from_json(data) -> Poly:
-    if not isinstance(data, list):
-        raise InvalidInput(f"bad polynomial payload: {data!r}")
-    return Poly([scalar_from_json(c) for c in data])
+    return Poly([scalar_from_json(c) for c in array_from_json(data, "polynomial")])
 
 
 def ratfun_to_json(f: RatFun) -> dict:
@@ -64,13 +69,14 @@ def fraction_to_json(fr: OreFraction) -> dict:
 
 
 def parity_from_json(data) -> ParitySequence:
-    return ParitySequence([_int_from_json(e, "parity entry") for e in data])
+    entries = array_from_json(data, "parity")
+    return ParitySequence([_int_from_json(e, "parity entry") for e in entries])
 
 
 def factorization_from_json(data) -> CompleteFactorization:
     return CompleteFactorization(
         parity_from_json(data["parity"]),
-        [ratfun_from_json(a) for a in data["factors"]],
+        [ratfun_from_json(a) for a in array_from_json(data["factors"], "factors")],
     )
 
 
@@ -91,13 +97,16 @@ def problem_to_json(problem: ProblemData) -> dict:
 def problem_from_json(data) -> ProblemData:
     try:
         m, n = _int_from_json(data["M"], "M"), _int_from_json(data["N"], "N")
-        weights = [Weight(m, n, [scalar_from_json(c) for c in row]) for row in data["weights"]]
+        weights = [
+            Weight(m, n, [scalar_from_json(c) for c in array_from_json(row, "weight")])
+            for row in array_from_json(data["weights"], "weights")
+        ]
         points = data.get("points")
         if points is not None:
-            points = [scalar_from_json(z) for z in points]
+            points = [scalar_from_json(z) for z in array_from_json(points, "points")]
         ts = data.get("Ts")
         if ts is not None:
-            ts = [poly_from_json(t) for t in ts]
+            ts = [poly_from_json(t) for t in array_from_json(ts, "Ts")]
         parity = parity_from_json(data["parity"]) if "parity" in data else None
         return ProblemData(m, n, weights, points=points, ts=ts, parity=parity)
     except (KeyError, TypeError) as exc:
@@ -115,7 +124,7 @@ def point_from_json(problem: ProblemData, data) -> BethePoint:
     return BethePoint(
         problem,
         parity_from_json(data["parity"]),
-        [poly_from_json(y) for y in data["ys"]],
+        [poly_from_json(y) for y in array_from_json(data["ys"], "ys")],
     )
 
 

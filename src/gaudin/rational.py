@@ -8,7 +8,7 @@ with trailing zeros trimmed, so the zero polynomial is the empty tuple.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 from .errors import (
     DegenerateInput,
@@ -659,9 +659,3 @@ def rational_antiderivative(f) -> RatFun:
     if out.derivative() != f:
         raise InternalInconsistency("antiderivative verification failed")
     return out
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0:
-        return 0
-    return comb(n, k)

@@ -22,7 +22,7 @@ from .errors import (
     NonRationalAntiderivative,
     UnsupportedOperator,
 )
-from .rational import Poly, RatFun, binomial, log_deriv, rational_antiderivative
+from .rational import Poly, RatFun, log_deriv, rational_antiderivative
 from .weights import ParitySequence
 
 
@@ -113,23 +113,21 @@ class DiffOp:
         return self.scale(RatFun.one() / self.lc)
 
     def __mul__(self, other) -> "DiffOp":
-        """Skew product: D^i * b = sum_j C(i, j) b^(j) D^(i-j)."""
+        """Skew product sum_i a_i (D^i other), stepping from D^(i-1) other
+        to D^i other by D (sum_j b_j D^j) = sum_j (b_j' + b_(j-1)) D^j."""
         if not isinstance(other, DiffOp):
             other = DiffOp.from_coeff(other)
         if self.is_zero() or other.is_zero():
             return DiffOp.zero()
         out = [RatFun.zero()] * (self.order + other.order + 1)
+        step = other.coeffs
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                deriv = b
-                for k in range(i + 1):
-                    if not deriv.is_zero():
-                        out[i + j - k] = out[i + j - k] + a * (binomial(i, k) * deriv)
-                    deriv = deriv.derivative()
+            if i:
+                derivs = [b.derivative() for b in step]
+                step = [derivs[0], *(d + b for d, b in zip(derivs[1:], step)), step[-1]]
+            if not a.is_zero():
+                for j, b in enumerate(step):
+                    out[j] = out[j] + a * b
         return DiffOp(out)
 
     def apply(self, f) -> RatFun:

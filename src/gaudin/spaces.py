@@ -44,37 +44,11 @@ def _as_place(place) -> Poly:
 
 
 def exponents(basis, place) -> list[int]:
-    """Strictly increasing vanishing orders a space realizes at a place.
-
-    Uses the subset-Wronskian characterization: the minimum over k-subsets
-    of a basis of (order of the subset Wronskian) equals e_1+...+e_k minus
-    the staircase correction, which pins the exponents one by one without
-    leaving exact rational arithmetic.
-    """
+    """Strictly increasing vanishing orders a space realizes at a place."""
     place = _as_place(place)
-    basis = [f if isinstance(f, RatFun) else RatFun(f) for f in basis]
     if not basis:
         raise InvalidInput("exponents of the empty space")
-    d = len(basis)
-    mins = [0] * (d + 1)
-    for k in range(1, d + 1):
-        best = None
-        for subset in combinations(basis, k):
-            w = wronskian(subset)
-            if w.is_zero():
-                raise InvalidFlag("dependent basis in exponent computation")
-            o = order_at_place(w, place)
-            if best is None or o < best:
-                best = o
-        mins[k] = best
-    out = []
-    for k in range(1, d + 1):
-        out.append(mins[k] - mins[k - 1] + (k - 1))
-    if any(out[i] >= out[i + 1] for i in range(d - 1)):
-        raise UnsupportedIrrationalRamification(
-            f"inconsistent exponent ladder at place {place.to_str()}"
-        )
-    return out
+    return _exponent_table(basis, [place])[place]
 
 
 class RationalSpace:
@@ -166,7 +140,34 @@ def detect_places(space: RationalSpace) -> list[Poly]:
 
 
 def _exponent_table(basis, places) -> dict[Poly, list[int]]:
-    return {pl: exponents(basis, pl) for pl in places} if basis else {}
+    """Exponent ladder of a basis at each place.
+
+    Uses the subset-Wronskian characterization: the minimum over k-subsets
+    of a basis of (order of the subset Wronskian) equals e_1+...+e_k minus
+    the staircase correction, which pins the exponents one by one without
+    leaving exact rational arithmetic.  Each subset Wronskian is computed
+    once and read at every place.
+    """
+    if not basis or not places:
+        return {}
+    by_size = []
+    for k in range(1, len(basis) + 1):
+        ws = []
+        for subset in combinations(basis, k):
+            ws.append(wronskian(subset))
+            if ws[-1].is_zero():
+                raise InvalidFlag("dependent basis in exponent computation")
+        by_size.append(ws)
+    table = {}
+    for pl in places:
+        mins = [0] + [min(order_at_place(w, pl) for w in ws) for ws in by_size]
+        ladder = [mins[k] - mins[k - 1] + (k - 1) for k in range(1, len(mins))]
+        if any(a >= b for a, b in zip(ladder, ladder[1:])):
+            raise UnsupportedIrrationalRamification(
+                f"inconsistent exponent ladder at place {pl.to_str()}"
+            )
+        table[pl] = ladder
+    return table
 
 
 def _staircase(table, j: int, sign: int) -> RatFun:
@@ -198,7 +199,12 @@ def space_weight_polys(space: RationalSpace) -> list[Poly]:
 
 
 def is_gl_space(space: RationalSpace) -> tuple[bool, list[str]]:
-    """The four equivalent membership conditions, with failure reports."""
+    """The four equivalent membership conditions, with failure reports.
+
+    Clearing a basis by a polynomial g multiplies each k-subset Wronskian
+    by g^k, so every exponent at a place shifts by the order of g there;
+    the cleared parts are read off the space's own exponent tables.
+    """
     m, n = space.m, space.n
     places, od = space.places, space.odd_exponents
     pv, pu = space.even_denominator, space.odd_denominator
@@ -209,37 +215,30 @@ def is_gl_space(space: RationalSpace) -> tuple[bool, list[str]]:
     elif pv.degree > 0 and ratio.as_poly().degree > 0:
         if poly_gcd(ratio.as_poly(), pv).degree > 0:
             failures.append("denominator ratio shares a root with the even denominator")
-    if m >= 2:
-        vbar = [f * RatFun(pv) for f in space.vbasis]
-        # second exponent of the cleared even part
-        t_m1 = _staircase(_exponent_table(vbar, places), 1, 1)
-        if not (t_m1 / RatFun(pv)).is_polynomial():
-            failures.append("second even staircase entry not divisible by the denominator")
+    # second staircase entry of the even part cleared by pv, divided by pv
+    if m >= 2 and not _staircase(space.even_exponents, 1, 1).is_polynomial():
+        failures.append("second even staircase entry not divisible by the denominator")
     if n:
         # last odd entry must be polynomial
         if not _staircase(od, n - 1, -1).is_polynomial():
             failures.append("top odd exponent exceeds its staircase bound")
-    if n >= 2:
-        ubar = [f * RatFun(pu) for f in space.ubasis]
-        odbar = _exponent_table(ubar, places)
-        for i in range(2, n + 1):
-            for pl in places:
-                e = -odbar[pl][i - 1] + (i - 1)
-                if e > 0 and (not ratio.is_polynomial() or order_at_place(ratio, pl) <= 0):
-                    failures.append(
-                        f"odd staircase zero at {pl.to_str()} not matched by the denominator ratio"
-                    )
+    for i in range(2, n + 1):
+        for pl in places:
+            # i-th exponent of the odd part cleared by pu
+            e = -(od[pl][i - 1] + max(-od[pl][0], 0)) + (i - 1)
+            if e > 0 and (not ratio.is_polynomial() or order_at_place(ratio, pl) <= 0):
+                failures.append(
+                    f"odd staircase zero at {pl.to_str()} not matched by the denominator ratio"
+                )
     if m and n and pv.degree > 0:
+        pairs = [wronskian([v, u]) for v in space.vbasis for u in space.ubasis]
+        pairs = [w * RatFun(pv) for w in pairs if not w.is_zero()]
         for pl in places:
             if order_at_place(RatFun(pv), pl) <= 0:
                 continue
-            for v in space.vbasis:
-                for u in space.ubasis:
-                    w = wronskian([v, u]) * RatFun(pv)
-                    if not w.is_zero() and order_at_place(w, pl) < 0:
-                        failures.append(
-                            f"pair Wronskian stays singular at {pl.to_str()}"
-                        )
+            for w in pairs:
+                if order_at_place(w, pl) < 0:
+                    failures.append(f"pair Wronskian stays singular at {pl.to_str()}")
     return (not failures, failures)
 
 
@@ -352,12 +351,9 @@ def kernel_spaces(pop: Population) -> RationalSpace:
     if std is None:
         raise InvalidInput("population has no standard-parity node")
     fac = population_factorization(std)
-    m, n = problem.m, problem.n
     d0, d1 = fac.standard_pair()
-    vbasis = rational_kernel(d0, fac.primitives[:m])
-    ubasis = rational_kernel(d1, fac.primitives[m:][::-1])
-    if len(vbasis) != m or len(ubasis) != n:
-        raise InternalInconsistency("kernel dimension mismatch")
+    vbasis = rational_kernel(d0, fac.primitives[: problem.m])
+    ubasis = rational_kernel(d1, fac.primitives[problem.m :][::-1])
     _assert_direct_sum(vbasis, ubasis)
     return RationalSpace(vbasis, ubasis, problem=problem)
 
@@ -401,10 +397,9 @@ def verify_operator_to_population(pop: Population) -> dict:
     :class:`TheoremViolation`.
     """
     space = kernel_spaces(pop)
-    tw = space_weight_polys(space)
     expected = [t.monic() for t in pop.problem.ts_standard]
     report = {
-        "space_polys_match": [p.monic() if p.degree >= 0 else p for p in tw] == expected,
+        "space_polys_match": space_weight_polys(space) == expected,
         "nodes": [],
     }
     if not report["space_polys_match"]:

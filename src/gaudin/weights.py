@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
@@ -194,7 +194,11 @@ class Weight:
 
     def coords_at(self, s: ParitySequence) -> tuple[Fraction, ...]:
         """Coordinate sequence of the s-highest weight of the same module."""
-        return _coords_at(self.m, self.n, self.coords, s.entries)
+        cur, coords = ParitySequence.standard(self.m, self.n), self.coords
+        for i in cur.path_to(s):
+            coords = swap_coords(coords, cur, i)
+            cur = cur.swapped(i)
+        return coords
 
     def eps_at(self, s: ParitySequence) -> tuple[Fraction, ...]:
         """Standard-basis coordinates of the s-highest weight."""
@@ -218,17 +222,6 @@ def swap_coords(coords, s: ParitySequence, i: int):
     d = 1 if a + b != 0 else 0
     coords[i - 1], coords[i] = b + d, a - d
     return tuple(coords)
-
-
-@lru_cache(maxsize=None)
-def _coords_at(m, n, coords, target_entries):
-    target = ParitySequence(target_entries)
-    s = ParitySequence.standard(m, n)
-    cur = tuple(coords)
-    for i in s.path_to(target):
-        cur = swap_coords(cur, s, i)
-        s = s.swapped(i)
-    return cur
 
 
 def hook_weight(mu, m: int, n: int) -> Weight:

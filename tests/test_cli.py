@@ -196,6 +196,9 @@ RATIONAL_GL21_TRUE_COORD = dict(
     TWO_POINTS_PROBLEM, points=["0", "1", "2"], weights=[[True, "1", "0"]] + [["1", "1", "0"]] * 2
 )
 
+# the same problem with its first weight row given as a string
+RATIONAL_GL21_STRING_ROW = dict(RATIONAL_GL21_TRUE_COORD, weights=["110"] + [["1", "1", "0"]] * 2)
+
 
 class TestInputContract:
     @pytest.mark.parametrize(
@@ -225,6 +228,12 @@ class TestInputContract:
             ("population", {"problem": WORKED_PROBLEM, "seed": dict(WORKED_SEED, parity=[True, True, -1])}, []),
             ("check-bae", {"problem": GL11_PROBLEM, "parity": [1, -1], "t": [[True]]}, []),
             ("population", {"problem": dict(GL11_PROBLEM, M=True), "seed": GL11_SEED}, []),
+            ("population", {"problem": dict(TWO_POINTS_PROBLEM, points="012"), "seed": WORKED_SEED}, []),
+            ("population", {"problem": RATIONAL_GL21_STRING_ROW, "seed": WORKED_SEED}, []),
+            ("check-bae", {"problem": dict(GL11_PROBLEM, points=["0", "2"]), "parity": [1, -1], "t": ["1"]}, []),
+            ("gl11-spectrum", {"weights": [["1", "0"]] * 3, "points": "012"}, []),
+            ("gl11-spectrum", {"weights": ["10", "10", "10"], "points": ["0", "1", "2"]}, []),
+            ("gl11-spectrum", {"weights": [[1.5, 0], ["1", "0"]], "points": ["0", "1"]}, []),
         ],
         ids=[
             "M-not-int",
@@ -251,6 +260,12 @@ class TestInputContract:
             "seed-parity-true",
             "root-true",
             "M-true",
+            "points-string",
+            "weight-row-string",
+            "root-row-string",
+            "gl11-points-string",
+            "gl11-weight-rows-string",
+            "gl11-float-weight",
         ],
     )
     def test_malformed_payload_exits_two(self, tmp_path, capsys, command, payload, options):

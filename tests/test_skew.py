@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -64,6 +65,38 @@ class TestSkewMul:
             a, b, c = rand_op(rng), rand_op(rng), rand_op(rng)
             assert (a * b) * c == a * (b * c)
             assert (a * b).order == a.order + b.order
+
+
+def leibniz_product(a, b):
+    """sum over i, j, k of C(i, k) a_i b_j^(k) D^(i+j-k)."""
+    out = [RatFun.zero()] * (a.order + b.order + 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            deriv = bj
+            for k in range(i + 1):
+                out[i + j - k] = out[i + j - k] + ai * (comb(i, k) * deriv)
+                deriv = deriv.derivative()
+    return DiffOp(out)
+
+
+class TestSkewMulOracle:
+    def test_agrees_with_leibniz(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            a, b = rand_op(rng, max_order=3), rand_op(rng, max_order=3)
+            assert a * b == leibniz_product(a, b)
+
+    def test_derivatives_per_product(self, monkeypatch):
+        b = DiffOp([RatFun(X + 1, X - 2), RatFun(X**2), RatFun(Poly.one(), X)])
+        a = DiffOp.first_order(RatFun(X, X + 3))
+        calls = []
+        derivative = RatFun.derivative
+        monkeypatch.setattr(RatFun, "derivative", lambda f: calls.append(f) or derivative(f))
+        a * b
+        assert len(calls) == 3
+        calls.clear()
+        b * b
+        assert len(calls) == 7
 
 
 class TestRightDivide:

@@ -27,11 +27,83 @@ from gaudin import (
     wronskian,
 )
 from gaudin.bethe import population_factorization
-from gaudin.errors import AtypicalUnsupported
+from gaudin.errors import AtypicalUnsupported, InvalidFlag
+from gaudin.rational import order_at_place, poly_gcd
 from gaudin.skew import refactor_to_parity
 from gaudin.spaces import basis_change_invariance
 
 X = Poly.x()
+POLES = [X, X - 1, X + 2, X**2 + 1]
+
+
+def rand_num(rng):
+    while True:
+        num = Poly([rng.randint(-2, 2) for _ in range(rng.randint(1, 4))])
+        if not num.is_zero():
+            return num
+
+
+def rand_den(rng):
+    den = Poly.one()
+    for pl in rng.sample(POLES, rng.randint(0, 2)):
+        den = den * pl ** rng.randint(1, 2)
+    return den
+
+
+def cleared_basis_is_gl_space(space):
+    """Reference membership test: the exponents of the even and odd parts
+    cleared by their denominators are computed from the cleared bases."""
+    m, n = space.m, space.n
+    places, od = space.places, space.odd_exponents
+    pv, pu = space.even_denominator, space.odd_denominator
+    failures = []
+    ratio = RatFun(pu) / RatFun(pv)
+    if not ratio.is_polynomial():
+        failures.append("denominator ratio is not a polynomial")
+    elif pv.degree > 0 and ratio.as_poly().degree > 0:
+        if poly_gcd(ratio.as_poly(), pv).degree > 0:
+            failures.append("denominator ratio shares a root with the even denominator")
+    if m >= 2:
+        vbar = [f * RatFun(pv) for f in space.vbasis]
+        t = RatFun.one()
+        for pl in places:
+            t = t * RatFun(pl) ** (exponents(vbar, pl)[1] - 1)
+        if not (t / RatFun(pv)).is_polynomial():
+            failures.append("second even staircase entry not divisible by the denominator")
+    if n:
+        t = RatFun.one()
+        for pl in places:
+            t = t * RatFun(pl) ** (n - 1 - od[pl][n - 1])
+        if not t.is_polynomial():
+            failures.append("top odd exponent exceeds its staircase bound")
+    if n >= 2:
+        ubar = [f * RatFun(pu) for f in space.ubasis]
+        for i in range(2, n + 1):
+            for pl in places:
+                e = -exponents(ubar, pl)[i - 1] + (i - 1)
+                if e > 0 and (not ratio.is_polynomial() or order_at_place(ratio, pl) <= 0):
+                    failures.append(
+                        f"odd staircase zero at {pl.to_str()} not matched by the denominator ratio"
+                    )
+    if m and n and pv.degree > 0:
+        for pl in places:
+            if order_at_place(RatFun(pv), pl) <= 0:
+                continue
+            for v in space.vbasis:
+                for u in space.ubasis:
+                    w = wronskian([v, u]) * RatFun(pv)
+                    if not w.is_zero() and order_at_place(w, pl) < 0:
+                        failures.append(f"pair Wronskian stays singular at {pl.to_str()}")
+    return (not failures, failures)
+
+
+def count_wronskians(monkeypatch):
+    import gaudin.spaces
+
+    calls = []
+    wr = gaudin.spaces.wronskian
+    monkeypatch.setattr(gaudin.spaces, "wronskian", lambda fs: calls.append(tuple(fs)) or wr(fs))
+    return calls
 
 
 class TestExponents:
@@ -54,6 +126,26 @@ class TestExponents:
         rng = random.Random(71)
         basis = [RatFun(X**2), RatFun(X**3 + X**2), RatFun(Poly.one(), X)]
         assert basis_change_invariance(basis, Q(0), 8, rng)
+
+    def test_clearing_shifts_every_exponent(self):
+        # g multiplies each k-subset Wronskian by g^k
+        rng = random.Random(83)
+        checked = 0
+        while checked < 20:
+            basis = [RatFun(rand_num(rng), rand_den(rng)) for _ in range(rng.randint(1, 3))]
+            if wronskian(basis).is_zero():
+                continue
+            g = rand_num(rng) * rand_den(rng)
+            for pl in POLES:
+                shifted = [e + order_at_place(g, pl) for e in exponents(basis, pl)]
+                assert exponents([RatFun(g) * f for f in basis], pl) == shifted
+            checked += 1
+
+    def test_subset_wronskians_computed_once_per_space(self, worked_population, monkeypatch):
+        calls = count_wronskians(monkeypatch)
+        space_weight_polys(kernel_spaces(worked_population))
+        # places: 2^2 - 1 + 2^1 - 1 subset and 2 pair Wronskians; ladders: 4
+        assert len(calls) <= 10
 
 
 class TestSpaceWeightPolys:
@@ -124,6 +216,61 @@ class TestIsGlSpace:
         )
         ok, failures = is_gl_space(space)
         assert not ok
+
+    def test_agrees_with_cleared_bases(self):
+        rng = random.Random(3)
+        spaces = []
+        for _ in range(40):
+            dv = rand_den(rng)
+            du = dv * rand_den(rng) if rng.random() < 0.7 else rand_den(rng)
+            vs = [RatFun(rand_num(rng), dv) for _ in range(rng.randint(1, 2))]
+            spaces.append(RationalSpace(vs, [RatFun(rand_num(rng), du) for _ in range(rng.randint(1, 2))]))
+        # an even part vanishing along an irreducible quadratic
+        q = X**2 + X + 1
+        spaces.append(RationalSpace([q, X * q], [RatFun(Poly.one(), q)]))
+        seen = set()
+        for space in spaces:
+            try:
+                got = is_gl_space(space)
+            except InvalidFlag:
+                with pytest.raises(InvalidFlag):
+                    cleared_basis_is_gl_space(RationalSpace(space.vbasis, space.ubasis))
+                continue
+            assert got == cleared_basis_is_gl_space(RationalSpace(space.vbasis, space.ubasis))
+            seen.add(got[0])
+            seen.update(f.split(" at ")[0] for f in got[1])
+            seen.add(("pv", space.even_denominator.degree > 0))
+            seen.add(("pu", space.odd_denominator.degree > 0))
+        # the odd staircase condition cannot fail: a strictly increasing
+        # ladder cleared of its poles has its i-th exponent >= i - 1
+        assert seen == {
+            True,
+            False,
+            ("pv", True),
+            ("pv", False),
+            ("pu", True),
+            ("pu", False),
+            "denominator ratio is not a polynomial",
+            "denominator ratio shares a root with the even denominator",
+            "second even staircase entry not divisible by the denominator",
+            "top odd exponent exceeds its staircase bound",
+            "pair Wronskian stays singular",
+        }
+
+    def test_reads_cached_ladders(self, worked_population, monkeypatch):
+        space = kernel_spaces(worked_population)
+        poles = RationalSpace(
+            [RatFun(Poly.one(), X), RatFun(X + 1, X**2)], [RatFun(X, (X - 1) * X**2), RatFun.one()]
+        )
+        for sp in (space, poles):
+            sp.even_exponents, sp.odd_exponents
+        calls = count_wronskians(monkeypatch)
+        is_gl_space(space)
+        assert calls == []
+        # only the m*n pair Wronskians, once each
+        is_gl_space(poles)
+        assert poles.even_denominator.degree > 0
+        assert sorted(len(c) for c in calls) == [2, 2, 2, 2]
 
     def test_pair_condition_extends_bilinearly(self, worked_population):
         # the pair-regularity condition, checked on basis pairs, holds for
