@@ -356,7 +356,7 @@ def _family_sibling_exists(pop: Population, point: BethePoint, i: int, family: R
 def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
     """Breadth-first closure of a seed under all reproductions.
 
-    Same-parity families are materialized at the supplied scalar samples
+    Same-parity families are materialized at the supplied distinct samples
     (the degeneration member is the node itself); each projective family
     line is sampled only once.  Reproductions are applied wherever the
     defining formulas stay exact; a direction where no reproduction exists
@@ -366,6 +366,8 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
     samples = [qq(c) for c in samples]
     if not samples:
         raise InvalidInput("population runs need at least one sample scalar")
+    if len(set(samples)) != len(samples):
+        raise InvalidInput("sample scalars must be pairwise distinct")
     if not bae_check_criterion(seed):
         raise CriterionFailed("seed fails the Bethe criterion")
     pop = Population(seed.problem)

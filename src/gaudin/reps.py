@@ -31,8 +31,9 @@ from .linalg import (
     nullspace,
     rank,
     solve_matrix,
+    transpose,
 )
-from .rational import Poly, Q, factor_rational_quadratic, qq, rational_roots
+from .rational import Poly, Q, factor_rational_quadratic, poly_gcd, qq, rational_roots
 from .weights import ParitySequence, Weight, swap_coords
 
 Sparse = dict[int, list[tuple[int, Fraction]]]
@@ -488,7 +489,9 @@ def _joint_eigen_decomposition(mats):
     """Split a list of commuting rational matrices into joint eigenspaces.
 
     Returns (spaces, irrational_dim) where spaces is a list of
-    (eigenvalue_tuple, column_basis) with rational eigenvalues only.
+    (eigenvalue_tuple, column_basis) with rational eigenvalues only.  Each
+    tuple arises from one (parent space, root) pair, and the lifted
+    nullspace basis stays independent, so no regrouping is needed.
     """
     dim = len(mats[0]) if mats else 0
     spaces = [((), identity(dim))]
@@ -500,35 +503,23 @@ def _joint_eigen_decomposition(mats):
             roots, rem = rational_roots(Poly(charpoly_coeffs(action)))
             if rem.degree > 0:
                 irrational += rem.degree
-            r = len(action)
             for root, _mult in roots:
-                shifted = mat_sub(action, mat_scale(identity(r), root))
-                for vec in nullspace(shifted):
-                    lifted = [
-                        sum((vec[j] * bmat[i][j] for j in range(r)), Q(0))
-                        for i in range(len(bmat))
-                    ]
-                    new_spaces.append((eigs + (root,), lifted))
-        regrouped: dict[tuple, list] = {}
-        for eigs, vec in new_spaces:
-            regrouped.setdefault(eigs, []).append(vec)
-        spaces = []
-        for eigs, vecs in regrouped.items():
-            vecs = independent_subset(vecs)
-            basis = [[v[i] for v in vecs] for i in range(len(vecs[0]))]
-            spaces.append((eigs, basis))
+                null = nullspace(mat_sub(action, mat_scale(identity(len(action)), root)))
+                new_spaces.append((eigs + (root,), mat_mul(bmat, transpose(null))))
+        spaces = new_spaces
     return spaces, irrational
 
 
 def _has_jordan_defect(mats) -> bool:
+    """Whether some rational eigenvalue has fewer eigenvectors than its
+    multiplicity.  Only repeated roots can fail: a root of multiplicity mu
+    in the characteristic polynomial f is a root of gcd(f, f') of
+    multiplicity mu - 1."""
     for m in mats:
-        coeffs = charpoly_coeffs(m)
-        roots, _ = rational_roots(Poly(coeffs))
+        f = Poly(charpoly_coeffs(m))
+        roots, _ = rational_roots(poly_gcd(f, f.derivative()))
         for root, mult in roots:
-            if mult < 2:
-                continue
-            shifted = mat_sub(m, mat_scale(identity(len(m)), root))
-            if rank(mat_mul(shifted, shifted)) < rank(shifted):
+            if len(nullspace(mat_sub(m, mat_scale(identity(len(m)), root)))) <= mult:
                 return True
     return False
 

@@ -48,15 +48,20 @@ def exponents(basis, place) -> list[int]:
     place = _as_place(place)
     if not basis:
         raise InvalidInput("exponents of the empty space")
-    return _exponent_table(basis, [place])[place]
+    return _exponent_table(_subset_wronskians(basis), [place])[place]
+
+
+def _subset_wronskians(basis) -> list[list[RatFun]]:
+    """Wronskians of the k-subsets of a basis, grouped by k = 1..len(basis)."""
+    return [[wronskian(subset) for subset in combinations(basis, k)] for k in range(1, len(basis) + 1)]
 
 
 class RationalSpace:
     """Even/odd pair of rational-function bases, with optional problem data.
 
-    The places, the even and odd exponent tables, their denominators and
-    the weight polynomials are computed on first use and cached, so the
-    bases must not change afterwards.
+    The Wronskian table, the places, the even and odd exponent tables,
+    their denominators and the weight polynomials are computed on first use
+    and cached, so the bases must not change afterwards.
     """
 
     def __init__(self, vbasis, ubasis, problem=None):
@@ -76,16 +81,23 @@ class RationalSpace:
         return f"RationalSpace({self.m}|{self.n})"
 
     @cached_property
+    def wronskians(self) -> tuple[list[list[RatFun]], list[list[RatFun]], list[RatFun]]:
+        """The even and the odd subset Wronskians, grouped by subset size,
+        and the m*n even/odd pair Wronskians, each computed once."""
+        pairs = [wronskian([v, u]) for v in self.vbasis for u in self.ubasis]
+        return _subset_wronskians(self.vbasis), _subset_wronskians(self.ubasis), pairs
+
+    @cached_property
     def places(self) -> list[Poly]:
         return detect_places(self)
 
     @cached_property
     def even_exponents(self) -> dict[Poly, list[int]]:
-        return _exponent_table(self.vbasis, self.places)
+        return _exponent_table(self.wronskians[0], self.places)
 
     @cached_property
     def odd_exponents(self) -> dict[Poly, list[int]]:
-        return _exponent_table(self.ubasis, self.places)
+        return _exponent_table(self.wronskians[1], self.places)
 
     @cached_property
     def even_denominator(self) -> Poly:
@@ -122,42 +134,29 @@ def detect_places(space: RationalSpace) -> list[Poly]:
     Wronskian) seeds the refinement, so each resulting place carries one
     uniform exponent ladder.
     """
+    even, odd, pairs = space.wronskians
     polys = []
-    for basis in (space.vbasis, space.ubasis):
-        for k in range(1, len(basis) + 1):
-            for subset in combinations(basis, k):
-                w = wronskian(subset)
-                polys += [w.num, w.den]
-    for v in space.vbasis:
-        for u in space.ubasis:
-            w = wronskian([v, u])
-            if not w.is_zero():
-                polys += [w.num, w.den]
+    for w in [w for ws in even + odd for w in ws] + pairs:
+        polys += [w.num, w.den]
     if space.problem is not None and space.problem.points is not None:
         for z in space.problem.points:
             polys.append(Poly((-z, 1)))
     return coprime_basis([p for p in polys if p.degree > 0])
 
 
-def _exponent_table(basis, places) -> dict[Poly, list[int]]:
-    """Exponent ladder of a basis at each place.
+def _exponent_table(by_size, places) -> dict[Poly, list[int]]:
+    """Exponent ladder at each place of a basis with the given subset
+    Wronskians (see :func:`_subset_wronskians`).
 
     Uses the subset-Wronskian characterization: the minimum over k-subsets
     of a basis of (order of the subset Wronskian) equals e_1+...+e_k minus
     the staircase correction, which pins the exponents one by one without
-    leaving exact rational arithmetic.  Each subset Wronskian is computed
-    once and read at every place.
+    leaving exact rational arithmetic.
     """
-    if not basis or not places:
+    if not by_size or not places:
         return {}
-    by_size = []
-    for k in range(1, len(basis) + 1):
-        ws = []
-        for subset in combinations(basis, k):
-            ws.append(wronskian(subset))
-            if ws[-1].is_zero():
-                raise InvalidFlag("dependent basis in exponent computation")
-        by_size.append(ws)
+    if any(w.is_zero() for ws in by_size for w in ws):
+        raise InvalidFlag("dependent basis in exponent computation")
     table = {}
     for pl in places:
         mins = [0] + [min(order_at_place(w, pl) for w in ws) for ws in by_size]
@@ -203,7 +202,8 @@ def is_gl_space(space: RationalSpace) -> tuple[bool, list[str]]:
 
     Clearing a basis by a polynomial g multiplies each k-subset Wronskian
     by g^k, so every exponent at a place shifts by the order of g there;
-    the cleared parts are read off the space's own exponent tables.
+    the cleared parts are read off the space's own exponent tables, and
+    the pair Wronskians off its Wronskian table.
     """
     m, n = space.m, space.n
     places, od = space.places, space.odd_exponents
@@ -218,21 +218,14 @@ def is_gl_space(space: RationalSpace) -> tuple[bool, list[str]]:
     # second staircase entry of the even part cleared by pv, divided by pv
     if m >= 2 and not _staircase(space.even_exponents, 1, 1).is_polynomial():
         failures.append("second even staircase entry not divisible by the denominator")
-    if n:
-        # last odd entry must be polynomial
-        if not _staircase(od, n - 1, -1).is_polynomial():
-            failures.append("top odd exponent exceeds its staircase bound")
-    for i in range(2, n + 1):
-        for pl in places:
-            # i-th exponent of the odd part cleared by pu
-            e = -(od[pl][i - 1] + max(-od[pl][0], 0)) + (i - 1)
-            if e > 0 and (not ratio.is_polynomial() or order_at_place(ratio, pl) <= 0):
-                failures.append(
-                    f"odd staircase zero at {pl.to_str()} not matched by the denominator ratio"
-                )
+    # The last odd staircase entry must be a polynomial.  The other odd
+    # entries have no zero to match against the denominator ratio: a
+    # strictly increasing ladder makes the i-th exponent cleared by pu at
+    # least i - 1, so i - 1 minus it is never positive.
+    if n and not _staircase(od, n - 1, -1).is_polynomial():
+        failures.append("top odd exponent exceeds its staircase bound")
     if m and n and pv.degree > 0:
-        pairs = [wronskian([v, u]) for v in space.vbasis for u in space.ubasis]
-        pairs = [w * RatFun(pv) for w in pairs if not w.is_zero()]
+        pairs = [w * RatFun(pv) for w in space.wronskians[2] if not w.is_zero()]
         for pl in places:
             if order_at_place(RatFun(pv), pl) <= 0:
                 continue

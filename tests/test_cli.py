@@ -234,6 +234,7 @@ class TestInputContract:
             ("gl11-spectrum", {"weights": [["1", "0"]] * 3, "points": "012"}, []),
             ("gl11-spectrum", {"weights": ["10", "10", "10"], "points": ["0", "1", "2"]}, []),
             ("gl11-spectrum", {"weights": [[1.5, 0], ["1", "0"]], "points": ["0", "1"]}, []),
+            ("population", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED}, ["--samples=0,0,1"]),
         ],
         ids=[
             "M-not-int",
@@ -266,6 +267,7 @@ class TestInputContract:
             "gl11-points-string",
             "gl11-weight-rows-string",
             "gl11-float-weight",
+            "repeated-samples",
         ],
     )
     def test_malformed_payload_exits_two(self, tmp_path, capsys, command, payload, options):

@@ -20,6 +20,9 @@ COMMANDS = {
     "population_worked_gl21_samples_5_7": ["population", "--input", "worked_gl21.json", "--samples=5,7"],
     "population_rational_gl21": ["population", "--input", "rational_gl21.json"],
     "selftest": ["selftest"],
+    "gl11_spectrum_four_sites": ["gl11-spectrum", "--input", "gl11_four_sites.json"],
+    "gl11_spectrum_irrational": ["gl11-spectrum", "--input", "gl11_irrational.json"],
+    "gl11_spectrum_double_root": ["gl11-spectrum", "--input", "gl11_double_root.json"],
 }
 
 

@@ -20,8 +20,9 @@ from gaudin import (
     weight_function,
 )
 from gaudin.errors import DegenerateInput, UnsupportedFactorization
-from gaudin.linalg import mat_mul, mat_vec, rank
-from gaudin.reps import gl11_eigenvalue, highest_vector_at, sparse_apply
+from gaudin.linalg import charpoly_coeffs, identity, mat_mul, mat_scale, mat_sub, mat_vec, rank, solve_matrix
+from gaudin.rational import rational_roots
+from gaudin.reps import _has_jordan_defect, gl11_eigenvalue, highest_vector_at, sparse_apply
 from conftest import random_gl11_system, solve_levels_for_roots
 
 X = Poly.x()
@@ -333,6 +334,83 @@ class TestSpectrumReport:
         assert report["jordan_defect"]
         assert report["counts_match"]  # 3 divisors, 3 eigenlines
         assert report["total_divisors"] == 3
+
+
+def rank_of_square_defect(mats):
+    """The definition: some rational eigenvalue r of some matrix H has
+    rank((H - r)^2) < rank(H - r)."""
+    for m in mats:
+        roots, _ = rational_roots(Poly(charpoly_coeffs(m)))
+        for root, _mult in roots:
+            shifted = mat_sub(m, mat_scale(identity(len(m)), root))
+            if rank(mat_mul(shifted, shifted)) < rank(shifted):
+                return True
+    return False
+
+
+def planted_matrix(rng):
+    """P J P^-1 for a random block-diagonal J, with the planted answer.
+
+    Blocks are rational Jordan blocks (sizes 1-3, eigenvalues drawn from a
+    small pool, so diagonalizable repeats occur) and the companion matrix
+    of x^2 + 1, sometimes doubled into a 4x4 block with an identity
+    coupling, which is not diagonalizable but has no rational eigenvalue.
+    """
+    blocks, size, planted = [], 0, False
+    while size < 2 or (size < 5 and rng.random() < 0.5):
+        kind = rng.choice(["jordan", "jordan", "jordan", "i", "i2"])
+        if kind == "jordan":
+            k = rng.randint(1, min(3, 6 - size))
+            lam = Q(rng.choice([-1, 0, 1, 2]), rng.choice([1, 2]))
+            block = [[lam if i == j else Q(1) if j == i + 1 else Q(0) for j in range(k)] for i in range(k)]
+            planted = planted or k >= 2
+        elif kind == "i":
+            block = [[Q(0), Q(-1)], [Q(1), Q(0)]]
+        else:
+            block = [[Q(0), Q(-1), Q(1), Q(0)], [Q(1), Q(0), Q(0), Q(1)],
+                     [Q(0), Q(0), Q(0), Q(-1)], [Q(0), Q(0), Q(1), Q(0)]]
+        blocks.append(block)
+        size += len(block)
+    jmat = [[Q(0)] * size for _ in range(size)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            jmat[at + i][at : at + len(row)] = row
+        at += len(block)
+    while True:
+        pmat = [[Q(rng.randint(-2, 2)) for _ in range(size)] for _ in range(size)]
+        if rank(pmat) == size:
+            break
+    return mat_mul(mat_mul(pmat, jmat), solve_matrix(pmat, identity(size))), planted
+
+
+class TestJordanDefect:
+    def test_agrees_with_rank_of_square(self):
+        rng = random.Random(1907)
+        outcomes = set()
+        for _ in range(40):
+            mats = [planted_matrix(rng) for _ in range(rng.randint(1, 2))]
+            got = _has_jordan_defect([m for m, _ in mats])
+            assert got == rank_of_square_defect([m for m, _ in mats])
+            assert got == any(planted for _, planted in mats)
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_root_searches_on_four_sites(self, monkeypatch):
+        # the bench-pool system of tests/golden/gl11_four_sites.json; a
+        # simple spectrum leaves only constants for the repeated-root search
+        import gaudin.reps
+
+        degrees = []
+        roots = gaudin.reps.rational_roots
+        monkeypatch.setattr(
+            gaudin.reps, "rational_roots", lambda f: degrees.append(f.degree) or roots(f)
+        )
+        pqs = [(4, 5), (11, 1), (5, 0), (20, 8)]
+        system = TensorSystem([gl11_module(p, q) for p, q in pqs], [-2, -1, 0, 3])
+        report = gl11_spectrum_report(system)
+        assert report["counts_match"] and not report["jordan_defect"]
+        assert len([d for d in degrees if d > 0]) <= 28
 
 
 class TestBridge:
