@@ -27,7 +27,7 @@ from .weights import (
     ParitySequence,
     ProblemData,
     cartan_pairing,
-    pair_weight_alpha,
+    site_table,
 )
 
 
@@ -197,11 +197,9 @@ def bae_check_direct(problem: ProblemData, parity: ParitySequence, tlists) -> bo
     if len(tlists) != size:
         raise InvalidInput("one root list per colour is required")
     tlists = [[qq(t) for t in ts] for ts in tlists]
-    coords = [w.coords_at(s) for w in problem.weights]
     zs = problem.points
-
-    def weight_pair(k: int, colour: int) -> Fraction:
-        return pair_weight_alpha(coords[k], s, colour)
+    # pairs[k][i] is (L_k, alpha_i^s); a missing colour pairs to zero
+    pairs = [dict(pairings) for _, _, pairings in site_table(s, problem.weights, zs)]
 
     # non-coincidence conditions
     flat = [(t, c + 1) for c, ts in enumerate(tlists) for t in ts]
@@ -210,7 +208,7 @@ def bae_check_direct(problem: ProblemData, parity: ParitySequence, tlists) -> bo
             if r != j and cartan_pairing(s, cr, cj) != 0 and tj == tr and cr != cj:
                 raise InvalidConfiguration("roots of interacting colours coincide")
         for k, z in enumerate(zs):
-            if tj == z and weight_pair(k, cj) != 0:
+            if tj == z and cj in pairs[k]:
                 raise InvalidConfiguration("root collides with an evaluation point")
     for colour in range(1, size + 1):
         ts_c = tlists[colour - 1]
@@ -222,7 +220,8 @@ def bae_check_direct(problem: ProblemData, parity: ParitySequence, tlists) -> bo
             for j, tj in enumerate(ts_c):
                 total = Q(0)
                 for k, z in enumerate(zs):
-                    total -= weight_pair(k, colour) / (tj - z)
+                    if colour in pairs[k]:
+                        total -= pairs[k][colour] / (tj - z)
                 for cr in range(1, size + 1):
                     pairing = cartan_pairing(s, cr, colour)
                     if pairing == 0:
@@ -238,9 +237,8 @@ def bae_check_direct(problem: ProblemData, parity: ParitySequence, tlists) -> bo
             # sum of -c_k/(t-z_k) plus the cross-colour interaction terms
             terms: list[tuple[Fraction, Fraction]] = []
             for k, z in enumerate(zs):
-                c = weight_pair(k, colour)
-                if c != 0:
-                    terms.append((-c, z))
+                if colour in pairs[k]:
+                    terms.append((-pairs[k][colour], z))
             for cr in range(1, size + 1):
                 if cr == colour:
                     continue
@@ -421,20 +419,19 @@ def verify_r_invariance(pop: Population) -> bool:
     return all(population_operator(p).same_operator(base) for p in pts[1:])
 
 
-def site_eigenvalues(point: BethePoint) -> dict[int, Fraction]:
+def table_eigenvalues(sites, ys) -> dict[int, Fraction]:
     """Quadratic-Hamiltonian eigenvalue at each admissible site k (1-based).
 
-    A site is admissible unless some y_i whose simple root pairs nonzero
-    with the site's weight vanishes there.  Root sums enter through
-    logarithmic derivatives of the y-entries, so no root extraction is
-    needed.
+    ``sites`` is a :func:`~gaudin.weights.site_table` and ``ys`` the tuple
+    (y_1 .. y_{M+N-1}) at the same parity.  A site is admissible unless
+    some y_i whose simple root pairs nonzero with the site's weight
+    vanishes there.  Root sums enter through logarithmic derivatives of the
+    y-entries, so no root extraction is needed.
     """
-    if point.problem.points is None:
-        raise InvalidInput("eigenvalues need rational evaluation points")
     out = {}
-    for k, (z, total, pairings) in enumerate(point.problem.parity_data(point.parity).sites, start=1):
+    for k, (z, total, pairings) in enumerate(sites, start=1):
         for i, pairing in pairings:
-            yi = point.y(i)
+            yi = ys[i - 1]
             value = yi(z)
             if value == 0:
                 break
@@ -442,6 +439,13 @@ def site_eigenvalues(point: BethePoint) -> dict[int, Fraction]:
         else:
             out[k] = total
     return out
+
+
+def site_eigenvalues(point: BethePoint) -> dict[int, Fraction]:
+    """:func:`table_eigenvalues` of a tuple at its problem's sites."""
+    if point.problem.points is None:
+        raise InvalidInput("eigenvalues need rational evaluation points")
+    return table_eigenvalues(point.problem.parity_data(point.parity).sites, point.ys)
 
 
 def admissible_sites(point: BethePoint) -> list[int]:

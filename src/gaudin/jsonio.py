@@ -84,7 +84,7 @@ def problem_to_json(problem: ProblemData) -> dict:
     out = {
         "M": problem.m,
         "N": problem.n,
-        "parity": list(problem.parity.entries),
+        "parity": list(ParitySequence.standard(problem.m, problem.n).entries),
         "weights": [[scalar_to_json(c) for c in w.coords] for w in problem.weights],
     }
     if problem.points is not None:
@@ -107,8 +107,10 @@ def problem_from_json(data) -> ProblemData:
         ts = data.get("Ts")
         if ts is not None:
             ts = [poly_from_json(t) for t in array_from_json(ts, "Ts")]
-        parity = parity_from_json(data["parity"]) if "parity" in data else None
-        return ProblemData(m, n, weights, points=points, ts=ts, parity=parity)
+        # the weights and Ts are standard-parity data; no other parity is read
+        if "parity" in data and parity_from_json(data["parity"]) != ParitySequence.standard(m, n):
+            raise InvalidInput(f"problem parity must be the standard parity of gl({m}|{n})")
+        return ProblemData(m, n, weights, points=points, ts=ts)
     except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed problem payload: {exc}") from exc
 

@@ -14,11 +14,17 @@ from .errors import (
     DegenerateInput,
     InternalInconsistency,
     NonRationalAntiderivative,
+    TooLarge,
     UnsupportedFactorization,
 )
 from .linalg import solve_linear
 
 Q = Fraction
+
+# rational_roots raises TooLarge beyond this many bits in an integer-scaled
+# end coefficient: trial division takes about 2^(n/2) steps on n bits, which
+# is 0.2 s of CPU at 40 bits and minutes at 60 (Python 3.11, one Xeon core).
+ROOT_SEARCH_BITS = 40
 
 
 def qq(value) -> Fraction:
@@ -358,6 +364,9 @@ def rational_roots(f: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     den_lcm = lcm(*(c.denominator for c in f.coeffs))
     ints = [int(c * den_lcm) for c in f.coeffs]
     a0, an = abs(ints[0]), abs(ints[-1])
+    bits = max(a0.bit_length(), an.bit_length())
+    if bits > ROOT_SEARCH_BITS:
+        raise TooLarge(f"rational root search: {bits}-bit end coefficient, budget {ROOT_SEARCH_BITS} bits")
     cands = set()
     for p in _divisors(a0):
         for q in _divisors(an):

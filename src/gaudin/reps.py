@@ -34,7 +34,8 @@ from .linalg import (
     transpose,
 )
 from .rational import Poly, Q, factor_rational_quadratic, poly_gcd, qq, rational_roots
-from .weights import ParitySequence, Weight, swap_coords
+from .bethe import table_eigenvalues
+from .weights import ParitySequence, Weight, site_table, swap_coords, weight_at_infinity
 
 Sparse = dict[int, list[tuple[int, Fraction]]]
 
@@ -469,22 +470,6 @@ def monic_divisors(f: Poly) -> list[Poly]:
     return sorted(set(out), key=lambda p: (p.degree, p.coeffs))
 
 
-def gl11_eigenvalue(ps, qs, zs, divisor: Poly, k: int) -> Fraction:
-    """Site-k eigenvalue attached to a monic divisor, root sums via ln'."""
-    n = len(zs)
-    zk = zs[k - 1]
-    total = Q(0)
-    for r in range(n):
-        if r != k - 1:
-            total += (ps[k - 1] * ps[r] - qs[k - 1] * qs[r]) / (zk - zs[r])
-    if divisor.degree > 0:
-        if divisor(zk) == 0:
-            raise InvalidConfiguration("divisor vanishes at an evaluation point")
-        h = ps[k - 1] + qs[k - 1]
-        total -= h * divisor.derivative()(zk) / divisor(zk)
-    return total
-
-
 def _joint_eigen_decomposition(mats):
     """Split a list of commuting rational matrices into joint eigenspaces.
 
@@ -524,6 +509,11 @@ def _has_jordan_defect(mats) -> bool:
     return False
 
 
+def _levels(sites) -> list[Fraction]:
+    """gl(1|1) levels h_k = (L_k, alpha_1) of site-table rows, 0 without a pairing."""
+    return [sum((c for _, c in pairings), Q(0)) for _, _, pairings in sites]
+
+
 def gl11_spectrum_report(system: TensorSystem) -> dict:
     """Divisor-vs-eigenvector bookkeeping for a gl(1|1) tensor system."""
     n = len(system.modules)
@@ -531,16 +521,14 @@ def gl11_spectrum_report(system: TensorSystem) -> dict:
         raise TooLarge("spectrum report guard: n <= 4")
     if (system.m, system.n) != (1, 1):
         raise InvalidInput("spectrum report is a gl(1|1) tool")
-    ps = [mod.weight.coords[0] for mod in system.modules]
-    qs = [mod.weight.coords[1] for mod in system.modules]
-    hs = [p + q for p, q in zip(ps, qs)]
+    parity = ParitySequence.standard(1, 1)
+    weights = [mod.weight for mod in system.modules]
+    sites = site_table(parity, weights, system.points)
+    hs = _levels(sites)
     if any(h == 0 for h in hs):
         raise InvalidInput("every factor must be a nontrivial gl(1|1) module")
-    zs = system.points
-    nt = master_polynomial(hs, zs)
+    nt = master_polynomial(hs, system.points)
     divisors = monic_divisors(nt)
-    p_tot, q_tot = sum(ps), sum(qs)
-    parity = ParitySequence.standard(1, 1)
     report = {
         "master_poly": nt,
         "weights": [],
@@ -552,7 +540,7 @@ def gl11_spectrum_report(system: TensorSystem) -> dict:
     }
     for l in range(0, n):
         degl = [d for d in divisors if d.degree == l]
-        weight_eps = (p_tot - l, q_tot + l)
+        weight_eps = weight_at_infinity(parity, weights, [l])
         sing = singular_space(system, parity, weight_eps)
         entry = {
             "degree": l,
@@ -576,11 +564,13 @@ def gl11_spectrum_report(system: TensorSystem) -> dict:
             entry["jordan_defect"] = _has_jordan_defect(restricted)
             eig_tuples = {eigs for eigs, _ in spaces}
             for d in degl:
-                expected = tuple(gl11_eigenvalue(ps, qs, zs, d, k) for k in range(1, n + 1))
+                # d divides the master polynomial, which is h_k prod_{j != k}
+                # (z_k - z_j) != 0 at z_k, so every site is admissible
+                expected = tuple(table_eigenvalues(sites, (d,)).values())
                 if expected not in eig_tuples:
                     report["eigenvalues_match"] = False
             if n == 3 and l == 1 and len(sing) == 2 and nt.degree == 2:
-                entry["disc_identity"] = _disc_identity(restricted, nt, hs, zs)
+                entry["disc_identity"] = _disc_identity(restricted, nt, hs, system.points)
         if entry["divisors"] != entry["eigenlines"]:
             report["counts_match"] = False
         report["jordan_defect"] = report["jordan_defect"] or entry["jordan_defect"]
@@ -625,17 +615,13 @@ def gl11_nonpoly_report(system: TensorSystem) -> dict:
     """Structure report for gl(1|1) systems with non-polynomial weights."""
     if (system.m, system.n) != (1, 1):
         raise InvalidInput("gl(1|1) only")
-    ps = [mod.weight.coords[0] for mod in system.modules]
-    qs = [mod.weight.coords[1] for mod in system.modules]
-    hs = [p + q for p, q in zip(ps, qs)]
-    zs = system.points
-    nt = master_polynomial(hs, zs)
-    p_tot, q_tot = sum(ps), sum(qs)
     parity = ParitySequence.standard(1, 1)
+    module_weights = [mod.weight for mod in system.modules]
+    nt = master_polynomial(_levels(site_table(parity, module_weights, system.points)), system.points)
     weights = system.all_weights()
     dims = {}
     for l in (1, 2):
-        target = (p_tot - l, q_tot + l)
+        target = weight_at_infinity(parity, module_weights, [l])
         dims[l] = sum(1 for w in weights if w == target)
     sing_all = []
     seen_weights = sorted(set(weights))

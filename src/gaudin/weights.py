@@ -288,14 +288,6 @@ def ratio_poly(ts, s: ParitySequence, i: int) -> Poly:
     return a * b
 
 
-def step_radical(ts, s: ParitySequence, i: int) -> Poly:
-    """Squarefree support of the position-i ratio polynomial."""
-    p = ratio_poly(ts, s, i)
-    if p.degree == 0:
-        return Poly.one()
-    return radical(p)
-
-
 def weight_polys_by_swaps(target: ParitySequence, ts_standard) -> list[Poly]:
     """Transport standard-parity weight polynomials to the target parity.
 
@@ -400,16 +392,32 @@ def weight_at_infinity(s: ParitySequence, weights, ls) -> tuple[Fraction, ...]:
     return tuple(total)
 
 
+def site_table(s: ParitySequence, weights, points) -> tuple:
+    """Per-site Gaudin data at parity s, one row per weight and point.
+
+    The k-th row is (z_k, sum_{r != k} (L_k, L_r) / (z_k - z_r), the nonzero
+    pairings (i, (L_k, alpha_i^s))) with L the s-highest weights.
+    """
+    eps = [w.eps_at(s) for w in weights]
+    rows = []
+    for k, (w, zk) in enumerate(zip(weights, points)):
+        total = Q(0)
+        for r, zr in enumerate(points):
+            if r != k:
+                total += pair_eps(eps[k], eps[r], s.m) / (zk - zr)
+        pairings = ((i, pair_weight_alpha(w.coords_at(s), s, i)) for i in range(1, len(s)))
+        rows.append((zk, total, tuple((i, c) for i, c in pairings if c != 0)))
+    return tuple(rows)
+
+
 class ParityData(NamedTuple):
     """Weight polynomials at one parity with each position's and site's data.
 
-    ``ratios[i - 1]`` is ``ratio_poly(ts, s, i)`` and ``radicals[i - 1]`` is
-    ``step_radical(ts, s, i)``.  At a mixed position ``fermionic[i - 1]`` is
-    the polynomial pi_i (T_i T_{i+1})' / (T_i T_{i+1}) with pi_i the radical;
-    it is None at a same-parity position.  ``sites[k - 1]`` is
-    (z_k, sum_{r != k} (L_k, L_r) / (z_k - z_r), the nonzero pairings
-    (i, (L_k, alpha_i^s))) with L the s-highest weights; it is empty when
-    the problem has no points.
+    ``ratios[i - 1]`` is ``ratio_poly(ts, s, i)`` and ``radicals[i - 1]`` its
+    squarefree support.  At a mixed position ``fermionic[i - 1]`` is the
+    polynomial pi_i (T_i T_{i+1})' / (T_i T_{i+1}) with pi_i the radical; it
+    is None at a same-parity position.  ``sites`` is the :func:`site_table`
+    of the problem; it is empty when the problem has no points.
     """
 
     ts: tuple[Poly, ...]
@@ -419,7 +427,7 @@ class ParityData(NamedTuple):
     sites: tuple[tuple[Fraction, Fraction, tuple[tuple[int, Fraction], ...]], ...]
 
     @staticmethod
-    def build(s: ParitySequence, ts, weights=(), points=None) -> "ParityData":
+    def build(s: ParitySequence, ts, weights, points) -> "ParityData":
         ts = tuple(ts)
         ratios = tuple(ratio_poly(ts, s, i) for i in range(1, len(s)))
         radicals = tuple(radical(p) for p in ratios)
@@ -427,17 +435,8 @@ class ParityData(NamedTuple):
             None if s[i] == s[i + 1] else p.derivative().exact_div(p.exact_div(r))
             for i, (p, r) in enumerate(zip(ratios, radicals), start=1)
         )
-        sites = []
-        if points is not None:
-            eps = [w.eps_at(s) for w in weights]
-            for k, (w, zk) in enumerate(zip(weights, points)):
-                total = Q(0)
-                for r, zr in enumerate(points):
-                    if r != k:
-                        total += pair_eps(eps[k], eps[r], s.m) / (zk - zr)
-                pairings = ((i, pair_weight_alpha(w.coords_at(s), s, i)) for i in range(1, len(s)))
-                sites.append((zk, total, tuple((i, c) for i, c in pairings if c != 0)))
-        return ParityData(ts, ratios, radicals, fermionic, tuple(sites))
+        sites = () if points is None else site_table(s, weights, points)
+        return ParityData(ts, ratios, radicals, fermionic, sites)
 
 
 class ProblemData:
@@ -451,7 +450,7 @@ class ProblemData:
     when both are given, ``ts`` must be the weight polynomials of the points.
     """
 
-    def __init__(self, m, n, weights, points=None, ts=None, parity=None):
+    def __init__(self, m, n, weights, points=None, ts=None):
         self.m = int(m)
         self.n = int(n)
         self.weights = tuple(weights)
@@ -466,9 +465,6 @@ class ProblemData:
                 raise InvalidInput("there must be one evaluation point per weight")
             if len(set(self.points)) != len(self.points):
                 raise InvalidPoints("evaluation points must be pairwise distinct")
-        self.parity = parity or ParitySequence.standard(self.m, self.n)
-        if (self.parity.m, self.parity.n) != (self.m, self.n):
-            raise InvalidInput("parity shape does not match problem shape")
         s0 = ParitySequence.standard(self.m, self.n)
         ts = None if ts is None else tuple(ts)
         if ts is not None and len(ts) != self.m + self.n:

@@ -121,6 +121,15 @@ class TestDirectCheck:
         with pytest.raises(InvalidConfiguration):
             bae_check_direct(prob, s, [[Q(0)]])
 
+    def test_root_at_a_point_whose_weight_pairs_to_zero(self):
+        # (1,1,0) pairs to zero with alpha_1, so its point 0 adds no pole to
+        # the colour-1 equation: -1/(0 - 1) - 1/(0 + 1) = 0
+        ws = [Weight(2, 1, c) for c in ((1, 1, 0), (1, 0, 0), (1, 0, 0))]
+        prob = ProblemData(2, 1, ws, points=[0, 1, -1])
+        s = ParitySequence.standard(2, 1)
+        assert bae_check_direct(prob, s, [[Q(0)], []])
+        assert not bae_check_direct(prob, s, [[Q(0)], [Q(2)]])
+
 
 def _rational_roots(p):
     from gaudin.rational import rational_roots

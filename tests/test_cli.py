@@ -235,6 +235,7 @@ class TestInputContract:
             ("gl11-spectrum", {"weights": ["10", "10", "10"], "points": ["0", "1", "2"]}, []),
             ("gl11-spectrum", {"weights": [[1.5, 0], ["1", "0"]], "points": ["0", "1"]}, []),
             ("population", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED}, ["--samples=0,0,1"]),
+            ("population", {"problem": dict(WORKED_PROBLEM, parity=[1, -1, 1]), "seed": WORKED_SEED}, []),
         ],
         ids=[
             "M-not-int",
@@ -268,6 +269,7 @@ class TestInputContract:
             "gl11-weight-rows-string",
             "gl11-float-weight",
             "repeated-samples",
+            "problem-parity-not-standard",
         ],
     )
     def test_malformed_payload_exits_two(self, tmp_path, capsys, command, payload, options):
@@ -284,6 +286,19 @@ class TestInputContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("unsupported: ")
+
+    def test_root_search_beyond_budget_exits_three(self, tmp_path, capsys):
+        # a restricted characteristic polynomial here has 53- and 67-bit
+        # scaled end coefficients, out of reach of trial division
+        payload = {
+            "weights": [["-13/1000", "-39/1000"], ["27/10", "0"], ["-576/125", "0"], ["0", "1"]],
+            "points": ["-2", "2", "3", "4"],
+        }
+        inp = write(tmp_path, "in.json", payload)
+        assert main(["gl11-spectrum", "--input", inp]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("unsupported: rational root search")
 
     def test_key_error_while_computing_propagates(self, tmp_path, monkeypatch):
         # only the read step turns Python errors into "bad input"

@@ -22,7 +22,9 @@ from gaudin import (
 from gaudin.errors import DegenerateInput, UnsupportedFactorization
 from gaudin.linalg import charpoly_coeffs, identity, mat_mul, mat_scale, mat_sub, mat_vec, rank, solve_matrix
 from gaudin.rational import rational_roots
-from gaudin.reps import _has_jordan_defect, gl11_eigenvalue, highest_vector_at, sparse_apply
+from gaudin.bethe import table_eigenvalues
+from gaudin.reps import _has_jordan_defect, _joint_eigen_decomposition, highest_vector_at, sparse_apply
+from gaudin.weights import site_table
 from conftest import random_gl11_system, solve_levels_for_roots
 
 X = Poly.x()
@@ -293,16 +295,19 @@ class TestSpectrumReport:
             assert report["total_divisors"] == report["total_eigenlines"] == 4
 
     def test_eigenvalue_formula_matches(self):
+        # the engine's site formula at the divisor x - t_1 is a joint
+        # eigenvalue tuple of the Hamiltonians on the degree-1 singular space
         rng = random.Random(4)
         pqs, zs, roots = random_gl11_system(rng)
         system = TensorSystem([gl11_module(p, q) for p, q in pqs], zs)
-        ps = [p for p, _ in pqs]
-        qs = [q for _, q in pqs]
-        divisor = Poly((-roots[0], 1))
-        e1 = gl11_eigenvalue(ps, qs, zs, divisor, 1)
-        # brute-force: the eigenline exists with this eigenvalue
-        report = gl11_spectrum_report(system)
-        assert report["eigenvalues_match"]
+        weights = [mod.weight for mod in system.modules]
+        values = table_eigenvalues(site_table(S11, weights, zs), (X - roots[0],))
+        sing = singular_space(system, S11, weight_at_infinity(S11, weights, [1]))
+        basis = [list(row) for row in zip(*sing)]
+        restricted = [solve_matrix(basis, mat_mul(system.hamiltonian(k), basis)) for k in (1, 2, 3)]
+        spaces, _ = _joint_eigen_decomposition(restricted)
+        assert list(values) == [1, 2, 3]
+        assert tuple(values.values()) in {eigs for eigs, _ in spaces}
 
     def test_double_root_jordan(self):
         # tuned instance: a double master root forces a Jordan block

@@ -21,7 +21,8 @@ from gaudin import (
     weight_polys_from_collisions,
 )
 from gaudin.errors import InvalidPartition, InvalidPoints, InvalidSwap, UnsupportedWeight
-from gaudin.weights import alpha_eps, ratio_poly, step_radical
+from gaudin.rational import radical
+from gaudin.weights import alpha_eps, ratio_poly
 
 X = Poly.x()
 S0_21 = ParitySequence.standard(2, 1)
@@ -200,7 +201,7 @@ class TestWeightPolys:
         s = S0_21
         ts = weight_polys(s, ws, zs)
         i = 2
-        r = step_radical(ts, s, i)
+        r = radical(ratio_poly(ts, s, i))
         swapped = weight_polys(s.swapped(i), ws, zs)
         assert swapped[i - 1] == ts[i] * r
         assert swapped[i] == ts[i - 1].exact_div(r)
