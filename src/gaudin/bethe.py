@@ -304,6 +304,7 @@ class Population:
         # (parity entries, direction i, coefficients of the entries other
         # than y_i) -> the nodes that share them
         self._lines: dict[tuple, list[BethePoint]] = {}
+        self._operator: OreFraction | None = None
 
     def add(self, point: BethePoint) -> tuple:
         key = point.key()
@@ -323,8 +324,10 @@ class Population:
         return out
 
     def operator(self) -> OreFraction:
-        first = next(iter(self.nodes.values()))
-        return population_operator(first)
+        """The population operator of the first node, built once (that node never changes)."""
+        if self._operator is None:
+            self._operator = population_operator(next(iter(self.nodes.values())))
+        return self._operator
 
 
 def _family_sibling_exists(pop: Population, point: BethePoint, i: int, family: ReproductionFamily) -> bool:
@@ -415,7 +418,7 @@ def verify_r_invariance(pop: Population) -> bool:
     pts = pop.points()
     if not pts:
         raise InvalidInput("empty population")
-    base = population_operator(pts[0])
+    base = pop.operator()
     return all(population_operator(p).same_operator(base) for p in pts[1:])
 
 

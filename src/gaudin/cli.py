@@ -150,7 +150,7 @@ def run_rpdo_equal(fa, fb):
 def run_space(seed, samples, max_depth):
     pop = populate(seed, samples, max_depth=max_depth)
     space = kernel_spaces(pop)
-    report = verify_operator_to_population(pop)
+    report = verify_operator_to_population(pop, space)
     payload = {
         "space": jsonio.space_to_json(space),
         "TW": [jsonio.poly_to_json(t) for t in space_weight_polys(space)],

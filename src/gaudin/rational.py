@@ -3,12 +3,14 @@
 Scalars are :class:`fractions.Fraction` throughout; nothing in the engine
 ever rounds.  Polynomials are dense coefficient tuples in ascending degree
 with trailing zeros trimmed, so the zero polynomial is the empty tuple.
+Multiplication, division and gcds work on the integer numerators over one
+common denominator and convert back to ``Fraction`` coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .errors import (
     DegenerateInput,
@@ -158,13 +160,14 @@ class Poly:
         other = _as_poly(other)
         if not self.coeffs or not other.coeffs:
             return Poly.zero()
-        out = [Q(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, da = _scaled(self.coeffs)
+        b, db = _scaled(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _from_ints(out, da * db)
 
     __rmul__ = __mul__
 
@@ -184,19 +187,11 @@ class Poly:
         other = _as_poly(other)
         if other.is_zero():
             raise DegenerateInput("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = other.degree
-        lcb = other.lc
-        quot = [Q(0)] * max(len(rem) - dq, 0)
-        for k in range(len(rem) - 1, dq - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            f = c / lcb
-            quot[k - dq] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k - dq + j] -= f * b
-        return Poly(quot), Poly(rem)
+        # self = a/da and other = b/db, so self = (db*q/(s*da)) * other + r/(s*da)
+        a, da = _scaled(self.coeffs)
+        b, db = _scaled(other.coeffs)
+        q, r, s = _pseudo_divmod(a, b)
+        return _from_ints(q, s * da, db), _from_ints(r, s * da)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -247,14 +242,97 @@ def _as_poly(value) -> Poly:
     raise TypeError(f"not a polynomial: {value!r}")
 
 
+def _scaled(coeffs) -> tuple[list[int], int]:
+    """Integers over one common denominator: coeffs[i] == ints[i] / den."""
+    den = 1
+    for c in coeffs:
+        d = c.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _from_ints(ints, den, mul=1) -> Poly:
+    """The polynomial with coefficients ints[i] * mul / den (ints trimmed)."""
+    # tuple() of a list, not of a generator: a generator's tuple is allocated
+    # at a guessed size and resized, which drains one of CPython's per-size
+    # tuple free lists into another and raises the peak memory of long runs.
+    if den == 1:
+        cs = [Fraction(c * mul) for c in ints]
+    else:
+        cs = [Fraction(c * mul, den) for c in ints]
+    p = object.__new__(Poly)
+    object.__setattr__(p, "coeffs", tuple(cs))
+    return p
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    """Integer q, r and s, a power of lc(b), with s*a == q*b + r and deg r < deg b.
+
+    a and b are trimmed and b is nonzero; q and r come back trimmed.  A step
+    scales by lc(b) only when the leading term it removes is not a multiple
+    of lc(b).
+    """
+    r = list(a)
+    n = len(b) - 1
+    lb = b[-1]
+    q = [0] * max(len(r) - n, 0)
+    s = 1
+    for k in range(len(r) - 1, n - 1, -1):
+        c = r[k]
+        if not c:
+            continue
+        f, m = divmod(c, lb)
+        if m:
+            r = [lb * x for x in r]
+            q = [lb * x for x in q]
+            s *= lb
+            f = c
+        q[k - n] = f
+        for j, y in enumerate(b, start=k - n):
+            r[j] -= f * y
+    del r[n:]
+    while r and not r[-1]:
+        r.pop()
+    return q, r, s
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """The integer vector divided by the gcd of its entries (nonzero input)."""
+    g = 0
+    for c in ints:
+        g = gcd(g, c)
+        if g == 1:
+            return ints
+    return [c // g for c in ints]
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
+    """Monic greatest common divisor by the primitive pseudo-remainder sequence.
+
+    Each step takes the pseudo-remainder of two primitive integer vectors
+    and divides out its content (Collins 1967; Knuth, TAOCP vol. 2, 4.6.1),
+    so no rational arithmetic happens until the final monic scaling.
+    """
     a, b = _as_poly(a), _as_poly(b)
     if a.is_zero() and b.is_zero():
         raise DegenerateInput("gcd of two zero polynomials")
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    if b.is_zero():
+        return a.monic()
+    if a.is_zero():
+        return b.monic()
+    u = _primitive(_scaled(a.coeffs)[0])
+    v = _primitive(_scaled(b.coeffs)[0])
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        r = _pseudo_divmod(u, v)[1]
+        if not r:
+            return _from_ints(v, v[-1])
+        u, v = v, _primitive(r)
+    return Poly.one()
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -361,25 +439,36 @@ def rational_roots(f: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
         roots.append((Q(0), k))
     if f.degree == 0:
         return roots, f
-    den_lcm = lcm(*(c.denominator for c in f.coeffs))
-    ints = [int(c * den_lcm) for c in f.coeffs]
+    ints = _scaled(f.coeffs)[0]
     a0, an = abs(ints[0]), abs(ints[-1])
     bits = max(a0.bit_length(), an.bit_length())
     if bits > ROOT_SEARCH_BITS:
         raise TooLarge(f"rational root search: {bits}-bit end coefficient, budget {ROOT_SEARCH_BITS} bits")
     cands = set()
+    qs = _divisors(an)
     for p in _divisors(a0):
-        for q in _divisors(an):
+        for q in qs:
             cands.add(Q(p, q))
             cands.add(Q(-p, q))
     for r in sorted(cands):
         m = 0
-        while f.degree > 0 and f(r) == 0:
+        while f.degree > 0 and _vanishes_at(ints, r.numerator, r.denominator):
             f = f.exact_div(Poly((-r, 1)))
+            ints = _scaled(f.coeffs)[0]
             m += 1
         if m:
             roots.append((r, m))
     return roots, f
+
+
+def _vanishes_at(ints: list[int], p: int, q: int) -> bool:
+    """Whether sum_i ints[i] * p^i * q^(n-i) is 0, that is, the polynomial vanishes at p/q."""
+    acc = 0
+    qk = 1
+    for c in reversed(ints):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc == 0
 
 
 def _divisors(n: int) -> list[int]:

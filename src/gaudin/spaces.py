@@ -380,16 +380,18 @@ def flag_from_factorization(space: RationalSpace, fac: CompleteFactorization) ->
     return SuperFlag(fac.parity, vorder, uorder)
 
 
-def verify_operator_to_population(pop: Population) -> dict:
+def verify_operator_to_population(pop: Population, space: RationalSpace | None = None) -> dict:
     """Check the flag/factorization/tuple triangle on every node.
 
     For each node: rebuild the flag from its factorization, confirm the
     generating map returns the node, and confirm the flag factorization
     agrees with the node factorization factorwise (the parities agree by
     construction, so the fractions then agree too).  Any mismatch raises
-    :class:`TheoremViolation`.
+    :class:`TheoremViolation`.  ``space`` is ``kernel_spaces(pop)``, built
+    here when not given.
     """
-    space = kernel_spaces(pop)
+    if space is None:
+        space = kernel_spaces(pop)
     expected = [t.monic() for t in pop.problem.ts_standard]
     report = {
         "space_polys_match": space_weight_polys(space) == expected,

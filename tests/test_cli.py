@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gaudin import bethe, cli, spaces
 from gaudin.cli import build_parser, main
 
 WORKED_PROBLEM = {
@@ -67,6 +68,14 @@ class TestPopulationCommand:
         assert payload["eigenvalues_conserved"] is True
         assert payload["eigenvalue_table"]
 
+    def test_operator_built_once_per_node(self, tmp_path, monkeypatch):
+        calls = []
+        build = bethe.population_operator
+        monkeypatch.setattr(bethe, "population_operator", lambda p: calls.append(p) or build(p))
+        inp = write(tmp_path, "in.json", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED})
+        assert main(["population", "--input", inp, "--out", str(tmp_path / "out.json")]) == 0
+        assert len(calls) == len({p.key() for p in calls}) == 12
+
 
 class TestSpaceCommand:
     def test_worked_example(self, tmp_path):
@@ -76,6 +85,20 @@ class TestSpaceCommand:
         payload = json.loads(out.read_text())
         assert payload["verification"]["space_polys_match"] is True
         assert payload["TW"] == WORKED_PROBLEM["Ts"]
+
+    def test_kernel_space_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = spaces.kernel_spaces
+
+        def counted(pop):
+            calls.append(pop)
+            return build(pop)
+
+        monkeypatch.setattr(cli, "kernel_spaces", counted)
+        monkeypatch.setattr(spaces, "kernel_spaces", counted)
+        inp = write(tmp_path, "in.json", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED})
+        assert main(["space", "--input", inp, "--out", str(tmp_path / "out.json")]) == 0
+        assert len(calls) == 1
 
     def test_atypical_exit_three(self, tmp_path):
         problem = {

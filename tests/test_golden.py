@@ -6,6 +6,7 @@ any of them changes the documented wire format or a result, and must
 re-record them on purpose.
 """
 
+import time
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,20 @@ def test_stdout_matches_recording(capsys, name):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+def test_large_point_output_and_budget(capsys):
+    """Coefficient growth: rational_gl21 with point 0 moved to 10^50.
+
+    The recording was made before the gcd and division kernels ran on
+    integers, when this run took about 7 s of CPU; the budget keeps the
+    run's cost from growing with the size of its coefficients again.
+    """
+    argv = ["population", "--input", str(GOLDEN / "rational_gl21_point_1e50.json"), "--max-depth", "3"]
+    start = time.process_time()
+    assert main(argv) == 0
+    elapsed = time.process_time() - start
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == (GOLDEN / "population_rational_gl21_point_1e50_depth3.stdout").read_bytes()
+    assert elapsed < 3.0

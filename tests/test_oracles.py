@@ -1,9 +1,11 @@
-"""Differential checks of the gcd layer against sympy.
+"""Differential checks of the polynomial and gcd layers against sympy.
 
 sympy is a test-only oracle here; the engine itself stays stdlib-only.
 Inputs are seeded random rational polynomials, many of them built from
 shared and repeated factors so that gcds, radicals and root
-multiplicities are nontrivial.
+multiplicities are nontrivial.  The ring kernels are also checked on
+wide inputs: degrees up to 20, mixed denominators and divisors whose
+leading coefficient has several digits.
 """
 
 import random
@@ -12,7 +14,8 @@ from fractions import Fraction as Q
 import pytest
 
 from gaudin import Poly, poly_gcd, radical
-from gaudin.rational import rational_roots
+from gaudin.errors import InternalInconsistency
+from gaudin.rational import rational_roots, squarefree_decomposition
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -49,6 +52,66 @@ def random_factored(rng):
             factor = random_poly(rng, 2)
         p = p * factor ** rng.randint(1, 2)
     return p
+
+
+def wide_scalar(rng, allow_zero=True):
+    """A rational with up to three digits above and below the line."""
+    while True:
+        c = Q(rng.randint(-999, 999), rng.choice((1, rng.randint(1, 9), rng.randint(10, 999))))
+        if c or allow_zero:
+            return c
+
+
+def wide_poly(rng, degree):
+    return Poly([wide_scalar(rng) for _ in range(degree)] + [wide_scalar(rng, False)])
+
+
+def wide_divisor(rng, degree):
+    """A nonzero polynomial whose leading coefficient has two or three digits."""
+    lead = Q(rng.choice((-1, 1)) * rng.randint(10, 999), rng.choice((1, rng.randint(2, 99))))
+    return Poly([wide_scalar(rng) for _ in range(degree)] + [lead])
+
+
+def test_mul_matches_sympy():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        a, b = wide_poly(rng, rng.randint(0, 20)), wide_poly(rng, rng.randint(0, 20))
+        assert a * b == from_sympy(to_sympy(a) * to_sympy(b)), seed
+        assert a * Poly.zero() == Poly.zero(), seed
+
+
+def test_divmod_matches_sympy():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        b = wide_divisor(rng, rng.randint(0, 10))
+        a = wide_poly(rng, rng.randint(0, 20))
+        q, r = divmod(a, b)
+        eq, er = sympy.div(to_sympy(a), to_sympy(b))
+        assert (q, r) == (from_sympy(eq), from_sympy(er)), seed
+        assert (a // b, a % b) == (q, r), seed
+
+
+def test_exact_div_matches_sympy():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        b = wide_divisor(rng, rng.randint(1, 10))
+        c = wide_poly(rng, rng.randint(0, 10))
+        a = b * c
+        assert a.exact_div(b) == from_sympy(to_sympy(a).exquo(to_sympy(b))) == c, seed
+        with pytest.raises(InternalInconsistency):
+            (a + Poly.one()).exact_div(b)
+
+
+def test_squarefree_decomposition_matches_sympy():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        f = random_factored(rng) * random_factored(rng) * random_factored(rng)
+        _, parts = to_sympy(f).sqf_list()
+        expected = sorted(
+            ((from_sympy(part.monic()), mult) for part, mult in parts if part.degree() > 0),
+            key=lambda t: (t[1], t[0].coeffs),
+        )
+        assert squarefree_decomposition(f) == expected, seed
 
 
 def test_gcd_matches_sympy():

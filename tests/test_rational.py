@@ -32,6 +32,8 @@ small_fraction = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
 )
 
+wide_fraction = st.fractions(min_value=-1000, max_value=1000, max_denominator=999)
+
 
 def small_poly(max_degree=3):
     return st.lists(small_fraction, min_size=0, max_size=max_degree + 1).map(Poly)
@@ -50,6 +52,16 @@ class TestPolyBasics:
     def test_divmod_reconstruction(self):
         a = X**4 - 3 * X + 1
         b = X**2 + 1
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+
+    @given(
+        a=st.lists(wide_fraction, max_size=13).map(Poly),
+        b=st.lists(wide_fraction, min_size=1, max_size=8).map(Poly).filter(bool),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_divmod_property(self, a, b):
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.degree < b.degree
