@@ -15,13 +15,14 @@ from fractions import Fraction
 from .errors import (
     CriterionFailed,
     DegenerateReproduction,
+    InternalInconsistency,
     InvalidConfiguration,
     InvalidInput,
     NotAdmissible,
     NotGeneric,
 )
 from .linalg import column_span_contains
-from .rational import Poly, Q, RatFun, first_order_poly_solutions, multiplicity, poly_gcd, qq
+from .rational import Poly, Q, RatFun, first_order_poly_solutions, log_deriv, multiplicity, poly_gcd, qq
 from .skew import CompleteFactorization, OreFraction
 from .weights import (
     ParitySequence,
@@ -267,12 +268,13 @@ def population_factorization(point: BethePoint) -> CompleteFactorization:
     folds to is the population operator.
     """
     s = point.parity
-    ts = point.ts()
-    prims = []
-    for i in range(1, len(s) + 1):
-        g = RatFun(ts[i - 1] * point.y(i - 1), point.y(i))
-        prims.append(g if s[i] == 1 else RatFun.one() / g)
-    return CompleteFactorization.from_primitives(s, prims)
+    return CompleteFactorization.from_primitives(s, [_primitive(point, i) for i in range(1, len(s) + 1)])
+
+
+def _primitive(point: BethePoint, i: int) -> RatFun:
+    """Primitive (T_i^s y_{i-1} / y_i)^(s_i) of factor i."""
+    g = RatFun(point.ts()[i - 1] * point.y(i - 1), point.y(i))
+    return g if point.parity[i] == 1 else RatFun.one() / g
 
 
 def population_operator(point: BethePoint) -> OreFraction:
@@ -364,6 +366,8 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
     is recorded in ``diagnostics`` instead of aborting the whole
     exploration.  Only the seed is checked for genericity.
     """
+    if max_depth < 0:
+        raise InvalidInput(f"max_depth must be at least 0, got {max_depth}")
     samples = [qq(c) for c in samples]
     if not samples:
         raise InvalidInput("population runs need at least one sample scalar")
@@ -413,13 +417,72 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
     return pop
 
 
+def _second_order(u: RatFun, v: RatFun) -> tuple[RatFun, RatFun]:
+    """Lower coefficients of (D - u)(D - v) = D^2 - (u + v) D + (u v - v')."""
+    return u + v, u * v - v.derivative()
+
+
+def _edge_keeps_operator(source: BethePoint, target: BethePoint, i: int) -> bool:
+    """Whether two tuples joined by a reproduction in direction i have one R.
+
+    When every factor other than i and i+1 is the same at both ends, R
+    agrees exactly when the pair of factors i, i+1 does (cancellation in
+    the division ring of pseudodifferential operators), and that is one
+    identity of second-order operators.  Any other edge compares the two
+    full operators.
+    """
+    s, size = source.parity, len(source.parity)
+    if 1 <= i < size and target.parity == s.swapped(i):
+        ts, tt = source.ts(), target.ts()
+        if all(source.y(j) == target.y(j) for j in range(1, size) if j != i) and all(
+            ts[j - 1] == tt[j - 1] for j in range(1, size + 1) if j not in (i, i + 1)
+        ):
+            a, b, c, d = (log_deriv(_primitive(p, j)) for p in (source, target) for j in (i, i + 1))
+            # The edge holds when (D-a)^(s_i) (D-b)^(s_(i+1)) equals
+            # (D-c)^(s_(i+1)) (D-d)^(s_i).  Moving the inverted factors across
+            # makes that (D-u)(D-v) = (D-w)(D-z): for (+,-), say,
+            # (D-a)(D-b)^(-1) = (D-c)^(-1)(D-d) becomes (D-c)(D-a) = (D-d)(D-b).
+            (u, v), (w, z) = {
+                (1, 1): ((a, b), (c, d)),
+                (-1, -1): ((b, a), (d, c)),
+                (1, -1): ((c, a), (d, b)),
+                (-1, 1): ((b, d), (a, c)),
+            }[s[i], s[i + 1]]
+            return _second_order(u, v) == _second_order(w, z)
+    return population_operator(source).same_operator(population_operator(target))
+
+
 def verify_r_invariance(pop: Population) -> bool:
-    """Whether the population operator agrees across all nodes."""
-    pts = pop.points()
-    if not pts:
+    """Whether every node of the population has the seed's operator R.
+
+    A reproduction in direction i changes y_i only, so of the factors
+    (D - a_j)^(s_j), a_j = s_j ln'(T_j y_{j-1} / y_j), it changes factors i
+    and i+1 alone.  Pseudodifferential operators form a division ring, so R is
+    unchanged across the edge exactly when the product of that pair is,
+    which :func:`_edge_keeps_operator` checks as one second-order identity.
+
+    Each node other than the seed is checked on the edge that first
+    reaches it from a node already reached, taking the edges in order.
+    Those discovery edges form a spanning tree rooted at the seed (the
+    first node), so equality along them is equality with the seed's R at
+    every node: the same verdict as comparing each node's R with the
+    seed's, with no R built unless an edge also changes something outside
+    its pair of factors.  ``populate`` records edges in
+    breadth-first order, so one pass reaches every node; a node it does
+    not reach raises :class:`InternalInconsistency`.
+    """
+    if not pop.nodes:
         raise InvalidInput("empty population")
-    base = pop.operator()
-    return all(population_operator(p).same_operator(base) for p in pts[1:])
+    reached = {next(iter(pop.nodes))}
+    for edge in pop.edges:
+        if edge.source not in reached or edge.target in reached:
+            continue
+        if not _edge_keeps_operator(pop.nodes[edge.source], pop.nodes[edge.target], edge.direction):
+            return False
+        reached.add(edge.target)
+    if len(reached) != len(pop.nodes):
+        raise InternalInconsistency("a node is not reached from the seed along the edges")
+    return True
 
 
 def table_eigenvalues(sites, ys) -> dict[int, Fraction]:

@@ -412,23 +412,6 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
     return report
 
 
-def sampled_degree_bounds(space: RationalSpace, flags) -> list[int]:
-    """Minimal generating-tuple degrees over the supplied flags.
-
-    The true per-direction minimum ranges over the whole flag variety;
-    this reports the minimum over the flags actually provided, which is an
-    upper-bound certificate for it.
-    """
-    flags = list(flags)
-    if not flags:
-        raise InvalidInput("degree bounds need at least one flag")
-    mins: list[int] | None = None
-    for flag in flags:
-        degs = [p.degree for p in generating_tuple(space, flag)]
-        mins = degs if mins is None else [min(a, b) for a, b in zip(mins, degs)]
-    return mins
-
-
 def basis_change_invariance(basis, place, trials, rng) -> bool:
     """Exponent sets are invariant under random invertible recombination."""
     base = exponents(basis, place)

@@ -1,13 +1,17 @@
+import json
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
 import gaudin.weights
+from gaudin import bethe, jsonio
 from gaudin import (
     BethePoint,
     OreFraction,
     ParitySequence,
+    Population,
     Poly,
     ProblemData,
     Weight,
@@ -28,6 +32,7 @@ from gaudin.bethe import _family_sibling_exists, fermionic_rhs
 from gaudin.errors import (
     CriterionFailed,
     DegenerateReproduction,
+    InternalInconsistency,
     InvalidConfiguration,
     InvalidInput,
     NotAdmissible,
@@ -396,6 +401,157 @@ class TestPopulationOperator:
             worked_problem, ParitySequence.standard(2, 1), [X**2 - 2, Poly.one()]
         )
         assert not population_operator(bad).same_operator(base)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_seed(name):
+    data = json.loads((GOLDEN / name).read_text())
+    return jsonio.point_from_json(jsonio.problem_from_json(data["problem"]), data["seed"])
+
+
+def golden_population(name, samples=(0, 1, 2), max_depth=16):
+    return populate(golden_seed(name), samples, max_depth=max_depth)
+
+
+def gl12_population():
+    """gl(1|2) with three (1,0,0) sites at 0, 1, 2: it has (-,-) edges."""
+    prob = ProblemData(1, 2, [Weight(1, 2, (1, 0, 0))] * 3, points=[0, 1, 2])
+    seed = BethePoint(prob, ParitySequence.standard(1, 2), [Poly.one()] * 2)
+    return populate(seed, [0, 1, 2], max_depth=3)
+
+
+def worked_from_mixed_parity():
+    """The worked problem grown one step from a node at parity (+,-,+), so
+    that one of its discovery edges has source signs (-,+)."""
+    problem = golden_seed("worked_gl21.json").problem
+    seed = BethePoint(problem, ParitySequence((1, -1, 1)), [Poly.one(), X**2])
+    return populate(seed, [0, 1, 2], max_depth=1)
+
+
+def per_node_invariance(pop):
+    """The reference check: every node's full R against the first node's."""
+    points = pop.points()
+    base = population_operator(points[0])
+    return all(population_operator(p).same_operator(base) for p in points[1:])
+
+
+def discovery_edges(pop):
+    """The first edge into each node other than the seed."""
+    seed_key = next(iter(pop.nodes))
+    return {e.target: e for e in reversed(pop.edges) if e.target != seed_key}
+
+
+def with_node(pop, key, point):
+    """A copy of the population whose node ``key`` is another tuple."""
+    out = Population(pop.problem)
+    out.nodes = dict(pop.nodes)
+    out.edges = list(pop.edges)
+    out.nodes[key] = point
+    return out
+
+
+def scaled_entry(point, j):
+    """The tuple with y_j multiplied by (x - 17)."""
+    ys = list(point.ys)
+    ys[j - 1] = ys[j - 1] * (X - 17)
+    return BethePoint(point.problem, point.parity, ys)
+
+
+def other_last_weight_poly(problem):
+    """The problem with its last standard-parity weight polynomial replaced by x - 5."""
+    ts = list(problem.ts_standard)
+    ts[-1] = X - 5
+    return ProblemData(problem.m, problem.n, problem.weights, ts=ts)
+
+
+def mutate_on_shape(pop, signs, mutate):
+    """The population with ``mutate(node, i)`` in place of the first node
+    whose discovery edge, in direction i, has source signs ``signs``."""
+    for key, edge in discovery_edges(pop).items():
+        s, i = pop.nodes[edge.source].parity, edge.direction
+        if (s[i], s[i + 1]) == signs:
+            return with_node(pop, key, mutate(pop.nodes[key], i))
+    raise AssertionError(f"no discovery edge with signs {signs}")
+
+
+@pytest.fixture
+def operator_builds(monkeypatch):
+    calls = []
+    build = bethe.population_operator
+    monkeypatch.setattr(bethe, "population_operator", lambda p: calls.append(p) or build(p))
+    return calls
+
+
+class TestRInvariance:
+    @pytest.mark.parametrize(
+        "grow",
+        [
+            lambda: golden_population("worked_gl21.json"),
+            lambda: golden_population("worked_gl21.json", samples=(5, 7)),
+            lambda: golden_population("rational_gl21.json"),
+            lambda: golden_population("rational_gl21_point_1e50.json", max_depth=3),
+            lambda: gl31_population(3),
+            gl12_population,
+            worked_from_mixed_parity,
+        ],
+        ids=[
+            "worked",
+            "worked-samples-5-7",
+            "rational",
+            "point-1e50-depth-3",
+            "gl31-depth-3",
+            "gl12",
+            "worked-from-mixed-parity",
+        ],
+    )
+    def test_agrees_with_per_node_check(self, grow, operator_builds):
+        pop = grow()
+        assert verify_r_invariance(pop)
+        # every discovery edge passes the two-factor identity: no full R is built
+        assert operator_builds == []
+        assert per_node_invariance(pop)
+
+    @pytest.mark.parametrize(
+        "grow, signs",
+        [
+            (lambda: golden_population("worked_gl21.json"), (1, 1)),
+            (gl12_population, (-1, -1)),
+            (lambda: golden_population("worked_gl21.json"), (1, -1)),
+            (worked_from_mixed_parity, (-1, 1)),
+        ],
+        ids=["even-even", "odd-odd", "even-odd", "odd-even"],
+    )
+    def test_mutation_on_each_pair_shape(self, grow, signs, operator_builds):
+        pop = mutate_on_shape(grow(), signs, scaled_entry)
+        assert not verify_r_invariance(pop)
+        assert operator_builds == []
+        assert not per_node_invariance(pop)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda point, i: scaled_entry(point, 3 - i),
+            lambda point, i: BethePoint(point.problem, point.parity.swapped(i + 1), point.ys),
+            lambda point, i: BethePoint(other_last_weight_poly(point.problem), point.parity, point.ys),
+        ],
+        ids=["entry-off-the-direction", "parity-off-the-pair", "weight-poly-off-the-pair"],
+    )
+    def test_mutation_off_the_edge_compares_full_operators(self, mutate, operator_builds):
+        pop = mutate_on_shape(golden_population("worked_gl21.json"), (1, 1), mutate)
+        assert not verify_r_invariance(pop)
+        assert len(operator_builds) == 2
+        assert not per_node_invariance(pop)
+
+    def test_unreached_node_is_inconsistent(self):
+        pop = golden_population("worked_gl21.json")
+        pop.edges = [e for e in pop.edges if e not in discovery_edges(pop).values()]
+        with pytest.raises(InternalInconsistency):
+            verify_r_invariance(pop)
+
+    def test_seed_only(self, worked_seed):
+        assert verify_r_invariance(populate(worked_seed, [0], max_depth=0))
 
 
 class TestEigenvalues:

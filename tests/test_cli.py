@@ -68,13 +68,21 @@ class TestPopulationCommand:
         assert payload["eigenvalues_conserved"] is True
         assert payload["eigenvalue_table"]
 
-    def test_operator_built_once_per_node(self, tmp_path, monkeypatch):
+    def test_operator_built_once_per_run(self, tmp_path, monkeypatch):
+        # the invariance check builds no R; the printed R is the one build
         calls = []
         build = bethe.population_operator
         monkeypatch.setattr(bethe, "population_operator", lambda p: calls.append(p) or build(p))
         inp = write(tmp_path, "in.json", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED})
         assert main(["population", "--input", inp, "--out", str(tmp_path / "out.json")]) == 0
-        assert len(calls) == len({p.key() for p in calls}) == 12
+        assert len(calls) == 1
+
+    def test_negative_depth_exit_two(self, tmp_path, capsys):
+        inp = write(tmp_path, "in.json", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED})
+        assert main(["population", "--input", inp, "--max-depth", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_depth" in captured.err
 
 
 class TestSpaceCommand:

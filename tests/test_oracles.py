@@ -1,4 +1,4 @@
-"""Differential checks of the polynomial and gcd layers against sympy.
+"""Differential checks of the polynomial, gcd and matrix layers against sympy.
 
 sympy is a test-only oracle here; the engine itself stays stdlib-only.
 Inputs are seeded random rational polynomials, many of them built from
@@ -15,6 +15,7 @@ import pytest
 
 from gaudin import Poly, poly_gcd, radical
 from gaudin.errors import InternalInconsistency
+from gaudin.linalg import charpoly_coeffs, mat_mul
 from gaudin.rational import rational_roots, squarefree_decomposition
 
 sympy = pytest.importorskip("sympy")
@@ -155,3 +156,39 @@ def test_rational_roots_match_sympy():
         for r, mult in roots:
             product = product * Poly([-r, 1]) ** mult
         assert product == f, seed
+
+
+def random_matrix(rng, n, kind):
+    """An n x n rational matrix: generic, singular (the last row a
+    combination of the others), or a conjugate P J Q of a block diagonal
+    matrix with a repeated eigenvalue and a Jordan block, Q = P^(-1)."""
+    if kind == "repeated":
+        eigen = [random_scalar(rng) for _ in range(rng.randint(1, n))]
+        diag = sorted(eigen[i % len(eigen)] for i in range(n))
+        j = [[diag[r] if r == c else Q(0) for c in range(n)] for r in range(n)]
+        for r in range(n - 1):
+            if diag[r] == diag[r + 1] and rng.random() < 0.5:
+                j[r][r + 1] = Q(1)
+        p = [[Q(int(r == c)) if c <= r else random_scalar(rng) for c in range(n)] for r in range(n)]
+        p_inv = sympy.Matrix(p).inv()
+        q = [[Q(int(e.p), int(e.q)) for e in p_inv.row(r)] for r in range(n)]
+        return mat_mul(mat_mul(p, j), q)
+    rows = [[random_scalar(rng) for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        weights = [random_scalar(rng) for _ in range(n - 1)]
+        rows[-1] = [sum((w * row[c] for w, row in zip(weights, rows)), Q(0)) for c in range(n)]
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["generic", "singular", "repeated"])
+def test_charpoly_matches_sympy(kind):
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = 1 + seed % 6
+        a = random_matrix(rng, n, kind)
+        m = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in a])
+        expected = [Q(int(c.p), int(c.q)) for c in reversed(m.charpoly(X).all_coeffs())]
+        got = charpoly_coeffs(a)
+        assert got == expected, (kind, seed)
+        if kind == "singular":
+            assert got[0] == 0, seed

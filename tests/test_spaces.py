@@ -464,21 +464,6 @@ class TestWronskiIdentity:
             trials += 1
 
 
-class TestDegreeBounds:
-    def test_worked_example(self, worked_population):
-        from gaudin.spaces import sampled_degree_bounds
-        from gaudin.bethe import population_factorization
-
-        space = kernel_spaces(worked_population)
-        flags = [
-            flag_from_factorization(space, population_factorization(p))
-            for p in worked_population.points()
-            if p.parity.is_standard()
-        ]
-        # the standard component realizes degrees (0, 0) at the seed
-        assert sampled_degree_bounds(space, flags) == [0, 0]
-
-
 class TestBijection:
     def test_worked_example(self, worked_population):
         report = verify_operator_to_population(worked_population)
