@@ -21,7 +21,6 @@ from .errors import (
     NotAdmissible,
     NotGeneric,
 )
-from .linalg import column_span_contains
 from .rational import Poly, Q, RatFun, first_order_poly_solutions, log_deriv, multiplicity, poly_gcd, qq
 from .skew import CompleteFactorization, OreFraction
 from .weights import (
@@ -337,21 +336,19 @@ def _family_sibling_exists(pop: Population, point: BethePoint, i: int, family: R
 
     Re-sampling such a family from a second basepoint would scatter fresh
     points over the same line forever, so exploration stops once the line
-    is witnessed by any other member.
+    is witnessed by any other member.  The line is span(particular, y) and
+    W(y, particular) = rhs, a nonzero polynomial, so a candidate lies on it
+    exactly when W(y, cand) is a scalar multiple of rhs.
     """
-    width = max(family.particular.degree, family.homogeneous.degree) + 1
-    span = [
-        list(family.particular.coeffs) + [Q(0)] * (width - len(family.particular.coeffs)),
-        list(family.homogeneous.coeffs) + [Q(0)] * (width - len(family.homogeneous.coeffs)),
-    ]
-    for other in pop._lines.get(_line_key(point, i), []):
-        if other is point:
-            continue
-        cand = other.ys[i - 1]
-        if cand.degree + 1 > width:
-            continue
-        vec = list(cand.coeffs) + [Q(0)] * (width - len(cand.coeffs))
-        if column_span_contains(span, vec):
+    cands = [other.ys[i - 1] for other in pop._lines.get(_line_key(point, i), []) if other is not point]
+    if not cands:
+        return False
+    y, particular = family.homogeneous, family.particular
+    dy = y.derivative()
+    line = (y * particular.derivative() - dy * particular).monic()
+    for cand in cands:
+        w = y * cand.derivative() - dy * cand
+        if not w or w.monic() == line:
             return True
     return False
 

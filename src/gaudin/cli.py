@@ -30,7 +30,6 @@ from .errors import (
     DegenerateInput,
     EngineError,
     InvalidInput,
-    InvalidPoints,
     TooLarge,
     UnsupportedFactorization,
     UnsupportedIrrationalRamification,
@@ -44,10 +43,11 @@ from .weights import ParitySequence, ProblemData, Weight
 # Errors that mean "malformed payload" when raised while reading it.
 # Raised while computing, the Python ones are bugs and propagate, and the
 # engine ones go through EXIT_CODES.
-MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, InvalidPoints, DegenerateInput)
+MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, DegenerateInput)
 
-# Engine errors by exit code and stderr label; the first matching row wins.
+# Failures by exit code and stderr label; the first matching row wins.
 EXIT_CODES = (
+    (OSError, 2, "I/O error"),
     (InvalidInput, 2, "bad input"),
     (
         (AtypicalUnsupported, UnsupportedFactorization, UnsupportedWeight, TooLarge,
@@ -60,13 +60,10 @@ EXIT_CODES = (
 
 
 def _load(path):
-    try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(_fail(f"cannot read input: {exc}", 2))
+    if path == "-":
+        return json.load(sys.stdin)
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _emit(payload, out_path):
@@ -76,11 +73,6 @@ def _emit(payload, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _fail(message, code):
-    sys.stderr.write(message + "\n")
-    return code
 
 
 def _parse_samples(text):
@@ -226,10 +218,11 @@ def main(argv=None) -> int:
             except MALFORMED as exc:
                 raise InvalidInput(exc) from exc
         payload, ok = args.run(*inputs)
-    except EngineError as exc:
+        _emit(payload, args.out)
+    except (EngineError, OSError) as exc:
         code, label = next((c, lbl) for types, c, lbl in EXIT_CODES if isinstance(exc, types))
-        return _fail(f"{label}: {exc}", code)
-    _emit(payload, args.out)
+        sys.stderr.write(f"{label}: {exc}\n")
+        return code
     return 0 if ok else 1
 
 

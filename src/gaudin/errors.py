@@ -33,12 +33,12 @@ class UnsupportedWeight(EngineError):
     """Operation defined only for polynomial weights."""
 
 
-class InvalidPoints(EngineError):
-    """Evaluation points must be pairwise distinct."""
-
-
 class InvalidInput(EngineError):
     """Malformed or inconsistent input data."""
+
+
+class InvalidPoints(InvalidInput):
+    """Evaluation points must be pairwise distinct."""
 
 
 class InternalInconsistency(EngineError):

@@ -95,24 +95,21 @@ def problem_to_json(problem: ProblemData) -> dict:
 
 
 def problem_from_json(data) -> ProblemData:
-    try:
-        m, n = _int_from_json(data["M"], "M"), _int_from_json(data["N"], "N")
-        weights = [
-            Weight(m, n, [scalar_from_json(c) for c in array_from_json(row, "weight")])
-            for row in array_from_json(data["weights"], "weights")
-        ]
-        points = data.get("points")
-        if points is not None:
-            points = [scalar_from_json(z) for z in array_from_json(points, "points")]
-        ts = data.get("Ts")
-        if ts is not None:
-            ts = [poly_from_json(t) for t in array_from_json(ts, "Ts")]
-        # the weights and Ts are standard-parity data; no other parity is read
-        if "parity" in data and parity_from_json(data["parity"]) != ParitySequence.standard(m, n):
-            raise InvalidInput(f"problem parity must be the standard parity of gl({m}|{n})")
-        return ProblemData(m, n, weights, points=points, ts=ts)
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"malformed problem payload: {exc}") from exc
+    m, n = _int_from_json(data["M"], "M"), _int_from_json(data["N"], "N")
+    weights = [
+        Weight(m, n, [scalar_from_json(c) for c in array_from_json(row, "weight")])
+        for row in array_from_json(data["weights"], "weights")
+    ]
+    points = data.get("points")
+    if points is not None:
+        points = [scalar_from_json(z) for z in array_from_json(points, "points")]
+    ts = data.get("Ts")
+    if ts is not None:
+        ts = [poly_from_json(t) for t in array_from_json(ts, "Ts")]
+    # the weights and Ts are standard-parity data; no other parity is read
+    if "parity" in data and parity_from_json(data["parity"]) != ParitySequence.standard(m, n):
+        raise InvalidInput(f"problem parity must be the standard parity of gl({m}|{n})")
+    return ProblemData(m, n, weights, points=points, ts=ts)
 
 
 def point_to_json(point: BethePoint) -> dict:
@@ -174,4 +171,4 @@ def _plain(value):
         return ratfun_to_json(value)
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
-    raise InvalidInput(f"cannot serialize {type(value).__name__}")
+    raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -444,21 +444,22 @@ def rational_roots(f: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     bits = max(a0.bit_length(), an.bit_length())
     if bits > ROOT_SEARCH_BITS:
         raise TooLarge(f"rational root search: {bits}-bit end coefficient, budget {ROOT_SEARCH_BITS} bits")
-    cands = set()
+    found = []
     qs = _divisors(an)
     for p in _divisors(a0):
         for q in qs:
-            cands.add(Q(p, q))
-            cands.add(Q(-p, q))
-    for r in sorted(cands):
-        m = 0
-        while f.degree > 0 and _vanishes_at(ints, r.numerator, r.denominator):
-            f = f.exact_div(Poly((-r, 1)))
-            ints = _scaled(f.coeffs)[0]
-            m += 1
-        if m:
-            roots.append((r, m))
-    return roots, f
+            if gcd(p, q) != 1:
+                continue
+            for num in (p, -p):
+                m = 0
+                while f.degree > 0 and _vanishes_at(ints, num, q):
+                    f = f.exact_div(Poly((Q(-num, q), 1)))
+                    ints = _scaled(f.coeffs)[0]
+                    m += 1
+                if m:
+                    found.append((Q(num, q), m))
+    # the remainder is unique, so only the order of the roots depends on the loop
+    return roots + sorted(found), f
 
 
 def _vanishes_at(ints: list[int], p: int, q: int) -> bool:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gaudin import bethe, cli, spaces
+from gaudin import bethe, cli, jsonio, spaces
 from gaudin.cli import build_parser, main
 
 WORKED_PROBLEM = {
@@ -44,9 +44,11 @@ class TestPopulationCommand:
         inp = write(tmp_path, "in.json", {"problem": WORKED_PROBLEM, "seed": bad_seed})
         assert main(["population", "--input", inp]) == 1
 
-    def test_missing_file_exit_two(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["population", "--input", str(tmp_path / "nope.json")])
+    def test_missing_file_exit_two(self, tmp_path, capsys):
+        assert main(["population", "--input", str(tmp_path / "nope.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("I/O error: ")
 
     def test_malformed_exit_two(self, tmp_path):
         inp = write(tmp_path, "in.json", {"problem": {"M": 1}})
@@ -330,6 +332,18 @@ class TestInputContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("unsupported: rational root search")
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        assert main(["selftest", "--out", str(tmp_path / "no-such-dir" / "x.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("I/O error: ")
+        assert "Traceback" not in captured.err
+
+    def test_unserializable_payload_is_a_type_error(self):
+        # a run step that returns such a payload has a bug; it is not bad input
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            jsonio.dumps({"value": object()})
 
     def test_key_error_while_computing_propagates(self, tmp_path, monkeypatch):
         # only the read step turns Python errors into "bad input"
