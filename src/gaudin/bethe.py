@@ -60,7 +60,7 @@ class BethePoint:
         return tuple(y.degree for y in self.ys)
 
     def key(self):
-        return (self.parity.entries, tuple(y.coeffs for y in self.ys))
+        return (self.parity.entries, self.ys)
 
     def __eq__(self, other):
         return isinstance(other, BethePoint) and self.key() == other.key()
@@ -290,7 +290,7 @@ class Edge:
 
 
 def _line_key(point: BethePoint, i: int) -> tuple:
-    others = tuple(y.coeffs for j, y in enumerate(point.ys) if j != i - 1)
+    others = point.ys[: i - 1] + point.ys[i:]
     return (point.parity.entries, i, others)
 
 

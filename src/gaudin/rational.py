@@ -1,16 +1,19 @@
 """Exact scalars, dense univariate polynomials and reduced rational functions.
 
 Scalars are :class:`fractions.Fraction` throughout; nothing in the engine
-ever rounds.  Polynomials are dense coefficient tuples in ascending degree
-with trailing zeros trimmed, so the zero polynomial is the empty tuple.
-Multiplication, division and gcds work on the integer numerators over one
-common denominator and convert back to ``Fraction`` coefficients.
+ever rounds.  A polynomial is stored as integers over one denominator: a
+tuple of integer coefficients in ascending degree with trailing zeros
+trimmed, and a positive denominator sharing no factor with all of them, so
+equal polynomials store equal data and the zero polynomial is the empty
+tuple over 1.  Arithmetic, gcds and evaluation work on these integers;
+``Poly.coeffs`` builds ``Fraction`` coefficients only for callers that want
+scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DegenerateInput,
@@ -41,33 +44,42 @@ def qq(value) -> Fraction:
 
 
 class Poly:
-    """Dense univariate polynomial with exact rational coefficients."""
+    """Dense univariate polynomial with exact rational coefficients.
 
-    __slots__ = ("coeffs",)
+    The coefficient of x^k is ``ints[k] / den``.  ``ints`` is a tuple of ints
+    with no trailing zero, ``den`` is positive and gcd(den, *ints) == 1.
+    """
+
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs=()):
         cs = [qq(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # reduced fractions over their least common denominator: no prime of
+        # it divides every numerator, so the pair is already canonical
+        ints, den = _scaled(cs)
+        self.ints = tuple(ints)
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return _poly((), 1)
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((1,))
+        return _poly((1,), 1)
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly((qq(c),))
+        c = qq(c)
+        return _poly((c.numerator,) if c else (), c.denominator)
 
     @staticmethod
     def x() -> "Poly":
-        return Poly((0, 1))
+        return _poly((0, 1), 1)
 
     @staticmethod
     def from_roots(roots) -> "Poly":
@@ -79,42 +91,48 @@ class Poly:
     # -- basic queries -------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as scalars, ascending degree; built on each read."""
+        den = self.den
+        return tuple([Fraction(c, den) for c in self.ints])
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial reported as -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def lc(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             return Q(0)
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.ints):
+            return Fraction(self.ints[k], self.den)
         return Q(0)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.ints == other.ints
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        return hash((self.den, self.ints))
 
     def __repr__(self):
         return f"Poly({self.to_str()})"
 
     def to_str(self, var: str = "x") -> str:
-        if not self.coeffs:
+        if not self.ints:
             return "0"
         parts = []
         for k in range(self.degree, -1, -1):
@@ -140,13 +158,24 @@ class Poly:
 
     def __add__(self, other):
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(k) + other.coeff(k) for k in range(n)])
+        a, b, den = self.ints, other.ints, self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            ma, mb = other.den // g, den // g
+            a, b, den = [c * ma for c in a], [c * mb for c in b], den * ma
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        while out and not out[-1]:
+            out.pop()
+        return _poly(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _poly([-c for c in self.ints], self.den)
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -156,18 +185,20 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+            if not other:
+                return Poly.zero()
+            m = other.numerator
+            return _poly([c * m for c in self.ints], self.den * other.denominator)
         other = _as_poly(other)
-        if not self.coeffs or not other.coeffs:
+        a, b = self.ints, other.ints
+        if not a or not b:
             return Poly.zero()
-        a, da = _scaled(self.coeffs)
-        b, db = _scaled(other.coeffs)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
-        return _from_ints(out, da * db)
+        return _poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -187,11 +218,12 @@ class Poly:
         other = _as_poly(other)
         if other.is_zero():
             raise DegenerateInput("division by the zero polynomial")
-        # self = a/da and other = b/db, so self = (db*q/(s*da)) * other + r/(s*da)
-        a, da = _scaled(self.coeffs)
-        b, db = _scaled(other.coeffs)
-        q, r, s = _pseudo_divmod(a, b)
-        return _from_ints(q, s * da, db), _from_ints(r, s * da)
+        # self = a/da and other = b/db, so self = (db*q/(s*da)) * other + r/(s*da);
+        # s is a power of lc(b), negative when lc(b) is, and _poly makes the
+        # denominators positive
+        q, r, s = _pseudo_divmod(self.ints, other.ints)
+        sd = s * self.den
+        return _poly([c * other.den for c in q], sd), _poly(r, sd)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -217,21 +249,22 @@ class Poly:
     # -- calculus and normal forms --------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+        a = self.ints
+        return _poly([k * a[k] for k in range(1, len(a))], self.den)
 
     def monic(self) -> "Poly":
         if self.is_zero():
             raise DegenerateInput("the zero polynomial has no monic form")
-        if self.lc == 1:
+        if self.ints[-1] == self.den:
             return self
-        return self * (1 / self.lc)
+        return _poly(self.ints, self.ints[-1])
 
     def __call__(self, z) -> Fraction:
+        if not self.ints:
+            return Q(0)
         z = qq(z)
-        acc = Q(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        q = z.denominator
+        return Fraction(_homogeneous(self.ints, z.numerator, q), self.den * q ** self.degree)
 
 
 def _as_poly(value) -> Poly:
@@ -254,26 +287,49 @@ def _scaled(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _from_ints(ints, den, mul=1) -> Poly:
-    """The polynomial with coefficients ints[i] * mul / den (ints trimmed)."""
+def _poly(ints, den: int) -> Poly:
+    """The polynomial sum ints[i] x^i / den, brought to canonical form.
+
+    ``ints`` is trimmed and ``den`` is a nonzero int of either sign.
+    """
+    if den != 1 and ints:
+        g = den
+        for c in ints:
+            g = gcd(g, c)
+            if g == 1:
+                break
+        if den < 0:
+            g = -g
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+    elif not ints:
+        den = 1
+    p = object.__new__(Poly)
     # tuple() of a list, not of a generator: a generator's tuple is allocated
     # at a guessed size and resized, which drains one of CPython's per-size
     # tuple free lists into another and raises the peak memory of long runs.
-    if den == 1:
-        cs = [Fraction(c * mul) for c in ints]
-    else:
-        cs = [Fraction(c * mul, den) for c in ints]
-    p = object.__new__(Poly)
-    object.__setattr__(p, "coeffs", tuple(cs))
+    p.ints = tuple(ints)
+    p.den = den
     return p
 
 
-def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+def _homogeneous(ints, p: int, q: int) -> int:
+    """sum_i ints[i] * p^i * q^(n-i) with n = len(ints) - 1: q^n times the value at p/q."""
+    acc = 0
+    qk = 1
+    for c in reversed(ints):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
+def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
     """Integer q, r and s, a power of lc(b), with s*a == q*b + r and deg r < deg b.
 
-    a and b are trimmed and b is nonzero; q and r come back trimmed.  A step
-    scales by lc(b) only when the leading term it removes is not a multiple
-    of lc(b).
+    a and b are trimmed integer sequences and b is nonzero; q and r come back
+    trimmed.  A step scales by lc(b) only when the leading term it removes is
+    not a multiple of lc(b).
     """
     r = list(a)
     n = len(b) - 1
@@ -299,7 +355,7 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], in
     return q, r, s
 
 
-def _primitive(ints: list[int]) -> list[int]:
+def _primitive(ints):
     """The integer vector divided by the gcd of its entries (nonzero input)."""
     g = 0
     for c in ints:
@@ -314,7 +370,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
     Each step takes the pseudo-remainder of two primitive integer vectors
     and divides out its content (Collins 1967; Knuth, TAOCP vol. 2, 4.6.1),
-    so no rational arithmetic happens until the final monic scaling.
+    so no rational arithmetic happens at all: the monic gcd is the last
+    primitive remainder over its own leading coefficient.
     """
     a, b = _as_poly(a), _as_poly(b)
     if a.is_zero() and b.is_zero():
@@ -323,14 +380,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return a.monic()
     if a.is_zero():
         return b.monic()
-    u = _primitive(_scaled(a.coeffs)[0])
-    v = _primitive(_scaled(b.coeffs)[0])
+    u = _primitive(a.ints)
+    v = _primitive(b.ints)
     if len(u) < len(v):
         u, v = v, u
     while len(v) > 1:
         r = _pseudo_divmod(u, v)[1]
         if not r:
-            return _from_ints(v, v[-1])
+            return _poly(v, v[-1])
         u, v = v, _primitive(r)
     return Poly.one()
 
@@ -430,16 +487,17 @@ def rational_roots(f: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     if f.is_zero():
         raise DegenerateInput("roots of the zero polynomial")
     roots: list[tuple[Fraction, int]] = []
-    # pull out x^k first
+    # pull out x^k first; dropping zeros keeps the pair canonical
+    ints = f.ints
     k = 0
-    while f.coeff(0) == 0 and f.degree > 0:
-        f = Poly(f.coeffs[1:])
+    while not ints[k]:
         k += 1
     if k:
+        ints = ints[k:]
+        f = _poly(ints, f.den)
         roots.append((Q(0), k))
     if f.degree == 0:
         return roots, f
-    ints = _scaled(f.coeffs)[0]
     a0, an = abs(ints[0]), abs(ints[-1])
     bits = max(a0.bit_length(), an.bit_length())
     if bits > ROOT_SEARCH_BITS:
@@ -452,24 +510,14 @@ def rational_roots(f: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
                 continue
             for num in (p, -p):
                 m = 0
-                while f.degree > 0 and _vanishes_at(ints, num, q):
+                while f.degree > 0 and not _homogeneous(ints, num, q):
                     f = f.exact_div(Poly((Q(-num, q), 1)))
-                    ints = _scaled(f.coeffs)[0]
+                    ints = f.ints
                     m += 1
                 if m:
                     found.append((Q(num, q), m))
     # the remainder is unique, so only the order of the roots depends on the loop
     return roots + sorted(found), f
-
-
-def _vanishes_at(ints: list[int], p: int, q: int) -> bool:
-    """Whether sum_i ints[i] * p^i * q^(n-i) is 0, that is, the polynomial vanishes at p/q."""
-    acc = 0
-    qk = 1
-    for c in reversed(ints):
-        acc = acc * p + c * qk
-        qk *= q
-    return acc == 0
 
 
 def _divisors(n: int) -> list[int]:
@@ -525,9 +573,8 @@ class RatFun:
         g = poly_gcd(num, den)
         if g.degree > 0:
             num, den = num.exact_div(g), den.exact_div(g)
-        lc = den.lc
-        if lc != 1:
-            num, den = num * (1 / lc), den * (1 / lc)
+        if den.ints[-1] != den.den:
+            num, den = num * Fraction(den.den, den.ints[-1]), den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -564,7 +611,7 @@ class RatFun:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("RatFun", self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     def __repr__(self):
         if self.is_polynomial():
@@ -716,16 +763,23 @@ def first_order_poly_solutions(p: Poly, q: Poly, rhs: Poly, bound: int):
     """
     # row k: coefficient of x^k in p (x^j)' - q x^j, for each unknown x^j
     nrows = max(p.degree + max(bound - 1, 0), q.degree + bound, rhs.degree) + 1
+    zero = Q(0)
+    pc, qc, rc = (dict(enumerate(f.coeffs)) for f in (p, q, rhs))
     rows = [
-        [(j * p.coeff(k - j + 1) if j >= 1 else Q(0)) - q.coeff(k - j) for j in range(bound + 1)]
+        [(j * pc.get(k - j + 1, zero) if j >= 1 else zero) - qc.get(k - j, zero) for j in range(bound + 1)]
         for k in range(nrows)
     ]
-    sol, null = solve_linear(rows, [rhs.coeff(k) for k in range(nrows)])
+    sol, null = solve_linear(rows, [rc.get(k, zero) for k in range(nrows)])
     return (None if sol is None else Poly(sol)), [Poly(v) for v in null]
 
 
 def _poly_antiderivative(p: Poly) -> Poly:
-    return Poly([Q(0)] + [c / (k + 1) for k, c in enumerate(p.coeffs)])
+    # sum c_k x^(k+1) / ((k+1) den) over the common denominator m * den
+    n = len(p.ints)
+    if not n:
+        return p
+    m = lcm(*range(1, n + 1))
+    return _poly([0] + [c * (m // (k + 1)) for k, c in enumerate(p.ints)], p.den * m)
 
 
 def rational_antiderivative(f) -> RatFun:

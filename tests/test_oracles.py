@@ -3,9 +3,10 @@
 sympy is a test-only oracle here; the engine itself stays stdlib-only.
 Inputs are seeded random rational polynomials, many of them built from
 shared and repeated factors so that gcds, radicals and root
-multiplicities are nontrivial.  The ring kernels are also checked on
-wide inputs: degrees up to 20, mixed denominators and divisors whose
-leading coefficient has several digits.
+multiplicities are nontrivial.  The ring kernels, derivatives, monic forms
+and evaluation are also checked on wide inputs: degrees up to 20, mixed
+denominators, leading coefficients of either sign with several digits,
+and evaluation points with large denominators.
 """
 
 import random
@@ -79,6 +80,41 @@ def test_mul_matches_sympy():
         a, b = wide_poly(rng, rng.randint(0, 20)), wide_poly(rng, rng.randint(0, 20))
         assert a * b == from_sympy(to_sympy(a) * to_sympy(b)), seed
         assert a * Poly.zero() == Poly.zero(), seed
+
+
+def test_add_sub_matches_sympy():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        a, b = wide_poly(rng, rng.randint(0, 12)), wide_divisor(rng, rng.randint(0, 12))
+        # c agrees with a above degree 2, so a - c cancels its leading terms
+        c = a + wide_poly(rng, 2)
+        for x, y in ((a, b), (b, a), (a, c)):
+            assert x + y == from_sympy(to_sympy(x) + to_sympy(y)), seed
+            assert x - y == from_sympy(to_sympy(x) - to_sympy(y)), seed
+        assert (a - a).is_zero(), seed
+
+
+def test_derivative_and_monic_match_sympy():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        a = wide_divisor(rng, rng.randint(0, 12))  # the leading coefficient has either sign
+        assert a.derivative() == from_sympy(to_sympy(a).diff(X)), seed
+        assert a.monic() == from_sympy(to_sympy(a).monic()), seed
+        assert (-a).monic() == a.monic(), seed
+
+
+def test_evaluation_matches_sympy():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        a = wide_divisor(rng, rng.randint(0, 12))
+        for z in (
+            Q(rng.randint(-9, 9)),
+            wide_scalar(rng),
+            Q(rng.randint(-(10**15), 10**15), rng.randint(1, 10**18)),
+        ):
+            value = to_sympy(a).eval(sympy.Rational(z.numerator, z.denominator))
+            assert a(z) == Q(int(value.p), int(value.q)), seed
+        assert Poly.zero()(Q(1, 3)) == 0
 
 
 def test_divmod_matches_sympy():

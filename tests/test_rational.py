@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +70,47 @@ class TestPolyBasics:
     def test_eval_horner(self):
         p = 2 * X**3 - X + 5
         assert p(Q(1, 2)) == Q(2, 8) - Q(1, 2) + 5
+
+
+def assert_canonical(p: Poly):
+    assert p.den > 0
+    assert gcd(p.den, *p.ints) == 1
+    assert not p.ints or p.ints[-1] != 0
+    assert Poly(p.coeffs) == p
+
+
+class TestStoredForm:
+    """Every way of building one polynomial stores the same (ints, den)."""
+
+    @given(
+        p=st.lists(wide_fraction, max_size=8).map(Poly),
+        b=st.lists(wide_fraction, min_size=1, max_size=6).map(Poly).filter(bool),
+        scale=wide_fraction.filter(bool),
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    def test_constructions_agree(self, p, b, scale):
+        d = b if b.lc < 0 else -b  # a divisor with a negative leading coefficient
+        q, r = divmod(p, d)
+        built = [
+            Poly(p.coeffs),
+            p + b - b,
+            (p * b).exact_div(b),
+            divmod(p * d, d)[0],
+            q * d + r,
+        ]
+        if p:
+            built.append((p * scale).monic() * p.lc)
+        for f in [p, q, r, *built]:
+            assert_canonical(f)
+        for f in built:
+            assert (f.ints, f.den) == (p.ints, p.den)
+            assert hash(f) == hash(p)
+
+    def test_zero_and_constants(self):
+        assert (Poly.zero().ints, Poly.zero().den) == ((), 1)
+        assert (X - X).den == 1
+        assert (Poly.const(Q(-6, 4)).ints, Poly.const(Q(-6, 4)).den) == ((-3,), 2)
+        assert (Poly([Q(1, 2), Q(1, 3)]).ints, Poly([Q(1, 2), Q(1, 3)]).den) == ((3, 2), 6)
 
 
 class TestGcd:
@@ -295,6 +337,13 @@ class TestFactorHelpers:
     def test_coprime_basis_refines(self):
         basis = coprime_basis([X**2 - 1, X - 1])
         assert {b.to_str() for b in basis} == {"x - 1", "x + 1"}
+
+    def test_sort_keys_order_by_value(self):
+        # x + 1/3 comes first by coefficient value, but would come second
+        # by the stored denominators (3 against 2)
+        assert coprime_basis([X + Q(1, 2), X + Q(1, 3)]) == [X + Q(1, 3), X + Q(1, 2)]
+        parts = factor_rational_quadratic((X + Q(1, 2)) * (X + Q(1, 3)))
+        assert parts == [(X + Q(1, 3), 1), (X + Q(1, 2), 1)]
 
     def test_factor_quadratic(self):
         parts = factor_rational_quadratic((X**2 + 1) ** 2 * (X - 2))
