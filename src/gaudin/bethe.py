@@ -493,12 +493,19 @@ def table_eigenvalues(sites, ys) -> dict[int, Fraction]:
     """
     out = {}
     for k, (z, total, pairings) in enumerate(sites, start=1):
+        a, b = z.numerator, z.denominator
         for i, pairing in pairings:
-            yi = ys[i - 1]
-            value = yi(z)
-            if value == 0:
+            # homogeneous Horner pass over the stored integers: h0 is
+            # b^d den y(a/b) and h1 is b^(d-1) den y'(a/b), so y'/y = b h1/h0
+            h0 = h1 = 0
+            bj = 1
+            for c in reversed(ys[i - 1].ints):
+                h1 = h1 * a + h0
+                h0 = h0 * a + c * bj
+                bj *= b
+            if h0 == 0:
                 break
-            total -= pairing * yi.derivative()(z) / value
+            total -= pairing * Fraction(b * h1, h0)
         else:
             out[k] = total
     return out

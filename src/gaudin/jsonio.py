@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .bethe import BethePoint, Population
 from .errors import InvalidInput
@@ -42,7 +43,14 @@ def array_from_json(data, what: str) -> list:
 
 
 def poly_to_json(p: Poly) -> list[str]:
-    return [scalar_to_json(c) for c in p.coeffs]
+    den = p.den
+    if den == 1:
+        return [str(c) for c in p.ints]
+    out = []
+    for c in p.ints:
+        g = gcd(c, den)
+        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+    return out
 
 
 def poly_from_json(data) -> Poly:
@@ -155,20 +163,20 @@ def space_to_json(space) -> dict:
 
 
 def dumps(payload) -> str:
-    return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
+    """Indented JSON text of a payload, keys sorted, with a final newline.
+
+    ``Fraction``, ``Poly`` and ``RatFun`` values are written in the wire
+    formats above; anything else must be plain JSON data.  Dict keys must
+    be strings: json sorts int keys by value, not as text.
+    """
+    return json.dumps(payload, sort_keys=True, indent=2, default=_plain) + "\n"
 
 
 def _plain(value):
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
     if isinstance(value, Fraction):
         return scalar_to_json(value)
     if isinstance(value, Poly):
         return poly_to_json(value)
     if isinstance(value, RatFun):
         return ratfun_to_json(value)
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
     raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -1,13 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of lists of :class:`~fractions.Fraction`; vectors
-are lists.  Everything is immutable-by-convention: functions never modify
-their arguments.
+Matrices are plain lists of lists of :class:`~fractions.Fraction` (ints are
+accepted too); vectors are lists.  Everything is immutable-by-convention:
+functions never modify their arguments.  Every solver here goes through
+:func:`solve_linear`, which eliminates on integer rows and builds
+``Fraction`` entries only for the vectors it returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InternalInconsistency
 
@@ -20,27 +23,34 @@ def solve_linear(rows, rhs):
     Returns ``(particular, nullspace_basis)``: the particular solution has
     all free variables set to zero, the basis spans the homogeneous
     solutions.  An inconsistent system returns ``(None, nullspace_basis)``.
+
+    Each augmented row is scaled by the lcm of its entries' denominators and
+    reduced Gauss-Jordan style on integers, pivoting on the first nonzero
+    entry of each column; every updated row is divided by its content.  Each
+    final row is a multiple of its row in the reduced row echelon form,
+    which is unique, so dividing by the pivot entry gives the same vectors
+    as elimination on Fractions.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    aug = [[Q(x) for x in row] + [Q(b)] for row, b in zip(rows, rhs)]
+    aug = [_primitive_row([*row, b]) for row, b in zip(rows, rhs)]
     pivots: list[int] = []
     r = 0
     for c in range(n):
         piv = None
         for i in range(r, m):
-            if aug[i][c] != 0:
+            if aug[i][c]:
                 piv = i
                 break
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
+        prow = aug[r]
+        p = prow[c]
         for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            f = aug[i][c]
+            if i != r and f:
+                aug[i] = _divided_by_content([p * x - f * y for x, y in zip(aug[i], prow)])
         pivots.append(c)
         r += 1
         if r == m:
@@ -52,14 +62,27 @@ def solve_linear(rows, rhs):
         vec = [Q(0)] * n
         vec[fc] = Q(1)
         for i, pc in enumerate(pivots):
-            vec[pc] = -aug[i][fc]
+            vec[pc] = Fraction(-aug[i][fc], aug[i][pc])
         null_basis.append(vec)
     if not consistent:
         return None, null_basis
     sol = [Q(0)] * n
     for i, pc in enumerate(pivots):
-        sol[pc] = aug[i][n]
+        sol[pc] = Fraction(aug[i][n], aug[i][pc])
     return sol, null_basis
+
+
+def _primitive_row(row) -> list[int]:
+    """Integers proportional to a row of ints and Fractions, with content 1."""
+    den = lcm(*[x.denominator for x in row])
+    return _divided_by_content([x.numerator * (den // x.denominator) for x in row])
+
+
+def _divided_by_content(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    if g > 1:
+        return [x // g for x in row]
+    return row
 
 
 def nullspace(rows):

@@ -761,15 +761,16 @@ def first_order_poly_solutions(p: Poly, q: Poly, rhs: Poly, bound: int):
     Returns (particular or None, homogeneous basis).  The particular
     solution sets the free coefficients of the linear system to zero.
     """
-    # row k: coefficient of x^k in p (x^j)' - q x^j, for each unknown x^j
+    # row k: coefficient of x^k in p (x^j)' - q x^j, for each unknown x^j,
+    # with the equation scaled to integers by lcm(p.den, q.den, rhs.den)
     nrows = max(p.degree + max(bound - 1, 0), q.degree + bound, rhs.degree) + 1
-    zero = Q(0)
-    pc, qc, rc = (dict(enumerate(f.coeffs)) for f in (p, q, rhs))
+    den = lcm(p.den, q.den, rhs.den)
+    pc, qc, rc = ({i: c * (den // f.den) for i, c in enumerate(f.ints)} for f in (p, q, rhs))
     rows = [
-        [(j * pc.get(k - j + 1, zero) if j >= 1 else zero) - qc.get(k - j, zero) for j in range(bound + 1)]
+        [(j * pc.get(k - j + 1, 0) if j >= 1 else 0) - qc.get(k - j, 0) for j in range(bound + 1)]
         for k in range(nrows)
     ]
-    sol, null = solve_linear(rows, [rc.get(k, zero) for k in range(nrows)])
+    sol, null = solve_linear(rows, [rc.get(k, 0) for k in range(nrows)])
     return (None if sol is None else Poly(sol)), [Poly(v) for v in null]
 
 

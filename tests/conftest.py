@@ -106,3 +106,40 @@ def random_gl11_system(rng: random.Random):
             p = rng.randint(1, h)
             pqs.append((p, h - p))
         return pqs, zs, sorted([t1, t2])
+
+
+LINEAR_SYSTEM_KINDS = ("full", "deficient", "inconsistent", "zero_rows", "ints", "huge")
+
+
+def random_linear_system(rng: random.Random, kind: str):
+    """Seeded rows and right-hand side of a rational system A x = b.
+
+    ``deficient`` and ``inconsistent`` repeat combinations of earlier rows,
+    the second with a right-hand side off the column span; ``zero_rows``
+    mixes in all-zero rows; ``ints`` has int entries only; ``huge`` has
+    entries near 10^50 over small denominators.
+    """
+    m, n = rng.randint(1, 6), rng.randint(1, 6)
+
+    def entry():
+        if kind == "ints":
+            return rng.randint(-9, 9)
+        if kind == "huge":
+            return Q(10**50 + rng.randint(-10**6, 10**6), rng.randint(1, 7)) * rng.choice([-1, 1])
+        return Q(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.8 else Q(0)
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    rhs = [entry() for _ in range(m)]
+    if kind in ("deficient", "inconsistent"):
+        for _ in range(rng.randint(1, 3)):
+            ws = [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in rows]
+            rows.append([sum((w * row[c] for w, row in zip(ws, rows)), Q(0)) for c in range(n)])
+            rhs.append(sum((w * b for w, b in zip(ws, rhs)), Q(0)))
+        if kind == "inconsistent":
+            rhs[-1] += 1
+    elif kind == "zero_rows":
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, len(rows))
+            rows.insert(i, [Q(0)] * n)
+            rhs.insert(i, Q(0))
+    return rows, rhs

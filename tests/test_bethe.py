@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as Q
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -635,6 +636,61 @@ class TestEigenvalues:
         pop = gl31_population(2)
         assert eigenvalue_conservation(pop)
         assert len(calls) <= len(pop.by_parity()) * len(pop.problem.weights)
+
+
+def evaluated_eigenvalues(sites, ys):
+    """table_eigenvalues by evaluating y_i and y_i' at each site."""
+    out = {}
+    for k, (z, total, pairings) in enumerate(sites, start=1):
+        for i, pairing in pairings:
+            value = ys[i - 1](z)
+            if value == 0:
+                break
+            total -= pairing * ys[i - 1].derivative()(z) / value
+        else:
+            out[k] = total
+    return out
+
+
+class TestTableEigenvalues:
+    # (z, sum over the other sites, nonzero pairings (i, (L_k, alpha_i)))
+    SITES = (
+        (Q(-3, 2), Q(1, 3), ((1, Q(1)), (2, Q(-2, 5)))),
+        (Q(0), Q(-7), ((2, Q(3)),)),
+        (Q(5, 7), Q(2), ((1, Q(-1, 2)), (2, Q(1)), (3, Q(4)))),
+        (Q(-4), Q(0), ((3, Q(1)),)),
+    )
+
+    def test_several_sites(self):
+        ys = (X**2 - Q(1, 3) * X + 5, 3 * X**3 + Q(2, 9), Q(-4, 5) * X + 7)
+        got = bethe.table_eigenvalues(self.SITES, ys)
+        assert got == evaluated_eigenvalues(self.SITES, ys)
+        assert list(got) == [1, 2, 3, 4]
+        assert len(set(got.values())) == 4
+
+    def test_root_at_one_site_is_not_admissible(self):
+        # y_2 vanishes at z_3 = 5/7 only, and y_2 pairs nonzero with site 3
+        ys = (Poly.one(), (7 * X - 5) * (X + 1), X - 9)
+        got = bethe.table_eigenvalues(self.SITES, ys)
+        assert list(got) == [1, 2, 4]
+        assert got == evaluated_eigenvalues(self.SITES, ys)
+
+    def test_constant_ys_leave_the_site_sums(self):
+        ys = (Poly.const(Q(-3, 4)), Poly.one(), Poly.const(2))
+        assert bethe.table_eigenvalues(self.SITES, ys) == {
+            k: total for k, (_, total, _) in enumerate(self.SITES, start=1)
+        }
+
+    def test_random_tuples(self):
+        rng = random.Random(485)
+        for _ in range(60):
+            ys = []
+            for _ in range(3):
+                y = Poly([Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))])
+                if not y or rng.random() < 0.2:
+                    y = y * (X - rng.choice(self.SITES)[0]) if y else Poly.one()
+                ys.append(y)
+            assert bethe.table_eigenvalues(self.SITES, ys) == evaluated_eigenvalues(self.SITES, ys)
 
 
 def rational_gl21_population():

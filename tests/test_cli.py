@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gaudin import bethe, cli, jsonio, spaces
+from gaudin import Poly, RatFun, bethe, cli, jsonio, spaces
 from gaudin.cli import build_parser, main
 
 WORKED_PROBLEM = {
@@ -371,3 +373,40 @@ class TestParser:
     def test_options_per_subcommand(self, command, options):
         args = build_parser().parse_args([command])
         assert set(vars(args)) - {"command", "read", "run"} == options
+
+
+class TestWireFormat:
+    @given(
+        coeffs=st.lists(
+            st.one_of(
+                st.just(Q(0)),
+                st.integers(-10**6, 10**6).map(Q),
+                st.fractions(min_value=-1000, max_value=1000, max_denominator=999),
+            ),
+            max_size=8,
+        )
+    )
+    @example(coeffs=[Q(-4), Q(0), Q(0), Q(7), Q(0), Q(-1)])
+    @example(coeffs=[Q(1, 6), Q(0), Q(-5, 4), Q(2)])
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    def test_poly_coefficients_as_scalars(self, coeffs):
+        p = Poly(coeffs)
+        assert jsonio.poly_to_json(p) == [str(c) for c in p.coeffs]
+
+    def test_dumps_bytes(self):
+        x = Poly.x()
+        payload = {
+            "z": [Q(-6, 4), (Q(3), None, True)],
+            "a": {
+                "poly": Poly([Q(1, 2), 0, Q(-5, 3)]),
+                "ratfun": RatFun(2 * x - 1, 4 * x**2),
+                "pair": (Poly.zero(), 7),
+            },
+        }
+        assert jsonio.dumps(payload) == (
+            '{\n  "a": {\n    "pair": [\n      [],\n      7\n    ],\n'
+            '    "poly": [\n      "1/2",\n      "0",\n      "-5/3"\n    ],\n'
+            '    "ratfun": {\n      "den": [\n        "0",\n        "0",\n        "1"\n      ],\n'
+            '      "num": [\n        "-1/4",\n        "1/2"\n      ]\n    }\n  },\n'
+            '  "z": [\n    "-3/2",\n    [\n      "3",\n      null,\n      true\n    ]\n  ]\n}\n'
+        )

@@ -24,6 +24,7 @@ COMMANDS = {
     "gl11_spectrum_four_sites": ["gl11-spectrum", "--input", "gl11_four_sites.json"],
     "gl11_spectrum_irrational": ["gl11-spectrum", "--input", "gl11_irrational.json"],
     "gl11_spectrum_double_root": ["gl11-spectrum", "--input", "gl11_double_root.json"],
+    "population_gl31_depth3": ["population", "--input", "gl31.json", "--max-depth", "3", "--samples=-6,-5,1"],
 }
 
 

@@ -16,8 +16,10 @@ import pytest
 
 from gaudin import Poly, poly_gcd, radical
 from gaudin.errors import InternalInconsistency
-from gaudin.linalg import charpoly_coeffs, mat_mul
+from gaudin.linalg import charpoly_coeffs, mat_mul, solve_linear
 from gaudin.rational import rational_roots, squarefree_decomposition
+
+from conftest import LINEAR_SYSTEM_KINDS, random_linear_system
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -228,3 +230,36 @@ def test_charpoly_matches_sympy(kind):
         assert got == expected, (kind, seed)
         if kind == "singular":
             assert got[0] == 0, seed
+
+
+def from_rational(e) -> Q:
+    return Q(int(e.p), int(e.q))
+
+
+def rref_solution(rows, rhs):
+    """Particular solution (free variables 0, None when inconsistent) and
+    nullspace basis read off sympy's reduced row echelon form of [A | b]."""
+    n = len(rows[0])
+    aug = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in [*row, b]] for row, b in zip(rows, rhs)])
+    reduced, pivots = aug.rref()
+    null = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Q(0)] * n
+        vec[fc] = Q(1)
+        for i, pc in enumerate(pivots):
+            if pc < n:
+                vec[pc] = -from_rational(reduced[i, fc])
+        null.append(vec)
+    if n in pivots:
+        return None, null
+    sol = [Q(0)] * n
+    for i, pc in enumerate(pivots):
+        sol[pc] = from_rational(reduced[i, n])
+    return sol, null
+
+
+@pytest.mark.parametrize("kind", LINEAR_SYSTEM_KINDS)
+def test_solve_linear_matches_sympy_rref(kind):
+    for seed in range(30):
+        rows, rhs = random_linear_system(random.Random(f"rref/{kind}/{seed}"), kind)
+        assert solve_linear(rows, rhs) == rref_solution(rows, rhs), (kind, seed)

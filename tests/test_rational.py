@@ -27,6 +27,8 @@ from gaudin.rational import (
     squarefree_decomposition,
 )
 
+from conftest import LINEAR_SYSTEM_KINDS, random_linear_system
+
 X = Poly.x()
 
 small_fraction = st.fractions(
@@ -311,6 +313,61 @@ class TestSolveLinear:
                     ai[r][i] = b[r]
                 assert sol[i] == _det3(ai) / det
             done += 1
+
+
+    @pytest.mark.parametrize("kind", LINEAR_SYSTEM_KINDS)
+    def test_matches_fraction_elimination(self, kind):
+        for seed in range(40):
+            rows, rhs = random_linear_system(random.Random(f"{kind}/{seed}"), kind)
+            expected = _fraction_gauss_jordan(rows, rhs)
+            got = solve_linear(rows, rhs)
+            assert got == expected, (kind, seed)
+            assert all(isinstance(x, Q) for v in [got[0] or [], *got[1]] for x in v)
+            if kind == "inconsistent":
+                assert got[0] is None
+
+    def test_arguments_unchanged(self):
+        rows, rhs = [[Q(1, 2), 3], [0, Q(-2, 7)]], [Q(5, 3), 1]
+        solve_linear(rows, rhs)
+        assert rows == [[Q(1, 2), 3], [0, Q(-2, 7)]] and rhs == [Q(5, 3), 1]
+
+
+def _fraction_gauss_jordan(rows, rhs):
+    """Gauss-Jordan elimination on Fractions, each pivot row scaled to 1:
+    the reference for solve_linear's integer elimination."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [[Q(x) for x in row] + [Q(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    null_basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Q(0)] * n
+        vec[fc] = Q(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -aug[i][fc]
+        null_basis.append(vec)
+    if any(aug[i][n] != 0 for i in range(r, m)):
+        return None, null_basis
+    sol = [Q(0)] * n
+    for i, pc in enumerate(pivots):
+        sol[pc] = aug[i][n]
+    return sol, null_basis
 
 
 def _det3(m):
