@@ -380,6 +380,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return a.monic()
     if a.is_zero():
         return b.monic()
+    if a.degree == 0 or b.degree == 0:
+        return Poly.one()
     u = _primitive(a.ints)
     v = _primitive(b.ints)
     if len(u) < len(v):
@@ -558,7 +560,15 @@ def factor_rational_quadratic(f: Poly) -> list[tuple[Poly, int]]:
 
 
 class RatFun:
-    """Reduced fraction of polynomials with a monic denominator."""
+    """Reduced fraction of polynomials with a monic denominator.
+
+    The constructor reduces arbitrary input by one gcd of numerator and
+    denominator.  The arithmetic instead relies on its operands being reduced
+    already and takes gcds of the small pieces only, so that its results come
+    out reduced with no gcd of the full cross product (Henrici, JACM 3, 1956;
+    Knuth, TAOCP vol. 2, 4.5.1).  The reduced form with a monic denominator is
+    unique, so both routes store the same data.
+    """
 
     __slots__ = ("num", "den")
 
@@ -570,9 +580,7 @@ class RatFun:
             object.__setattr__(self, "num", Poly.zero())
             object.__setattr__(self, "den", Poly.one())
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, den = num.exact_div(g), den.exact_div(g)
+        num, den = _cancel(num, den, poly_gcd(num, den))
         if den.ints[-1] != den.den:
             num, den = num * Fraction(den.den, den.ints[-1]), den.monic()
         object.__setattr__(self, "num", num)
@@ -619,13 +627,22 @@ class RatFun:
         return f"RatFun(({self.num.to_str()})/({self.den.to_str()}))"
 
     def __add__(self, other):
+        # a/b + c/d with g = gcd(b, d): t = a(d/g) + c(b/g) shares with the
+        # denominator (b/g) d only factors of g, so h = gcd(t, g) finishes it
         other = _as_ratfun(other)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = poly_gcd(b, d)
+        if g.degree < 1:
+            return _reduced(a * d + c * b, b * d)
+        bg = b.exact_div(g)
+        t = a * d.exact_div(g) + c * bg
+        t, d = _cancel(t, d, poly_gcd(t, g))
+        return _reduced(t, bg * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(-self.num, self.den)
+        return _reduced(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-_as_ratfun(other))
@@ -635,7 +652,7 @@ class RatFun:
 
     def __mul__(self, other):
         other = _as_ratfun(other)
-        return RatFun(self.num * other.num, self.den * other.den)
+        return _cross(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -643,23 +660,25 @@ class RatFun:
         other = _as_ratfun(other)
         if other.is_zero():
             raise DegenerateInput("division by the zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        return _cross(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         return _as_ratfun(other) / self
 
     def __pow__(self, n: int):
         if n >= 0:
-            return RatFun(self.num**n, self.den**n)
+            return _reduced(self.num**n, self.den**n)
         if self.is_zero():
             raise DegenerateInput("negative power of zero")
-        return RatFun(self.den ** (-n), self.num ** (-n))
+        return _reduced(self.den ** (-n), self.num ** (-n))
 
     def derivative(self) -> "RatFun":
-        return RatFun(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        # with g = gcd(b, b'), (a' (b/g) - a (b'/g)) / (b (b/g)) is reduced:
+        # b/g is the radical of b, and no factor of b divides the numerator
+        a, b = self.num, self.den
+        db = b.derivative()
+        r, db = _cancel(b, db, poly_gcd(b, db))
+        return _reduced(a.derivative() * r - a * db, b * r)
 
     def __call__(self, z) -> Fraction:
         z = qq(z)
@@ -667,6 +686,42 @@ class RatFun:
         if d == 0:
             raise DegenerateInput(f"pole at {z}")
         return self.num(z) / d
+
+
+_ZERO = Poly.zero()
+_ONE = Poly.one()
+
+
+def _reduced(num: Poly, den: Poly) -> RatFun:
+    """num/den for coprime num and nonzero den: only the denominator is made monic."""
+    f = object.__new__(RatFun)
+    if not num.ints:
+        num, den = _ZERO, _ONE
+    elif den.ints[-1] != den.den:
+        num, den = num * Fraction(den.den, den.ints[-1]), den.monic()
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+    return f
+
+
+def _cross(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFun:
+    """(a/b)(c/d) for coprime a, b and coprime c, d, with d nonzero.
+
+    Only a with d and c with b can share factors, so dividing out
+    g1 = gcd(a, d) and g2 = gcd(c, b) leaves a reduced fraction.
+    """
+    if not a.ints or not c.ints:
+        return _reduced(_ZERO, _ONE)
+    a, d = _cancel(a, d, poly_gcd(a, d))
+    c, b = _cancel(c, b, poly_gcd(c, b))
+    return _reduced(a * c, b * d)
+
+
+def _cancel(p: Poly, q: Poly, g: Poly) -> tuple[Poly, Poly]:
+    """p/g and q/g for a monic common divisor g."""
+    if g.degree < 1:
+        return p, q
+    return p.exact_div(g), q.exact_div(g)
 
 
 def _as_ratfun(value) -> RatFun:

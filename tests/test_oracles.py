@@ -1,4 +1,4 @@
-"""Differential checks of the polynomial, gcd and matrix layers against sympy.
+"""Differential checks of the polynomial, rational-function, gcd and matrix layers against sympy.
 
 sympy is a test-only oracle here; the engine itself stays stdlib-only.
 Inputs are seeded random rational polynomials, many of them built from
@@ -14,7 +14,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gaudin import Poly, poly_gcd, radical
+from gaudin import Poly, RatFun, poly_gcd, radical
 from gaudin.errors import InternalInconsistency
 from gaudin.linalg import charpoly_coeffs, mat_mul, solve_linear
 from gaudin.rational import rational_roots, squarefree_decomposition
@@ -194,6 +194,36 @@ def test_rational_roots_match_sympy():
         for r, mult in roots:
             product = product * Poly([-r, 1]) ** mult
         assert product == f, seed
+
+
+def cancelled(num, den) -> tuple[Poly, Poly]:
+    """sympy's cancel of num/den, with the denominator scaled to be monic."""
+    p, q = num.cancel(den, include=True)
+    return from_sympy(p.quo_ground(q.LC())), from_sympy(q.monic())
+
+
+def test_ratfun_arithmetic_matches_sympy_cancel():
+    for seed in SEEDS:
+        rng = random.Random(f"ratfun/{seed}")
+        # operands over denominators with a common factor, some of them
+        # repeated, so that every gcd of RatFun's small pieces can be nontrivial
+        common = random_factored(rng)
+        f = RatFun(random_factored(rng) * common, random_factored(rng) * common * random_factored(rng))
+        g = RatFun(random_factored(rng), common * random_factored(rng))
+        # f + h has the numerator e * common over f's denominator
+        h = RatFun(random_factored(rng) * common - f.num, f.den)
+        a, b, c, d, e, k = (to_sympy(p) for p in (f.num, f.den, g.num, g.den, h.num, h.den))
+        for got, (num, den) in (
+            (f + g, (a * d + c * b, b * d)),
+            (f - g, (a * d - c * b, b * d)),
+            (f * g, (a * c, b * d)),
+            (f / g, (a * d, b * c)),
+            (g**-2, (d**2, c**2)),
+            (f.derivative(), (a.diff(X) * b - a * b.diff(X), b**2)),
+            (f + h, (a * k + e * b, b * k)),
+            (f - f, (a * b - a * b, b * b)),
+        ):
+            assert (got.num, got.den) == cancelled(num, den), seed
 
 
 def random_matrix(rng, n, kind):

@@ -115,6 +115,143 @@ class TestStoredForm:
         assert (Poly([Q(1, 2), Q(1, 3)]).ints, Poly([Q(1, 2), Q(1, 3)]).den) == ((3, 2), 6)
 
 
+# factors the operands below share, some of them repeated, so that the gcds
+# of the small pieces in RatFun's arithmetic are nontrivial
+SHARED_FACTORS = (X, X - 1, X + 1, X + 2, 2 * X - 3, X**2 + 1, 3 * X**2 - X + Q(1, 2))
+
+
+def factored_poly():
+    """A nonzero scalar of either sign times shared factors and one random factor."""
+    return st.builds(
+        lambda fs, c, extra: c * extra * _product(fs),
+        st.lists(st.sampled_from(SHARED_FACTORS), max_size=4),
+        small_fraction.filter(bool),
+        nonzero_poly(1),
+    )
+
+
+def _product(polys):
+    out = Poly.one()
+    for p in polys:
+        out = out * p
+    return out
+
+
+# built from unreduced data whose denominators lead with either sign
+ratfuns = st.builds(RatFun, st.one_of(st.just(Poly.zero()), factored_poly()), factored_poly())
+scalars = st.one_of(st.integers(-5, 5), small_fraction)
+
+
+def full_reduction(num, den) -> RatFun:
+    """The constructor's one gcd of the whole unreduced fraction: the oracle."""
+    return RatFun(num, den)
+
+
+def assert_same(got: RatFun, want: RatFun, label=""):
+    assert (got.num.ints, got.num.den, got.den.ints, got.den.den) == (
+        want.num.ints,
+        want.num.den,
+        want.den.ints,
+        want.den.den,
+    ), label
+    assert hash(got) == hash(want), label
+    assert got.den.ints[-1] == got.den.den, label  # monic
+
+
+def unreduced_results(f: RatFun, g: RatFun):
+    """(operation, result, oracle) for every binary operation on f and g."""
+    a, b, c, d = f.num, f.den, g.num, g.den
+    out = [
+        ("+", f + g, full_reduction(a * d + c * b, b * d)),
+        ("-", f - g, full_reduction(a * d - c * b, b * d)),
+        ("*", f * g, full_reduction(a * c, b * d)),
+    ]
+    if g:
+        out.append(("/", f / g, full_reduction(a * d, b * c)))
+    return out
+
+
+class TestReducedArithmetic:
+    """RatFun's gcds of small pieces give what one gcd of the whole fraction gives."""
+
+    @given(f=ratfuns, g=ratfuns)
+    @settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    def test_binary_operations_match_full_reduction(self, f, g):
+        # second operands over f's denominator b: with (e b - a)/b the sum's
+        # numerator is e b, so its gcd h with the shared factor is all of b
+        for other in (g, RatFun(g.num, f.den), RatFun(g.num * f.den - f.num, f.den)):
+            for name, got, want in unreduced_results(f, other):
+                assert_same(got, want, name)
+
+    @given(f=ratfuns, n=st.integers(-3, 3))
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    def test_unary_operations_match_full_reduction(self, f, n):
+        a, b = f.num, f.den
+        assert_same(-f, full_reduction(-a, b))
+        assert_same(f.derivative(), full_reduction(a.derivative() * b - a * b.derivative(), b * b))
+        if n >= 0:
+            assert_same(f**n, full_reduction(a**n, b**n))
+        elif f:
+            assert_same(f**n, full_reduction(b ** (-n), a ** (-n)))
+
+    @given(f=ratfuns, c=scalars)
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    def test_scalars_match_full_reduction(self, f, c):
+        a, b, q = f.num, f.den, Q(c)
+        assert_same(f + c, full_reduction(a + q * b, b))
+        assert_same(c + f, full_reduction(a + q * b, b))
+        assert_same(f - c, full_reduction(a - q * b, b))
+        assert_same(c - f, full_reduction(q * b - a, b))
+        assert_same(f * c, full_reduction(q * a, b))
+        assert_same(c * f, full_reduction(q * a, b))
+        if c:
+            assert_same(f / c, full_reduction(a, q * b))
+        if f:
+            assert_same(c / f, full_reduction(q * b, a))
+
+    def test_sum_divides_by_a_shared_factor_of_the_denominators(self):
+        # g = x, t = (x - 1) + (x + 1) = 2x, and h = gcd(t, g) = x cancels
+        f, g = RatFun(Poly.one(), X * (X + 1)), RatFun(Poly.one(), X * (X - 1))
+        assert_same(f + g, RatFun(Poly.const(2), X**2 - 1))
+        assert_same(f + g, full_reduction(X * (X - 1) + X * (X + 1), X * X * (X + 1) * (X - 1)))
+
+    def test_sums_that_cancel_to_zero(self):
+        f = RatFun(Poly.one(), X * (X + 1))
+        for total in (
+            f - f,
+            f + (-f),
+            f - RatFun(Poly.one(), X) + RatFun(Poly.one(), X + 1),
+            RatFun(2 * X - 3, -(X**2 + 1)) + RatFun(4 * X - 6, 2 * X**2 + 2),
+        ):
+            assert_same(total, RatFun.zero())
+            assert (total.num.ints, total.den.ints) == ((), (1,))
+
+    def test_derivative_with_repeated_denominator_factors(self):
+        f = RatFun(X + 3, (X - 1) ** 3 * (X + 2))
+        a, b = f.num, f.den
+        got = f.derivative()
+        assert_same(got, full_reduction(a.derivative() * b - a * b.derivative(), b * b))
+        assert got.den == ((X - 1) ** 4 * (X + 2) ** 2)
+
+    def test_constants(self):
+        three_halves = RatFun.const(Q(3, 2))
+        assert three_halves.derivative().is_zero()
+        assert_same(three_halves * Q(2, 3), RatFun.one())
+        assert_same(three_halves / three_halves, RatFun.one())
+        assert_same(three_halves**-2, RatFun.const(Q(4, 9)))
+        assert_same(RatFun.one() / RatFun(Poly.const(Q(-2, 5)), X), RatFun(Q(-5, 2) * X))
+        assert_same(RatFun.zero() * RatFun(X, X + 1), RatFun.zero())
+
+    def test_negative_leading_coefficients(self):
+        f = RatFun(-2 * X * (X - 1), -6 * (X - 1) * (X + 1))
+        assert (f.num, f.den) == (X * Q(1, 3), X + 1)
+        g = RatFun(3 * X + 3, -(X**2) + 4)
+        assert_same(f * g, full_reduction(f.num * g.num, f.den * g.den))
+        assert_same(f / g, full_reduction(f.num * g.den, f.den * g.num))
+        assert_same(g**-1, full_reduction(g.den, g.num))
+        assert_same(f + g, full_reduction(f.num * g.den + g.num * f.den, f.den * g.den))
+
+
 class TestGcd:
     def test_shared_linear_factor(self):
         assert poly_gcd(X**2 - 1, X - 1) == X - 1
