@@ -55,10 +55,6 @@ class BethePoint:
             return Poly.one()
         return self.ys[i - 1]
 
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(y.degree for y in self.ys)
-
     def key(self):
         return (self.parity.entries, self.ys)
 
@@ -516,11 +512,6 @@ def site_eigenvalues(point: BethePoint) -> dict[int, Fraction]:
     if point.problem.points is None:
         raise InvalidInput("eigenvalues need rational evaluation points")
     return table_eigenvalues(point.problem.parity_data(point.parity).sites, point.ys)
-
-
-def admissible_sites(point: BethePoint) -> list[int]:
-    """Sites k (1-based) where the eigenvalue formula is well defined."""
-    return list(site_eigenvalues(point))
 
 
 def gaudin_eigenvalue(point: BethePoint, k: int) -> Fraction:

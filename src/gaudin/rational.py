@@ -797,11 +797,6 @@ def zero_pole_radical(f) -> Poly:
     return radical(prod)
 
 
-def order_at(f, z) -> int:
-    """Order of vanishing of f at z; negative for a pole."""
-    return order_at_place(f, Poly((-qq(z), 1)))
-
-
 def order_at_place(f, place: Poly) -> int:
     """Order of f along an irreducible place (a monic squarefree factor)."""
     f = _as_ratfun(f)

@@ -44,18 +44,17 @@ class SuperModule:
     """Finite-dimensional module given by explicit generator matrices.
 
     ``action[(a, b)]`` holds the matrix of e_ab as a column-sparse map;
-    ``parities`` lists the basis parities as +-1; ``highest`` is the index
-    of the standard-parity highest weight vector.
+    ``parities`` lists the basis parities as +-1; basis vector 0 is the
+    standard-parity highest weight vector.
     """
 
-    def __init__(self, m, n, dim, parities, action, weight: Weight, highest: int = 0):
+    def __init__(self, m, n, dim, parities, action, weight: Weight):
         self.m = m
         self.n = n
         self.dim = dim
         self.parities = tuple(parities)
         self.action = action
         self.weight = weight
-        self.highest = highest
 
     def matrix(self, a: int, b: int) -> Sparse:
         return self.action.get((a, b), {})
@@ -96,7 +95,7 @@ def vector_rep(m: int, n: int) -> SuperModule:
             action[(a, b)] = {b - 1: [(a - 1, Q(1))]}
     parities = [1] * m + [-1] * n
     weight = Weight(m, n, [1] + [0] * (dim - 1))
-    return SuperModule(m, n, dim, parities, action, weight, highest=0)
+    return SuperModule(m, n, dim, parities, action, weight)
 
 
 def gl11_module(p, q) -> SuperModule:
@@ -108,14 +107,14 @@ def gl11_module(p, q) -> SuperModule:
     p, q = qq(p), qq(q)
     if p == 0 and q == 0:
         action = {(a, b): {} for a in (1, 2) for b in (1, 2)}
-        return SuperModule(1, 1, 1, [1], action, Weight(1, 1, (0, 0)), highest=0)
+        return SuperModule(1, 1, 1, [1], action, Weight(1, 1, (0, 0)))
     action = {
         (1, 1): _dense_to_sparse([[p, 0], [0, p - 1]]),
         (2, 2): _dense_to_sparse([[q, 0], [0, q + 1]]),
         (2, 1): _dense_to_sparse([[0, 0], [1, 0]]),
         (1, 2): _dense_to_sparse([[0, p + q], [0, 0]]),
     }
-    return SuperModule(1, 1, 2, [1, -1], action, Weight(1, 1, (p, q)), highest=0)
+    return SuperModule(1, 1, 2, [1, -1], action, Weight(1, 1, (p, q)))
 
 
 def highest_vector_at(module: SuperModule, parity: ParitySequence):
@@ -125,7 +124,7 @@ def highest_vector_at(module: SuperModule, parity: ParitySequence):
     lowering generator whenever the swapped coordinates do not sum to zero.
     """
     vec = [Q(0)] * module.dim
-    vec[module.highest] = Q(1)
+    vec[0] = Q(1)
     s = ParitySequence.standard(module.m, module.n)
     coords = tuple(module.weight.coords)
     for i in s.path_to(parity):

@@ -8,8 +8,9 @@ engine manufactures; left fractions are never materialized.
 A complete factorization reaches its fraction one way: first-order
 exchanges carry it to the standard parity (all even factors first), where
 it reads A * B^(-1) with A and B plain products of first-order factors,
-and the minimal form of that pair is the fraction.  The general fraction
-product stays available for fractions that arrive unfactored.
+and the minimal form of that pair is the fraction.  Two fractions are
+compared through their minimal forms; no general fraction product is
+needed.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ class DiffOp:
     @staticmethod
     def one() -> "DiffOp":
         return DiffOp((RatFun.one(),))
-
-    @staticmethod
-    def derivation() -> "DiffOp":
-        return DiffOp((RatFun.zero(), RatFun.one()))
 
     @staticmethod
     def first_order(a) -> "DiffOp":
@@ -157,21 +154,6 @@ def right_divide(a: DiffOp, b: DiffOp) -> tuple[DiffOp, DiffOp]:
     return q, r
 
 
-def left_divide(a: DiffOp, b: DiffOp) -> tuple[DiffOp, DiffOp]:
-    """Quotient and remainder with  a = b*q + r  and ord r < ord b."""
-    if b.is_zero():
-        raise DegenerateInput("left division by the zero operator")
-    q = DiffOp.zero()
-    r = a
-    while not r.is_zero() and r.order >= b.order:
-        k = r.order - b.order
-        c = r.lc / b.lc
-        mono = DiffOp([RatFun.zero()] * k + [c])
-        q = q + mono
-        r = r - b * mono
-    return q, r
-
-
 def right_gcd(a: DiffOp, b: DiffOp) -> DiffOp:
     """Monic greatest common right divisor."""
     if a.is_zero() and b.is_zero():
@@ -179,30 +161,6 @@ def right_gcd(a: DiffOp, b: DiffOp) -> DiffOp:
     while not b.is_zero():
         a, b = b, right_divide(a, b)[1]
     return a.monic()
-
-
-def common_right_multiple(b: DiffOp, c: DiffOp) -> tuple[DiffOp, DiffOp]:
-    """Cofactors (c1, b1) with b*c1 = c*b1 nonzero of minimal order.
-
-    Computed by the extended Euclidean scheme for left division; the
-    cofactors of the vanishing remainder give the least common multiple
-    into which both inputs left-divide.
-    """
-    if b.is_zero() or c.is_zero():
-        raise DegenerateInput("common multiple with a zero operator")
-    r0, r1 = b, c
-    x0, x1 = DiffOp.one(), DiffOp.zero()
-    y0, y1 = DiffOp.zero(), DiffOp.one()
-    while not r1.is_zero():
-        q, r2 = left_divide(r0, r1)
-        r0, r1 = r1, r2
-        x0, x1 = x1, x0 - x1 * q
-        y0, y1 = y1, y0 - y1 * q
-    # now b*x1 + c*y1 == 0 with minimal-order combination
-    c1, b1 = x1, -y1
-    if c1.is_zero() or b1.is_zero():
-        raise InternalInconsistency("degenerate common multiple cofactors")
-    return c1, b1
 
 
 class OreFraction:
@@ -217,18 +175,6 @@ class OreFraction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "is_minimal", _minimal)
-
-    @staticmethod
-    def one() -> "OreFraction":
-        return OreFraction(DiffOp.one(), DiffOp.one(), _minimal=True)
-
-    @staticmethod
-    def of_operator(op: DiffOp) -> "OreFraction":
-        return OreFraction(op, DiffOp.one())
-
-    @staticmethod
-    def inverse_of(op: DiffOp) -> "OreFraction":
-        return OreFraction(DiffOp.one(), op)
 
     def __repr__(self):
         return f"OreFraction(num={self.num!r}, den={self.den!r})"
@@ -252,30 +198,10 @@ class OreFraction:
         num, den = num * unit, den * unit
         return OreFraction(num, den, _minimal=True)
 
-    def inv(self) -> "OreFraction":
-        if self.num.is_zero():
-            raise DegenerateInput("inverse of the zero fraction")
-        return OreFraction(self.den, self.num).minimal()
-
-    def __mul__(self, other: "OreFraction") -> "OreFraction":
-        if self.num.is_zero() or other.num.is_zero():
-            return OreFraction(DiffOp.zero(), DiffOp.one(), _minimal=True)
-        if self.den.order == 0:
-            # plain operator times fraction
-            unit = DiffOp.from_coeff(RatFun.one() / self.den.lc)
-            num = (self.num * unit) * other.num
-            return OreFraction(num, other.den).minimal()
-        c1, b1 = common_right_multiple(self.den, other.num)
-        return OreFraction(self.num * c1, other.den * b1).minimal()
-
     def same_operator(self, other: "OreFraction") -> bool:
         """Equality via the unique minimal fractional form."""
         a, b = self.minimal(), other.minimal()
         return a.num == b.num and a.den == b.den
-
-    def orders(self) -> tuple[int, int]:
-        m = self.minimal()
-        return m.num.order, m.den.order
 
 
 def ore_swap(a: RatFun, b: RatFun, *, backward: bool = False) -> tuple[RatFun, RatFun]:

@@ -410,22 +410,3 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
             raise TheoremViolation(f"factorization mismatch at {point!r}")
         report["nodes"].append({"parity": list(point.parity.entries), "matched": True})
     return report
-
-
-def basis_change_invariance(basis, place, trials, rng) -> bool:
-    """Exponent sets are invariant under random invertible recombination."""
-    base = exponents(basis, place)
-    d = len(basis)
-    for _ in range(trials):
-        mat = [[Q(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
-        if rank(mat) != d:
-            continue
-        new_basis = []
-        for row in mat:
-            f = RatFun.zero()
-            for c, b in zip(row, basis):
-                f = f + RatFun(Poly.const(c)) * b
-            new_basis.append(f)
-        if exponents(new_basis, place) != base:
-            return False
-    return True

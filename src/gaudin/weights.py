@@ -447,12 +447,15 @@ class ProblemData:
     points are irrational (for instance roots of unity) are represented,
     since only the rational-coefficient polynomials ever enter the engine.
     There is one point per weight and there are M+N weight polynomials;
-    when both are given, ``ts`` must be the weight polynomials of the points.
+    when both are given, ``ts`` must be the weight polynomials of the points,
+    and given alone, each divides the one before it inside a parity block.
     """
 
     def __init__(self, m, n, weights, points=None, ts=None):
         self.m = int(m)
         self.n = int(n)
+        if self.m < 0 or self.n < 0:
+            raise InvalidInput(f"gl(M|N) needs M, N >= 0, not gl({self.m}|{self.n})")
         self.weights = tuple(weights)
         for w in self.weights:
             if (w.m, w.n) != (self.m, self.n):
@@ -472,12 +475,15 @@ class ProblemData:
         if self.points is None:
             if ts is None:
                 raise InvalidInput("problem needs either points or weight polynomials")
+            for i in range(1, len(ts)):
+                if s0[i] == s0[i + 1] and ts[i - 1].try_exact_div(ts[i]) is None:
+                    raise InvalidInput(f"T_{i + 1} does not divide T_{i} in the same parity block")
             self.ts_standard = ts
         else:
             self.ts_standard = tuple(weight_polys(s0, self.weights, self.points))
             if ts is not None and ts != self.ts_standard:
                 raise InvalidInput("weight polynomials differ from those of the points")
-        # building the record raises if a standard ratio is not a polynomial
+        # building the record raises if a ratio of derived polynomials is not one
         self._parity_data: dict[tuple[int, ...], ParityData] = {
             s0.entries: ParityData.build(s0, self.ts_standard, self.weights, self.points)
         }

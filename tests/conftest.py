@@ -3,15 +3,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gaudin import (
-    BethePoint,
-    ParitySequence,
-    Poly,
-    ProblemData,
-    Weight,
-    populate,
-)
+from gaudin.bethe import BethePoint, populate
 from gaudin.linalg import solve_linear
+from gaudin.rational import Poly
+from gaudin.weights import ParitySequence, ProblemData, Weight
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +37,10 @@ def worked_population(worked_seed):
 def rational_gl21_problem():
     """Same shape as the worked example but with rational points 0, 1, 2."""
     return ProblemData(2, 1, [Weight(2, 1, (1, 1, 0))] * 3, points=[0, 1, 2])
+
+
+def mat_vec(a, v):
+    return [sum((x * y for x, y in zip(row, v)), Q(0)) for row in a]
 
 
 def solve_levels_for_roots(zs, roots, bound=30):

@@ -50,9 +50,9 @@ from gaudin import (
     zero_pole_radical,
 )
 from gaudin.jsonio import poly_to_json
-from gaudin.linalg import mat_vec, rank, solve_linear
+from gaudin.linalg import rank, solve_linear
 from gaudin.rational import rational_roots
-from conftest import random_gl11_system
+from conftest import mat_vec, random_gl11_system
 
 X = Poly.x()
 

@@ -4,8 +4,9 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gaudin import Poly, RatFun, bethe, cli, jsonio, spaces
+from gaudin import bethe, cli, jsonio, spaces
 from gaudin.cli import build_parser, main
+from gaudin.rational import Poly, RatFun
 
 WORKED_PROBLEM = {
     "M": 2,
@@ -233,6 +234,11 @@ RATIONAL_GL21_TRUE_COORD = dict(
 
 # the same problem with its first weight row given as a string
 RATIONAL_GL21_STRING_ROW = dict(RATIONAL_GL21_TRUE_COORD, weights=["110"] + [["1", "1", "0"]] * 2)
+# one coordinate matches M+N = 1, so only the sign of M can reject it
+NEGATIVE_M_PROBLEM = {"M": -1, "N": 2, "weights": [["1"]], "points": ["0"]}
+NEGATIVE_M_SEED = {"parity": [-1], "ys": []}
+# T_1 / T_2 must be a polynomial inside the even block
+TS_BLOCK_RATIO = dict(WORKED_PROBLEM, Ts=[["1"], ["-1", "0", "0", "1"], ["1"]])
 
 
 class TestInputContract:
@@ -271,6 +277,12 @@ class TestInputContract:
             ("gl11-spectrum", {"weights": [[1.5, 0], ["1", "0"]], "points": ["0", "1"]}, []),
             ("population", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED}, ["--samples=0,0,1"]),
             ("population", {"problem": dict(WORKED_PROBLEM, parity=[1, -1, 1]), "seed": WORKED_SEED}, []),
+            ("population", {"problem": NEGATIVE_M_PROBLEM, "seed": NEGATIVE_M_SEED}, []),
+            ("space", {"problem": NEGATIVE_M_PROBLEM, "seed": NEGATIVE_M_SEED}, []),
+            ("check-bae", {"problem": NEGATIVE_M_PROBLEM, "parity": [-1], "t": []}, []),
+            ("population", {"problem": dict(NEGATIVE_M_PROBLEM, M=2, N=-1), "seed": {"parity": [1], "ys": []}}, []),
+            ("population", {"problem": TS_BLOCK_RATIO, "seed": WORKED_SEED}, []),
+            ("space", {"problem": TS_BLOCK_RATIO, "seed": WORKED_SEED}, []),
         ],
         ids=[
             "M-not-int",
@@ -305,6 +317,12 @@ class TestInputContract:
             "gl11-float-weight",
             "repeated-samples",
             "problem-parity-not-standard",
+            "negative-M-population",
+            "negative-M-space",
+            "negative-M-check-bae",
+            "negative-N-population",
+            "Ts-block-ratio-population",
+            "Ts-block-ratio-space",
         ],
     )
     def test_malformed_payload_exits_two(self, tmp_path, capsys, command, payload, options):

@@ -25,6 +25,7 @@ COMMANDS = {
     "gl11_spectrum_irrational": ["gl11-spectrum", "--input", "gl11_irrational.json"],
     "gl11_spectrum_double_root": ["gl11-spectrum", "--input", "gl11_double_root.json"],
     "population_gl31_depth3": ["population", "--input", "gl31.json", "--max-depth", "3", "--samples=-6,-5,1"],
+    "space_gl31_depth3": ["space", "--input", "gl31.json", "--max-depth", "3", "--samples=-6,-5,1"],
 }
 
 

@@ -14,10 +14,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gaudin import Poly, RatFun, poly_gcd, radical
 from gaudin.errors import InternalInconsistency
 from gaudin.linalg import charpoly_coeffs, mat_mul, solve_linear
-from gaudin.rational import rational_roots, squarefree_decomposition
+from gaudin.rational import Poly, RatFun, poly_gcd, radical, rational_roots, squarefree_decomposition
 
 from conftest import LINEAR_SYSTEM_KINDS, random_linear_system
 

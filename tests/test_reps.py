@@ -4,28 +4,28 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gaudin import (
-    ParitySequence,
-    Poly,
+from gaudin.bethe import table_eigenvalues
+from gaudin.errors import DegenerateInput, UnsupportedFactorization
+from gaudin.linalg import charpoly_coeffs, identity, mat_mul, mat_scale, mat_sub, rank, solve_matrix
+from gaudin.rational import Poly, rational_roots
+from gaudin.reps import (
     TensorSystem,
+    _has_jordan_defect,
+    _joint_eigen_decomposition,
     check_lowering_bridge,
     gl11_module,
     gl11_nonpoly_report,
     gl11_spectrum_report,
+    highest_vector_at,
     master_polynomial,
     monic_divisors,
     singular_space,
+    sparse_apply,
     vector_rep,
-    weight_at_infinity,
     weight_function,
 )
-from gaudin.errors import DegenerateInput, UnsupportedFactorization
-from gaudin.linalg import charpoly_coeffs, identity, mat_mul, mat_scale, mat_sub, mat_vec, rank, solve_matrix
-from gaudin.rational import rational_roots
-from gaudin.bethe import table_eigenvalues
-from gaudin.reps import _has_jordan_defect, _joint_eigen_decomposition, highest_vector_at, sparse_apply
-from gaudin.weights import site_table
-from conftest import random_gl11_system, solve_levels_for_roots
+from gaudin.weights import ParitySequence, site_table, weight_at_infinity
+from conftest import mat_vec, random_gl11_system, solve_levels_for_roots
 
 X = Poly.x()
 S11 = ParitySequence.standard(1, 1)
@@ -211,7 +211,8 @@ class TestWeightFunction:
 
     @pytest.mark.parametrize("entries", [(1, 1, -1), (1, -1, 1)])
     def test_bethe_vector_eigencheck_gl21(self, entries):
-        from gaudin import BethePoint, ProblemData, gaudin_eigenvalue
+        from gaudin.bethe import BethePoint, gaudin_eigenvalue
+        from gaudin.weights import ProblemData
 
         system = TensorSystem([vector_rep(2, 1)] * 2, [0, 1])
         prob = ProblemData(2, 1, [vector_rep(2, 1).weight] * 2, points=[0, 1])

@@ -3,15 +3,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gaudin import (
-    BethePoint,
-    ParitySequence,
-    Poly,
-    ProblemData,
-    RatFun,
+from gaudin.bethe import BethePoint, populate, population_factorization
+from gaudin.errors import AtypicalUnsupported, InvalidFlag
+from gaudin.linalg import rank
+from gaudin.rational import Poly, RatFun, order_at_place, poly_gcd, wronskian
+from gaudin.skew import refactor_to_parity
+from gaudin.spaces import (
     RationalSpace,
     SuperFlag,
-    Weight,
     exponents,
     flag_factorization,
     flag_from_factorization,
@@ -21,16 +20,10 @@ from gaudin import (
     interleave_basis,
     is_gl_space,
     kernel_spaces,
-    populate,
     space_weight_polys,
     verify_operator_to_population,
-    wronskian,
 )
-from gaudin.bethe import population_factorization
-from gaudin.errors import AtypicalUnsupported, InvalidFlag
-from gaudin.rational import order_at_place, poly_gcd
-from gaudin.skew import refactor_to_parity
-from gaudin.spaces import basis_change_invariance
+from gaudin.weights import ParitySequence, ProblemData, Weight
 
 X = Poly.x()
 POLES = [X, X - 1, X + 2, X**2 + 1]
@@ -104,6 +97,25 @@ def count_wronskians(monkeypatch):
     wr = gaudin.spaces.wronskian
     monkeypatch.setattr(gaudin.spaces, "wronskian", lambda fs: calls.append(tuple(fs)) or wr(fs))
     return calls
+
+
+def basis_change_invariance(basis, place, trials, rng) -> bool:
+    """Exponent sets are invariant under random invertible recombination."""
+    base = exponents(basis, place)
+    d = len(basis)
+    for _ in range(trials):
+        mat = [[Q(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
+        if rank(mat) != d:
+            continue
+        new_basis = []
+        for row in mat:
+            f = RatFun.zero()
+            for c, b in zip(row, basis):
+                f = f + RatFun(Poly.const(c)) * b
+            new_basis.append(f)
+        if exponents(new_basis, place) != base:
+            return False
+    return True
 
 
 class TestExponents:

@@ -4,15 +4,18 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaudin import (
+from gaudin.errors import InvalidPartition, InvalidPoints, InvalidSwap, UnsupportedWeight
+from gaudin.rational import Poly, radical
+from gaudin.weights import (
     ParitySequence,
-    Poly,
     ProblemData,
     Weight,
+    alpha_eps,
     cartan_pairing,
     collision_poly,
     dominant,
     hook_weight,
+    ratio_poly,
     swap_coords,
     typical_sequence,
     weight_at_infinity,
@@ -20,9 +23,6 @@ from gaudin import (
     weight_polys_by_swaps,
     weight_polys_from_collisions,
 )
-from gaudin.errors import InvalidPartition, InvalidPoints, InvalidSwap, UnsupportedWeight
-from gaudin.rational import radical
-from gaudin.weights import alpha_eps, ratio_poly
 
 X = Poly.x()
 S0_21 = ParitySequence.standard(2, 1)
