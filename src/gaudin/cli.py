@@ -76,7 +76,7 @@ def _emit(payload, out_path):
 
 
 def _parse_samples(text):
-    return [qq(part.strip()) for part in text.split(",") if part.strip()]
+    return [jsonio.scalar_from_json(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def read_seed(data, args):

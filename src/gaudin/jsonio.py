@@ -8,6 +8,8 @@ All emitters sort keys so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import json
+import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -18,21 +20,35 @@ from .skew import CompleteFactorization, DiffOp, OreFraction
 from .weights import ParitySequence, ProblemData, Weight
 
 
+def _int_text(n: int) -> str:
+    # str() refuses ints beyond sys.get_int_max_str_digits() digits, a guard
+    # meant for parsing; Decimal converts from the binary digits instead
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def scalar_to_json(x: Fraction) -> str:
-    return str(qq(x))
+    x = qq(x)
+    num = _int_text(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{_int_text(x.denominator)}"
 
 
 def scalar_from_json(s) -> Fraction:
+    # the one parser of wire scalars, for ints and strings p or p/q: an exponent,
+    # as in Fraction("1e10000000"), would skip Python's limit on digits parsed;
     # JSON true and false decode to bool, a subclass of int
-    if isinstance(s, str) or (isinstance(s, int) and not isinstance(s, bool)):
+    text = isinstance(s, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s)
+    if text or (isinstance(s, int) and not isinstance(s, bool)):
         return Fraction(s)
     raise InvalidInput(f"bad scalar payload: {s!r}")
 
 
 def _int_from_json(x, what: str) -> int:
-    if isinstance(x, bool):
+    if type(x) is not int:  # not a float, a string, or a bool (a subclass of int)
         raise InvalidInput(f"bad {what} payload: {x!r}")
-    return int(x)
+    return x
 
 
 def array_from_json(data, what: str) -> list:
@@ -45,11 +61,11 @@ def array_from_json(data, what: str) -> list:
 def poly_to_json(p: Poly) -> list[str]:
     den = p.den
     if den == 1:
-        return [str(c) for c in p.ints]
+        return [_int_text(c) for c in p.ints]
     out = []
     for c in p.ints:
         g = gcd(c, den)
-        out.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        out.append(_int_text(c // g) if g == den else f"{_int_text(c // g)}/{_int_text(den // g)}")
     return out
 
 

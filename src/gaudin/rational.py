@@ -13,32 +13,24 @@ scalars.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (
     DegenerateInput,
     InternalInconsistency,
     NonRationalAntiderivative,
-    TooLarge,
     UnsupportedFactorization,
 )
 from .linalg import solve_linear
 
 Q = Fraction
 
-# rational_roots raises TooLarge beyond this many bits in an integer-scaled
-# end coefficient: trial division takes about 2^(n/2) steps on n bits, which
-# is 0.2 s of CPU at 40 bits and minutes at 60 (Python 3.11, one Xeon core).
-ROOT_SEARCH_BITS = 40
-
 
 def qq(value) -> Fraction:
-    """Coerce ints, strings like ``p/q`` and Fractions to an exact scalar."""
+    """Coerce ints and Fractions to an exact scalar; ``jsonio.scalar_from_json`` parses text."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact scalar: {value!r}")
 
@@ -132,27 +124,16 @@ class Poly:
         return f"Poly({self.to_str()})"
 
     def to_str(self, var: str = "x") -> str:
-        if not self.ints:
-            return "0"
         parts = []
         for k in range(self.degree, -1, -1):
             c = self.coeff(k)
             if c == 0:
                 continue
-            if k == 0:
-                term = str(c)
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                sign = "-" if c < 0 else ""
-                term = f"{sign}{mag}{var}" + (f"^{k}" if k > 1 else "")
-                if c < 0 and parts:
-                    term = term[1:]
-            if parts:
-                parts.append(" - " if c < 0 and k > 0 else " + " if k > 0 else (" - " if c < 0 else " + "))
-                parts.append(term if k > 0 else str(abs(c)))
-            else:
-                parts.append(term)
-        return "".join(parts)
+            mag = abs(c)
+            body = str(mag) if k == 0 else ("" if mag == 1 else f"{mag}*") + var + (f"^{k}" if k > 1 else "")
+            sign = (" - " if c < 0 else " + ") if parts else ("-" if c < 0 else "")
+            parts.append(sign + body)
+        return "".join(parts) or "0"
 
     # -- ring operations -----------------------------------------------
 
@@ -179,9 +160,6 @@ class Poly:
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
-
-    def __rsub__(self, other):
-        return _as_poly(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -479,7 +457,6 @@ def coprime_basis(polys) -> list[Poly]:
                 break
         else:
             basis.append(p)
-            continue
     return sorted(set(basis), key=lambda b: (b.degree, b.coeffs))
 
 
@@ -500,40 +477,46 @@ def rational_roots(f: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
         roots.append((Q(0), k))
     if f.degree == 0:
         return roots, f
-    a0, an = abs(ints[0]), abs(ints[-1])
-    bits = max(a0.bit_length(), an.bit_length())
-    if bits > ROOT_SEARCH_BITS:
-        raise TooLarge(f"rational root search: {bits}-bit end coefficient, budget {ROOT_SEARCH_BITS} bits")
     found = []
-    qs = _divisors(an)
-    for p in _divisors(a0):
-        for q in qs:
-            if gcd(p, q) != 1:
-                continue
-            for num in (p, -p):
-                m = 0
-                while f.degree > 0 and not _homogeneous(ints, num, q):
-                    f = f.exact_div(Poly((Q(-num, q), 1)))
-                    ints = f.ints
-                    m += 1
-                if m:
-                    found.append((Q(num, q), m))
+    for z in _lifted_roots(radical(f).ints):
+        m = 0
+        while f.degree > 0 and not _homogeneous(ints, z.numerator, z.denominator):
+            f = f.exact_div(Poly((-z, 1)))
+            ints = f.ints
+            m += 1
+        if m:
+            found.append((z, m))
     # the remainder is unique, so only the order of the roots depends on the loop
     return roots + sorted(found), f
 
 
-def _divisors(n: int) -> list[int]:
-    if n == 0:
-        return [1]
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
+def _lifted_roots(g) -> list[Fraction]:
+    """The rational roots of g, the integer vector of a monic squarefree polynomial.
+
+    A root u/v of g has v | a_n and |a_n u/v| <= |a_n| + max|a_i| (Cauchy), so
+    once m > 2(|a_n| + max|a_i|), a_n u/v is the symmetric residue mod m of a_n r,
+    for r its root of g mod p lifted by Newton steps (Loos, SIAM J. Comput. 12,
+    1983; von zur Gathen and Gerhard, Modern Computer Algebra, ch. 15).
+    """
+    an = g[-1]
+    dg = [i * c for i, c in enumerate(g)][1:]
+    # the first prime not dividing a_n at which every root of g mod p is simple;
+    # each prime rejected here divides a_n disc(g), nonzero as g is squarefree,
+    # so the search ends
+    p = 1
+    while True:
+        p += 1
+        if an % p == 0 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            continue
+        rs = [r for r in range(p) if _homogeneous(g, r, 1) % p == 0]
+        if all(_homogeneous(dg, r, 1) % p for r in rs):
+            break
+    m, bound = p, 2 * (an + max(map(abs, g)))
+    while m <= bound:
+        m *= m
+        rs = [(r - _homogeneous(g, r, 1) * pow(_homogeneous(dg, r, 1), -1, m)) % m for r in rs]
+    zs = [Fraction((an * r + m // 2) % m - m // 2, an) for r in rs]
+    return [z for z in zs if not _homogeneous(g, z.numerator, z.denominator)]
 
 
 def factor_rational_quadratic(f: Poly) -> list[tuple[Poly, int]]:
@@ -679,13 +662,6 @@ class RatFun:
         db = b.derivative()
         r, db = _cancel(b, db, poly_gcd(b, db))
         return _reduced(a.derivative() * r - a * db, b * r)
-
-    def __call__(self, z) -> Fraction:
-        z = qq(z)
-        d = self.den(z)
-        if d == 0:
-            raise DegenerateInput(f"pole at {z}")
-        return self.num(z) / d
 
 
 _ZERO = Poly.zero()

@@ -283,6 +283,9 @@ class TestInputContract:
             ("population", {"problem": dict(NEGATIVE_M_PROBLEM, M=2, N=-1), "seed": {"parity": [1], "ys": []}}, []),
             ("population", {"problem": TS_BLOCK_RATIO, "seed": WORKED_SEED}, []),
             ("space", {"problem": TS_BLOCK_RATIO, "seed": WORKED_SEED}, []),
+            ("gl11-spectrum", {"weights": [["1", "0"], ["1", "0"]], "points": ["1e3", "2"]}, []),
+            ("population", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED}, ["--samples=0.5"]),
+            ("population", {"problem": dict(WORKED_PROBLEM, M=2.7), "seed": WORKED_SEED}, []),
         ],
         ids=[
             "M-not-int",
@@ -323,6 +326,9 @@ class TestInputContract:
             "negative-N-population",
             "Ts-block-ratio-population",
             "Ts-block-ratio-space",
+            "gl11-exponent-point",
+            "decimal-sample",
+            "M-float",
         ],
     )
     def test_malformed_payload_exits_two(self, tmp_path, capsys, command, payload, options):
@@ -339,19 +345,6 @@ class TestInputContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("unsupported: ")
-
-    def test_root_search_beyond_budget_exits_three(self, tmp_path, capsys):
-        # a restricted characteristic polynomial here has 53- and 67-bit
-        # scaled end coefficients, out of reach of trial division
-        payload = {
-            "weights": [["-13/1000", "-39/1000"], ["27/10", "0"], ["-576/125", "0"], ["0", "1"]],
-            "points": ["-2", "2", "3", "4"],
-        }
-        inp = write(tmp_path, "in.json", payload)
-        assert main(["gl11-spectrum", "--input", inp]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("unsupported: rational root search")
 
     def test_unwritable_out_exits_two(self, tmp_path, capsys):
         assert main(["selftest", "--out", str(tmp_path / "no-such-dir" / "x.json")]) == 2

@@ -6,6 +6,8 @@ any of them changes the documented wire format or a result, and must
 re-record them on purpose.
 """
 
+import json
+import sys
 import time
 from pathlib import Path
 
@@ -24,6 +26,7 @@ COMMANDS = {
     "gl11_spectrum_four_sites": ["gl11-spectrum", "--input", "gl11_four_sites.json"],
     "gl11_spectrum_irrational": ["gl11-spectrum", "--input", "gl11_irrational.json"],
     "gl11_spectrum_double_root": ["gl11-spectrum", "--input", "gl11_double_root.json"],
+    "gl11_spectrum_wide_roots": ["gl11-spectrum", "--input", "gl11_wide_roots.json"],
     "population_gl31_depth3": ["population", "--input", "gl31.json", "--max-depth", "3", "--samples=-6,-5,1"],
     "space_gl31_depth3": ["space", "--input", "gl31.json", "--max-depth", "3", "--samples=-6,-5,1"],
 }
@@ -53,3 +56,21 @@ def test_large_point_output_and_budget(capsys):
     assert captured.err == ""
     assert captured.out.encode() == (GOLDEN / "population_rational_gl21_point_1e50_depth3.stdout").read_bytes()
     assert elapsed < 3.0
+
+
+def test_output_beyond_the_int_text_limit(tmp_path, capsys):
+    """Point 0 at 10^2500: parsing it is within Python's limit on the digits
+    of an int string, and the output holds integers far beyond it."""
+    payload = json.loads((GOLDEN / "rational_gl21_point_1e50.json").read_text())
+    point = str(10**2500)
+    payload["problem"]["points"][0] = point
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(payload))
+    # the limit is a process-wide setting, and the run must leave it as it was
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    assert main(["population", "--input", str(inp), "--max-depth", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f'"{point}"' in captured.out
+    assert limit() == before

@@ -175,24 +175,64 @@ def test_radical_matches_sympy():
         assert radical(f) == from_sympy(to_sympy(f).sqf_part().monic()), seed
 
 
+def check_rational_roots(f, seed):
+    _, factors = to_sympy(f).factor_list()
+    expected = {}
+    for factor, mult in factors:
+        if factor.degree() == 1:
+            c1, c0 = factor.all_coeffs()
+            root = -c0 / c1
+            expected[Q(int(root.p), int(root.q))] = mult
+    roots, rest = rational_roots(f)
+    assert dict(roots) == expected, seed
+    assert len(roots) == len(expected), seed
+    product = rest
+    for r, mult in roots:
+        product = product * Poly([-r, 1]) ** mult
+    assert product == f, seed
+
+
+def wide_root_factor(rng):
+    """x - u/v with u of 20 to 40 bits and v of up to 30, or an irreducible-looking quadratic."""
+    if rng.random() < 0.7:
+        u = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(20, 40))
+        return Poly([-Q(u, rng.getrandbits(rng.randint(1, 30)) or 1), 1])
+    return Poly([Q(rng.getrandbits(30) + 1), Q(rng.randint(-99, 99)), Q(rng.getrandbits(20) + 1)])
+
+
+def end_bits(f: Poly) -> int:
+    """Bits of the larger end coefficient of f with x^k pulled out."""
+    ints = [c for c in f.ints if c] if f.ints else [0]
+    return max(abs(ints[0]).bit_length(), abs(ints[-1]).bit_length())
+
+
 def test_rational_roots_match_sympy():
     for seed in SEEDS:
         rng = random.Random(seed)
-        f = random_factored(rng) * random_factored(rng)
-        _, factors = to_sympy(f).factor_list()
-        expected = {}
-        for factor, mult in factors:
-            if factor.degree() == 1:
-                c1, c0 = factor.all_coeffs()
-                root = -c0 / c1
-                expected[Q(int(root.p), int(root.q))] = mult
-        roots, rest = rational_roots(f)
-        assert dict(roots) == expected, seed
-        assert len(roots) == len(expected), seed
-        product = rest
-        for r, mult in roots:
-            product = product * Poly([-r, 1]) ** mult
-        assert product == f, seed
+        check_rational_roots(random_factored(rng) * random_factored(rng), seed)
+    # end coefficients far beyond what a search over their divisors could reach
+    bits = []
+    for seed in SEEDS:
+        rng = random.Random(f"wide roots/{seed}")
+        f = Poly([Q(rng.getrandbits(40) + 1, rng.getrandbits(12) + 1)])
+        for _ in range(rng.randint(2, 4)):
+            f = f * wide_root_factor(rng) ** rng.randint(1, 2)
+        bits.append(end_bits(f))
+        check_rational_roots(f, seed)
+    assert min(bits) >= 40 and max(bits) >= 64
+    x = Poly.x()
+    for name, f in {
+        "61-bit root": (x - (2**61 - 1)) * (x**2 + 1),
+        "denominator 7^15": (7**15 * x + 3) * (x - 2) ** 2,
+        # 2 and 3 divide the leading coefficient and x^2 - 5 is a square mod 5:
+        # the prime search ends at 7
+        "lc 6": (2 * x - 1) * (3 * x - 1) * (x**2 - 5),
+        # 1 and 7 meet mod 2 and mod 3 in a double root: it ends at 5
+        "double root mod 2 and 3": (x - 1) * (x - 7) * (x**2 + x + 1),
+        # 2 divides the leading coefficient and 1/2 and 2 meet mod 3: it ends at 5
+        "lc 2, double root mod 3": (2 * x - 1) * (x - 2) ** 3 * x**2,
+    }.items():
+        check_rational_roots(f, name)
 
 
 def cancelled(num, den) -> tuple[Poly, Poly]:
