@@ -21,7 +21,7 @@ from .errors import (
     NotAdmissible,
     NotGeneric,
 )
-from .rational import Poly, Q, RatFun, first_order_poly_solutions, log_deriv, multiplicity, poly_gcd, qq
+from .rational import Poly, Q, RatFun, first_order_poly_solutions, multiplicity, poly_gcd, qq
 from .skew import CompleteFactorization, OreFraction
 from .weights import (
     ParitySequence,
@@ -410,9 +410,31 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
     return pop
 
 
-def _second_order(u: RatFun, v: RatFun) -> tuple[RatFun, RatFun]:
-    """Lower coefficients of (D - u)(D - v) = D^2 - (u + v) D + (u v - v')."""
-    return u + v, u * v - v.derivative()
+def _log_deriv_pair(point: BethePoint, i: int) -> tuple[Poly, Poly]:
+    """s_i ln'(T_i y_{i-1} / y_i), the log-derivative of factor i's
+    primitive, as the unreduced pair ±(p'q - pq', pq) with p = T_i y_{i-1}
+    and q = y_i."""
+    p, q = point.ts()[i - 1] * point.y(i - 1), point.y(i)
+    num = p.derivative() * q - p * q.derivative()
+    return (num if point.parity[i] == 1 else -num), p * q
+
+
+def _same_second_order(u, v, w, z) -> bool:
+    """Whether (D - u)(D - v) = (D - w)(D - z), for u, v, w and z given as
+    unreduced pairs (numerator, denominator).
+
+    Each side is D^2 - (u + v) D + (uv - v'), and with u = n/e and v = m/f
+    its two coefficients are the unreduced pairs (nf + me, ef) and
+    (nmf - (m'f - mf')e, ef^2).  Two pairs are compared by
+    cross-multiplication, n1 d2 = n2 d1, so no gcd is taken.
+    """
+
+    def lower(u, v):
+        (n, e), (m, f) = u, v
+        ef = e * f
+        return (n * f + m * e, ef), (n * m * f - (m.derivative() * f - m * f.derivative()) * e, ef * f)
+
+    return all(n1 * d2 == n2 * d1 for (n1, d1), (n2, d2) in zip(lower(u, v), lower(w, z)))
 
 
 def _edge_keeps_operator(source: BethePoint, target: BethePoint, i: int) -> bool:
@@ -421,8 +443,10 @@ def _edge_keeps_operator(source: BethePoint, target: BethePoint, i: int) -> bool
     When every factor other than i and i+1 is the same at both ends, R
     agrees exactly when the pair of factors i, i+1 does (cancellation in
     the division ring of pseudodifferential operators), and that is one
-    identity of second-order operators.  Any other edge compares the two
-    full operators.
+    identity of second-order operators.  The four log-derivatives are
+    unreduced fractions of polynomials, and :func:`_same_second_order`
+    compares the identity's coefficients by cross-multiplication, with no
+    gcd.  Any other edge compares the two full operators.
     """
     s, size = source.parity, len(source.parity)
     if 1 <= i < size and target.parity == s.swapped(i):
@@ -430,7 +454,7 @@ def _edge_keeps_operator(source: BethePoint, target: BethePoint, i: int) -> bool
         if all(source.y(j) == target.y(j) for j in range(1, size) if j != i) and all(
             ts[j - 1] == tt[j - 1] for j in range(1, size + 1) if j not in (i, i + 1)
         ):
-            a, b, c, d = (log_deriv(_primitive(p, j)) for p in (source, target) for j in (i, i + 1))
+            a, b, c, d = (_log_deriv_pair(p, j) for p in (source, target) for j in (i, i + 1))
             # The edge holds when (D-a)^(s_i) (D-b)^(s_(i+1)) equals
             # (D-c)^(s_(i+1)) (D-d)^(s_i).  Moving the inverted factors across
             # makes that (D-u)(D-v) = (D-w)(D-z): for (+,-), say,
@@ -441,7 +465,7 @@ def _edge_keeps_operator(source: BethePoint, target: BethePoint, i: int) -> bool
                 (1, -1): ((c, a), (d, b)),
                 (-1, 1): ((b, d), (a, c)),
             }[s[i], s[i + 1]]
-            return _second_order(u, v) == _second_order(w, z)
+            return _same_second_order(u, v, w, z)
     return population_operator(source).same_operator(population_operator(target))
 
 
@@ -452,7 +476,8 @@ def verify_r_invariance(pop: Population) -> bool:
     (D - a_j)^(s_j), a_j = s_j ln'(T_j y_{j-1} / y_j), it changes factors i
     and i+1 alone.  Pseudodifferential operators form a division ring, so R is
     unchanged across the edge exactly when the product of that pair is,
-    which :func:`_edge_keeps_operator` checks as one second-order identity.
+    which :func:`_edge_keeps_operator` checks as one second-order identity
+    between unreduced fractions of polynomials, by cross-multiplication.
 
     Each node other than the seed is checked on the edge that first
     reaches it from a node already reached, taking the edges in order.

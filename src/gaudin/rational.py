@@ -726,37 +726,40 @@ def log_deriv(f) -> RatFun:
 
 
 def wronskian(fs) -> RatFun:
-    """Determinant of the derivative matrix (f_j^(i-1))_{i,j}."""
+    """Determinant of the derivative matrix (f_j^(i-1))_{i,j}.
+
+    W(g f_1, ..., g f_r) = g^r W(f_1, ..., f_r), so with q the lcm of the
+    denominators W is the determinant of the polynomials q f_j and their
+    derivatives over q^r.  Bareiss's fraction-free elimination (Math. Comp.
+    22, 1968) finds that determinant in polynomial arithmetic: each step
+    divides exactly by the previous pivot, so the only gcds are those of
+    the lcm and the one that reduces the result.
+    """
     fs = [_as_ratfun(f) for f in fs]
     if not fs:
         raise DegenerateInput("Wronskian of an empty family")
     r = len(fs)
-    rows = [list(fs)]
+    q = _ONE
+    for f in fs:
+        if f.den.degree > 0:
+            q = poly_lcm(q, f.den)
+    mat = [[f.num * (q if f.den.degree < 1 else q.exact_div(f.den)) for f in fs]]
     for _ in range(r - 1):
-        rows.append([f.derivative() for f in rows[-1]])
-    # Gaussian elimination over the rational-function field
-    det = RatFun.one()
-    mat = [row[:] for row in rows]
-    for col in range(r):
-        piv = None
-        for i in range(col, r):
-            if not mat[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
+        mat.append([p.derivative() for p in mat[-1]])
+    prev = _ONE
+    for k in range(r - 1):
+        pivot, top = mat[k][k], mat[k]
+        if not pivot:
+            # pivot k is the leading minor W(q f_1, ..., q f_(k+1)), zero only
+            # when those members are linearly dependent, and then so is the
+            # whole family: no row swap can make the determinant nonzero
             return RatFun.zero()
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det = det * mat[col][col]
-        inv = RatFun.one() / mat[col][col]
-        for i in range(col + 1, r):
-            if mat[i][col].is_zero():
-                continue
-            factor = mat[i][col] * inv
-            for j in range(col, r):
-                mat[i][j] = mat[i][j] - factor * mat[col][j]
-    return det
+        for row in mat[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, r):
+                row[j] = (pivot * row[j] - lead * top[j]).exact_div(prev)
+        prev = pivot
+    return RatFun(mat[-1][-1], q**r)
 
 
 def zero_pole_radical(f) -> Poly:

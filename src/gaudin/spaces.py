@@ -277,22 +277,26 @@ def flag_polynomial(space: RationalSpace, flag: SuperFlag, a: int, b: int) -> Po
 
     The Wronskian of the first a even and first b odd flag members, cleared
     by the collision correction and the space's weight polynomials, is a
-    polynomial whenever the space satisfies the membership conditions.
+    polynomial whenever the space satisfies the membership conditions.  It
+    is found by one exact division: the Wronskian's numerator times the
+    collision, even-denominator and odd weight polynomials, over its
+    denominator times the first a even weight polynomials.
     """
     tw = space.weight_polys
     m, n = space.m, space.n
     w = flag.wronskian(a, b)
     if w.is_zero():
         raise InvalidFlag("dependent flag members")
-    corr = collision_poly(tw, m, n, a, b)
-    val = w * RatFun(corr) * RatFun(space.even_denominator)
+    num = w.num * collision_poly(tw, m, n, a, b) * space.even_denominator
     for j in range(1, b + 1):
-        val = val * RatFun(tw[m + j - 1])
+        num = num * tw[m + j - 1]
+    den = w.den
     for j in range(0, a):
-        val = val / RatFun(tw[m - 1 - j])
-    if not val.is_polynomial():
+        den = den * tw[m - 1 - j]
+    val = num.try_exact_div(den)
+    if val is None:
         raise InternalInconsistency(f"flag polynomial is not polynomial at ({a},{b})")
-    return val.as_poly().monic()
+    return val.monic()
 
 
 def generating_tuple(space: RationalSpace, flag: SuperFlag) -> tuple[Poly, ...]:

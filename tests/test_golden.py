@@ -29,6 +29,8 @@ COMMANDS = {
     "gl11_spectrum_wide_roots": ["gl11-spectrum", "--input", "gl11_wide_roots.json"],
     "population_gl31_depth3": ["population", "--input", "gl31.json", "--max-depth", "3", "--samples=-6,-5,1"],
     "space_gl31_depth3": ["space", "--input", "gl31.json", "--max-depth", "3", "--samples=-6,-5,1"],
+    "space_rational_gl21": ["space", "--input", "rational_gl21.json"],
+    "space_rational_gl21_point_1e50_depth3": ["space", "--input", "rational_gl21_point_1e50.json", "--max-depth", "3"],
 }
 
 

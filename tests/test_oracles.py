@@ -1,6 +1,8 @@
 """Differential checks of the polynomial, rational-function, gcd and matrix layers against sympy.
 
 sympy is a test-only oracle here; the engine itself stays stdlib-only.
+The fraction-free Wronskian and the cross-multiplied edge comparison are
+also checked against elimination and arithmetic over reduced ``RatFun``s.
 Inputs are seeded random rational polynomials, many of them built from
 shared and repeated factors so that gcds, radicals and root
 multiplicities are nontrivial.  The ring kernels, derivatives, monic forms
@@ -13,10 +15,20 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from gaudin.bethe import _same_second_order
 from gaudin.errors import InternalInconsistency
 from gaudin.linalg import charpoly_coeffs, mat_mul, solve_linear
-from gaudin.rational import Poly, RatFun, poly_gcd, radical, rational_roots, squarefree_decomposition
+from gaudin.rational import (
+    Poly,
+    RatFun,
+    poly_gcd,
+    radical,
+    rational_roots,
+    squarefree_decomposition,
+    wronskian,
+)
 
 from conftest import LINEAR_SYSTEM_KINDS, random_linear_system
 
@@ -332,3 +344,106 @@ def test_solve_linear_matches_sympy_rref(kind):
     for seed in range(30):
         rows, rhs = random_linear_system(random.Random(f"rref/{kind}/{seed}"), kind)
         assert solve_linear(rows, rhs) == rref_solution(rows, rhs), (kind, seed)
+
+
+def gauss_wronskian(fs) -> RatFun:
+    """Determinant of (f_j^(i-1))_{i,j} by Gaussian elimination over reduced RatFuns."""
+    mat = [[RatFun(f) if isinstance(f, Poly) else f for f in fs]]
+    for _ in range(len(fs) - 1):
+        mat.append([f.derivative() for f in mat[-1]])
+    r = len(fs)
+    det = RatFun.one()
+    for col in range(r):
+        piv = next((i for i in range(col, r) if not mat[i][col].is_zero()), None)
+        if piv is None:
+            return RatFun.zero()
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        det = det * mat[col][col]
+        inv = RatFun.one() / mat[col][col]
+        for i in range(col + 1, r):
+            if mat[i][col].is_zero():
+                continue
+            factor = mat[i][col] * inv
+            for j in range(col, r):
+                mat[i][j] = mat[i][j] - factor * mat[col][j]
+    return det
+
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+small_poly = st.lists(small, min_size=1, max_size=4).map(Poly)
+nonzero_small_poly = small_poly.filter(bool)
+
+
+@st.composite
+def wronskian_family(draw):
+    """r = 1..4 members, each a polynomial or a fraction of polynomials, all
+    sharing one factor; some families start with a constant or repeat a member."""
+    shared = draw(nonzero_small_poly)
+    fs = []
+    for _ in range(draw(st.integers(1, 4))):
+        num = draw(nonzero_small_poly) * shared
+        fs.append(num if draw(st.booleans()) else RatFun(num, draw(nonzero_small_poly)))
+    shape = draw(st.sampled_from(["plain", "constant first", "repeated"]))
+    if shape == "constant first":
+        fs[0] = Poly.const(draw(small.filter(bool)))
+    elif shape == "repeated" and len(fs) > 1:
+        fs[-1] = fs[draw(st.integers(0, len(fs) - 2))]
+    return fs
+
+
+PX = Poly.x()  # X is sympy's symbol
+
+
+@given(fs=wronskian_family())
+@example(fs=[Poly.one(), PX, PX**2, PX**3])
+@example(fs=[Poly.const(3), RatFun(PX + 1, PX - 1), RatFun(PX**2, (PX - 1) ** 2)])
+@example(fs=[RatFun(PX, PX + 2), PX**2 + 1, RatFun(PX, PX + 2)])
+@example(fs=[PX * (PX - 1), 2 * PX * (PX - 1), RatFun(PX - 1, PX)])
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+def test_wronskian_matches_gaussian_elimination(fs):
+    got, want = wronskian(fs), gauss_wronskian(fs)
+    assert (got.num.ints, got.num.den, got.den.ints, got.den.den) == (
+        want.num.ints,
+        want.num.den,
+        want.den.ints,
+        want.den.den,
+    )
+
+
+def two_factorizations(phi, psi):
+    """Unreduced pairs u, v, w, z with (D - u)(D - v) = (D - w)(D - z), the
+    monic operator that kills phi and psi, and v = phi'/phi, z = psi'/psi."""
+    wr = phi * psi.derivative() - phi.derivative() * psi
+    dwr = wr.derivative()
+    v, z = (phi.derivative(), phi), (psi.derivative(), psi)
+    # u = W'/W - v and w = W'/W - z, as unreduced pairs
+    u = (dwr * phi - wr * phi.derivative(), wr * phi)
+    w = (dwr * psi - wr * psi.derivative(), wr * psi)
+    return u, v, w, z
+
+
+def reduced_second_order(u, v):
+    """u + v and uv - v' over reduced RatFuns, for u and v given as pairs."""
+    u, v = RatFun(*u), RatFun(*v)
+    return u + v, u * v - v.derivative()
+
+
+def test_second_order_comparison_matches_reduced_ratfuns():
+    for seed in SEEDS:
+        rng = random.Random(f"second order/{seed}")
+        phi = random_factored(rng) * random_poly(rng, rng.randint(0, 2))
+        psi = phi * random_poly(rng, rng.randint(1, 2)) + random_poly(rng, rng.randint(0, 3))
+        if (phi * psi.derivative() - phi.derivative() * psi).is_zero():
+            continue
+        # the same fractions over a common factor h: (p h, q h)
+        h = random_factored(rng)
+        u, v, w, z = ((n * h, d * h) if rng.random() < 0.5 else (n, d) for n, d in two_factorizations(phi, psi))
+        k = rng.randint(0, 4)
+        near = (w[0] + PX**k * w[1].lc, w[1])  # w moved by x^k lc(den), one coefficient of its numerator
+        for (a, b, c, d), expected in (((u, v, w, z), True), ((u, v, near, z), False), ((u, v, z, w), None)):
+            oracle = reduced_second_order(a, b) == reduced_second_order(c, d)
+            assert _same_second_order(a, b, c, d) == oracle, seed
+            if expected is not None:
+                assert oracle == expected, seed
