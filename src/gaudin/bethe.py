@@ -21,7 +21,7 @@ from .errors import (
     NotAdmissible,
     NotGeneric,
 )
-from .rational import Poly, Q, RatFun, first_order_poly_solutions, multiplicity, poly_gcd, qq
+from .rational import Poly, Q, RatFun, multiplicity, poly_gcd, qq, wronskian_partner
 from .skew import CompleteFactorization, OreFraction
 from .weights import (
     ParitySequence,
@@ -135,14 +135,11 @@ def bosonic_reproduce(point: BethePoint, i: int) -> ReproductionFamily:
     s = point.parity
     if s[i] != s[i + 1]:
         raise InvalidInput(f"direction {i} is not same-parity")
-    y, rhs = point.y(i), bosonic_rhs(point, i)
+    y = point.y(i)
     # y w' - y' w = rhs; the homogeneous solutions are the multiples of y
-    bound = max(rhs.degree - y.degree + 1, y.degree, 0)
-    particular, homogeneous = first_order_poly_solutions(y, y.derivative(), rhs, bound)
+    particular = wronskian_partner(y, bosonic_rhs(point, i))
     if particular is None:
         raise CriterionFailed(f"no polynomial Wronskian partner in direction {i}")
-    if len(homogeneous) != 1 or homogeneous[0].monic() != y.monic():
-        raise InvalidInput("unexpected homogeneous solution space")
     return ReproductionFamily(direction=i, particular=particular, homogeneous=y)
 
 
@@ -510,11 +507,13 @@ def table_eigenvalues(sites, ys) -> dict[int, Fraction]:
     (y_1 .. y_{M+N-1}) at the same parity.  A site is admissible unless
     some y_i whose simple root pairs nonzero with the site's weight
     vanishes there.  Root sums enter through logarithmic derivatives of the
-    y-entries, so no root extraction is needed.
+    y-entries, so no root extraction is needed.  Each site's value is
+    summed as one integer fraction num/den and reduced once, at the end.
     """
     out = {}
     for k, (z, total, pairings) in enumerate(sites, start=1):
         a, b = z.numerator, z.denominator
+        num, den = total.numerator, total.denominator
         for i, pairing in pairings:
             # homogeneous Horner pass over the stored integers: h0 is
             # b^d den y(a/b) and h1 is b^(d-1) den y'(a/b), so y'/y = b h1/h0
@@ -526,9 +525,12 @@ def table_eigenvalues(sites, ys) -> dict[int, Fraction]:
                 bj *= b
             if h0 == 0:
                 break
-            total -= pairing * Fraction(b * h1, h0)
+            # num/den - (pn/pd) (b h1/h0)
+            pn, pd = pairing.numerator, pairing.denominator
+            num = num * pd * h0 - pn * b * h1 * den
+            den *= pd * h0
         else:
-            out[k] = total
+            out[k] = Fraction(num, den)
     return out
 
 
@@ -557,7 +559,12 @@ def gaudin_eigenvalues(point: BethePoint) -> list[Fraction]:
 
 def eigenvalue_conservation(pop: Population) -> bool:
     """Eigenvalue equality across every edge, at mutually admissible sites."""
-    values = {key: site_eigenvalues(point) for key, point in pop.nodes.items()}
+    return _conserved(pop, {key: site_eigenvalues(point) for key, point in pop.nodes.items()})
+
+
+def _conserved(pop: Population, values: dict) -> bool:
+    """:func:`eigenvalue_conservation` on each node's :func:`site_eigenvalues`,
+    given by node key."""
     for edge in pop.edges:
         source, target = values[edge.source], values[edge.target]
         if any(source[k] != target[k] for k in source.keys() & target.keys()):

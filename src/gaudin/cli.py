@@ -19,8 +19,8 @@ import sys
 from . import jsonio
 from .bethe import (
     BethePoint,
+    _conserved,
     bae_check_direct,
-    eigenvalue_conservation,
     populate,
     site_eigenvalues,
     verify_r_invariance,
@@ -96,20 +96,19 @@ def run_population(seed, samples, max_depth):
         for parity, points in pop.by_parity().items()
     }
     if problem.points is not None:
-        table = []
-        for point in pop.points():
-            values = site_eigenvalues(point)
-            table.append(
-                {
-                    "node": jsonio.point_to_json(point),
-                    "admissible": list(values),
-                    "eigenvalues": {str(k): jsonio.scalar_to_json(v) for k, v in values.items()}
-                    if len(values) == problem.n_points
-                    else None,
-                }
-            )
-        payload["eigenvalue_table"] = table
-        payload["eigenvalues_conserved"] = eigenvalue_conservation(pop)
+        by_node = {key: site_eigenvalues(point) for key, point in pop.nodes.items()}
+        # population_to_json lists the nodes in pop.nodes order
+        payload["eigenvalue_table"] = [
+            {
+                "node": node,
+                "admissible": list(values),
+                "eigenvalues": {str(k): jsonio.scalar_to_json(v) for k, v in values.items()}
+                if len(values) == problem.n_points
+                else None,
+            }
+            for node, values in zip(payload["nodes"], by_node.values())
+        ]
+        payload["eigenvalues_conserved"] = _conserved(pop, by_node)
     else:
         payload["eigenvalue_table"] = None
     return payload, invariant and payload.get("eigenvalues_conserved", True)

@@ -803,6 +803,64 @@ def first_order_poly_solutions(p: Poly, q: Poly, rhs: Poly, bound: int):
     return (None if sol is None else Poly(sol)), [Poly(v) for v in null]
 
 
+def wronskian_partner(y: Poly, rhs: Poly) -> Poly | None:
+    """The polynomial w with  y w' - y' w = rhs  and no x^d term, d = deg y;
+    None when no polynomial w solves it.  ``y`` must be nonzero.
+
+    The kernel of w -> y w' - y' w is Q y, and y has a nonzero x^d
+    coefficient, so at most one solution has no x^d term.  It is the
+    particular solution of :func:`first_order_poly_solutions` (y, y', rhs)
+    for any bound >= max(deg rhs - d + 1, d): y makes column d a combination
+    of the columns before it, so d is that system's one free column, set to
+    zero.  A solution with no x^d term and of degree e has degree e + d - 1
+    on the left (the x^(e+d-1) coefficient is (e - d) lc(y) lc(w)), so a
+    nonzero solution has degree deg rhs - d + 1 and the unknowns stop there.
+
+    With y = Y/dy on integers, row x^k of Y w' - Y' w = dy rhs has
+    coefficient (2j - k - 1) Y[k-j+1] on w_j.  Row j + d - 1 is the highest
+    one that w_j enters, with diagonal (j - d) Y[d], so the rows are solved
+    by back-substitution from the top unknown down (Abramov, Bronstein and
+    Petkovsek, "On polynomial solutions of linear operator equations", ISSAC
+    1995), with w = v/(rhs.den scale) over one running integer scale.  The
+    rows that no unknown pivots on (those below d - 1, row 2d - 1 and any
+    above the top pivot) are then checked exactly.
+    """
+    ys, d = y.ints, len(y.ints) - 1
+    lead = ys[d]
+    target = [c * y.den for c in rhs.ints]
+    top = max(len(target) - d, 0)
+    v = [0] * (top + 1)
+    scale = 1
+    for j in range(top, -1, -1):
+        if j == d:
+            continue
+        k = j + d - 1
+        acc = target[k] * scale if k < len(target) else 0
+        for jj in range(j + 1, min(top, j + d) + 1):
+            acc -= (2 * jj - k - 1) * ys[k - jj + 1] * v[jj]
+        piv = (j - d) * lead
+        g = gcd(acc, piv)
+        if piv < 0:
+            g = -g  # a reduced pivot of -1 then rescales nothing
+        acc //= g
+        piv //= g
+        if piv != 1:
+            scale *= piv
+            v = [c * piv for c in v]
+        v[j] = acc
+    for k in range(max(top + d - 1, len(target) - 1) + 1):
+        if d - 1 <= k <= top + d - 1 and k != 2 * d - 1:
+            continue  # the pivot row of w_(k-d+1)
+        acc = target[k] * scale if k < len(target) else 0
+        for j in range(max(k - d + 1, 0), min(top, k + 1) + 1):
+            acc -= (2 * j - k - 1) * ys[k - j + 1] * v[j]
+        if acc:
+            return None
+    while v and not v[-1]:
+        v.pop()
+    return _poly(v, rhs.den * scale)
+
+
 def _poly_antiderivative(p: Poly) -> Poly:
     # sum c_k x^(k+1) / ((k+1) den) over the common denominator m * den
     n = len(p.ints)

@@ -693,6 +693,66 @@ class TestTableEigenvalues:
             assert bethe.table_eigenvalues(self.SITES, ys) == evaluated_eigenvalues(self.SITES, ys)
 
 
+def fraction_table_eigenvalues(sites, ys):
+    """table_eigenvalues with one ``Fraction`` step per pairing: the oracle."""
+    out = {}
+    for k, (z, total, pairings) in enumerate(sites, start=1):
+        a, b = z.numerator, z.denominator
+        for i, pairing in pairings:
+            h0 = h1 = 0
+            bj = 1
+            for c in reversed(ys[i - 1].ints):
+                h1 = h1 * a + h0
+                h0 = h0 * a + c * bj
+                bj *= b
+            if h0 == 0:
+                break
+            total -= pairing * Q(b * h1, h0)
+        else:
+            out[k] = total
+    return out
+
+
+def random_site_table(rng, colours):
+    """Sites with fractional and negative z, fractional pairings, and some zero totals."""
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        z = Q(rng.randint(-12, 12), rng.randint(1, 6))
+        total = Q(0) if rng.random() < 0.2 else Q(rng.randint(-30, 30), rng.randint(1, 9))
+        pairings = tuple(
+            (i, Q(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 4)))
+            for i in range(1, colours + 1)
+            if rng.random() < 0.7
+        )
+        rows.append((z, total, pairings))
+    return tuple(rows)
+
+
+class TestTableEigenvaluesOracle:
+    def test_matches_fraction_loop(self):
+        rng = random.Random(19)
+        inadmissible = zero_totals = 0
+        for _ in range(300):
+            colours = rng.randint(1, 3)
+            sites = random_site_table(rng, colours)
+            ys = []
+            for _ in range(colours):
+                y = Poly([Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 5))])
+                if not y:
+                    y = Poly.one()
+                if rng.random() < 0.25:
+                    y = y * (X - rng.choice(sites)[0])  # h0 = 0 at that site
+                ys.append(y)
+            got = bethe.table_eigenvalues(sites, ys)
+            want = fraction_table_eigenvalues(sites, ys)
+            assert got == want
+            assert list(got) == list(want)
+            assert all(type(v) is Q for v in got.values())
+            inadmissible += len(sites) - len(got)
+            zero_totals += sum(sites[k - 1][1] == 0 for k in got)
+        assert inadmissible > 20 and zero_totals > 20
+
+
 def rational_gl21_population():
     """The population of tests/golden/rational_gl21.json at the default samples."""
     prob = ProblemData(2, 1, [Weight(2, 1, (1, 1, 0))] * 3, points=[0, 1, 2])

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +17,7 @@ WORKED_PROBLEM = {
     "Ts": [["-1", "0", "0", "1"], ["-1", "0", "0", "1"], ["1"]],
 }
 WORKED_SEED = {"parity": [1, 1, -1], "ys": [["1"], ["1"]]}
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write(tmp_path, name, payload):
@@ -81,6 +83,26 @@ class TestPopulationCommand:
         inp = write(tmp_path, "in.json", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED})
         assert main(["population", "--input", inp, "--out", str(tmp_path / "out.json")]) == 0
         assert len(calls) == 1
+
+    def test_node_eigenvalues_and_payloads_built_once(self, tmp_path, monkeypatch):
+        # the eigenvalue table and the conservation check share one dict per
+        # node, and the table reuses the node payloads of the population
+        eigen, nodes = [], []
+        values, to_json = bethe.site_eigenvalues, jsonio.point_to_json
+
+        def counted(point):
+            eigen.append(point)
+            return values(point)
+
+        monkeypatch.setattr(bethe, "site_eigenvalues", counted)
+        monkeypatch.setattr(cli, "site_eigenvalues", counted)
+        monkeypatch.setattr(jsonio, "point_to_json", lambda p: nodes.append(p) or to_json(p))
+        out = tmp_path / "out.json"
+        assert main(["population", "--input", str(GOLDEN / "rational_gl21.json"), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["eigenvalues_conserved"] is True
+        assert [row["node"] for row in payload["eigenvalue_table"]] == payload["nodes"]
+        assert len(eigen) == len(nodes) == len(payload["nodes"]) > 1
 
     def test_negative_depth_exit_two(self, tmp_path, capsys):
         inp = write(tmp_path, "in.json", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED})

@@ -22,6 +22,7 @@ from gaudin.rational import (
     rational_roots,
     squarefree_decomposition,
     wronskian,
+    wronskian_partner,
     zero_pole_radical,
 )
 
@@ -405,6 +406,49 @@ class TestFirstOrderPolySolutions:
         for bound in range(4):
             part, _homog = first_order_poly_solutions(X, Poly.one(), X, bound)
             assert part is None
+
+
+class TestWronskianPartner:
+    """wronskian_partner against the particular solution of the linear system."""
+
+    @staticmethod
+    def oracle(y, rhs):
+        bound = max(rhs.degree - y.degree + 1, y.degree, 0)
+        return first_order_poly_solutions(y, y.derivative(), rhs, bound)[0]
+
+    def test_matches_linear_system(self):
+        rng = random.Random(73)
+        solved = unsolved = 0
+        for _ in range(400):
+            # constant y a quarter of the time; otherwise non-monic with
+            # fractional coefficients; a leading coefficient of either sign
+            y = _rand_poly(rng, 0 if rng.random() < 0.25 else rng.randint(1, 4))
+            y = y * Q(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5))
+            w = _rand_poly(rng, rng.randint(0, 6)) if rng.random() < 0.9 else Poly.zero()
+            rhs = y * w.derivative() - y.derivative() * w
+            perturbed = rng.random() < 0.5
+            if perturbed:
+                # a term at a random row, or at row 2 deg y - 1, the one
+                # that the x^(deg y) coefficient of w would pivot on
+                k = 2 * y.degree - 1 if rng.random() < 0.3 else rng.randint(0, rhs.degree + 2)
+                rhs = rhs + Q(rng.randint(1, 9), rng.randint(1, 3)) * X ** max(k, 0)
+            got = wronskian_partner(y, rhs)
+            assert got == self.oracle(y, rhs), (y, rhs)
+            if got is None:
+                assert perturbed
+                unsolved += 1
+            else:
+                solved += 1
+                assert y * got.derivative() - y.derivative() * got == rhs
+                assert got.coeff(y.degree) == 0
+                if not perturbed:
+                    assert (w - got).try_exact_div(y) is not None
+        assert solved > 100 and unsolved > 100
+
+    def test_x_log_x(self):
+        # x w' - w = x is solved by x log x only
+        assert wronskian_partner(X, X) is None
+        assert self.oracle(X, X) is None
 
 
 class TestOrderAt:
