@@ -120,12 +120,14 @@ class ReproductionFamily:
     """One-parameter family produced by a same-parity reproduction.
 
     Members are particular - c * homogeneous; the value c = infinity
-    degenerates to the original entry y_i.
+    degenerates to the original entry y_i.  ``rhs`` is the right side of
+    W(homogeneous, particular) = rhs that the particular solution solves.
     """
 
     direction: int
     particular: Poly
     homogeneous: Poly
+    rhs: Poly
 
     def member(self, c) -> Poly:
         return (self.particular - self.homogeneous * qq(c)).monic()
@@ -137,10 +139,11 @@ def bosonic_reproduce(point: BethePoint, i: int) -> ReproductionFamily:
         raise InvalidInput(f"direction {i} is not same-parity")
     y = point.y(i)
     # y w' - y' w = rhs; the homogeneous solutions are the multiples of y
-    particular = wronskian_partner(y, bosonic_rhs(point, i))
+    rhs = bosonic_rhs(point, i)
+    particular = wronskian_partner(y, rhs)
     if particular is None:
         raise CriterionFailed(f"no polynomial Wronskian partner in direction {i}")
-    return ReproductionFamily(direction=i, particular=particular, homogeneous=y)
+    return ReproductionFamily(direction=i, particular=particular, homogeneous=y, rhs=rhs)
 
 
 def fermionic_reproduce(point: BethePoint, i: int) -> BethePoint:
@@ -330,15 +333,16 @@ def _family_sibling_exists(pop: Population, point: BethePoint, i: int, family: R
     Re-sampling such a family from a second basepoint would scatter fresh
     points over the same line forever, so exploration stops once the line
     is witnessed by any other member.  The line is span(particular, y) and
-    W(y, particular) = rhs, a nonzero polynomial, so a candidate lies on it
+    W(y, particular) = rhs, a nonzero polynomial (``wronskian_partner``
+    checks every row of that equation exactly), so a candidate lies on it
     exactly when W(y, cand) is a scalar multiple of rhs.
     """
     cands = [other.ys[i - 1] for other in pop._lines.get(_line_key(point, i), []) if other is not point]
     if not cands:
         return False
-    y, particular = family.homogeneous, family.particular
+    y = family.homogeneous
     dy = y.derivative()
-    line = (y * particular.derivative() - dy * particular).monic()
+    line = family.rhs.monic()
     for cand in cands:
         w = y * cand.derivative() - dy * cand
         if not w or w.monic() == line:

@@ -77,7 +77,7 @@ class UnsupportedOperator(EngineError):
     """Operator arrived without first-order factorization data."""
 
 
-class InvalidConfiguration(EngineError):
+class InvalidConfiguration(InvalidInput):
     """Bethe-root configuration violates the non-coincidence conditions."""
 
 

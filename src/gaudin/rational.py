@@ -21,7 +21,6 @@ from .errors import (
     NonRationalAntiderivative,
     UnsupportedFactorization,
 )
-from .linalg import solve_linear
 
 Q = Fraction
 
@@ -784,37 +783,17 @@ def order_at_place(f, place: Poly) -> int:
     return multiplicity(f.num, place) - multiplicity(f.den, place)
 
 
-def first_order_poly_solutions(p: Poly, q: Poly, rhs: Poly, bound: int):
-    """Polynomial solutions w of  p w' - q w = rhs  with deg w <= bound.
-
-    Returns (particular or None, homogeneous basis).  The particular
-    solution sets the free coefficients of the linear system to zero.
-    """
-    # row k: coefficient of x^k in p (x^j)' - q x^j, for each unknown x^j,
-    # with the equation scaled to integers by lcm(p.den, q.den, rhs.den)
-    nrows = max(p.degree + max(bound - 1, 0), q.degree + bound, rhs.degree) + 1
-    den = lcm(p.den, q.den, rhs.den)
-    pc, qc, rc = ({i: c * (den // f.den) for i, c in enumerate(f.ints)} for f in (p, q, rhs))
-    rows = [
-        [(j * pc.get(k - j + 1, 0) if j >= 1 else 0) - qc.get(k - j, 0) for j in range(bound + 1)]
-        for k in range(nrows)
-    ]
-    sol, null = solve_linear(rows, [rc.get(k, 0) for k in range(nrows)])
-    return (None if sol is None else Poly(sol)), [Poly(v) for v in null]
-
-
 def wronskian_partner(y: Poly, rhs: Poly) -> Poly | None:
     """The polynomial w with  y w' - y' w = rhs  and no x^d term, d = deg y;
     None when no polynomial w solves it.  ``y`` must be nonzero.
 
-    The kernel of w -> y w' - y' w is Q y, and y has a nonzero x^d
-    coefficient, so at most one solution has no x^d term.  It is the
-    particular solution of :func:`first_order_poly_solutions` (y, y', rhs)
-    for any bound >= max(deg rhs - d + 1, d): y makes column d a combination
-    of the columns before it, so d is that system's one free column, set to
-    zero.  A solution with no x^d term and of degree e has degree e + d - 1
-    on the left (the x^(e+d-1) coefficient is (e - d) lc(y) lc(w)), so a
-    nonzero solution has degree deg rhs - d + 1 and the unknowns stop there.
+    A polynomial w with W(y, w) = 0 has (w/y)' = 0, so the kernel of
+    w -> y w' - y' w is Q y.  Two solutions therefore differ by c y, and
+    since y has a nonzero x^d coefficient at most one of them has no x^d
+    term.  A solution with no x^d term and of degree e has degree e + d - 1
+    on the left (the x^(e+d-1) coefficient is (e - d) lc(y) lc(w), and
+    e != d), so a nonzero solution has degree deg rhs - d + 1 and the
+    unknowns stop there.
 
     With y = Y/dy on integers, row x^k of Y w' - Y' w = dy rhs has
     coefficient (2j - k - 1) Y[k-j+1] on w_j.  Row j + d - 1 is the highest
@@ -873,9 +852,21 @@ def _poly_antiderivative(p: Poly) -> Poly:
 def rational_antiderivative(f) -> RatFun:
     """Rational g with g' = f, integration constant fixed to 0.
 
-    Found by undetermined coefficients: the denominator ansatz lowers each
-    squarefree multiplicity of den(f) by one; a surviving simple-pole part
-    means the antiderivative has a logarithm and
+    The polynomial part of f integrates term by term.  For the proper part
+    rem/den, Horowitz's denominator b = gcd(den, den') lowers each
+    multiplicity of den by one (Horowitz, SYMSAM 1971), and (a/b)' = rem/den
+    is the Wronskian equation  b a' - b' a = rem b^2 / den, solved for a by
+    :func:`wronskian_partner`, the back-substitution of bosonic reproduction.
+
+    Its answer is the antiderivative with deg a < deg b.  Any polynomial
+    solution w makes w/b an antiderivative of rem/den.  The derivative of a
+    proper fraction is proper, so the polynomial part of w/b is a constant c,
+    and w = c b + a0 with deg a0 < deg b.  Then a0 solves the equation too;
+    it is the one solution with no x^(deg b) term, and so also the one of
+    degree below deg b.
+
+    When b = 1, when den does not divide rem b^2, or when no polynomial
+    solves the equation, the antiderivative has a logarithm and
     :class:`NonRationalAntiderivative` is raised.
     """
     f = _as_ratfun(f)
@@ -886,17 +877,14 @@ def rational_antiderivative(f) -> RatFun:
     if rem.is_zero():
         out = result
     else:
-        den = f.den
-        b = Poly.one()
-        for part, mult in squarefree_decomposition(den):
-            b = b * part ** (mult - 1)
+        b = poly_gcd(f.den, f.den.derivative())
         if b.degree == 0:
             raise NonRationalAntiderivative(f"simple poles only: {f!r}")
-        # a/b with (a' b - a b') * den == rem * b^2 and deg a < deg b
-        sol, _null = first_order_poly_solutions(b * den, b.derivative() * den, rem * b * b, b.degree - 1)
-        if sol is None:
+        rhs = (rem * b * b).try_exact_div(f.den)
+        a = None if rhs is None else wronskian_partner(b, rhs)
+        if a is None:
             raise NonRationalAntiderivative(f"logarithmic part present: {f!r}")
-        out = result + RatFun(sol, b)
+        out = result + RatFun(a, b)
     if out.derivative() != f:
         raise InternalInconsistency("antiderivative verification failed")
     return out

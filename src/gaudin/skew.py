@@ -324,18 +324,15 @@ def refactor_to_parity(fac: CompleteFactorization, target: ParitySequence) -> Co
     return out
 
 
-def first_order_solve(primitive: RatFun, rhs: RatFun) -> RatFun:
-    """Particular rational solution of (D - ln' g) f = rhs, namely
-    g * antiderivative(rhs / g)."""
-    return primitive * rational_antiderivative(rhs / primitive)
-
-
 def rational_kernel(op: DiffOp, primitives=None) -> list[RatFun]:
     """Rational kernel basis of a completely factored operator.
 
     ``primitives`` lists g_i for the factors (D - ln' g_1)...(D - ln' g_m)
     in product order.  The basis is built from the rightmost factor out;
-    element j is annihilated by the last j factors.
+    element j is annihilated by the last j factors.  Each step solves
+    (D - ln' g) f = w by f = g * antiderivative(w / g), where
+    :func:`rational_antiderivative` solves a Wronskian equation with the
+    same back-substitution as bosonic reproduction.
     """
     if primitives is None:
         raise UnsupportedOperator("kernel computation needs factorization data")
@@ -348,7 +345,7 @@ def rational_kernel(op: DiffOp, primitives=None) -> list[RatFun]:
         w = prims[k]
         try:
             for j in range(k + 1, m):
-                w = first_order_solve(prims[j], w)
+                w = prims[j] * rational_antiderivative(w / prims[j])
         except NonRationalAntiderivative as exc:
             raise NonRationalKernel(str(exc)) from exc
         basis.append(w)

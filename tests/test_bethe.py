@@ -15,6 +15,7 @@ from gaudin.bethe import (
     bae_check_criterion,
     bae_check_direct,
     bosonic_reproduce,
+    bosonic_rhs,
     eigenvalue_conservation,
     fermionic_reproduce,
     fermionic_rhs,
@@ -211,6 +212,51 @@ class TestBosonic:
         fam = bosonic_reproduce(p, 1)
         rhs_degree = 5
         assert fam.particular.degree == rhs_degree - p.y(1).degree + 1
+
+    @pytest.mark.parametrize(
+        "build, outcomes",
+        [
+            # the full worked population witnesses every line; the depth cap
+            # leaves lines of the outermost gl(3|1) nodes unwitnessed
+            (lambda: golden_population("worked_gl21.json"), {True}),
+            (lambda: golden_population("gl31.json", samples=(-6, -5, 1), max_depth=3), {True, False}),
+        ],
+        ids=["worked-gl21", "gl31-depth-3"],
+    )
+    def test_family_keeps_its_rhs(self, build, outcomes):
+        pop = build()
+        verdicts = []
+        for point in pop.points():
+            s = point.parity
+            for i in range(1, len(s)):
+                if s[i] != s[i + 1]:
+                    continue
+                try:
+                    family = bosonic_reproduce(point, i)
+                except CriterionFailed:
+                    continue
+                y, particular = family.homogeneous, family.particular
+                assert family.rhs == bosonic_rhs(point, i)
+                assert y * particular.derivative() - y.derivative() * particular == family.rhs
+                found = _family_sibling_exists(pop, point, i, family)
+                assert found == recomputed_sibling_exists(pop, point, i, family), (point, i)
+                verdicts.append(found)
+        assert set(verdicts) == outcomes
+
+
+def recomputed_sibling_exists(pop, point, i, family):
+    """The sibling test with W(y, particular) recomputed from the family: the oracle."""
+    cands = [other.ys[i - 1] for other in pop._lines.get(bethe._line_key(point, i), []) if other is not point]
+    if not cands:
+        return False
+    y, particular = family.homogeneous, family.particular
+    dy = y.derivative()
+    line = (y * particular.derivative() - dy * particular).monic()
+    for cand in cands:
+        w = y * cand.derivative() - dy * cand
+        if not w or w.monic() == line:
+            return True
+    return False
 
 
 class TestFermionic:

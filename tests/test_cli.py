@@ -261,6 +261,9 @@ NEGATIVE_M_PROBLEM = {"M": -1, "N": 2, "weights": [["1"]], "points": ["0"]}
 NEGATIVE_M_SEED = {"parity": [-1], "ys": []}
 # T_1 / T_2 must be a polynomial inside the even block
 TS_BLOCK_RATIO = dict(WORKED_PROBLEM, Ts=[["1"], ["-1", "0", "0", "1"], ["1"]])
+# gl(2|1) with two (1,0,0) sites: root configurations that break the
+# non-coincidence conditions of the Bethe ansatz
+GL21_TWO_SITES = {"M": 2, "N": 1, "parity": [1, 1, -1], "weights": [["1", "0", "0"]] * 2, "points": ["0", "1"]}
 
 
 class TestInputContract:
@@ -308,6 +311,9 @@ class TestInputContract:
             ("gl11-spectrum", {"weights": [["1", "0"], ["1", "0"]], "points": ["1e3", "2"]}, []),
             ("population", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED}, ["--samples=0.5"]),
             ("population", {"problem": dict(WORKED_PROBLEM, M=2.7), "seed": WORKED_SEED}, []),
+            ("check-bae", {"problem": GL21_TWO_SITES, "parity": [1, 1, -1], "t": [["0"], []]}, []),
+            ("check-bae", {"problem": GL21_TWO_SITES, "parity": [1, 1, -1], "t": [["5", "5"], []]}, []),
+            ("check-bae", {"problem": GL21_TWO_SITES, "parity": [1, 1, -1], "t": [["5"], ["5"]]}, []),
         ],
         ids=[
             "M-not-int",
@@ -351,6 +357,9 @@ class TestInputContract:
             "gl11-exponent-point",
             "decimal-sample",
             "M-float",
+            "root-on-a-point",
+            "repeated-root",
+            "interacting-roots-coincide",
         ],
     )
     def test_malformed_payload_exits_two(self, tmp_path, capsys, command, payload, options):

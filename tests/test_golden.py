@@ -7,6 +7,7 @@ re-record them on purpose.
 """
 
 import json
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -32,6 +33,12 @@ COMMANDS = {
     "space_rational_gl21": ["space", "--input", "rational_gl21.json"],
     "space_rational_gl21_point_1e50_depth3": ["space", "--input", "rational_gl21_point_1e50.json", "--max-depth", "3"],
 }
+# recorded too, but run by test_large_point_output_and_budget under a time budget
+BUDGETED = (
+    "population_rational_gl21_point_1e50_depth3",
+    ["population", "--input", "rational_gl21_point_1e50.json", "--max-depth", "3"],
+)
+WORKFLOW = Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml"
 
 
 @pytest.mark.parametrize("name", COMMANDS)
@@ -50,13 +57,14 @@ def test_large_point_output_and_budget(capsys):
     integers, when this run took about 7 s of CPU; the budget keeps the
     run's cost from growing with the size of its coefficients again.
     """
-    argv = ["population", "--input", str(GOLDEN / "rational_gl21_point_1e50.json"), "--max-depth", "3"]
+    name, args = BUDGETED
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in args]
     start = time.process_time()
     assert main(argv) == 0
     elapsed = time.process_time() - start
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out.encode() == (GOLDEN / "population_rational_gl21_point_1e50_depth3.stdout").read_bytes()
+    assert captured.out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
     assert elapsed < 3.0
 
 
@@ -76,3 +84,33 @@ def test_output_beyond_the_int_text_limit(tmp_path, capsys):
     assert captured.err == ""
     assert f'"{point}"' in captured.out
     assert limit() == before
+
+
+def workflow_golden_runs():
+    """``golden <name> <args>`` lines of the workflow step that compares CLI
+    bytes without pytest, as {name: args} with ``$g/`` taken off file names."""
+    lines = iter(WORKFLOW.read_text().splitlines())
+    for line in lines:
+        if line.strip() == "- name: Golden CLI bytes without pytest":
+            break
+    else:
+        raise AssertionError("no golden step in the workflow")
+    runs = {}
+    for line in map(str.strip, lines):
+        if line.startswith("- "):
+            break  # the next step
+        if line.startswith("g="):
+            assert line == "g=tests/golden"
+        if line.startswith("golden "):
+            name, *args = shlex.split(line)[1:]
+            assert name not in runs, name
+            runs[name] = [a.removeprefix("$g/") for a in args]
+    return runs
+
+
+def test_workflow_compares_every_recording():
+    """The workflow's list of recordings, COMMANDS and tests/golden/ agree."""
+    name, args = BUDGETED
+    expected = {**COMMANDS, name: args}
+    assert workflow_golden_runs() == expected
+    assert {p.stem for p in GOLDEN.glob("*.stdout")} == set(expected)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +12,7 @@ from gaudin.rational import (
     RatFun,
     coprime_basis,
     factor_rational_quadratic,
-    first_order_poly_solutions,
+    _poly_antiderivative,
     log_deriv,
     multiplicity,
     order_at_place,
@@ -368,6 +368,27 @@ def _rand_poly(rng, degree):
     return Poly([Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(degree)] + [Q(rng.randint(1, 4))])
 
 
+# The same first-order equations as a dense linear system: the oracle for
+# the back-substitution in wronskian_partner and rational_antiderivative.
+def first_order_poly_solutions(p: Poly, q: Poly, rhs: Poly, bound: int):
+    """Polynomial solutions w of  p w' - q w = rhs  with deg w <= bound.
+
+    Returns (particular or None, homogeneous basis).  The particular
+    solution sets the free coefficients of the linear system to zero.
+    """
+    # row k: coefficient of x^k in p (x^j)' - q x^j, for each unknown x^j,
+    # with the equation scaled to integers by lcm(p.den, q.den, rhs.den)
+    nrows = max(p.degree + max(bound - 1, 0), q.degree + bound, rhs.degree) + 1
+    den = lcm(p.den, q.den, rhs.den)
+    pc, qc, rc = ({i: c * (den // f.den) for i, c in enumerate(f.ints)} for f in (p, q, rhs))
+    rows = [
+        [(j * pc.get(k - j + 1, 0) if j >= 1 else 0) - qc.get(k - j, 0) for j in range(bound + 1)]
+        for k in range(nrows)
+    ]
+    sol, null = solve_linear(rows, [rc.get(k, 0) for k in range(nrows)])
+    return (None if sol is None else Poly(sol)), [Poly(v) for v in null]
+
+
 class TestFirstOrderPolySolutions:
     def test_wronskian_shape(self):
         rng = random.Random(71)
@@ -449,6 +470,77 @@ class TestWronskianPartner:
         # x w' - w = x is solved by x log x only
         assert wronskian_partner(X, X) is None
         assert self.oracle(X, X) is None
+
+
+def _rand_factor(rng):
+    """Non-monic with fractional coefficients: linear, or an irreducible quadratic."""
+    c = Q(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
+    r = Q(rng.randint(-6, 6), rng.randint(1, 3))
+    if rng.random() < 0.6:
+        return c * (X - r)
+    # (x - r)^2 + s with s > 0 has no rational root
+    return c * ((X - r) ** 2 + Q(rng.randint(1, 9), rng.randint(1, 4)))
+
+
+def _rand_integrand(rng):
+    """A rational function whose denominator has factors of multiplicity 1-4.
+
+    Half are derivatives, so their antiderivative is rational.  A quarter
+    add a simple-pole term, whose residue gives a logarithm.  The rest are a
+    random numerator over a random denominator; where it has simple poles
+    and a low-degree numerator, den does not divide rem b^2.  Any may get a
+    polynomial part.
+    """
+    factors = [_rand_factor(rng) for _ in range(rng.randint(1, 3))]
+    kind = rng.random()
+    if kind < 0.75:
+        g = RatFun(_rand_poly(rng, rng.randint(0, 4)), _product(f ** rng.randint(1, 3) for f in factors))
+        f = g.derivative()
+        if kind >= 0.5:
+            pole = factors[0] if rng.random() < 0.3 else _rand_factor(rng)
+            f = f + RatFun(_rand_poly(rng, pole.degree - 1), pole)
+    else:
+        den = _product(f ** rng.randint(1, 4) for f in factors)
+        f = RatFun(_rand_poly(rng, rng.randint(0, den.degree - 1)), den)
+    if rng.random() < 0.4:
+        f = f + RatFun(_rand_poly(rng, rng.randint(0, 3)))
+    return f
+
+
+def dense_antiderivative(f: RatFun) -> RatFun:
+    """The antiderivative by the dense system: b from the squarefree
+    decomposition, then a with deg a < deg b."""
+    whole, rem = divmod(f.num, f.den)
+    result = RatFun(_poly_antiderivative(whole))
+    if rem.is_zero():
+        return result
+    b = _product(part ** (mult - 1) for part, mult in squarefree_decomposition(f.den))
+    if b.degree == 0:
+        raise NonRationalAntiderivative("simple poles only")
+    sol, _null = first_order_poly_solutions(b * f.den, b.derivative() * f.den, rem * b * b, b.degree - 1)
+    if sol is None:
+        raise NonRationalAntiderivative("logarithmic part present")
+    return result + RatFun(sol, b)
+
+
+class TestAntiderivativeOracle:
+    """rational_antiderivative against the dense linear system."""
+
+    def test_matches_dense_system(self):
+        rng = random.Random(74)
+        rational = logarithmic = 0
+        for n in range(1000):
+            f = _rand_integrand(rng)
+            try:
+                want = dense_antiderivative(f)
+            except NonRationalAntiderivative:
+                with pytest.raises(NonRationalAntiderivative):
+                    rational_antiderivative(f)
+                logarithmic += 1
+                continue
+            assert_same(rational_antiderivative(f), want, n)
+            rational += 1
+        assert rational > 400 and logarithmic > 200
 
 
 class TestOrderAt:
