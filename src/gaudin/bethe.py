@@ -327,6 +327,12 @@ class Population:
         return self._operator
 
 
+def _on_wronskian_line(y: Poly, cand: Poly, line: Poly) -> bool:
+    """Whether W(y, cand) = y cand' - y' cand is 0 or a multiple of the monic ``line``."""
+    w = y * cand.derivative() - y.derivative() * cand
+    return not w or w.monic() == line
+
+
 def _family_sibling_exists(pop: Population, point: BethePoint, i: int, family: ReproductionFamily) -> bool:
     """Whether another known node already lies on this family's projective line.
 
@@ -335,19 +341,14 @@ def _family_sibling_exists(pop: Population, point: BethePoint, i: int, family: R
     is witnessed by any other member.  The line is span(particular, y) and
     W(y, particular) = rhs, a nonzero polynomial (``wronskian_partner``
     checks every row of that equation exactly), so a candidate lies on it
-    exactly when W(y, cand) is a scalar multiple of rhs.
+    exactly when W(y, cand) is 0 or a scalar multiple of rhs.
     """
-    cands = [other.ys[i - 1] for other in pop._lines.get(_line_key(point, i), []) if other is not point]
-    if not cands:
-        return False
-    y = family.homogeneous
-    dy = y.derivative()
     line = family.rhs.monic()
-    for cand in cands:
-        w = y * cand.derivative() - dy * cand
-        if not w or w.monic() == line:
-            return True
-    return False
+    return any(
+        _on_wronskian_line(family.homogeneous, other.ys[i - 1], line)
+        for other in pop._lines.get(_line_key(point, i), [])
+        if other is not point
+    )
 
 
 def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
@@ -411,84 +412,82 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
     return pop
 
 
-def _log_deriv_pair(point: BethePoint, i: int) -> tuple[Poly, Poly]:
-    """s_i ln'(T_i y_{i-1} / y_i), the log-derivative of factor i's
-    primitive, as the unreduced pair ±(p'q - pq', pq) with p = T_i y_{i-1}
-    and q = y_i."""
-    p, q = point.ts()[i - 1] * point.y(i - 1), point.y(i)
-    num = p.derivative() * q - p * q.derivative()
-    return (num if point.parity[i] == 1 else -num), p * q
-
-
-def _same_second_order(u, v, w, z) -> bool:
-    """Whether (D - u)(D - v) = (D - w)(D - z), for u, v, w and z given as
-    unreduced pairs (numerator, denominator).
-
-    Each side is D^2 - (u + v) D + (uv - v'), and with u = n/e and v = m/f
-    its two coefficients are the unreduced pairs (nf + me, ef) and
-    (nmf - (m'f - mf')e, ef^2).  Two pairs are compared by
-    cross-multiplication, n1 d2 = n2 d1, so no gcd is taken.
-    """
-
-    def lower(u, v):
-        (n, e), (m, f) = u, v
-        ef = e * f
-        return (n * f + m * e, ef), (n * m * f - (m.derivative() * f - m * f.derivative()) * e, ef * f)
-
-    return all(n1 * d2 == n2 * d1 for (n1, d1), (n2, d2) in zip(lower(u, v), lower(w, z)))
-
-
 def _edge_keeps_operator(source: BethePoint, target: BethePoint, i: int) -> bool:
-    """Whether two tuples joined by a reproduction in direction i have one R.
+    """Whether a reproduction edge in direction i keeps R, checked as the
+    reproduction relation of direction i, which is equivalent to it.
 
-    When every factor other than i and i+1 is the same at both ends, R
-    agrees exactly when the pair of factors i, i+1 does (cancellation in
-    the division ring of pseudodifferential operators), and that is one
-    identity of second-order operators.  The four log-derivatives are
-    unreduced fractions of polynomials, and :func:`_same_second_order`
-    compares the identity's coefficients by cross-multiplication, with no
-    gcd.  Any other edge compares the two full operators.
+    Factor j of R is (D - a_j)^(s_j), a_j = s_j ln'(T_j y_{j-1} / y_j),
+    multiplied left to right.  An edge from :func:`populate` changes y_i
+    alone, keeps the problem and each T_j off the pair i, i+1, and keeps
+    the parity s or, at a mixed pair, swaps it to s.swapped(i), where the
+    pair's weight polynomials become (pi T_{i+1}, T_i / pi) with pi the
+    radical of T_i T_{i+1}; any other edge raises
+    :class:`InternalInconsistency`.  Then R is kept exactly when the
+    product of factors i and i+1 is (pseudodifferential operators form a
+    division ring), and (D - u)(D - v) = D^2 - (u + v) D + (uv - v').
+    Write g = ln' y_i, g~ = ln' y~_i for the old and new entry,
+    A = ln'(T_i y_{i-1}) and B = ln'(T_{i+1} / y_{i+1}).
+
+    (+,+) and (-,-): the pair is (D - a)(D - b) with a = A - g, b = g + B,
+    or the inverse of (D - b)(D - a) with a = g - A, b = -g - B.  The
+    first coefficient, A + B or -(A + B), is kept, and with h = g - g~ the
+    second changes by h (A - B - g - g~) - h'.  As W(y_i, y~_i) =
+    -y_i y~_i h, that is 0 when W = 0 (then y~_i = y_i, both monic) and
+    otherwise exactly when ln' W = A - B: when W is a nonzero constant
+    times :func:`bosonic_rhs` = (T_i / T_{i+1}) y_{i-1} y_{i+1}.
+
+    (+,-) and (-,+): with A~ and B~ the target's A and B, both ends have
+    S = A + B = A~ + B~ = ln'(T_i T_{i+1} y_{i-1} / y_{i+1}).  For (+,-),
+    (D - a)(D - b)^(-1) with a = A - g, b = -g - B equals
+    (D - c)^(-1)(D - d) with c = g~ - A~, d = g~ + B~ exactly when
+    (D - c)(D - a) = (D - d)(D - b).  For (-,+), (D - a)^(-1)(D - b) with
+    a = g - A, b = g + B equals (D - c)(D - d)^(-1) with c = A~ - g~,
+    d = -g~ - B~ exactly when (D - b)(D - d) = (D - a)(D - c).  In both,
+    the first coefficients differ by S - S = 0 and the second ones by
+    +-(S (g + g~ + B - A~) - S'), affine in g~.  If S = 0
+    (:func:`fermionic_rhs` raises :class:`DegenerateReproduction`), every
+    y~_i keeps R.  Otherwise, as A~ - B = ln'(pi y_{i-1} y_{i+1}), R is
+    kept exactly when ln'(y_i y~_i) = ln'(pi y_{i-1} y_{i+1} S): when
+    y_i y~_i is a nonzero constant times :func:`fermionic_rhs`.
     """
     s, size = source.parity, len(source.parity)
-    if 1 <= i < size and target.parity == s.swapped(i):
-        ts, tt = source.ts(), target.ts()
-        if all(source.y(j) == target.y(j) for j in range(1, size) if j != i) and all(
-            ts[j - 1] == tt[j - 1] for j in range(1, size + 1) if j not in (i, i + 1)
-        ):
-            a, b, c, d = (_log_deriv_pair(p, j) for p in (source, target) for j in (i, i + 1))
-            # The edge holds when (D-a)^(s_i) (D-b)^(s_(i+1)) equals
-            # (D-c)^(s_(i+1)) (D-d)^(s_i).  Moving the inverted factors across
-            # makes that (D-u)(D-v) = (D-w)(D-z): for (+,-), say,
-            # (D-a)(D-b)^(-1) = (D-c)^(-1)(D-d) becomes (D-c)(D-a) = (D-d)(D-b).
-            (u, v), (w, z) = {
-                (1, 1): ((a, b), (c, d)),
-                (-1, -1): ((b, a), (d, c)),
-                (1, -1): ((c, a), (d, b)),
-                (-1, 1): ((b, d), (a, c)),
-            }[s[i], s[i + 1]]
-            return _same_second_order(u, v, w, z)
-    return population_operator(source).same_operator(population_operator(target))
+    if not 1 <= i < size:
+        raise InternalInconsistency(f"edge direction {i} is out of range")
+    mixed = s[i] != s[i + 1]
+    ts, tt = source.ts(), target.ts()
+    pis = source.problem.parity_data(s).radicals
+    if (
+        target.problem is not source.problem
+        or target.parity != (s.swapped(i) if mixed else s)
+        or any(source.y(j) != target.y(j) for j in range(1, size) if j != i)
+        or any(ts[j] != tt[j] for j in range(size) if j not in (i - 1, i))
+        or (mixed and (tt[i - 1], tt[i] * pis[i - 1]) != (ts[i] * pis[i - 1], ts[i - 1]))
+    ):
+        raise InternalInconsistency(f"an edge in direction {i} is not a reproduction")
+    y, new = source.y(i), target.y(i)
+    if not mixed:
+        return _on_wronskian_line(y, new, bosonic_rhs(source, i).monic())
+    try:
+        return (y * new).monic() == fermionic_rhs(source, i).monic()
+    except DegenerateReproduction:
+        return True
 
 
 def verify_r_invariance(pop: Population) -> bool:
     """Whether every node of the population has the seed's operator R.
 
-    A reproduction in direction i changes y_i only, so of the factors
-    (D - a_j)^(s_j), a_j = s_j ln'(T_j y_{j-1} / y_j), it changes factors i
-    and i+1 alone.  Pseudodifferential operators form a division ring, so R is
-    unchanged across the edge exactly when the product of that pair is,
-    which :func:`_edge_keeps_operator` checks as one second-order identity
-    between unreduced fractions of polynomials, by cross-multiplication.
+    A reproduction in direction i keeps R exactly when the new y_i solves
+    direction i's reproduction relation (the paper's lemma, read as an
+    equivalence; :func:`_edge_keeps_operator` proves it for each sign
+    shape), so an edge costs one Wronskian or one product, and no R.
 
     Each node other than the seed is checked on the edge that first
     reaches it from a node already reached, taking the edges in order.
     Those discovery edges form a spanning tree rooted at the seed (the
     first node), so equality along them is equality with the seed's R at
-    every node: the same verdict as comparing each node's R with the
-    seed's, with no R built unless an edge also changes something outside
-    its pair of factors.  ``populate`` records edges in
-    breadth-first order, so one pass reaches every node; a node it does
-    not reach raises :class:`InternalInconsistency`.
+    every node.  ``populate`` records edges in breadth-first order, so one
+    pass reaches every node; a node it does not reach, or an edge that is
+    not a reproduction, raises :class:`InternalInconsistency`.
     """
     if not pop.nodes:
         raise InvalidInput("empty population")

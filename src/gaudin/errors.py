@@ -45,7 +45,7 @@ class InternalInconsistency(EngineError):
     """A division or identity guaranteed by theory failed; signals a bug."""
 
 
-class NotGeneric(EngineError):
+class NotGeneric(InvalidInput):
     """Tuple fails the genericity conditions required by the operation."""
 
 

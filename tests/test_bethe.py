@@ -477,6 +477,12 @@ def worked_from_mixed_parity():
     return populate(seed, [0, 1, 2], max_depth=1)
 
 
+def gl22_population():
+    """tests/golden/gl22.json at depth 4, the depth of its recordings: it
+    has discovery edges of all four sign shapes."""
+    return golden_population("gl22.json", max_depth=4)
+
+
 def per_node_invariance(pop):
     """The reference check: every node's full R against the first node's."""
     points = pop.points()
@@ -503,6 +509,15 @@ def scaled_entry(point, j):
     """The tuple with y_j multiplied by (x - 17)."""
     ys = list(point.ys)
     ys[j - 1] = ys[j - 1] * (X - 17)
+    return BethePoint(point.problem, point.parity, ys)
+
+
+def moved_entry(point, j):
+    """The tuple with one coefficient of y_j moved: that of x^(d-1) by 3
+    when y_j has degree d > 0, that of x by 1 when y_j is constant."""
+    y = point.y(j)
+    ys = list(point.ys)
+    ys[j - 1] = y + 3 * X ** (y.degree - 1) if y.degree else y + X
     return BethePoint(point.problem, point.parity, ys)
 
 
@@ -542,6 +557,7 @@ class TestRInvariance:
             lambda: gl31_population(3),
             gl12_population,
             worked_from_mixed_parity,
+            gl22_population,
         ],
         ids=[
             "worked",
@@ -551,6 +567,7 @@ class TestRInvariance:
             "gl31-depth-3",
             "gl12",
             "worked-from-mixed-parity",
+            "gl22-depth-4",
         ],
     )
     def test_agrees_with_per_node_check(self, grow, operator_builds):
@@ -585,11 +602,41 @@ class TestRInvariance:
         ],
         ids=["entry-off-the-direction", "parity-off-the-pair", "weight-poly-off-the-pair"],
     )
-    def test_mutation_off_the_edge_compares_full_operators(self, mutate, operator_builds):
+    def test_mutation_off_the_edge_is_inconsistent(self, mutate, operator_builds):
+        # no reproduction changes more than y_i, or the parity or weight
+        # polynomials off its pair, so such an edge is a bug, not a verdict
         pop = mutate_on_shape(golden_population("worked_gl21.json"), (1, 1), mutate)
-        assert not verify_r_invariance(pop)
-        assert len(operator_builds) == 2
+        with pytest.raises(InternalInconsistency, match="not a reproduction"):
+            verify_r_invariance(pop)
+        assert operator_builds == []
         assert not per_node_invariance(pop)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda ts, i: {i - 1: ts[i], i: ts[i - 1]},
+            lambda ts, i: {j: X - 5 for j in range(len(ts)) if j not in (i - 1, i)},
+        ],
+        ids=["pair-swapped-without-radical", "weight-poly-off-the-pair"],
+    )
+    def test_mixed_edge_off_the_swap_rule_is_inconsistent(self, tamper):
+        # the target parity's weight polynomials replaced: (T_{i+1}, T_i)
+        # keeps T_i T_{i+1} but not the split (pi T_{i+1}, T_i / pi)
+        pop = golden_population("worked_gl21.json")
+        edge = next(e for e in discovery_edges(pop).values() if e.kind == "fermionic")
+        source, target, i = pop.nodes[edge.source], pop.nodes[edge.target], edge.direction
+        ts = list(source.ts())
+        for j, t in tamper(ts, i).items():
+            ts[j] = t
+        data = pop.problem.parity_data(target.parity)
+        pop.problem._parity_data[target.parity.entries] = data._replace(ts=tuple(ts))
+        with pytest.raises(InternalInconsistency, match="not a reproduction"):
+            bethe._edge_keeps_operator(source, target, i)
+
+    @pytest.mark.parametrize("direction", [0, 3])
+    def test_direction_out_of_range_is_inconsistent(self, worked_seed, direction):
+        with pytest.raises(InternalInconsistency, match="out of range"):
+            bethe._edge_keeps_operator(worked_seed, worked_seed, direction)
 
     def test_unreached_node_is_inconsistent(self):
         pop = golden_population("worked_gl21.json")
@@ -599,6 +646,103 @@ class TestRInvariance:
 
     def test_seed_only(self, worked_seed):
         assert verify_r_invariance(populate(worked_seed, [0], max_depth=0))
+
+
+def _log_deriv_pair(point: BethePoint, i: int) -> tuple[Poly, Poly]:
+    """s_i ln'(T_i y_{i-1} / y_i), the log-derivative of factor i's
+    primitive, as the unreduced pair +-(p'q - pq', pq) with p = T_i y_{i-1}
+    and q = y_i."""
+    p, q = point.ts()[i - 1] * point.y(i - 1), point.y(i)
+    num = p.derivative() * q - p * q.derivative()
+    return (num if point.parity[i] == 1 else -num), p * q
+
+
+def _same_second_order(u, v, w, z) -> bool:
+    """Whether (D - u)(D - v) = (D - w)(D - z), for u, v, w and z given as
+    unreduced pairs (numerator, denominator).
+
+    Each side is D^2 - (u + v) D + (uv - v'), and with u = n/e and v = m/f
+    its two coefficients are the unreduced pairs (nf + me, ef) and
+    (nmf - (m'f - mf')e, ef^2).  Two pairs are compared by
+    cross-multiplication, n1 d2 = n2 d1, so no gcd is taken.
+    """
+
+    def lower(u, v):
+        (n, e), (m, f) = u, v
+        ef = e * f
+        return (n * f + m * e, ef), (n * m * f - (m.derivative() * f - m * f.derivative()) * e, ef * f)
+
+    return all(n1 * d2 == n2 * d1 for (n1, d1), (n2, d2) in zip(lower(u, v), lower(w, z)))
+
+
+def second_order_keeps_operator(source, target, i):
+    """The reference edge check: whether the product of factors i and i+1
+    is the same at both ends, as one second-order identity.
+
+    (D-a)^(s_i) (D-b)^(s_(i+1)) at the source must equal
+    (D-c)^(s_(i+1)) (D-d)^(s_i) at the target (the parity is swapped on a
+    mixed pair).  Moving the inverted factors across makes that
+    (D-u)(D-v) = (D-w)(D-z): for (+,-), say, (D-a)(D-b)^(-1) =
+    (D-c)^(-1)(D-d) becomes (D-c)(D-a) = (D-d)(D-b).
+    """
+    s = source.parity
+    a, b, c, d = (_log_deriv_pair(p, j) for p in (source, target) for j in (i, i + 1))
+    (u, v), (w, z) = {
+        (1, 1): ((a, b), (c, d)),
+        (-1, -1): ((b, a), (d, c)),
+        (1, -1): ((c, a), (d, b)),
+        (-1, 1): ((b, d), (a, c)),
+    }[s[i], s[i + 1]]
+    return _same_second_order(u, v, w, z)
+
+
+class TestEdgeRelationOracle:
+    """The reproduction relation against the second-order identity it is
+    equivalent to, on every discovery edge of the golden populations and
+    of the (-,-) and (-,+) ones, as recorded and with a mutated entry."""
+
+    def test_agrees_on_every_discovery_edge(self):
+        grows = [
+            lambda: golden_population("worked_gl21.json"),
+            lambda: golden_population("worked_gl21.json", samples=(5, 7)),
+            lambda: golden_population("rational_gl21.json"),
+            lambda: golden_population("rational_gl21_point_1e50.json", max_depth=3),
+            lambda: gl31_population(3),
+            gl12_population,
+            worked_from_mixed_parity,
+            gl22_population,
+        ]
+        shapes, checked = set(), 0
+        for grow in grows:
+            pop = grow()
+            for edge in discovery_edges(pop).values():
+                source, target, i = pop.nodes[edge.source], pop.nodes[edge.target], edge.direction
+                shapes.add((source.parity[i], source.parity[i + 1]))
+                assert bethe._edge_keeps_operator(source, target, i)
+                for mutated in (target, scaled_entry(target, i), moved_entry(target, i)):
+                    relation = bethe._edge_keeps_operator(source, mutated, i)
+                    assert relation == second_order_keeps_operator(source, mutated, i), (edge, mutated)
+                    checked += 1
+        assert shapes == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+        assert checked == 3 * 251
+
+    def test_unchanged_entry_keeps_operator(self, worked_seed):
+        # y~_i = y_i: W(y_i, y~_i) = 0, and the pair of factors is unchanged
+        assert bethe._edge_keeps_operator(worked_seed, worked_seed, 1)
+        assert second_order_keeps_operator(worked_seed, worked_seed, 1)
+
+    def test_constant_fermionic_argument_keeps_operator(self):
+        # gl(1|1) with weight (0, 0): T_1 T_2 y_0 / y_2 = 1, so the relation
+        # has no solution, yet every y~_1 keeps R = 1
+        prob = gl11_problem([(0, 0)], [0])
+        source = BethePoint(prob, ParitySequence.standard(1, 1), [X - 2])
+        with pytest.raises(DegenerateReproduction):
+            fermionic_rhs(source, 1)
+        for y in (Poly.one(), X - 2, X**2 + 3):
+            target = BethePoint(prob, ParitySequence((-1, 1)), [y])
+            assert bethe._edge_keeps_operator(source, target, 1)
+            assert second_order_keeps_operator(source, target, 1)
+            assert population_operator(target).same_operator(population_operator(source))
 
 
 class TestEigenvalues:

@@ -264,6 +264,13 @@ TS_BLOCK_RATIO = dict(WORKED_PROBLEM, Ts=[["1"], ["-1", "0", "0", "1"], ["1"]])
 # gl(2|1) with two (1,0,0) sites: root configurations that break the
 # non-coincidence conditions of the Bethe ansatz
 GL21_TWO_SITES = {"M": 2, "N": 1, "parity": [1, 1, -1], "weights": [["1", "0", "0"]] * 2, "points": ["0", "1"]}
+# tests/golden/rational_gl21.json's problem with seeds that fail genericity:
+# y_2 = x meets the weight-poly ratio, and y_1 = (x - 5)^2 has a repeated root
+RATIONAL_GL21 = json.loads((GOLDEN / "rational_gl21.json").read_text())["problem"]
+NOT_GENERIC_SEEDS = (
+    {"parity": [1, 1, -1], "ys": [["1"], ["0", "1"]]},
+    {"parity": [1, 1, -1], "ys": [["25", "-10", "1"], ["1"]]},
+)
 
 
 class TestInputContract:
@@ -314,6 +321,8 @@ class TestInputContract:
             ("check-bae", {"problem": GL21_TWO_SITES, "parity": [1, 1, -1], "t": [["0"], []]}, []),
             ("check-bae", {"problem": GL21_TWO_SITES, "parity": [1, 1, -1], "t": [["5", "5"], []]}, []),
             ("check-bae", {"problem": GL21_TWO_SITES, "parity": [1, 1, -1], "t": [["5"], ["5"]]}, []),
+            ("population", {"problem": RATIONAL_GL21, "seed": NOT_GENERIC_SEEDS[0]}, []),
+            ("population", {"problem": RATIONAL_GL21, "seed": NOT_GENERIC_SEEDS[1]}, []),
         ],
         ids=[
             "M-not-int",
@@ -360,6 +369,8 @@ class TestInputContract:
             "root-on-a-point",
             "repeated-root",
             "interacting-roots-coincide",
+            "not-generic-seed-meets-ratio",
+            "not-generic-seed-repeated-root",
         ],
     )
     def test_malformed_payload_exits_two(self, tmp_path, capsys, command, payload, options):

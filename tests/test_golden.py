@@ -32,6 +32,8 @@ COMMANDS = {
     "space_gl31_depth3": ["space", "--input", "gl31.json", "--max-depth", "3", "--samples=-6,-5,1"],
     "space_rational_gl21": ["space", "--input", "rational_gl21.json"],
     "space_rational_gl21_point_1e50_depth3": ["space", "--input", "rational_gl21_point_1e50.json", "--max-depth", "3"],
+    "population_gl22_depth4": ["population", "--input", "gl22.json", "--max-depth", "4"],
+    "space_gl22_depth4": ["space", "--input", "gl22.json", "--max-depth", "4"],
 }
 # recorded too, but run by test_large_point_output_and_budget under a time budget
 BUDGETED = (

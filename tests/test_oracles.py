@@ -17,7 +17,6 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gaudin.bethe import _same_second_order
 from gaudin.errors import InternalInconsistency
 from gaudin.linalg import charpoly_coeffs, mat_mul, solve_linear
 from gaudin.rational import (
@@ -31,6 +30,7 @@ from gaudin.rational import (
 )
 
 from conftest import LINEAR_SYSTEM_KINDS, random_linear_system
+from test_bethe import _same_second_order
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
