@@ -73,10 +73,6 @@ class NonRationalKernel(EngineError):
     """Operator kernel is not spanned by rational functions."""
 
 
-class UnsupportedOperator(EngineError):
-    """Operator arrived without first-order factorization data."""
-
-
 class InvalidConfiguration(InvalidInput):
     """Bethe-root configuration violates the non-coincidence conditions."""
 

@@ -19,9 +19,9 @@ from .errors import (
     DegenerateInput,
     DegenerateSwap,
     InternalInconsistency,
+    InvalidInput,
     NonRationalKernel,
     NonRationalAntiderivative,
-    UnsupportedOperator,
 )
 from .rational import Poly, RatFun, log_deriv, rational_antiderivative
 from .weights import ParitySequence
@@ -297,49 +297,40 @@ def refactor_to_parity(fac: CompleteFactorization, target: ParitySequence) -> Co
     travel along, and their logarithmic derivatives must reproduce the
     exchanged coefficients.
     """
+    if fac.primitives is None:
+        raise InvalidInput("transport needs factor primitives")
     parity = fac.parity
     coeffs = list(fac.coefficients)
-    prims = list(fac.primitives) if fac.primitives is not None else None
+    prims = list(fac.primitives)
     for i in parity.path_to(target):
         a, b = coeffs[i - 1], coeffs[i]
+        ga, gb = prims[i - 1], prims[i]
+        diff = a - b
         if parity[i] == 1:
-            c, d = ore_swap(a, b)
+            coeffs[i - 1], coeffs[i] = ore_swap(a, b)
+            prims[i - 1], prims[i] = gb * diff, ga * diff
         else:
-            c, d = ore_swap(a, b, backward=True)
-        coeffs[i - 1], coeffs[i] = c, d
-        if prims is not None:
-            ga, gb = prims[i - 1], prims[i]
-            if parity[i] == 1:
-                diff = a - b
-                prims[i - 1], prims[i] = gb * diff, ga * diff
-            else:
-                diff = a - b  # equals c_old - d_old in the backward role
-                prims[i - 1], prims[i] = gb / diff, ga / diff
+            coeffs[i - 1], coeffs[i] = ore_swap(a, b, backward=True)
+            prims[i - 1], prims[i] = gb / diff, ga / diff
         parity = parity.swapped(i)
-    if prims is None:
-        return CompleteFactorization(parity, coeffs)
     out = CompleteFactorization.from_primitives(parity, prims)
     if out.coefficients != tuple(coeffs):
         raise InternalInconsistency("primitive does not match factor")
     return out
 
 
-def rational_kernel(op: DiffOp, primitives=None) -> list[RatFun]:
-    """Rational kernel basis of a completely factored operator.
+def rational_kernel(primitives) -> list[RatFun]:
+    """Rational kernel basis of the operator (D - ln' g_1)...(D - ln' g_m).
 
-    ``primitives`` lists g_i for the factors (D - ln' g_1)...(D - ln' g_m)
-    in product order.  The basis is built from the rightmost factor out;
-    element j is annihilated by the last j factors.  Each step solves
-    (D - ln' g) f = w by f = g * antiderivative(w / g), where
-    :func:`rational_antiderivative` solves a Wronskian equation with the
-    same back-substitution as bosonic reproduction.
+    ``primitives`` lists g_1, ..., g_m in product order.  The basis is
+    built from the rightmost factor out; element j is annihilated by the
+    last j factors.  Each step solves (D - ln' g) f = w by
+    f = g * antiderivative(w / g), where :func:`rational_antiderivative`
+    solves a Wronskian equation with the same back-substitution as bosonic
+    reproduction.
     """
-    if primitives is None:
-        raise UnsupportedOperator("kernel computation needs factorization data")
     prims = [_as_coeff(g) for g in primitives]
     m = len(prims)
-    if op is not None and op.order != m:
-        raise UnsupportedOperator("factorization data does not match operator order")
     basis: list[RatFun] = []
     for k in range(m - 1, -1, -1):
         w = prims[k]
@@ -349,8 +340,4 @@ def rational_kernel(op: DiffOp, primitives=None) -> list[RatFun]:
         except NonRationalAntiderivative as exc:
             raise NonRationalKernel(str(exc)) from exc
         basis.append(w)
-    if op is not None:
-        for f in basis:
-            if not op.apply(f).is_zero():
-                raise InternalInconsistency("kernel element not annihilated")
     return basis

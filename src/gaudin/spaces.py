@@ -336,23 +336,33 @@ def flag_factorization(space: RationalSpace, flag: SuperFlag) -> CompleteFactori
 
 
 def kernel_spaces(pop: Population) -> RationalSpace:
-    """Even/odd kernels of the population fraction at a standard-parity node."""
+    """The space W = ker A + ker B of the population operator R = A * B^(-1).
+
+    R is the same at every node, so W is read off the seed.  Each kernel
+    chain is checked against the seed's own (A, B): the operator's order
+    is the chain's length and it annihilates every element.
+    """
     problem = pop.problem
     if not problem.typical():
         raise AtypicalUnsupported("kernel spaces need a typical weight sequence")
-    std = None
-    for p in pop.points():
-        if p.parity.is_standard():
-            std = p
-            break
-    if std is None:
-        raise InvalidInput("population has no standard-parity node")
-    fac = population_factorization(std)
-    d0, d1 = fac.standard_pair()
-    vbasis = rational_kernel(d0, fac.primitives[: problem.m])
-    ubasis = rational_kernel(d1, fac.primitives[problem.m :][::-1])
+    seed = next(iter(pop.nodes.values()), None)
+    if seed is None:
+        raise InvalidInput("kernel spaces need a nonempty population")
+    fac = population_factorization(seed)
+    vbasis, ubasis = _kernel_chains(fac, problem.m, problem.n)
+    for op, basis in zip(fac.standard_pair(), (vbasis, ubasis)):
+        if op.order != len(basis) or not all(op.apply(f).is_zero() for f in basis):
+            raise InternalInconsistency("kernel chain does not match the population operator")
     _assert_direct_sum(vbasis, ubasis)
     return RationalSpace(vbasis, ubasis, problem=problem)
+
+
+def _kernel_chains(fac: CompleteFactorization, m: int, n: int) -> tuple[list[RatFun], list[RatFun]]:
+    """Even and odd kernel chains of a factorization with m even and n odd
+    factors: transported to the standard parity, the first m factors give
+    the even chain and the last n, reversed, the odd chain."""
+    prims = refactor_to_parity(fac, ParitySequence.standard(m, n)).primitives
+    return rational_kernel(prims[:m]), rational_kernel(prims[m:][::-1])
 
 
 def _assert_direct_sum(vbasis, ubasis):
@@ -368,31 +378,22 @@ def _assert_direct_sum(vbasis, ubasis):
 
 
 def flag_from_factorization(space: RationalSpace, fac: CompleteFactorization) -> SuperFlag:
-    """Reconstruct the flag whose Wronskian-ratio factorization is given.
-
-    Transport to the standard parity, read the even flag off the kernel
-    chain of the numerator factors and the odd flag off the reversed
-    denominator factors, then reattach the original parity.
-    """
-    if fac.primitives is None:
-        raise InvalidInput("flag reconstruction needs factor primitives")
-    m, n = space.m, space.n
-    std = refactor_to_parity(fac, ParitySequence.standard(m, n))
-    prims = list(std.primitives)
-    vorder = rational_kernel(None, prims[:m]) if m else []
-    uorder = rational_kernel(None, list(reversed(prims[m:]))) if n else []
+    """Reconstruct the flag whose Wronskian-ratio factorization is given:
+    the factorization's kernel chains, at its own parity."""
+    vorder, uorder = _kernel_chains(fac, space.m, space.n)
     return SuperFlag(fac.parity, vorder, uorder)
 
 
 def verify_operator_to_population(pop: Population, space: RationalSpace | None = None) -> dict:
-    """Check the flag/factorization/tuple triangle on every node.
+    """Check the space and the flag/factorization/tuple triangle on every node.
 
-    For each node: rebuild the flag from its factorization, confirm the
-    generating map returns the node, and confirm the flag factorization
-    agrees with the node factorization factorwise (the parities agree by
-    construction, so the fractions then agree too).  Any mismatch raises
-    :class:`TheoremViolation`.  ``space`` is ``kernel_spaces(pop)``, built
-    here when not given.
+    The space must carry the problem's weight polynomials and pass
+    :func:`is_gl_space`.  Then, for each node: rebuild the flag from its
+    factorization, confirm the generating map returns the node, and confirm
+    the flag factorization agrees with the node factorization factorwise
+    (the parities agree by construction, so the fractions then agree too).
+    Any failure raises :class:`TheoremViolation`.  ``space`` is
+    ``kernel_spaces(pop)``, built here when not given.
     """
     if space is None:
         space = kernel_spaces(pop)
@@ -403,6 +404,9 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
     }
     if not report["space_polys_match"]:
         raise TheoremViolation("space weight polynomials do not match the problem data")
+    ok, failures = is_gl_space(space)
+    if not ok:
+        raise TheoremViolation("space fails the membership conditions: " + "; ".join(failures))
     for point in pop.points():
         fac = population_factorization(point)
         flag = flag_from_factorization(space, fac)

@@ -72,9 +72,6 @@ class ParitySequence:
     def __repr__(self):
         return f"ParitySequence({list(self.entries)})"
 
-    def is_standard(self) -> bool:
-        return self.entries == ParitySequence.standard(self.m, self.n).entries
-
     @cached_property
     def sigma(self) -> tuple[int, ...]:
         """The unshuffle permutation, as 1-based values sigma(1..M+N)."""

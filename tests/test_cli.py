@@ -135,6 +135,29 @@ class TestSpaceCommand:
         assert main(["space", "--input", inp, "--out", str(tmp_path / "out.json")]) == 0
         assert len(calls) == 1
 
+    def test_space_read_off_a_nonstandard_seed(self, tmp_path):
+        # the seed alone fixes W: the printed space and weight polynomials
+        # do not depend on how far, or through which samples, it grows
+        data = json.loads((GOLDEN / "worked_gl21.json").read_text())
+        data["seed"] = {"parity": [1, -1, 1], "ys": [["1"], ["0", "0", "1"]]}
+        inp = write(tmp_path, "in.json", data)
+        out = tmp_path / "out.json"
+        parts = []
+        for options in (["--max-depth", "0"], ["--max-depth", "1"], ["--max-depth", "2"], ["--samples=5,7"]):
+            assert main(["space", "--input", inp, "--out", str(out)] + options) == 0
+            payload = json.loads(out.read_text())
+            parts.append((payload["space"], payload["TW"]))
+        assert parts[0][1] == data["problem"]["Ts"]
+        assert all(part == parts[0] for part in parts)
+
+    def test_space_outside_gl_exit_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(spaces, "is_gl_space", lambda space: (False, ["forced failure"]))
+        inp = write(tmp_path, "in.json", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED})
+        assert main(["space", "--input", inp]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "forced failure" in captured.err
+
     def test_atypical_exit_three(self, tmp_path):
         problem = {
             "M": 1,

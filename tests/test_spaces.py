@@ -1,10 +1,21 @@
+import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
-from gaudin.bethe import BethePoint, populate, population_factorization
-from gaudin.errors import AtypicalUnsupported, InvalidFlag
+from gaudin import jsonio, spaces
+from gaudin.bethe import BethePoint, Population, populate, population_factorization
+from gaudin.errors import (
+    AtypicalUnsupported,
+    CriterionFailed,
+    InternalInconsistency,
+    InvalidFlag,
+    InvalidInput,
+    NotGeneric,
+    TheoremViolation,
+)
 from gaudin.linalg import rank
 from gaudin.rational import Poly, RatFun, order_at_place, poly_gcd, wronskian
 from gaudin.skew import refactor_to_parity
@@ -27,6 +38,24 @@ from gaudin.weights import ParitySequence, ProblemData, Weight
 
 X = Poly.x()
 POLES = [X, X - 1, X + 2, X**2 + 1]
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_population(name, samples, max_depth):
+    data = json.loads((GOLDEN / name).read_text())
+    seed = jsonio.point_from_json(jsonio.problem_from_json(data["problem"]), data["seed"])
+    return populate(seed, samples, max_depth=max_depth)
+
+
+def cleared_rank(*bases):
+    """Rank of the families of all the bases, cleared by one common denominator."""
+    fams = [f for basis in bases for f in basis]
+    den = Poly.one()
+    for f in fams:
+        den = den * f.den
+    rows = [(f * RatFun(den)).as_poly() for f in fams]
+    width = max(p.degree for p in rows) + 1
+    return rank([list(p.coeffs) + [Q(0)] * (width - len(p.coeffs)) for p in rows])
 
 
 def rand_num(rng):
@@ -203,6 +232,47 @@ class TestKernelSpaces:
         pop = populate(seed, [Q(1)])
         with pytest.raises(AtypicalUnsupported):
             kernel_spaces(pop)
+
+    def test_empty_population_rejected(self, worked_problem):
+        with pytest.raises(InvalidInput):
+            kernel_spaces(Population(worked_problem))
+
+    def test_chain_checked_against_the_seed_operator(self, worked_population, monkeypatch):
+        # a chain one element longer than the order of A
+        build = spaces.rational_kernel
+        monkeypatch.setattr(spaces, "rational_kernel", lambda prims: build(prims) + [RatFun(X**5)])
+        with pytest.raises(InternalInconsistency):
+            kernel_spaces(worked_population)
+
+    @pytest.mark.parametrize(
+        "name, samples, depth",
+        [
+            ("worked_gl21.json", (0, 1, 2), 16),
+            ("rational_gl21.json", (0, 1, 2), 16),
+            ("gl22.json", (0, 1, 2), 4),
+            ("gl31.json", (-6, -5, 1), 3),
+        ],
+        ids=["worked-gl21", "rational-gl21", "gl22-depth-4", "gl31-depth-3"],
+    )
+    def test_space_does_not_depend_on_the_seed(self, name, samples, depth):
+        # every generic node, taken as the seed, gives the same W
+        pop = golden_population(name, samples, depth)
+        space = kernel_spaces(pop)
+        standard = ParitySequence.standard(space.m, space.n)
+        reseeded = nonstandard = 0
+        for point in pop.points():
+            try:
+                alone = populate(point, [0], max_depth=0)
+            except (NotGeneric, CriterionFailed):
+                continue
+            other = kernel_spaces(alone)
+            assert space_weight_polys(other) == space_weight_polys(space)
+            assert cleared_rank(space.vbasis, other.vbasis) == space.m
+            assert cleared_rank(space.ubasis, other.ubasis) == space.n
+            verify_operator_to_population(alone, other)
+            reseeded += 1
+            nonstandard += point.parity != standard
+        assert reseeded > nonstandard > 0
 
 
 class TestIsGlSpace:
@@ -495,3 +565,8 @@ class TestBijection:
         pop = populate(seed, [Q(2), Q(3)], max_depth=3)
         report = verify_operator_to_population(pop)
         assert report["space_polys_match"]
+
+    def test_space_outside_gl_raises(self, worked_population, monkeypatch):
+        monkeypatch.setattr(spaces, "is_gl_space", lambda space: (False, ["forced failure"]))
+        with pytest.raises(TheoremViolation, match="forced failure"):
+            verify_operator_to_population(worked_population)
