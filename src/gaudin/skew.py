@@ -299,6 +299,8 @@ def refactor_to_parity(fac: CompleteFactorization, target: ParitySequence) -> Co
     """
     if fac.primitives is None:
         raise InvalidInput("transport needs factor primitives")
+    if fac.parity == target:
+        return fac
     parity = fac.parity
     coeffs = list(fac.coefficients)
     prims = list(fac.primitives)

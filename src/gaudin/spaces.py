@@ -34,7 +34,7 @@ from .rational import (
     wronskian,
 )
 from .skew import CompleteFactorization, rational_kernel, refactor_to_parity
-from .weights import ParitySequence, collision_poly
+from .weights import ParitySequence, dominant
 
 
 def _as_place(place) -> Poly:
@@ -272,44 +272,52 @@ def interleave_basis(parity: ParitySequence, vorder, uorder):
     return out
 
 
-def flag_polynomial(space: RationalSpace, flag: SuperFlag, a: int, b: int) -> Poly:
-    """Monic polynomial from the (a, b) partial Wronskian of a flag.
+def _generic_order(space: RationalSpace, pl: Poly, a: int, b: int) -> int:
+    """Order of place pl in the divisor of the (a, b) partial Wronskian.
 
-    The Wronskian of the first a even and first b odd flag members, cleared
-    by the collision correction and the space's weight polynomials, is a
-    polynomial whenever the space satisfies the membership conditions.  It
-    is found by one exact division: the Wronskian's numerator times the
-    collision, even-denominator and odd weight polynomials, over its
-    denominator times the first a even weight polynomials.
+    With c the even denominator's order at pl, the first even and the first
+    odd exponent of the space's ladders there are lifted by c, to those the
+    weight polynomials carry.  The order is the generic one of a + b
+    functions with exponents among the a lowest lifted even and b lowest
+    lifted odd ones, sum(dominant(...)) - C(a + b, 2), less c, so the (0, 0)
+    entry, the standard-parity y_M, is the even denominator.  With c = 0 it
+    is at most the order of W(a, b): the exponents of the members' span
+    dominate the merged ladder subsets, and `dominant` is monotone.  With
+    c > 0 it is the collision correction's of :mod:`gaudin.weights`, and
+    the exact division checks it.
     """
-    tw = space.weight_polys
-    m, n = space.m, space.n
+    ev, od = space.even_exponents.get(pl, []), space.odd_exponents.get(pl, [])
+    c = max(0, -ev[0]) if ev else 0
+    lifted = [e + c * (j == 0) for ladder, k in ((ev, a), (od, b)) for j, e in enumerate(ladder[:k])]
+    return sum(dominant(lifted)) - (a + b) * (a + b - 1) // 2 - c
+
+
+def flag_polynomial(space: RationalSpace, flag: SuperFlag, a: int, b: int) -> Poly:
+    """Monic polynomial from the (a, b) partial Wronskian W of a flag: W
+    divided by each place to its :func:`_generic_order`, by one exact
+    division.  Every pole of a flag member lies at a place."""
     w = flag.wronskian(a, b)
     if w.is_zero():
         raise InvalidFlag("dependent flag members")
-    num = w.num * collision_poly(tw, m, n, a, b) * space.even_denominator
-    for j in range(1, b + 1):
-        num = num * tw[m + j - 1]
-    den = w.den
-    for j in range(0, a):
-        den = den * tw[m - 1 - j]
+    num, den = w.num, w.den
+    for pl in space.places:
+        g = _generic_order(space, pl, a, b)
+        num, den = (num, den * pl**g) if g >= 0 else (num * pl**-g, den)
     val = num.try_exact_div(den)
     if val is None:
         raise InternalInconsistency(f"flag polynomial is not polynomial at ({a},{b})")
     return val.monic()
 
 
+def _partial(s: ParitySequence, i: int) -> tuple[int, int]:
+    """(a, b) of the i-th partial flag: the +1 entries of s after position i, the -1 ones up to it."""
+    return s.ones_after(i), s.minus_before(i + 1)
+
+
 def generating_tuple(space: RationalSpace, flag: SuperFlag) -> tuple[Poly, ...]:
     """Monic tuple the generating map assigns to a superflag."""
     s = flag.parity
-    out = []
-    for i in range(1, len(s)):
-        a = s.ones_after(i)
-        b = s.minus_before(i)
-        if s[i] == -1:
-            b += 1
-        out.append(flag_polynomial(space, flag, a, b))
-    return tuple(out)
+    return tuple(flag_polynomial(space, flag, *_partial(s, i)) for i in range(1, len(s)))
 
 
 def generating_map(space: RationalSpace, flag: SuperFlag) -> BethePoint:
@@ -319,19 +327,15 @@ def generating_map(space: RationalSpace, flag: SuperFlag) -> BethePoint:
 
 
 def flag_factorization(space: RationalSpace, flag: SuperFlag) -> CompleteFactorization:
-    """Complete factorization attached to a superflag via Wronskian ratios."""
+    """Complete factorization attached to a superflag via Wronskian ratios:
+    primitive i is (W_(i-1) / W_i)^(s_i), W_i that of the i-th partial flag."""
     s = flag.parity
     prims = []
     for i in range(1, len(s) + 1):
-        a = s.ones_after(i)
-        b = s.minus_before(i)
-        if s[i] == 1:
-            num, den = flag.wronskian(a + 1, b), flag.wronskian(a, b)
-        else:
-            num, den = flag.wronskian(a, b + 1), flag.wronskian(a, b)
-        if num.is_zero() or den.is_zero():
+        outer, inner = flag.wronskian(*_partial(s, i - 1)), flag.wronskian(*_partial(s, i))
+        if outer.is_zero() or inner.is_zero():
             raise InvalidFlag("dependent flag members")
-        prims.append(num / den)
+        prims.append(outer / inner if s[i] == 1 else inner / outer)
     return CompleteFactorization.from_primitives(s, prims)
 
 

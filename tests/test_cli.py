@@ -170,6 +170,30 @@ class TestSpaceCommand:
         inp = write(tmp_path, "in.json", {"problem": problem, "seed": seed})
         assert main(["space", "--input", inp]) == 3
 
+    def test_even_pole_seed_exit_zero(self, tmp_path):
+        # y_1 = x - 1/2, the root of (x(x - 1))', is the even part's pole:
+        # V = {x(x - 1)/(x - 1/2)}, and the (+,-) node's entry is that denominator
+        problem = {"M": 1, "N": 1, "parity": [1, -1], "weights": [["1", "0"], ["1", "0"]], "points": ["0", "1"]}
+        seed = {"parity": [1, -1], "ys": [["-1/2", "1"]]}
+        inp = write(tmp_path, "in.json", {"problem": problem, "seed": seed})
+        out = tmp_path / "out.json"
+        assert main(["space", "--input", inp, "--out", str(out), "--max-depth", "3"]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["space"]["Vbasis"] == [{"den": ["-1/2", "1"], "num": ["0", "-1", "1"]}]
+        assert [node["parity"] for node in payload["verification"]["nodes"]] == [[1, -1], [-1, 1]]
+        assert all(node["matched"] for node in payload["verification"]["nodes"])
+        assert payload["TW"] == [["0", "-1", "1"], ["1"]]
+
+    def test_atypical_gl22_exit_three(self, tmp_path, capsys):
+        # four (1) sites on gl(2|2): every weight is atypical
+        problem = {"M": 2, "N": 2, "weights": [["1", "0", "0", "0"]] * 4, "points": ["0", "1", "2", "3"]}
+        seed = {"parity": [1, 1, -1, -1], "ys": [["1"], ["1"], ["1"]]}
+        inp = write(tmp_path, "in.json", {"problem": problem, "seed": seed})
+        assert main(["space", "--input", inp, "--max-depth", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "unsupported: kernel spaces need a typical weight sequence\n"
+
 
 class TestCheckBae:
     def test_satisfied(self, tmp_path):

@@ -323,6 +323,19 @@ class TestRefactor:
         fac = self._fac()
         assert refactor_to_parity(fac, fac.parity).coefficients == fac.coefficients
 
+    def test_identity_target_is_not_rebuilt(self, monkeypatch):
+        fac = self._fac()
+
+        def rebuilt(*args):
+            raise AssertionError("factorization rebuilt on an empty bubble path")
+
+        monkeypatch.setattr(CompleteFactorization, "from_primitives", staticmethod(rebuilt))
+        assert refactor_to_parity(fac, fac.parity) is fac
+        # the primitives check still comes first
+        bare = CompleteFactorization(fac.parity, fac.coefficients)
+        with pytest.raises(InvalidInput):
+            refactor_to_parity(bare, fac.parity)
+
     def test_roundtrip(self):
         fac = self._fac()
         other = refactor_to_parity(fac, ParitySequence((-1, 1)))

@@ -1,6 +1,8 @@
 import json
 import random
 from fractions import Fraction as Q
+from functools import cache
+from itertools import cycle, permutations
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from gaudin.bethe import BethePoint, Population, populate, population_factorizat
 from gaudin.errors import (
     AtypicalUnsupported,
     CriterionFailed,
+    EngineError,
     InternalInconsistency,
     InvalidFlag,
     InvalidInput,
@@ -22,6 +25,8 @@ from gaudin.skew import refactor_to_parity
 from gaudin.spaces import (
     RationalSpace,
     SuperFlag,
+    _generic_order,
+    _partial,
     exponents,
     flag_factorization,
     flag_from_factorization,
@@ -34,13 +39,14 @@ from gaudin.spaces import (
     space_weight_polys,
     verify_operator_to_population,
 )
-from gaudin.weights import ParitySequence, ProblemData, Weight
+from gaudin.weights import ParitySequence, ProblemData, Weight, collision_poly
 
 X = Poly.x()
 POLES = [X, X - 1, X + 2, X**2 + 1]
 GOLDEN = Path(__file__).parent / "golden"
 
 
+@cache
 def golden_population(name, samples, max_depth):
     data = json.loads((GOLDEN / name).read_text())
     seed = jsonio.point_from_json(jsonio.problem_from_json(data["problem"]), data["seed"])
@@ -473,6 +479,157 @@ class TestFlagPolynomialAndGeneratingMap:
             ParitySequence.standard(2, 1), (3 * RatFun.one() * v1, v2 + v1), space.ubasis
         )
         assert generating_tuple(space, flag_a) == generating_tuple(space, flag_b)
+
+
+def collision_flag_polynomial(space: RationalSpace, flag: SuperFlag, a: int, b: int) -> Poly:
+    """Monic polynomial from the (a, b) partial Wronskian of a flag.
+
+    The Wronskian of the first a even and first b odd flag members, cleared
+    by the collision correction and the space's weight polynomials, is a
+    polynomial whenever the space satisfies the membership conditions.  It
+    is found by one exact division: the Wronskian's numerator times the
+    collision, even-denominator and odd weight polynomials, over its
+    denominator times the first a even weight polynomials.
+    """
+    tw = space.weight_polys
+    m, n = space.m, space.n
+    w = flag.wronskian(a, b)
+    if w.is_zero():
+        raise InvalidFlag("dependent flag members")
+    num = w.num * collision_poly(tw, m, n, a, b) * space.even_denominator
+    for j in range(1, b + 1):
+        num = num * tw[m + j - 1]
+    den = w.den
+    for j in range(0, a):
+        den = den * tw[m - 1 - j]
+    val = num.try_exact_div(den)
+    if val is None:
+        raise InternalInconsistency(f"flag polynomial is not polynomial at ({a},{b})")
+    return val.monic()
+
+
+# the population of every `space` recording
+GOLDEN_SPACE_RUNS = {
+    "worked-gl21": ("worked_gl21.json", (0, 1, 2), 16),
+    "rational-gl21": ("rational_gl21.json", (0, 1, 2), 16),
+    "rational-gl21-1e50": ("rational_gl21_point_1e50.json", (0, 1, 2), 3),
+    "gl31": ("gl31.json", (-6, -5, 1), 3),
+    "gl22": ("gl22.json", (0, 1, 2), 4),
+    "gl22-pole": ("gl22_pole.json", (0, 1, 2), 4),
+    "gl13": ("gl13.json", (0, 1, 2), 3),
+    "gl32": ("gl32.json", (0, 1, 2), 3),
+    "gl22-even-pole": ("gl22_even_pole.json", (0, 1, 2), 4),
+    "gl13-even-pole": ("gl13_even_pole.json", (0, 1, 2), 3),
+}
+# spaces for the random flags: W is read off the seed, so depth 0 suffices.
+# The even-pole ones have a standard-parity seed with nonconstant y_M, the
+# even part's denominator; "gl22-pole" has a pole in U only.
+ORACLE_SPACES = (
+    "worked-gl21",
+    "rational-gl21",
+    "gl31",
+    "gl22",
+    "gl22-pole",
+    "gl13",
+    "gl32",
+    "gl20",
+    "gl22-even-pole",
+    "gl13-even-pole",
+    "gl11-even-pole",
+    "gl21-even-pole",
+)
+# inline seeds: M, N, weights at the points 0 and 1, and ys at the standard
+# parity; 1/2 is the root of (x(x - 1))'
+INLINE_SEEDS = {
+    "gl20": (2, 0, [(2, 0), (1, 0)], [Poly.one()]),
+    "gl11-even-pole": (1, 1, [(1, 0), (1, 0)], [X - Q(1, 2)]),
+    "gl21-even-pole": (2, 1, [(1, 1, 0), (1, 1, 0)], [Poly.one(), X - Q(1, 2)]),
+}
+
+
+@cache
+def oracle_space(name):
+    if name in INLINE_SEEDS:
+        m, n, coords, ys = INLINE_SEEDS[name]
+        prob = ProblemData(m, n, [Weight(m, n, c) for c in coords], points=[0, 1])
+        seed = BethePoint(prob, ParitySequence.standard(m, n), ys)
+        return kernel_spaces(populate(seed, [0], max_depth=0))
+    file, samples, _ = GOLDEN_SPACE_RUNS[name]
+    return kernel_spaces(golden_population(file, samples, 0))
+
+
+def outcome(route, space, flag, a, b):
+    """The route's polynomial, or the class of the engine error it raised."""
+    try:
+        return route(space, flag, a, b)
+    except EngineError as exc:
+        return type(exc)
+
+
+def upper_unitriangular(basis, rng):
+    """Member i plus a combination of the later members, coefficients in [-3, 3]."""
+    return tuple(sum((rng.randint(-3, 3) * g for g in basis[i + 1 :]), f) for i, f in enumerate(basis))
+
+
+def random_flags(space, rng):
+    """Flags on every ordering of the V and U bases and on two unitriangular
+    recombinations of each ordering.  `flag_polynomial` reads no parity, so
+    the parities are dealt out in turn, each at least once."""
+    bases = []
+    for vs in permutations(space.vbasis):
+        for us in permutations(space.ubasis):
+            bases.append((vs, us))
+            for _ in range(2):
+                bases.append((upper_unitriangular(vs, rng), upper_unitriangular(us, rng)))
+    parities = ParitySequence.all_sequences(space.m, space.n)
+    assert len(bases) >= len(parities)
+    return [SuperFlag(s, vs, us) for s, (vs, us) in zip(cycle(parities), bases)]
+
+
+class TestFlagPolynomialOracle:
+    """The generating map's entries read off the exponent table against the
+    collision route through the space's weight polynomials."""
+
+    @pytest.mark.parametrize("name", GOLDEN_SPACE_RUNS)
+    def test_every_golden_node_entry(self, name):
+        pop = golden_population(*GOLDEN_SPACE_RUNS[name])
+        space = kernel_spaces(pop)
+        for point in pop.points():
+            flag = flag_from_factorization(space, population_factorization(point))
+            for i in range(1, len(flag.parity)):
+                a, b = _partial(flag.parity, i)
+                got = flag_polynomial(space, flag, a, b)
+                assert got == collision_flag_polynomial(space, flag, a, b) == point.ys[i - 1]
+
+    @pytest.mark.parametrize("name", ORACLE_SPACES)
+    def test_random_flags(self, name):
+        space = oracle_space(name)
+        for flag in random_flags(space, random.Random(23)):
+            for a in range(space.m + 1):
+                for b in range(space.n + 1):
+                    expected = outcome(collision_flag_polynomial, space, flag, a, b)
+                    assert outcome(flag_polynomial, space, flag, a, b) == expected, (flag, a, b)
+
+    def test_oracle_spaces_cover_even_poles(self):
+        poles = [name for name in ORACLE_SPACES if oracle_space(name).even_denominator != Poly.one()]
+        assert poles == ["gl22-even-pole", "gl13-even-pole", "gl11-even-pole", "gl21-even-pole"]
+
+    @pytest.mark.parametrize("name", ORACLE_SPACES)
+    def test_weight_polys_are_generic_order_steps(self, name):
+        # TW entry i is the drop of the divisor order from the (i-1)-th to
+        # the i-th partial flag at the standard parity; the even
+        # denominator's -c cancels in every drop, and its lifts enter the
+        # last even drop and the first odd one
+        space = oracle_space(name)
+        s = ParitySequence.standard(space.m, space.n)
+        for i in range(1, space.m + space.n + 1):
+            outer, inner = _partial(s, i - 1), _partial(s, i)
+            step = RatFun.one()
+            for pl in space.places:
+                drop = _generic_order(space, pl, *outer) - _generic_order(space, pl, *inner)
+                step = step * RatFun(pl) ** drop
+            assert step.is_polynomial()
+            assert space.weight_polys[i - 1] == step.as_poly().monic()
 
 
 class TestFlagFactorization:
