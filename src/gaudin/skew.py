@@ -211,7 +211,12 @@ def ore_swap(a: RatFun, b: RatFun, *, backward: bool = False) -> tuple[RatFun, R
     (D-a)(D-b)^(-1) = (D-c)^(-1)(D-d).  Backward inverts the move.
     """
     a, b = _as_coeff(a), _as_coeff(b)
-    diff = a - b
+    return _exchange(a, b, a - b, backward)
+
+
+def _exchange(a: RatFun, b: RatFun, diff: RatFun, backward: bool) -> tuple[RatFun, RatFun]:
+    """The exchange of :func:`ore_swap`, given diff = a - b: both new
+    coefficients are shifted by ln'(a - b)."""
     if diff.is_zero():
         raise DegenerateSwap("exchange undefined for equal coefficients")
     shift = log_deriv(diff)
@@ -225,9 +230,9 @@ class CompleteFactorization:
     """Ordered first-order factors (D - a_i)^(s_i) with a parity sequence.
 
     ``primitives`` carries rational functions g_i with ln' g_i = a_i when
-    the factorization is built by :meth:`from_primitives`, and is None
-    otherwise; they travel through exchanges and make exact kernel
-    computations possible.
+    the factorization is built by :meth:`from_primitives` or transported by
+    :func:`refactor_to_parity`, and is None otherwise; they travel through
+    exchanges and make exact kernel computations possible.
     """
 
     __slots__ = ("parity", "coefficients", "primitives")
@@ -243,9 +248,7 @@ class CompleteFactorization:
     @staticmethod
     def from_primitives(parity: ParitySequence, primitives) -> "CompleteFactorization":
         primitives = tuple(_as_coeff(g) for g in primitives)
-        fac = CompleteFactorization(parity, [log_deriv(g) for g in primitives])
-        object.__setattr__(fac, "primitives", primitives)
-        return fac
+        return _with_primitives(parity, [log_deriv(g) for g in primitives], primitives)
 
     def __repr__(self):
         return f"CompleteFactorization(parity={list(self.parity.entries)}, {len(self.coefficients)} factors)"
@@ -280,6 +283,13 @@ class CompleteFactorization:
         return self.to_fraction().same_operator(other.to_fraction())
 
 
+def _with_primitives(parity: ParitySequence, coefficients, primitives) -> CompleteFactorization:
+    """A factorization carrying primitives already known to match its coefficients."""
+    fac = CompleteFactorization(parity, coefficients)
+    object.__setattr__(fac, "primitives", primitives)
+    return fac
+
+
 def _product(coefficients) -> DiffOp:
     """The operator (D - a_1)(D - a_2)...(D - a_k), built from the right:
     a first-order factor on the left needs only first derivatives."""
@@ -294,8 +304,10 @@ def refactor_to_parity(fac: CompleteFactorization, target: ParitySequence) -> Co
 
     Applies the first-order exchange along a bubble path of adjacent
     transpositions; the represented fraction is unchanged.  Primitives
-    travel along, and their logarithmic derivatives must reproduce the
-    exchanged coefficients.
+    travel along: the exchange by d = a - b multiplies both by d forward
+    and divides both by d backward.  Each slot's coefficient must then be
+    the logarithmic derivative of its primitive, which
+    :func:`_is_log_derivative` tests without a gcd.
     """
     if fac.primitives is None:
         raise InvalidInput("transport needs factor primitives")
@@ -308,17 +320,27 @@ def refactor_to_parity(fac: CompleteFactorization, target: ParitySequence) -> Co
         a, b = coeffs[i - 1], coeffs[i]
         ga, gb = prims[i - 1], prims[i]
         diff = a - b
-        if parity[i] == 1:
-            coeffs[i - 1], coeffs[i] = ore_swap(a, b)
-            prims[i - 1], prims[i] = gb * diff, ga * diff
-        else:
-            coeffs[i - 1], coeffs[i] = ore_swap(a, b, backward=True)
-            prims[i - 1], prims[i] = gb / diff, ga / diff
+        backward = parity[i] == -1
+        coeffs[i - 1], coeffs[i] = _exchange(a, b, diff, backward)
+        prims[i - 1], prims[i] = (gb / diff, ga / diff) if backward else (gb * diff, ga * diff)
         parity = parity.swapped(i)
-    out = CompleteFactorization.from_primitives(parity, prims)
-    if out.coefficients != tuple(coeffs):
+    if not all(_is_log_derivative(a, g) for a, g in zip(coeffs, prims)):
         raise InternalInconsistency("primitive does not match factor")
-    return out
+    return _with_primitives(parity, coeffs, tuple(prims))
+
+
+def _is_log_derivative(a: RatFun, g: RatFun) -> bool:
+    """Whether a == g'/g, in polynomial arithmetic.
+
+    With g = p/q nonzero, g'/g = (p'q - pq')/(pq), and two fractions with
+    nonzero denominators are equal exactly when their cross products are:
+    (p'q - pq') a.den == a.num p q.  Neither side is reduced, so no gcd
+    is taken.  A zero g has no logarithmic derivative.
+    """
+    p, q = g.num, g.den
+    if p.is_zero():
+        return False
+    return (p.derivative() * q - p * q.derivative()) * a.den == a.num * p * q
 
 
 def rational_kernel(primitives) -> list[RatFun]:

@@ -326,17 +326,45 @@ def generating_map(space: RationalSpace, flag: SuperFlag) -> BethePoint:
     return BethePoint(space.problem, flag.parity, generating_tuple(space, flag))
 
 
-def flag_factorization(space: RationalSpace, flag: SuperFlag) -> CompleteFactorization:
-    """Complete factorization attached to a superflag via Wronskian ratios:
-    primitive i is (W_(i-1) / W_i)^(s_i), W_i that of the i-th partial flag."""
+def _flag_ratios(flag: SuperFlag):
+    """(top, bottom) of each primitive of a flag's factorization: primitive
+    i is top / bottom = (W_(i-1) / W_i)^(s_i), W_i the Wronskian of the
+    i-th partial flag."""
     s = flag.parity
-    prims = []
     for i in range(1, len(s) + 1):
         outer, inner = flag.wronskian(*_partial(s, i - 1)), flag.wronskian(*_partial(s, i))
         if outer.is_zero() or inner.is_zero():
             raise InvalidFlag("dependent flag members")
-        prims.append(outer / inner if s[i] == 1 else inner / outer)
-    return CompleteFactorization.from_primitives(s, prims)
+        yield (outer, inner) if s[i] == 1 else (inner, outer)
+
+
+def flag_factorization(space: RationalSpace, flag: SuperFlag) -> CompleteFactorization:
+    """Complete factorization attached to a superflag via Wronskian ratios:
+    primitive i is (W_(i-1) / W_i)^(s_i), W_i that of the i-th partial flag."""
+    prims = [top / bottom for top, bottom in _flag_ratios(flag)]
+    return CompleteFactorization.from_primitives(flag.parity, prims)
+
+
+def _flag_matches(flag: SuperFlag, fac: CompleteFactorization) -> bool:
+    """Whether the flag's factorization has the coefficients of ``fac``, a
+    factorization at the flag's parity whose coefficients are the
+    logarithmic derivatives of its primitives, as
+    :meth:`CompleteFactorization.from_primitives` builds it.
+
+    For nonzero f, g in Q(x), f'/f = g'/g holds exactly when (f/g)' = 0,
+    that is when f/g is a nonzero constant.  So the coefficients agree
+    slot by slot exactly when the primitives are proportional.  With the
+    flag primitive top / bottom and the node primitive g, that is the
+    proportionality of P = top.num bottom.den g.den and
+    Q = top.den bottom.num g.num, tested as P lc(Q) == Q lc(P) with no
+    log-derivative and no gcd.
+    """
+    for (top, bottom), g in zip(_flag_ratios(flag), fac.primitives):
+        p = top.num * bottom.den * g.den
+        q = top.den * bottom.num * g.num
+        if p * q.lc != q * p.lc:
+            return False
+    return True
 
 
 def kernel_spaces(pop: Population) -> RationalSpace:
@@ -394,10 +422,14 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
     The space must carry the problem's weight polynomials and pass
     :func:`is_gl_space`.  Then, for each node: rebuild the flag from its
     factorization, confirm the generating map returns the node, and confirm
-    the flag factorization agrees with the node factorization factorwise
-    (the parities agree by construction, so the fractions then agree too).
-    Any failure raises :class:`TheoremViolation`.  ``space`` is
-    ``kernel_spaces(pop)``, built here when not given.
+    that :func:`flag_factorization` of the flag has the node
+    factorization's coefficients factorwise (the parities agree by
+    construction, so the fractions then agree too).  Two nonzero
+    primitives have the same logarithmic derivative exactly when their
+    ratio is constant, so :func:`_flag_matches` decides that equality by
+    proportionality of the primitives, without building the flag's
+    factorization.  Any failure raises :class:`TheoremViolation`.
+    ``space`` is ``kernel_spaces(pop)``, built here when not given.
     """
     if space is None:
         space = kernel_spaces(pop)
@@ -417,8 +449,7 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
         gen = generating_tuple(space, flag)
         if gen != point.ys:
             raise TheoremViolation(f"generating map mismatch at {point!r}")
-        ffac = flag_factorization(space, flag)
-        if ffac.coefficients != fac.coefficients:
+        if not _flag_matches(flag, fac):
             raise TheoremViolation(f"factorization mismatch at {point!r}")
         report["nodes"].append({"parity": list(point.parity.entries), "matched": True})
     return report

@@ -2,6 +2,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaudin import skew
 from gaudin.errors import DegenerateInput, DegenerateSwap, InternalInconsistency, InvalidInput
@@ -356,15 +357,29 @@ class TestRefactor:
             refactor_to_parity(fac, ParitySequence((-1, 1)))
 
     def test_mismatched_transport_raises(self, monkeypatch):
-        swap = skew.ore_swap
+        swap = skew._exchange
 
-        def shifted(a, b, **kwargs):
-            c, d = swap(a, b, **kwargs)
+        def shifted(*args):
+            c, d = swap(*args)
             return c + 1, d
 
-        monkeypatch.setattr(skew, "ore_swap", shifted)
+        monkeypatch.setattr(skew, "_exchange", shifted)
         with pytest.raises(InternalInconsistency):
             refactor_to_parity(self._fac(), ParitySequence((-1, 1)))
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_mismatched_primitive_raises(self, slot):
+        # the swap at position 1 leaves slot 2 alone, and it is checked too
+        s = ParitySequence((-1, 1, 1))
+        good = CompleteFactorization.from_primitives(s, [RatFun(X**2 + 1), RatFun(X, X - 1), RatFun(X + 3)])
+        prims = list(good.primitives)
+        prims[slot] = prims[slot] * RatFun(X - 17)
+        bad = CompleteFactorization(s, good.coefficients)
+        object.__setattr__(bad, "primitives", tuple(prims))
+        target = ParitySequence((1, -1, 1))
+        assert refactor_to_parity(good, target).parity == target
+        with pytest.raises(InternalInconsistency, match="primitive does not match factor"):
+            refactor_to_parity(bad, target)
 
     def test_one_log_derivative_per_primitive(self, monkeypatch):
         calls = []
@@ -378,6 +393,45 @@ class TestRefactor:
         fac = CompleteFactorization.from_primitives(ParitySequence((1, -1, 1)), prims)
         assert len(calls) == 3
         assert fac.coefficients == tuple(log_deriv(g) for g in prims)
+
+
+small_factor = st.lists(st.integers(-3, 3), min_size=2, max_size=3).map(Poly).filter(lambda p: p.degree > 0)
+powers = st.lists(st.tuples(small_factor, st.integers(1, 3)), max_size=3)
+nonzero_scalar = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
+@st.composite
+def primitives(draw):
+    """c * prod f^e / prod h^k: repeated factors, constants and negative
+    leading coefficients."""
+    num, den = Poly.const(draw(nonzero_scalar)), Poly.one()
+    for f, e in draw(powers):
+        num = num * f**e
+    for h, k in draw(powers):
+        den = den * h**k
+    return RatFun(num, den)
+
+
+small_ratfun = st.builds(
+    RatFun,
+    st.lists(st.integers(-2, 2), max_size=3).map(Poly),
+    st.lists(st.integers(-2, 2), min_size=1, max_size=2).map(Poly).filter(bool),
+)
+
+
+class TestIsLogDerivative:
+    """The gcd-free test of a == g'/g against the reduced log-derivative."""
+
+    @given(g=primitives(), perturb=st.one_of(st.none(), small_ratfun))
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    def test_agrees_with_log_deriv(self, g, perturb):
+        a = log_deriv(g) if perturb is None else log_deriv(g) + perturb
+        assert skew._is_log_derivative(a, g) == (log_deriv(g) == a)
+        if perturb is None:
+            assert skew._is_log_derivative(a, g)
+
+    def test_zero_primitive_rejected(self):
+        assert not skew._is_log_derivative(RatFun.zero(), RatFun.zero())
 
 
 def rand_log_deriv(rng):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from gaudin import jsonio, spaces
+from gaudin import jsonio, skew, spaces
 from gaudin.bethe import BethePoint, Population, populate, population_factorization
 from gaudin.errors import (
     AtypicalUnsupported,
@@ -21,7 +21,7 @@ from gaudin.errors import (
 )
 from gaudin.linalg import rank
 from gaudin.rational import Poly, RatFun, order_at_place, poly_gcd, wronskian
-from gaudin.skew import refactor_to_parity
+from gaudin.skew import CompleteFactorization, refactor_to_parity
 from gaudin.spaces import (
     RationalSpace,
     SuperFlag,
@@ -678,6 +678,35 @@ class TestFlagFactorization:
         assert len(calls) == len(set(calls))
 
 
+def scaled_primitive(fac, slot, factor):
+    """``fac`` rebuilt with primitive ``slot`` multiplied by ``factor``."""
+    prims = list(fac.primitives)
+    prims[slot] = prims[slot] * factor
+    return CompleteFactorization.from_primitives(fac.parity, prims)
+
+
+class TestFlagMatchOracle:
+    """Proportional primitives against the retired comparison of the flag
+    factorization's coefficients with the node factorization's."""
+
+    @pytest.mark.parametrize("name", GOLDEN_SPACE_RUNS)
+    def test_every_golden_node(self, name):
+        pop = golden_population(*GOLDEN_SPACE_RUNS[name])
+        space = kernel_spaces(pop)
+        for k, point in enumerate(pop.points()):
+            fac = population_factorization(point)
+            flag = flag_from_factorization(space, fac)
+            coefficients = flag_factorization(space, flag).coefficients
+            slot = k % len(fac.parity)
+            cases = [
+                (fac, True),
+                (scaled_primitive(fac, slot, RatFun.const(Q(-3, 2))), True),
+                (scaled_primitive(fac, slot, RatFun(X - 17)), False),
+            ]
+            for other, expected in cases:
+                assert spaces._flag_matches(flag, other) == (coefficients == other.coefficients) == expected
+
+
 class TestWronskiIdentity:
     def test_random_tuples(self):
         rng = random.Random(2024)
@@ -722,6 +751,50 @@ class TestBijection:
         pop = populate(seed, [Q(2), Q(3)], max_depth=3)
         report = verify_operator_to_population(pop)
         assert report["space_polys_match"]
+
+    @staticmethod
+    def _scale_node_primitive(monkeypatch, factor):
+        """Every node factorization with its last primitive times ``factor``;
+        each flag is still rebuilt from the node's own factorization."""
+        own = {}
+
+        def scaled(point):
+            fac = population_factorization(point)
+            out = scaled_primitive(fac, len(fac.parity) - 1, factor)
+            own[out] = fac
+            return out
+
+        monkeypatch.setattr(spaces, "population_factorization", scaled)
+        monkeypatch.setattr(
+            spaces, "flag_from_factorization", lambda space, fac: flag_from_factorization(space, own[fac])
+        )
+
+    def test_nonconstant_primitive_factor_raises(self, worked_population, monkeypatch):
+        space = kernel_spaces(worked_population)
+        self._scale_node_primitive(monkeypatch, RatFun(X - 17))
+        with pytest.raises(TheoremViolation, match="factorization mismatch"):
+            verify_operator_to_population(worked_population, space)
+
+    def test_constant_primitive_factor_passes(self, worked_population, monkeypatch):
+        # the primitives need only be proportional
+        space = kernel_spaces(worked_population)
+        self._scale_node_primitive(monkeypatch, RatFun.const(Q(-3, 2)))
+        assert len(verify_operator_to_population(worked_population, space)["nodes"]) == 12
+
+    @pytest.mark.parametrize("name", ["worked-gl21", "gl13", "gl22-pole"])
+    def test_one_log_derivative_per_factor_and_exchange(self, name, monkeypatch):
+        # per node: the node factorization's M + N, and one per exchange on
+        # the bubble path to the standard parity
+        pop = golden_population(*GOLDEN_SPACE_RUNS[name])
+        space = kernel_spaces(pop)
+        standard = ParitySequence.standard(space.m, space.n)
+        expected = sum(space.m + space.n + len(p.parity.path_to(standard)) for p in pop.points())
+        assert expected > len(pop.nodes) * (space.m + space.n)
+        calls = []
+        log_deriv = skew.log_deriv
+        monkeypatch.setattr(skew, "log_deriv", lambda f: calls.append(f) or log_deriv(f))
+        verify_operator_to_population(pop, space)
+        assert len(calls) == expected
 
     def test_space_outside_gl_raises(self, worked_population, monkeypatch):
         monkeypatch.setattr(spaces, "is_gl_space", lambda space: (False, ["forced failure"]))
