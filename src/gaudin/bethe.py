@@ -257,19 +257,17 @@ def bae_check_direct(problem: ProblemData, parity: ParitySequence, tlists) -> bo
 
 
 def population_factorization(point: BethePoint) -> CompleteFactorization:
-    """Signed first-order factorization attached to a tuple.
-
-    Factor i has primitive (T_i^s y_{i-1} / y_i)^(s_i); the fraction it
-    folds to is the population operator.
-    """
-    s = point.parity
-    return CompleteFactorization.from_primitives(s, [_primitive(point, i) for i in range(1, len(s) + 1)])
+    """Signed first-order factorization attached to a tuple, with the
+    primitives of :func:`node_primitives`; the fraction it folds to is the
+    population operator."""
+    return CompleteFactorization.from_primitives(point.parity, node_primitives(point))
 
 
-def _primitive(point: BethePoint, i: int) -> RatFun:
-    """Primitive (T_i^s y_{i-1} / y_i)^(s_i) of factor i."""
-    g = RatFun(point.ts()[i - 1] * point.y(i - 1), point.y(i))
-    return g if point.parity[i] == 1 else RatFun.one() / g
+def node_primitives(point: BethePoint) -> tuple[RatFun, ...]:
+    """Primitive (T_i^s y_{i-1} / y_i)^(s_i) of each factor i."""
+    ts, s = point.ts(), point.parity
+    ratios = (RatFun(ts[i - 1] * point.y(i - 1), point.y(i)) for i in range(1, len(s) + 1))
+    return tuple(g if sign == 1 else RatFun.one() / g for g, sign in zip(ratios, s.entries))
 
 
 def population_operator(point: BethePoint) -> OreFraction:

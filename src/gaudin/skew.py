@@ -11,6 +11,11 @@ it reads A * B^(-1) with A and B plain products of first-order factors,
 and the minimal form of that pair is the fraction.  Two fractions are
 compared through their minimal forms; no general fraction product is
 needed.
+
+Between parities a factorization moves by its primitives g_i (ln' g_i =
+a_i) alone: an exchange multiplies both primitives by d = a - b =
+ln'(g_a / g_b) forward and divides both by d backward, and coefficients
+are derived from primitives only where an operator is built.
 """
 
 from __future__ import annotations
@@ -211,14 +216,10 @@ def ore_swap(a: RatFun, b: RatFun, *, backward: bool = False) -> tuple[RatFun, R
     (D-a)(D-b)^(-1) = (D-c)^(-1)(D-d).  Backward inverts the move.
     """
     a, b = _as_coeff(a), _as_coeff(b)
-    return _exchange(a, b, a - b, backward)
-
-
-def _exchange(a: RatFun, b: RatFun, diff: RatFun, backward: bool) -> tuple[RatFun, RatFun]:
-    """The exchange of :func:`ore_swap`, given diff = a - b: both new
-    coefficients are shifted by ln'(a - b)."""
+    diff = a - b
     if diff.is_zero():
         raise DegenerateSwap("exchange undefined for equal coefficients")
+    # both new coefficients are shifted by ln'(a - b)
     shift = log_deriv(diff)
     if backward:
         # here (a, b) play the role of (c, d)
@@ -230,9 +231,9 @@ class CompleteFactorization:
     """Ordered first-order factors (D - a_i)^(s_i) with a parity sequence.
 
     ``primitives`` carries rational functions g_i with ln' g_i = a_i when
-    the factorization is built by :meth:`from_primitives` or transported by
-    :func:`refactor_to_parity`, and is None otherwise; they travel through
-    exchanges and make exact kernel computations possible.
+    the factorization is built by :meth:`from_primitives`, and is None
+    otherwise; they are what :func:`transport_primitives` moves between
+    parities, and they make exact kernel computations possible.
     """
 
     __slots__ = ("parity", "coefficients", "primitives")
@@ -248,7 +249,9 @@ class CompleteFactorization:
     @staticmethod
     def from_primitives(parity: ParitySequence, primitives) -> "CompleteFactorization":
         primitives = tuple(_as_coeff(g) for g in primitives)
-        return _with_primitives(parity, [log_deriv(g) for g in primitives], primitives)
+        fac = CompleteFactorization(parity, [log_deriv(g) for g in primitives])
+        object.__setattr__(fac, "primitives", primitives)
+        return fac
 
     def __repr__(self):
         return f"CompleteFactorization(parity={list(self.parity.entries)}, {len(self.coefficients)} factors)"
@@ -283,13 +286,6 @@ class CompleteFactorization:
         return self.to_fraction().same_operator(other.to_fraction())
 
 
-def _with_primitives(parity: ParitySequence, coefficients, primitives) -> CompleteFactorization:
-    """A factorization carrying primitives already known to match its coefficients."""
-    fac = CompleteFactorization(parity, coefficients)
-    object.__setattr__(fac, "primitives", primitives)
-    return fac
-
-
 def _product(coefficients) -> DiffOp:
     """The operator (D - a_1)(D - a_2)...(D - a_k), built from the right:
     a first-order factor on the left needs only first derivatives."""
@@ -299,48 +295,44 @@ def _product(coefficients) -> DiffOp:
     return out
 
 
+def transport_primitives(parity: ParitySequence, primitives, target: ParitySequence) -> tuple[RatFun, ...]:
+    """Primitives of a factorization at ``parity``, moved to ``target``.
+
+    Each adjacent transposition of a bubble path is the exchange of
+    :func:`ore_swap` on the coefficients a = ln' g_a and b = ln' g_b: it
+    swaps them and shifts both by ln' d, with d = a - b = ln'(g_a / g_b).
+    Since ln'(g d) = ln' g + ln' d, both primitives are multiplied by d
+    forward and divided by it backward.  d = 0 exactly when a == b, where
+    the exchange is undefined.  One logarithmic derivative is taken per
+    swap, and none on an empty path.
+    """
+    if primitives is None:
+        raise InvalidInput("transport needs factor primitives")
+    prims = list(primitives)
+    for i in parity.path_to(target):
+        ga, gb = prims[i - 1], prims[i]
+        d = log_deriv(ga / gb)
+        if d.is_zero():
+            raise DegenerateSwap("exchange undefined for equal coefficients")
+        prims[i - 1], prims[i] = (gb / d, ga / d) if parity[i] == -1 else (gb * d, ga * d)
+        parity = parity.swapped(i)
+    return tuple(prims)
+
+
 def refactor_to_parity(fac: CompleteFactorization, target: ParitySequence) -> CompleteFactorization:
     """Transport a complete factorization to another parity sequence.
 
-    Applies the first-order exchange along a bubble path of adjacent
-    transpositions; the represented fraction is unchanged.  Primitives
-    travel along: the exchange by d = a - b multiplies both by d forward
-    and divides both by d backward.  Each slot's coefficient must then be
-    the logarithmic derivative of its primitive, which
-    :func:`_is_log_derivative` tests without a gcd.
+    The primitives move by :func:`transport_primitives` and the new
+    coefficients are their logarithmic derivatives.  Since
+    ln'(g d^(+-1)) = ln' g +- ln' d with d = a - b = ln'(g_a / g_b), those
+    are the coefficients the exchange of :func:`ore_swap` gives along the
+    same bubble path, so the represented fraction is unchanged.  At its
+    own parity, ``fac`` itself is returned.
     """
-    if fac.primitives is None:
-        raise InvalidInput("transport needs factor primitives")
+    prims = transport_primitives(fac.parity, fac.primitives, target)
     if fac.parity == target:
         return fac
-    parity = fac.parity
-    coeffs = list(fac.coefficients)
-    prims = list(fac.primitives)
-    for i in parity.path_to(target):
-        a, b = coeffs[i - 1], coeffs[i]
-        ga, gb = prims[i - 1], prims[i]
-        diff = a - b
-        backward = parity[i] == -1
-        coeffs[i - 1], coeffs[i] = _exchange(a, b, diff, backward)
-        prims[i - 1], prims[i] = (gb / diff, ga / diff) if backward else (gb * diff, ga * diff)
-        parity = parity.swapped(i)
-    if not all(_is_log_derivative(a, g) for a, g in zip(coeffs, prims)):
-        raise InternalInconsistency("primitive does not match factor")
-    return _with_primitives(parity, coeffs, tuple(prims))
-
-
-def _is_log_derivative(a: RatFun, g: RatFun) -> bool:
-    """Whether a == g'/g, in polynomial arithmetic.
-
-    With g = p/q nonzero, g'/g = (p'q - pq')/(pq), and two fractions with
-    nonzero denominators are equal exactly when their cross products are:
-    (p'q - pq') a.den == a.num p q.  Neither side is reduced, so no gcd
-    is taken.  A zero g has no logarithmic derivative.
-    """
-    p, q = g.num, g.den
-    if p.is_zero():
-        return False
-    return (p.derivative() * q - p * q.derivative()) * a.den == a.num * p * q
+    return CompleteFactorization.from_primitives(target, prims)
 
 
 def rational_kernel(primitives) -> list[RatFun]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 
-from .bethe import BethePoint, Population, population_factorization
+from .bethe import BethePoint, Population, node_primitives, population_factorization
 from .errors import (
     AtypicalUnsupported,
     InternalInconsistency,
@@ -33,7 +33,7 @@ from .rational import (
     qq,
     wronskian,
 )
-from .skew import CompleteFactorization, rational_kernel, refactor_to_parity
+from .skew import CompleteFactorization, rational_kernel, transport_primitives
 from .weights import ParitySequence, dominant
 
 
@@ -345,11 +345,9 @@ def flag_factorization(space: RationalSpace, flag: SuperFlag) -> CompleteFactori
     return CompleteFactorization.from_primitives(flag.parity, prims)
 
 
-def _flag_matches(flag: SuperFlag, fac: CompleteFactorization) -> bool:
-    """Whether the flag's factorization has the coefficients of ``fac``, a
-    factorization at the flag's parity whose coefficients are the
-    logarithmic derivatives of its primitives, as
-    :meth:`CompleteFactorization.from_primitives` builds it.
+def _flag_matches(flag: SuperFlag, prims) -> bool:
+    """Whether the flag's factorization has the coefficients of the
+    factorization with primitives ``prims`` at the flag's parity.
 
     For nonzero f, g in Q(x), f'/f = g'/g holds exactly when (f/g)' = 0,
     that is when f/g is a nonzero constant.  So the coefficients agree
@@ -359,7 +357,7 @@ def _flag_matches(flag: SuperFlag, fac: CompleteFactorization) -> bool:
     Q = top.den bottom.num g.num, tested as P lc(Q) == Q lc(P) with no
     log-derivative and no gcd.
     """
-    for (top, bottom), g in zip(_flag_ratios(flag), fac.primitives):
+    for (top, bottom), g in zip(_flag_ratios(flag), prims):
         p = top.num * bottom.den * g.den
         q = top.den * bottom.num * g.num
         if p * q.lc != q * p.lc:
@@ -381,7 +379,7 @@ def kernel_spaces(pop: Population) -> RationalSpace:
     if seed is None:
         raise InvalidInput("kernel spaces need a nonempty population")
     fac = population_factorization(seed)
-    vbasis, ubasis = _kernel_chains(fac, problem.m, problem.n)
+    vbasis, ubasis = _kernel_chains(fac.parity, fac.primitives, problem.m, problem.n)
     for op, basis in zip(fac.standard_pair(), (vbasis, ubasis)):
         if op.order != len(basis) or not all(op.apply(f).is_zero() for f in basis):
             raise InternalInconsistency("kernel chain does not match the population operator")
@@ -389,12 +387,19 @@ def kernel_spaces(pop: Population) -> RationalSpace:
     return RationalSpace(vbasis, ubasis, problem=problem)
 
 
-def _kernel_chains(fac: CompleteFactorization, m: int, n: int) -> tuple[list[RatFun], list[RatFun]]:
-    """Even and odd kernel chains of a factorization with m even and n odd
-    factors: transported to the standard parity, the first m factors give
-    the even chain and the last n, reversed, the odd chain."""
-    prims = refactor_to_parity(fac, ParitySequence.standard(m, n)).primitives
+def _kernel_chains(parity: ParitySequence, prims, m: int, n: int) -> tuple[list[RatFun], list[RatFun]]:
+    """Even and odd kernel chains of the factorization with primitives
+    ``prims`` at ``parity``, with m even and n odd factors: transported to
+    the standard parity, the first m factors give the even chain and the
+    last n, reversed, the odd chain."""
+    prims = transport_primitives(parity, prims, ParitySequence.standard(m, n))
     return rational_kernel(prims[:m]), rational_kernel(prims[m:][::-1])
+
+
+def _flag(space: RationalSpace, parity: ParitySequence, prims) -> SuperFlag:
+    """The flag whose Wronskian-ratio factorization has primitives ``prims``
+    at ``parity``: its kernel chains, at that parity."""
+    return SuperFlag(parity, *_kernel_chains(parity, prims, space.m, space.n))
 
 
 def _assert_direct_sum(vbasis, ubasis):
@@ -410,25 +415,23 @@ def _assert_direct_sum(vbasis, ubasis):
 
 
 def flag_from_factorization(space: RationalSpace, fac: CompleteFactorization) -> SuperFlag:
-    """Reconstruct the flag whose Wronskian-ratio factorization is given:
-    the factorization's kernel chains, at its own parity."""
-    vorder, uorder = _kernel_chains(fac, space.m, space.n)
-    return SuperFlag(fac.parity, vorder, uorder)
+    """Reconstruct the flag whose Wronskian-ratio factorization is given."""
+    return _flag(space, fac.parity, fac.primitives)
 
 
 def verify_operator_to_population(pop: Population, space: RationalSpace | None = None) -> dict:
     """Check the space and the flag/factorization/tuple triangle on every node.
 
     The space must carry the problem's weight polynomials and pass
-    :func:`is_gl_space`.  Then, for each node: rebuild the flag from its
-    factorization, confirm the generating map returns the node, and confirm
-    that :func:`flag_factorization` of the flag has the node
-    factorization's coefficients factorwise (the parities agree by
-    construction, so the fractions then agree too).  Two nonzero
+    :func:`is_gl_space`.  Then, for each node: rebuild the flag from the
+    node's primitives (:func:`node_primitives`), confirm the generating map
+    returns the node, and confirm that :func:`flag_factorization` of the
+    flag has the node factorization's coefficients factorwise (the parities
+    agree by construction, so the fractions then agree too).  Two nonzero
     primitives have the same logarithmic derivative exactly when their
     ratio is constant, so :func:`_flag_matches` decides that equality by
-    proportionality of the primitives, without building the flag's
-    factorization.  Any failure raises :class:`TheoremViolation`.
+    proportionality of the primitives, and no factorization is built on
+    either side.  Any failure raises :class:`TheoremViolation`.
     ``space`` is ``kernel_spaces(pop)``, built here when not given.
     """
     if space is None:
@@ -444,12 +447,12 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
     if not ok:
         raise TheoremViolation("space fails the membership conditions: " + "; ".join(failures))
     for point in pop.points():
-        fac = population_factorization(point)
-        flag = flag_from_factorization(space, fac)
+        prims = node_primitives(point)
+        flag = _flag(space, point.parity, prims)
         gen = generating_tuple(space, flag)
         if gen != point.ys:
             raise TheoremViolation(f"generating map mismatch at {point!r}")
-        if not _flag_matches(flag, fac):
+        if not _flag_matches(flag, prims):
             raise TheoremViolation(f"factorization mismatch at {point!r}")
         report["nodes"].append({"parity": list(point.parity.entries), "matched": True})
     return report

@@ -39,6 +39,13 @@ COMMANDS = {
     "space_gl32_depth3": ["space", "--input", "gl32.json", "--max-depth", "3"],
     "space_gl22_even_pole_depth4": ["space", "--input", "gl22_even_pole.json", "--max-depth", "4"],
     "space_gl13_even_pole_depth3": ["space", "--input", "gl13_even_pole.json", "--max-depth", "3"],
+    # a seed off the standard parity: its transport constants reach Vbasis and Ubasis
+    "space_worked_gl21_nonstandard_seed_depth0": [
+        "space", "--input", "worked_gl21_nonstandard_seed.json", "--max-depth", "0",
+    ],
+    "space_worked_gl21_nonstandard_seed_depth3": [
+        "space", "--input", "worked_gl21_nonstandard_seed.json", "--max-depth", "3",
+    ],
 }
 # recorded too, but run by test_large_point_output_and_budget under a time budget
 BUDGETED = (

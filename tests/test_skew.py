@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaudin import skew
+from gaudin.bethe import population_factorization
 from gaudin.errors import DegenerateInput, DegenerateSwap, InternalInconsistency, InvalidInput
 from gaudin.rational import Poly, RatFun, log_deriv
 from gaudin.skew import (
@@ -16,8 +17,10 @@ from gaudin.skew import (
     refactor_to_parity,
     right_divide,
     right_gcd,
+    transport_primitives,
 )
 from gaudin.weights import ParitySequence
+from test_spaces import GOLDEN_SPACE_RUNS, golden_population
 
 X = Poly.x()
 D = DiffOp.first_order(0)
@@ -356,31 +359,6 @@ class TestRefactor:
         with pytest.raises(InvalidInput):
             refactor_to_parity(fac, ParitySequence((-1, 1)))
 
-    def test_mismatched_transport_raises(self, monkeypatch):
-        swap = skew._exchange
-
-        def shifted(*args):
-            c, d = swap(*args)
-            return c + 1, d
-
-        monkeypatch.setattr(skew, "_exchange", shifted)
-        with pytest.raises(InternalInconsistency):
-            refactor_to_parity(self._fac(), ParitySequence((-1, 1)))
-
-    @pytest.mark.parametrize("slot", [0, 1, 2])
-    def test_mismatched_primitive_raises(self, slot):
-        # the swap at position 1 leaves slot 2 alone, and it is checked too
-        s = ParitySequence((-1, 1, 1))
-        good = CompleteFactorization.from_primitives(s, [RatFun(X**2 + 1), RatFun(X, X - 1), RatFun(X + 3)])
-        prims = list(good.primitives)
-        prims[slot] = prims[slot] * RatFun(X - 17)
-        bad = CompleteFactorization(s, good.coefficients)
-        object.__setattr__(bad, "primitives", tuple(prims))
-        target = ParitySequence((1, -1, 1))
-        assert refactor_to_parity(good, target).parity == target
-        with pytest.raises(InternalInconsistency, match="primitive does not match factor"):
-            refactor_to_parity(bad, target)
-
     def test_one_log_derivative_per_primitive(self, monkeypatch):
         calls = []
 
@@ -412,26 +390,65 @@ def primitives(draw):
     return RatFun(num, den)
 
 
-small_ratfun = st.builds(
-    RatFun,
-    st.lists(st.integers(-2, 2), max_size=3).map(Poly),
-    st.lists(st.integers(-2, 2), min_size=1, max_size=2).map(Poly).filter(bool),
+def fold_ore_swap(parity, coefficients, target):
+    """Coefficients moved to ``target`` by :func:`ore_swap` along the bubble path."""
+    coeffs = list(coefficients)
+    for i in parity.path_to(target):
+        coeffs[i - 1], coeffs[i] = ore_swap(coeffs[i - 1], coeffs[i], backward=parity[i] == -1)
+        parity = parity.swapped(i)
+    return tuple(coeffs)
+
+
+def transported(parity, prims, target):
+    """The factorization at ``target`` built from the transported primitives."""
+    return CompleteFactorization.from_primitives(target, transport_primitives(parity, prims, target))
+
+
+# every ordered pair of parities with m + n <= 4, the longest bubble paths first
+PARITY_PAIRS = sorted(
+    (
+        (s, t)
+        for size in range(1, 5)
+        for m in range(size + 1)
+        for s in ParitySequence.all_sequences(m, size - m)
+        for t in ParitySequence.all_sequences(m, size - m)
+    ),
+    key=lambda pair: -len(pair[0].path_to(pair[1])),
 )
 
 
-class TestIsLogDerivative:
-    """The gcd-free test of a == g'/g against the reduced log-derivative."""
+class TestTransportOracle:
+    """The primitive rule of the transport against the coefficient rule of
+    :func:`ore_swap`: the logarithmic derivatives of the transported
+    primitives are the folded exchanges' coefficients."""
 
-    @given(g=primitives(), perturb=st.one_of(st.none(), small_ratfun))
+    @given(data=st.data())
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-    def test_agrees_with_log_deriv(self, g, perturb):
-        a = log_deriv(g) if perturb is None else log_deriv(g) + perturb
-        assert skew._is_log_derivative(a, g) == (log_deriv(g) == a)
-        if perturb is None:
-            assert skew._is_log_derivative(a, g)
+    def test_agrees_with_ore_swap_fold(self, data):
+        s, t = data.draw(st.sampled_from(PARITY_PAIRS))
+        prims = data.draw(st.lists(primitives(), min_size=len(s), max_size=len(s)))
+        try:
+            expected = fold_ore_swap(s, tuple(log_deriv(g) for g in prims), t)
+        except DegenerateSwap:
+            with pytest.raises(DegenerateSwap, match="exchange undefined for equal coefficients"):
+                transport_primitives(s, prims, t)
+            return
+        assert transported(s, prims, t).coefficients == expected
 
-    def test_zero_primitive_rejected(self):
-        assert not skew._is_log_derivative(RatFun.zero(), RatFun.zero())
+    @pytest.mark.parametrize("name", GOLDEN_SPACE_RUNS)
+    def test_every_golden_node(self, name):
+        pop = golden_population(*GOLDEN_SPACE_RUNS[name])
+        standard = ParitySequence.standard(pop.problem.m, pop.problem.n)
+        for point in pop.points():
+            fac = population_factorization(point)
+            expected = fold_ore_swap(point.parity, fac.coefficients, standard)
+            assert transported(point.parity, fac.primitives, standard).coefficients == expected
+
+    def test_proportional_neighbours_rejected(self):
+        # d = ln'(g_a / g_b) is zero exactly when the coefficients are equal
+        prims = [RatFun(X + 1), RatFun(Poly.const(-3) * (X + 1))]
+        with pytest.raises(DegenerateSwap, match="exchange undefined for equal coefficients"):
+            transport_primitives(ParitySequence((1, -1)), prims, ParitySequence((-1, 1)))
 
 
 def rand_log_deriv(rng):

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from gaudin import jsonio, skew, spaces
-from gaudin.bethe import BethePoint, Population, populate, population_factorization
+from gaudin.bethe import BethePoint, Population, node_primitives, populate, population_factorization
+from gaudin.cli import main
 from gaudin.errors import (
     AtypicalUnsupported,
     CriterionFailed,
@@ -20,7 +21,7 @@ from gaudin.errors import (
     TheoremViolation,
 )
 from gaudin.linalg import rank
-from gaudin.rational import Poly, RatFun, order_at_place, poly_gcd, wronskian
+from gaudin.rational import Poly, RatFun, log_deriv, order_at_place, poly_gcd, wronskian
 from gaudin.skew import CompleteFactorization, refactor_to_parity
 from gaudin.spaces import (
     RationalSpace,
@@ -704,7 +705,7 @@ class TestFlagMatchOracle:
                 (scaled_primitive(fac, slot, RatFun(X - 17)), False),
             ]
             for other, expected in cases:
-                assert spaces._flag_matches(flag, other) == (coefficients == other.coefficients) == expected
+                assert spaces._flag_matches(flag, other.primitives) == (coefficients == other.coefficients) == expected
 
 
 class TestWronskiIdentity:
@@ -754,20 +755,19 @@ class TestBijection:
 
     @staticmethod
     def _scale_node_primitive(monkeypatch, factor):
-        """Every node factorization with its last primitive times ``factor``;
-        each flag is still rebuilt from the node's own factorization."""
+        """Every node's primitives with the last one times ``factor``; each
+        flag is still rebuilt from the node's own primitives."""
         own = {}
 
         def scaled(point):
-            fac = population_factorization(point)
-            out = scaled_primitive(fac, len(fac.parity) - 1, factor)
-            own[out] = fac
+            prims = node_primitives(point)
+            out = prims[:-1] + (prims[-1] * factor,)
+            own[out] = prims
             return out
 
-        monkeypatch.setattr(spaces, "population_factorization", scaled)
-        monkeypatch.setattr(
-            spaces, "flag_from_factorization", lambda space, fac: flag_from_factorization(space, own[fac])
-        )
+        flag = spaces._flag
+        monkeypatch.setattr(spaces, "node_primitives", scaled)
+        monkeypatch.setattr(spaces, "_flag", lambda space, parity, prims: flag(space, parity, own[prims]))
 
     def test_nonconstant_primitive_factor_raises(self, worked_population, monkeypatch):
         space = kernel_spaces(worked_population)
@@ -781,22 +781,87 @@ class TestBijection:
         self._scale_node_primitive(monkeypatch, RatFun.const(Q(-3, 2)))
         assert len(verify_operator_to_population(worked_population, space)["nodes"]) == 12
 
-    @pytest.mark.parametrize("name", ["worked-gl21", "gl13", "gl22-pole"])
+    @pytest.mark.parametrize("name", ["worked-gl21", "gl13", "gl22-pole", "gl32"])
     def test_one_log_derivative_per_factor_and_exchange(self, name, monkeypatch):
-        # per node: the node factorization's M + N, and one per exchange on
-        # the bubble path to the standard parity
+        # per node: one per exchange on the bubble path to the standard
+        # parity, and none at a standard-parity node, whose coefficients
+        # nothing reads
         pop = golden_population(*GOLDEN_SPACE_RUNS[name])
         space = kernel_spaces(pop)
         standard = ParitySequence.standard(space.m, space.n)
-        expected = sum(space.m + space.n + len(p.parity.path_to(standard)) for p in pop.points())
-        assert expected > len(pop.nodes) * (space.m + space.n)
+        paths = [len(p.parity.path_to(standard)) for p in pop.points()]
+        assert 0 in paths and sum(paths) > 0
         calls = []
         log_deriv = skew.log_deriv
         monkeypatch.setattr(skew, "log_deriv", lambda f: calls.append(f) or log_deriv(f))
         verify_operator_to_population(pop, space)
-        assert len(calls) == expected
+        assert len(calls) == sum(paths)
+
+    def test_one_population_factorization_for_the_seed(self, worked_population, monkeypatch):
+        calls = []
+
+        def counted(point):
+            calls.append(point)
+            return population_factorization(point)
+
+        monkeypatch.setattr(spaces, "population_factorization", counted)
+        verify_operator_to_population(worked_population)
+        assert calls == [next(iter(worked_population.nodes.values()))]  # in kernel_spaces
+        space = kernel_spaces(worked_population)
+        calls.clear()
+        verify_operator_to_population(worked_population, space)
+        assert calls == []
 
     def test_space_outside_gl_raises(self, worked_population, monkeypatch):
         monkeypatch.setattr(spaces, "is_gl_space", lambda space: (False, ["forced failure"]))
         with pytest.raises(TheoremViolation, match="forced failure"):
             verify_operator_to_population(worked_population)
+
+
+def mutant_transport(step):
+    """:func:`gaudin.skew.transport_primitives` with the swap of primitives
+    g_a, g_b by d = ln'(g_a / g_b) replaced by ``step(g_a, g_b, d, backward)``."""
+
+    def transport(parity, primitives, target):
+        prims = list(primitives)
+        for i in parity.path_to(target):
+            ga, gb = prims[i - 1], prims[i]
+            prims[i - 1], prims[i] = step(ga, gb, log_deriv(ga / gb), parity[i] == -1)
+            parity = parity.swapped(i)
+        return tuple(prims)
+
+    return transport
+
+
+TRANSPORT_MUTANTS = {
+    "backward-multiplies": lambda ga, gb, d, backward: (gb * d, ga * d),
+    "backward-drops-d": lambda ga, gb, d, backward: (gb, ga) if backward else (gb * d, ga * d),
+    "one-slot-inverse": lambda ga, gb, d, backward: (gb / d, ga * d) if backward else (gb * d, ga / d),
+}
+MUTATION_RUNS = {
+    "worked-gl21": ["worked_gl21.json"],
+    "gl22-pole": ["gl22_pole.json", "--max-depth", "4"],
+    "nonstandard-seed": ["worked_gl21_nonstandard_seed.json", "--max-depth", "0"],
+}
+
+
+class TestTransportMutations:
+    """A wrong primitive transport fails `space` downstream: at a node's
+    flag, or, for a seed off the standard parity, in `kernel_spaces`."""
+
+    @pytest.mark.parametrize("run", MUTATION_RUNS)
+    @pytest.mark.parametrize("mutant", TRANSPORT_MUTANTS)
+    def test_space_exits_one(self, mutant, run, monkeypatch, capsys):
+        monkeypatch.setattr(spaces, "transport_primitives", mutant_transport(TRANSPORT_MUTANTS[mutant]))
+        path, *options = MUTATION_RUNS[run]
+        assert main(["space", "--input", str(GOLDEN / path)] + options) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("engine failure")
+
+    @pytest.mark.parametrize("mutant", TRANSPORT_MUTANTS)
+    def test_nonstandard_seed_fails_in_kernel_spaces(self, mutant, monkeypatch):
+        pop = golden_population("worked_gl21_nonstandard_seed.json", (0, 1, 2), 0)
+        monkeypatch.setattr(spaces, "transport_primitives", mutant_transport(TRANSPORT_MUTANTS[mutant]))
+        with pytest.raises(EngineError):
+            kernel_spaces(pop)
