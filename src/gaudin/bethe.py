@@ -471,6 +471,26 @@ def _edge_keeps_operator(source: BethePoint, target: BethePoint, i: int) -> bool
         return True
 
 
+def discovery_edges(pop: Population):
+    """Yield each edge that first reaches a node from a node already
+    reached, taking the edges in order from the seed (the first node).
+
+    Those edges form a spanning tree rooted at the seed.  ``populate``
+    records edges in breadth-first order, so one pass reaches every node;
+    a node it does not reach raises :class:`InternalInconsistency` once
+    the edges are exhausted.
+    """
+    if not pop.nodes:
+        raise InvalidInput("empty population")
+    reached = {next(iter(pop.nodes))}
+    for edge in pop.edges:
+        if edge.source in reached and edge.target not in reached:
+            reached.add(edge.target)
+            yield edge
+    if len(reached) != len(pop.nodes):
+        raise InternalInconsistency("a node is not reached from the seed along the edges")
+
+
 def verify_r_invariance(pop: Population) -> bool:
     """Whether every node of the population has the seed's operator R.
 
@@ -479,25 +499,15 @@ def verify_r_invariance(pop: Population) -> bool:
     equivalence; :func:`_edge_keeps_operator` proves it for each sign
     shape), so an edge costs one Wronskian or one product, and no R.
 
-    Each node other than the seed is checked on the edge that first
-    reaches it from a node already reached, taking the edges in order.
-    Those discovery edges form a spanning tree rooted at the seed (the
-    first node), so equality along them is equality with the seed's R at
-    every node.  ``populate`` records edges in breadth-first order, so one
-    pass reaches every node; a node it does not reach, or an edge that is
-    not a reproduction, raises :class:`InternalInconsistency`.
+    Each node other than the seed is checked on its
+    :func:`discovery_edges` edge, so equality along the spanning tree is
+    equality with the seed's R at every node.  A node no edge reaches, or
+    an edge that is not a reproduction, raises
+    :class:`InternalInconsistency`.
     """
-    if not pop.nodes:
-        raise InvalidInput("empty population")
-    reached = {next(iter(pop.nodes))}
-    for edge in pop.edges:
-        if edge.source not in reached or edge.target in reached:
-            continue
+    for edge in discovery_edges(pop):
         if not _edge_keeps_operator(pop.nodes[edge.source], pop.nodes[edge.target], edge.direction):
             return False
-        reached.add(edge.target)
-    if len(reached) != len(pop.nodes):
-        raise InternalInconsistency("a node is not reached from the seed along the edges")
     return True
 
 

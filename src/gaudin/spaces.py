@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 
-from .bethe import BethePoint, Population, node_primitives, population_factorization
+from .bethe import BethePoint, Population, discovery_edges, node_primitives, population_factorization
 from .errors import (
     AtypicalUnsupported,
     InternalInconsistency,
@@ -21,7 +21,7 @@ from .errors import (
     TheoremViolation,
     UnsupportedIrrationalRamification,
 )
-from .linalg import rank
+from .linalg import rank, solve_linear
 from .rational import (
     Poly,
     Q,
@@ -106,6 +106,20 @@ class RationalSpace:
     @cached_property
     def odd_denominator(self) -> Poly:
         return _denominator_from_exponents(self.odd_exponents)
+
+    @cached_property
+    def place_divisors(self) -> dict[tuple[int, int], tuple[Poly, Poly]]:
+        """(zeros, poles) for each partial (a, b): the product of each place
+        to its :func:`_generic_order`, as zeros / poles."""
+        out = {}
+        for a in range(self.m + 1):
+            for b in range(self.n + 1):
+                zeros = poles = Poly.one()
+                for pl in self.places:
+                    g = _generic_order(self, pl, a, b)
+                    zeros, poles = (zeros * pl**g, poles) if g >= 0 else (zeros, poles * pl**-g)
+                out[a, b] = zeros, poles
+        return out
 
     @cached_property
     def weight_polys(self) -> tuple[Poly, ...]:
@@ -299,11 +313,8 @@ def flag_polynomial(space: RationalSpace, flag: SuperFlag, a: int, b: int) -> Po
     w = flag.wronskian(a, b)
     if w.is_zero():
         raise InvalidFlag("dependent flag members")
-    num, den = w.num, w.den
-    for pl in space.places:
-        g = _generic_order(space, pl, a, b)
-        num, den = (num, den * pl**g) if g >= 0 else (num * pl**-g, den)
-    val = num.try_exact_div(den)
+    zeros, poles = space.place_divisors[a, b]
+    val = (w.num * poles).try_exact_div(w.den * zeros)
     if val is None:
         raise InternalInconsistency(f"flag polynomial is not polynomial at ({a},{b})")
     return val.monic()
@@ -419,20 +430,101 @@ def flag_from_factorization(space: RationalSpace, fac: CompleteFactorization) ->
     return _flag(space, fac.parity, fac.primitives)
 
 
+def _pencil(space: RationalSpace, s: ParitySequence, i: int, y: Poly, w: RatFun, w2: RatFun) -> list[Q]:
+    """The unique (alpha, beta) with alpha w + beta w2 equal to y times each
+    place to its :func:`_generic_order` for partial i at s: the (a, b)
+    Wronskian, up to a constant, of a flag whose generating-map entry i is
+    y.  The denominators are cleared by cross-multiplication, and the
+    coefficients solved for; no solution, or more than one, raises
+    :class:`TheoremViolation`."""
+    zeros, poles = space.place_divisors[_partial(s, i)]
+    sides = (w.num * w2.den * poles, w2.num * w.den * poles, y * zeros * w.den * w2.den)
+    width = max(p.degree for p in sides) + 1
+    rows = [[p.coeff(k) for p in sides[:2]] for k in range(width)]
+    sol, null = solve_linear(rows, [sides[2].coeff(k) for k in range(width)])
+    if sol is None or null:
+        raise TheoremViolation(f"no unique flag of the pencil has entry y_{i} = {y.to_str()}")
+    return sol
+
+
+def _carried_flag(space: RationalSpace, flag: SuperFlag, i: int, y: Poly) -> SuperFlag:
+    """The flag of the node an edge in direction i reaches from ``flag``'s
+    node, given the reached node's entry y_i (see
+    :func:`verify_operator_to_population`)."""
+    s = flag.parity
+    if s[i] != s[i + 1]:
+        child = SuperFlag(s.swapped(i), flag.vorder, flag.uorder)
+        child._wronskians = flag._wronskians
+        return child
+    a, b = _partial(s, i)
+    even = s[i] == 1
+    k = a if even else b
+    order = list(flag.vorder if even else flag.uorder)
+    lo, hi = order[k - 1], order[k]
+    members = list(flag.vorder[:a] + flag.uorder[:b])
+    members[a - 1 if even else a + b - 1] = hi
+    alpha, beta = _pencil(space, s, i, y, flag.wronskian(a, b), wronskian(members))
+    order[k - 1] = lo * alpha + hi * beta
+    if alpha == 0:
+        order[k] = lo
+    child = SuperFlag(s, order, flag.uorder) if even else SuperFlag(s, flag.vorder, order)
+    child._wronskians = {key: w for key, w in flag._wronskians.items() if key[0 if even else 1] < k}
+    return child
+
+
+def _node_flags(space: RationalSpace, pop: Population) -> dict[tuple, SuperFlag]:
+    """Each node's flag by node key: the seed's built from its primitives,
+    every other one carried along its :func:`discovery_edges` edge (see
+    :func:`verify_operator_to_population`)."""
+    if not pop.nodes:
+        raise InvalidInput("empty population")
+    seed_key, seed = next(iter(pop.nodes.items()))
+    flags = {seed_key: _flag(space, seed.parity, node_primitives(seed))}
+    for edge in discovery_edges(pop):
+        y = pop.nodes[edge.target].y(edge.direction)
+        flags[edge.target] = _carried_flag(space, flags[edge.source], edge.direction, y)
+    return flags
+
+
 def verify_operator_to_population(pop: Population, space: RationalSpace | None = None) -> dict:
     """Check the space and the flag/factorization/tuple triangle on every node.
 
     The space must carry the problem's weight polynomials and pass
-    :func:`is_gl_space`.  Then, for each node: rebuild the flag from the
-    node's primitives (:func:`node_primitives`), confirm the generating map
-    returns the node, and confirm that :func:`flag_factorization` of the
-    flag has the node factorization's coefficients factorwise (the parities
-    agree by construction, so the fractions then agree too).  Two nonzero
-    primitives have the same logarithmic derivative exactly when their
-    ratio is constant, so :func:`_flag_matches` decides that equality by
-    proportionality of the primitives, and no factorization is built on
-    either side.  Any failure raises :class:`TheoremViolation`.
-    ``space`` is ``kernel_spaces(pop)``, built here when not given.
+    :func:`is_gl_space`.  Then each node gets a flag in W, and two checks:
+    the generating map returns the node, and :func:`flag_factorization`
+    of the flag has the node factorization's coefficients factorwise (the
+    parities agree by construction, so the fractions then agree too).  Two
+    nonzero primitives have the same logarithmic derivative exactly when
+    their ratio is constant, so :func:`_flag_matches` decides that
+    equality against :func:`node_primitives` by proportionality, and no
+    factorization is built on either side.
+
+    Only the seed's flag is built from its primitives, by :func:`_flag`.
+    Every other node's flag is carried from its parent's along its
+    :func:`discovery_edges` edge, since reproductions are moves in the
+    superflag variety (Mukhin-Varchenko for gl(N); the paper's theorem for
+    gl(M|N)):
+
+    - a fermionic edge in direction i keeps both flags and swaps s_i and
+      s_(i+1).  W(a, b) depends only on the members, so the two flags
+      share their Wronskians;
+    - a bosonic edge in direction i, with (a, b) = ``_partial(s, i)``,
+      moves only partial flag i, inside the pencil between partial flags
+      i - 1 and i + 1.  If s_i = +1 it moves the a-th even member m_a,
+      with m_(a+1) next to it; if s_i = -1, the b-th odd member.  By
+      multilinearity, the new member alpha m_a + beta m_(a+1) has
+      W(a, b) = alpha W + beta W', W' the Wronskian with m_a replaced by
+      m_(a+1), and that must be the reached node's y_i times each place to
+      its :func:`_generic_order`.  :func:`_pencil` solves for the one
+      (alpha, beta); when alpha = 0 the next member becomes m_a.  Only the
+      Wronskians whose members did not move are kept.
+
+    No Wronskian of the new flag is seeded from the solve's right side: the
+    generating map recomputes W(a, b) from the members, so the check reads
+    the flag, not its own input.  Any failure raises
+    :class:`TheoremViolation`; a node no edge reaches raises
+    :class:`InternalInconsistency`.  ``space`` is ``kernel_spaces(pop)``,
+    built here when not given.
     """
     if space is None:
         space = kernel_spaces(pop)
@@ -446,13 +538,12 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
     ok, failures = is_gl_space(space)
     if not ok:
         raise TheoremViolation("space fails the membership conditions: " + "; ".join(failures))
-    for point in pop.points():
-        prims = node_primitives(point)
-        flag = _flag(space, point.parity, prims)
-        gen = generating_tuple(space, flag)
-        if gen != point.ys:
+    flags = _node_flags(space, pop)
+    for key, point in pop.nodes.items():
+        flag = flags[key]
+        if generating_tuple(space, flag) != point.ys:
             raise TheoremViolation(f"generating map mismatch at {point!r}")
-        if not _flag_matches(flag, prims):
+        if not _flag_matches(flag, node_primitives(point)):
             raise TheoremViolation(f"factorization mismatch at {point!r}")
         report["nodes"].append({"parity": list(point.parity.entries), "matched": True})
     return report

@@ -644,6 +644,21 @@ class TestRInvariance:
         with pytest.raises(InternalInconsistency):
             verify_r_invariance(pop)
 
+    @pytest.mark.parametrize(
+        "grow", [lambda: golden_population("worked_gl21.json"), gl22_population], ids=["worked", "gl22-depth-4"]
+    )
+    def test_discovery_edges_reach_each_node_once_in_edge_order(self, grow):
+        pop = grow()
+        position = {id(e): k for k, e in enumerate(pop.edges)}
+        edges = list(bethe.discovery_edges(pop))
+        # populate adds a node when the edge that first reaches it is recorded
+        assert [e.target for e in edges] == list(pop.nodes)[1:]
+        assert [position[id(e)] for e in edges] == sorted(position[id(e)] for e in edges)
+
+    def test_empty_population_rejected(self, worked_seed):
+        with pytest.raises(InvalidInput):
+            verify_r_invariance(Population(worked_seed.problem))
+
     def test_seed_only(self, worked_seed):
         assert verify_r_invariance(populate(worked_seed, [0], max_depth=0))
 

@@ -7,8 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from gaudin import jsonio, skew, spaces
-from gaudin.bethe import BethePoint, Population, node_primitives, populate, population_factorization
+from gaudin import cli, jsonio, skew, spaces
+from gaudin.bethe import (
+    BethePoint,
+    Population,
+    node_primitives,
+    populate,
+    population_factorization,
+    verify_r_invariance,
+)
 from gaudin.cli import main
 from gaudin.errors import (
     AtypicalUnsupported,
@@ -781,21 +788,43 @@ class TestBijection:
         self._scale_node_primitive(monkeypatch, RatFun.const(Q(-3, 2)))
         assert len(verify_operator_to_population(worked_population, space)["nodes"]) == 12
 
-    @pytest.mark.parametrize("name", ["worked-gl21", "gl13", "gl22-pole", "gl32"])
-    def test_one_log_derivative_per_factor_and_exchange(self, name, monkeypatch):
-        # per node: one per exchange on the bubble path to the standard
-        # parity, and none at a standard-parity node, whose coefficients
-        # nothing reads
-        pop = golden_population(*GOLDEN_SPACE_RUNS[name])
+    @pytest.mark.parametrize(
+        "run",
+        [GOLDEN_SPACE_RUNS[name] for name in ("worked-gl21", "gl13", "gl22-pole", "gl32")]
+        + [("worked_gl21_nonstandard_seed.json", (0, 1, 2), 3)],
+        ids=["worked-gl21", "gl13", "gl22-pole", "gl32", "nonstandard-seed"],
+    )
+    def test_one_log_derivative_per_factor_and_exchange(self, run, monkeypatch):
+        # only the seed's flag is built from primitives: one per exchange
+        # on its bubble path to the standard parity.  Every other flag is
+        # carried along an edge, off the standard parity too
+        pop = golden_population(*run)
         space = kernel_spaces(pop)
         standard = ParitySequence.standard(space.m, space.n)
-        paths = [len(p.parity.path_to(standard)) for p in pop.points()]
-        assert 0 in paths and sum(paths) > 0
+        seed, *others = pop.points()
+        assert any(p.parity != standard for p in others)
         calls = []
         log_deriv = skew.log_deriv
         monkeypatch.setattr(skew, "log_deriv", lambda f: calls.append(f) or log_deriv(f))
         verify_operator_to_population(pop, space)
-        assert len(calls) == sum(paths)
+        assert len(calls) == len(seed.parity.path_to(standard))
+
+    def test_kernel_chains_built_once_per_run(self, monkeypatch):
+        # the seed's even and odd chains, one transport, and nothing per node
+        pop = golden_population(*GOLDEN_SPACE_RUNS["gl32"])
+        space = kernel_spaces(pop)
+        kernels, transports = [], []
+        kernel, transport = spaces.rational_kernel, spaces.transport_primitives
+        monkeypatch.setattr(spaces, "rational_kernel", lambda prims: kernels.append(len(prims)) or kernel(prims))
+        monkeypatch.setattr(
+            spaces, "transport_primitives", lambda *args: transports.append(args) or transport(*args)
+        )
+        for _ in range(2):
+            kernels.clear()
+            transports.clear()
+            verify_operator_to_population(pop, space)
+            assert kernels == [space.m, space.n] and len(transports) == 1
+        assert len(pop.nodes) > 100
 
     def test_one_population_factorization_for_the_seed(self, worked_population, monkeypatch):
         calls = []
@@ -839,15 +868,15 @@ TRANSPORT_MUTANTS = {
     "one-slot-inverse": lambda ga, gb, d, backward: (gb / d, ga * d) if backward else (gb * d, ga / d),
 }
 MUTATION_RUNS = {
-    "worked-gl21": ["worked_gl21.json"],
-    "gl22-pole": ["gl22_pole.json", "--max-depth", "4"],
     "nonstandard-seed": ["worked_gl21_nonstandard_seed.json", "--max-depth", "0"],
 }
 
 
 class TestTransportMutations:
-    """A wrong primitive transport fails `space` downstream: at a node's
-    flag, or, for a seed off the standard parity, in `kernel_spaces`."""
+    """A wrong primitive transport fails `space` for a seed off the
+    standard parity, in `kernel_spaces`.  From a standard-parity seed
+    `space` transports nothing; `TestCarriedFlags` checks the transport
+    there, as the oracle of the carried flags."""
 
     @pytest.mark.parametrize("run", MUTATION_RUNS)
     @pytest.mark.parametrize("mutant", TRANSPORT_MUTANTS)
@@ -865,3 +894,123 @@ class TestTransportMutations:
         monkeypatch.setattr(spaces, "transport_primitives", mutant_transport(TRANSPORT_MUTANTS[mutant]))
         with pytest.raises(EngineError):
             kernel_spaces(pop)
+
+
+def same_flag(f, g) -> bool:
+    """Whether two flags have the same parity and the same even and odd
+    partial spans, each compared by the rank of both members' cleared
+    coefficients."""
+    return (
+        f.parity == g.parity
+        and all(cleared_rank(f.vorder[:a], g.vorder[:a]) == a for a in range(1, len(f.vorder) + 1))
+        and all(cleared_rank(f.uorder[:b], g.uorder[:b]) == b for b in range(1, len(f.uorder) + 1))
+    )
+
+
+@cache
+def carried_flags(name):
+    """The space and each node's carried flag of a `space` recording's population."""
+    pop = golden_population(*GOLDEN_SPACE_RUNS[name])
+    space = kernel_spaces(pop)
+    return space, spaces._node_flags(space, pop)
+
+
+def own_flag_disagreements(name) -> int:
+    """Nodes whose carried flag is not the flag `_flag` rebuilds from the
+    node's own primitives, or where that rebuild fails."""
+    space, flags = carried_flags(name)
+    pop = golden_population(*GOLDEN_SPACE_RUNS[name])
+    out = 0
+    for key, point in pop.nodes.items():
+        try:
+            own = spaces._flag(space, point.parity, node_primitives(point))
+        except EngineError:
+            out += 1
+            continue
+        out += not same_flag(flags[key], own)
+    return out
+
+
+def v_reversed_on_fermionic_edges(carried):
+    def mutant(space, flag, i, y):
+        child = carried(space, flag, i, y)
+        if child.parity == flag.parity:
+            return child
+        return SuperFlag(child.parity, child.vorder[::-1], child.uorder)
+
+    return mutant
+
+
+# (function of `spaces`, wrapper giving its mutant)
+CARRIED_MUTANTS = {
+    "fermionic-edge-reorders-v": ("_carried_flag", v_reversed_on_fermionic_edges),
+    "solve-at-partial-before": (
+        "_pencil",
+        lambda pencil: lambda space, s, i, y, w, w2: pencil(space, s, i - 1, y, w, w2),
+    ),
+    "alpha-beta-swapped": ("_pencil", lambda pencil: lambda *args: pencil(*args)[::-1]),
+}
+CARRIED_RUNS = {
+    "worked-gl21": ["worked_gl21.json"],
+    "gl22-pole": ["gl22_pole.json", "--max-depth", "4"],
+    "gl32": ["gl32.json", "--max-depth", "3"],
+}
+
+
+class TestCarriedFlags:
+    """Each node's flag carried along the population's edges, against the
+    flag rebuilt from the node's own primitives."""
+
+    @pytest.mark.parametrize("name", GOLDEN_SPACE_RUNS)
+    def test_each_carried_flag_is_the_nodes_own(self, name):
+        assert own_flag_disagreements(name) == 0
+
+    @pytest.mark.parametrize("run", ["worked-gl21", "gl22-pole"])
+    @pytest.mark.parametrize("mutant", TRANSPORT_MUTANTS)
+    def test_transport_mutant_fails_the_oracle(self, mutant, run, monkeypatch):
+        carried_flags(run)  # carried before the transport is broken
+        monkeypatch.setattr(spaces, "transport_primitives", mutant_transport(TRANSPORT_MUTANTS[mutant]))
+        assert own_flag_disagreements(run) > 0
+
+    @pytest.mark.parametrize("run", CARRIED_RUNS)
+    @pytest.mark.parametrize("mutant", CARRIED_MUTANTS)
+    def test_space_exits_one(self, mutant, run, monkeypatch, capsys):
+        name, wrap = CARRIED_MUTANTS[mutant]
+        monkeypatch.setattr(spaces, name, wrap(getattr(spaces, name)))
+        path, *options = CARRIED_RUNS[run]
+        assert main(["space", "--input", str(GOLDEN / path)] + options) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("engine failure")
+
+    def test_edges_cover_both_moves_and_alpha_zero(self, monkeypatch):
+        # the gl(3|2) run moves even and odd members, some by alpha = 0
+        moves = []
+        pencil = spaces._pencil
+
+        def recorded(space, s, i, *args):
+            alpha, beta = pencil(space, s, i, *args)
+            moves.append((s[i], alpha == 0))
+            return alpha, beta
+
+        monkeypatch.setattr(spaces, "_pencil", recorded)
+        verify_operator_to_population(golden_population(*GOLDEN_SPACE_RUNS["gl32"]))
+        assert {sign for sign, _ in moves} == {1, -1}
+        assert any(zero for _, zero in moves)
+
+    def test_unreached_node_raises_in_both_callers(self, monkeypatch, capsys):
+        pop = golden_population(*GOLDEN_SPACE_RUNS["worked-gl21"])
+        lost = list(pop.nodes)[-1]
+        hand = Population(pop.problem)
+        for point in pop.points():
+            hand.add(point)
+        hand.edges = [e for e in pop.edges if e.target != lost]
+        with pytest.raises(InternalInconsistency, match="not reached"):
+            verify_r_invariance(hand)
+        with pytest.raises(InternalInconsistency, match="not reached"):
+            verify_operator_to_population(hand)
+        monkeypatch.setattr(cli, "populate", lambda *args, **kwargs: hand)
+        assert main(["space", "--input", str(GOLDEN / "worked_gl21.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("engine failure")
