@@ -21,7 +21,19 @@ from .errors import (
     NotAdmissible,
     NotGeneric,
 )
-from .rational import Poly, Q, RatFun, multiplicity, poly_gcd, qq, wronskian_partner
+from .rational import (
+    Poly,
+    Q,
+    RatFun,
+    _convolve,
+    _poly,
+    _primitive,
+    _pseudo_divmod,
+    multiplicity,
+    poly_gcd,
+    qq,
+    wronskian_partner,
+)
 from .skew import CompleteFactorization, OreFraction
 from .weights import (
     ParitySequence,
@@ -103,16 +115,48 @@ def fermionic_rhs(point: BethePoint, i: int) -> Poly:
     """Right side of the mixed-parity relation, a polynomial.
 
     It is pi_i y_{i-1} y_{i+1} times the logarithmic derivative of
-    T_i T_{i+1} y_{i-1} / y_{i+1}, whose poles are all simple.
+    T_i T_{i+1} y_{i-1} / y_{i+1}, whose poles are all simple; this is
+    :func:`_fermionic_ints` over its denominator.
+    """
+    return _poly(*_fermionic_ints(point, i))
+
+
+def _fermionic_ints(point: BethePoint, i: int) -> tuple[list[int], int]:
+    """:func:`fermionic_rhs` as a trimmed integer vector and a denominator.
+
+    With a, b, f and p the ints of y_{i-1}, y_{i+1}, the position's
+    fermionic polynomial pi_i (T_i T_{i+1})' / (T_i T_{i+1}) and its radical
+    pi_i, and d_a, d_b, d_f, d_p their denominators, the right side
+    (ab/(d_a d_b)) f/d_f + (p/d_p)(a'b - ab')/(d_a d_b) is
+    (a b f d_p + d_f p (a'b - ab')) / (d_a d_b d_f d_p).
+    A zero vector raises :class:`DegenerateReproduction`.
     """
     data = point.problem.parity_data(point.parity)
     left, right = point.y(i - 1), point.y(i + 1)
-    rhs = left * right * data.fermionic[i - 1] + data.radicals[i - 1] * (
-        left.derivative() * right - left * right.derivative()
-    )
-    if rhs.is_zero():
+    fer, rad = data.fermionic[i - 1], data.radicals[i - 1]
+    a, b = left.ints, right.ints
+    # ab and the Wronskian a'b - ab' in one pass over the pairs of terms
+    ab = [0] * (len(a) + len(b) - 1)
+    w = [0] * len(ab)
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            xy = x * y
+            ab[j + k] += xy
+            if j != k:
+                w[j + k - 1] += (j - k) * xy
+    while w and not w[-1]:
+        w.pop()
+    u, v = _convolve(ab, fer.ints), _convolve(rad.ints, w)
+    out = [0] * max(len(u), len(v))
+    for k, c in enumerate(u):
+        out[k] = c * rad.den
+    for k, c in enumerate(v):
+        out[k] += c * fer.den
+    while out and not out[-1]:
+        out.pop()
+    if not out:
         raise DegenerateReproduction(f"constant logarithmic-derivative argument in direction {i}")
-    return rhs
+    return out, left.den * right.den * fer.den * rad.den
 
 
 @dataclass(frozen=True)
@@ -150,11 +194,12 @@ def fermionic_reproduce(point: BethePoint, i: int) -> BethePoint:
     s = point.parity
     if s[i] == s[i + 1]:
         raise InvalidInput(f"direction {i} is not mixed-parity")
-    quo = fermionic_rhs(point, i).try_exact_div(point.y(i))
-    if quo is None or quo.is_zero():
+    # one pseudo-division of the cleared right side; the child is the monic quotient
+    quo, rem, _ = _pseudo_divmod(_fermionic_ints(point, i)[0], point.y(i).ints)
+    if rem:
         raise CriterionFailed(f"entry y_{i} does not divide the partner product")
     ys = list(point.ys)
-    ys[i - 1] = quo.monic()
+    ys[i - 1] = _poly(quo, quo[-1])
     return BethePoint(point.problem, s.swapped(i), ys)
 
 
@@ -466,9 +511,12 @@ def _edge_keeps_operator(source: BethePoint, target: BethePoint, i: int) -> bool
     if not mixed:
         return _on_wronskian_line(y, new, bosonic_rhs(source, i).monic())
     try:
-        return (y * new).monic() == fermionic_rhs(source, i).monic()
+        rhs = _primitive(_fermionic_ints(source, i)[0])
     except DegenerateReproduction:
         return True
+    # proportional integer vectors have equal primitive parts up to sign
+    prod = _primitive(_convolve(y.ints, new.ints))
+    return prod == rhs or prod == [-c for c in rhs]
 
 
 def discovery_edges(pop: Population):

@@ -7,10 +7,11 @@ All emitters sort keys so identical inputs give byte-identical output.
 
 from __future__ import annotations
 
-import json
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from .bethe import BethePoint, Population
@@ -182,10 +183,96 @@ def dumps(payload) -> str:
     """Indented JSON text of a payload, keys sorted, with a final newline.
 
     ``Fraction``, ``Poly`` and ``RatFun`` values are written in the wire
-    formats above; anything else must be plain JSON data.  Dict keys must
-    be strings: json sorts int keys by value, not as text.
+    formats above; anything else must be plain JSON data: dicts, lists,
+    tuples, strings, ints, bools and None.  Dict keys must be strings (json
+    would sort int keys by value, not as text).  Any other key or value
+    raises ``TypeError``.  The text is byte for byte that of
+    ``json.dumps(payload, sort_keys=True, indent=2, default=_plain) + "\n"``,
+    whose encoder runs in pure Python once an indent is set: a two-space
+    indent per level, "," at the end of each item but the last, ": "
+    after each key, and strings in json's ASCII escapes.
     """
-    return json.dumps(payload, sort_keys=True, indent=2, default=_plain) + "\n"
+    out: list[str] = []
+    _emit(payload, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+@cache
+def _level(depth: int) -> tuple[str, str, str]:
+    """Newline and indent after an opening bracket at ``depth``, the item
+    separator, and newline and indent before the closing bracket."""
+    inner = "\n" + "  " * (depth + 1)
+    return inner, "," + inner, "\n" + "  " * depth
+
+
+def _emit(value, depth: int, out: list) -> None:
+    """Append the JSON text of ``value``, nested ``depth`` containers deep.
+
+    Scalars take json's type tests in json's order (a bool is an int, and
+    an int is written with ``int.__repr__``); no value is both a scalar and
+    a container, so testing containers first changes nothing.  Inside a
+    container a str or an exact int is written in place, and a list of
+    strings in one join.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner, sep, close = _level(depth)
+        if isinstance(value[0], str) and all(isinstance(v, str) for v in value):
+            out.append("[" + inner + sep.join(map(encode_basestring_ascii, value)) + close + "]")
+            return
+        out.append("[" + inner)
+        first = True
+        for v in value:
+            if first:
+                first = False
+            else:
+                out.append(sep)
+            if isinstance(v, str):
+                out.append(encode_basestring_ascii(v))
+            elif type(v) is int:
+                out.append(int.__repr__(v))
+            else:
+                _emit(v, depth + 1, out)
+        out.append(close + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner, sep, close = _level(depth)
+        out.append("{" + inner)
+        first = True
+        for key in sorted(value):
+            if first:
+                first = False
+            else:
+                out.append(sep)
+            v = value[key]
+            if isinstance(v, str):
+                out.append(encode_basestring_ascii(key) + ": " + encode_basestring_ascii(v))
+            elif type(v) is int:
+                out.append(encode_basestring_ascii(key) + ": " + int.__repr__(v))
+            else:
+                out.append(encode_basestring_ascii(key) + ": ")
+                _emit(v, depth + 1, out)
+        out.append(close + "}")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        _emit(_plain(value), depth, out)
 
 
 def _plain(value):

@@ -39,9 +39,10 @@ class Poly:
 
     The coefficient of x^k is ``ints[k] / den``.  ``ints`` is a tuple of ints
     with no trailing zero, ``den`` is positive and gcd(den, *ints) == 1.
+    A polynomial never changes, so its hash is computed once, on first use.
     """
 
-    __slots__ = ("ints", "den")
+    __slots__ = ("ints", "den", "_hash")
 
     def __init__(self, coeffs=()):
         cs = [qq(c) for c in coeffs]
@@ -117,7 +118,11 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.den, self.ints))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.den, self.ints))
+            return h
 
     def __repr__(self):
         return f"Poly({self.to_str()})"
@@ -167,15 +172,7 @@ class Poly:
             m = other.numerator
             return _poly([c * m for c in self.ints], self.den * other.denominator)
         other = _as_poly(other)
-        a, b = self.ints, other.ints
-        if not a or not b:
-            return Poly.zero()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _poly(out, self.den * other.den)
+        return _poly(_convolve(self.ints, other.ints), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -262,6 +259,18 @@ def _scaled(coeffs) -> tuple[list[int], int]:
     if den == 1:
         return [c.numerator for c in coeffs], 1
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(a, b) -> list[int]:
+    """The product of two trimmed integer vectors, trimmed (empty if either is)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 def _poly(ints, den: int) -> Poly:

@@ -20,6 +20,36 @@ WORKED_SEED = {"parity": [1, 1, -1], "ys": [["1"], ["1"]]}
 GOLDEN = Path(__file__).parent / "golden"
 
 
+# JSON payloads for the emitter: strings with json's escapes (quotes,
+# backslashes, control characters, U+2028/U+2029, astral characters),
+# negative and large ints, bools, None, empty and nested dicts, lists and
+# tuples, and the engine's Fraction, Poly and RatFun leaves
+JSON_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029\U0001f600\u00e9')),
+    max_size=8,
+)
+WIRE_POLYS = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12), max_size=4).map(Poly)
+JSON_LEAVES = st.one_of(
+    JSON_TEXT,
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.booleans(),
+    st.none(),
+    st.fractions(max_denominator=10**6),
+    WIRE_POLYS,
+    st.builds(RatFun, WIRE_POLYS, WIRE_POLYS.filter(bool)),
+)
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
 def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -492,6 +522,24 @@ class TestWireFormat:
     def test_poly_coefficients_as_scalars(self, coeffs):
         p = Poly(coeffs)
         assert jsonio.poly_to_json(p) == [str(c) for c in p.coeffs]
+
+    @given(payload=JSON_PAYLOADS)
+    @example(payload={"": [], "\u2028": {}, "b": ("\x00\x1f\"\\", "\U0001f600"), "a": [None, True, False]})
+    @example(payload=[-(10**40), 0, [Q(-7, 3), Poly([Q(1, 2), 0, 5])], RatFun(Poly([1, 1]), Poly([0, 2]))])
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    def test_dumps_matches_json_dumps(self, payload):
+        expected = json.dumps(payload, sort_keys=True, indent=2, default=jsonio._plain) + "\n"
+        assert jsonio.dumps(payload) == expected
+
+    @pytest.mark.parametrize("key", [1, True, None, 1.5, ("a",), Q(1, 2)])
+    def test_non_string_key_is_a_type_error(self, key):
+        with pytest.raises(TypeError, match="keys must be str"):
+            jsonio.dumps({"outer": [{"a": 1, key: 2}]})
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.stdout")), ids=lambda p: p.stem)
+    def test_recordings_reemit_byte_for_byte(self, path):
+        text = path.read_text()
+        assert jsonio.dumps(json.loads(text)) == text
 
     def test_dumps_bytes(self):
         x = Poly.x()

@@ -2,7 +2,9 @@
 
 sympy is a test-only oracle here; the engine itself stays stdlib-only.
 The fraction-free Wronskian and the cross-multiplied edge comparison are
-also checked against elimination and arithmetic over reduced ``RatFun``s.
+also checked against elimination and arithmetic over reduced ``RatFun``s,
+and the integer mixed-parity reproduction against the ``Poly`` product
+formula it replaced.
 Inputs are seeded random rational polynomials, many of them built from
 shared and repeated factors so that gcds, radicals and root
 multiplicities are nontrivial.  The ring kernels, derivatives, monic forms
@@ -11,14 +13,19 @@ denominators, leading coefficients of either sign with several digits,
 and evaluation points with large denominators.
 """
 
+import json
 import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gaudin.errors import InternalInconsistency
+from gaudin import bethe
+from gaudin.bethe import BethePoint, fermionic_reproduce, populate
+from gaudin.cli import build_parser
+from gaudin.errors import CriterionFailed, DegenerateReproduction, InternalInconsistency
 from gaudin.linalg import charpoly_coeffs, mat_mul, solve_linear
+from gaudin.weights import ParitySequence, ProblemData, Weight
 from gaudin.rational import (
     Poly,
     RatFun,
@@ -31,6 +38,7 @@ from gaudin.rational import (
 
 from conftest import LINEAR_SYSTEM_KINDS, random_linear_system
 from test_bethe import _same_second_order
+from test_golden import BUDGETED, COMMANDS, GOLDEN
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -447,3 +455,94 @@ def test_second_order_comparison_matches_reduced_ratfuns():
             assert _same_second_order(a, b, c, d) == oracle, seed
             if expected is not None:
                 assert oracle == expected, seed
+
+
+def product_fermionic_reproduce(point, i):
+    """The mixed reproduction as ``Poly`` products and a ``divmod``: the
+    formula that ``bethe.fermionic_reproduce``'s integer kernel replaced."""
+    data = point.problem.parity_data(point.parity)
+    left, right = point.y(i - 1), point.y(i + 1)
+    rhs = left * right * data.fermionic[i - 1] + data.radicals[i - 1] * (
+        left.derivative() * right - left * right.derivative()
+    )
+    if rhs.is_zero():
+        raise DegenerateReproduction(i)
+    quo = rhs.try_exact_div(point.y(i))
+    if quo is None or quo.is_zero():
+        raise CriterionFailed(i)
+    ys = list(point.ys)
+    ys[i - 1] = quo.monic()
+    return BethePoint(point.problem, point.parity.swapped(i), ys)
+
+
+def golden_populations():
+    """The populations of the golden ``population`` and ``space`` runs, each once."""
+    seen = set()
+    for argv in (*COMMANDS.values(), BUDGETED[1]):
+        if argv[0] in ("population", "space") and tuple(argv[1:]) not in seen:
+            seen.add(tuple(argv[1:]))
+            args = build_parser().parse_args([str(GOLDEN / a) if a.endswith(".json") else a for a in argv])
+            with open(args.input) as fh:
+                yield populate(*args.read(json.load(fh), args))
+
+
+def oracle_points():
+    """Nodes of the golden runs, then tuples the golden problems never give:
+    gl(2|1) and gl(3|1) nodes at points with denominators, where the
+    radicals and fermionic polynomials have denominators other than 1; a
+    gl(1|1) tuple whose right side is zero; and a gl(2|1) tuple whose right
+    side has a negative leading coefficient, since deg y_2 = 7 exceeds
+    deg T_1 T_2 = 6 at parity (+,-,+)."""
+    for pop in golden_populations():
+        yield from pop.points()
+    points = [0, Q(1, 2), Q(-2, 3)]
+    for m in (2, 3):
+        prob = ProblemData(m, 1, [Weight(m, 1, (1,) * m + (0,))] * 3, points=points)
+        seed = BethePoint(prob, ParitySequence.standard(m, 1), [Poly.one()] * m)
+        yield from populate(seed, [Q(-1, 3), Q(5, 2)], max_depth=3).points()
+    # weight (0, 0): T_1 T_2 y_0 / y_2 = 1
+    prob = ProblemData(1, 1, [Weight(1, 1, (0, 0))], points=[0])
+    yield BethePoint(prob, ParitySequence.standard(1, 1), [Poly.one()])
+    prob = ProblemData(2, 1, [Weight(2, 1, (1, 1, 0))] * 3, points=[0, 1, 2])
+    yield BethePoint(prob, ParitySequence((1, -1, 1)), [Poly.one(), Poly([-7, 0, 0, 0, 0, 0, 0, 1])])
+
+
+def test_fermionic_kernel_matches_product_formula():
+    """Every mixed direction of every oracle point, as given and with y_i
+    times a factor it does not divide, gives the child or the exception
+    class of the product formula.  On the edge to the child, and to the
+    child with y~_i times that factor, the edge check agrees with comparing
+    the monic forms of y_i y~_i and the right side."""
+    seen = {"child": 0, CriterionFailed: 0, DegenerateReproduction: 0}
+    factor = Poly([Q(-13, 7), 1])
+    for point in oracle_points():
+        s = point.parity
+        for i in range(1, len(s)):
+            if s[i] == s[i + 1]:
+                continue
+            ys = list(point.ys)
+            ys[i - 1] *= factor
+            for p in (point, BethePoint(point.problem, s, ys)):
+                outcomes = []
+                for reproduce in (fermionic_reproduce, product_fermionic_reproduce):
+                    try:
+                        outcomes.append(reproduce(p, i))
+                    except (CriterionFailed, DegenerateReproduction) as exc:
+                        outcomes.append(type(exc))
+                got, expected = outcomes
+                assert got == expected, (p, i)
+                if got is DegenerateReproduction:
+                    # every y~_i keeps R
+                    assert bethe._edge_keeps_operator(p, BethePoint(p.problem, s.swapped(i), p.ys), i)
+                if isinstance(got, type):
+                    seen[got] += 1
+                    continue
+                seen["child"] += 1
+                rhs = bethe.fermionic_rhs(p, i).monic()
+                for new, keeps in ((got.y(i), True), (got.y(i) * factor, False)):
+                    ys = list(got.ys)
+                    ys[i - 1] = new
+                    target = BethePoint(p.problem, got.parity, ys)
+                    assert ((p.y(i) * target.y(i)).monic() == rhs) is keeps
+                    assert bethe._edge_keeps_operator(p, target, i) is keeps
+    assert all(seen.values()), seen
