@@ -119,10 +119,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a, c):
     c = Q(c)
     return [[x * c for x in row] for row in a]
@@ -142,25 +138,31 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def trace(a) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Q(0))
-
-
 def charpoly_coeffs(a) -> list[Fraction]:
     """Characteristic polynomial det(tI - A), ascending coefficients.
 
-    Faddeev-LeVerrier recursion; exact for rational matrices.
+    Faddeev-LeVerrier recursion on the integer matrix D A, D the lcm of the
+    entries' denominators.  det(tI - DA) = D^n det((t/D) I - A), so its
+    coefficient c_j of t^j is D^(n-j) times A's; it has integer
+    coefficients, so each division by k in the recursion is exact.
     """
     n = len(a)
-    coeffs = [Q(0)] * (n + 1)
-    coeffs[n] = Q(1)
-    m = identity(n)
+    den = lcm(*[x.denominator for row in a for x in row])
+    b = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        c = -trace(am) / k
+        am = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in b]
+        tr = sum(am[i][i] for i in range(n))
+        c, rem = divmod(-tr, k)
+        if rem:
+            raise InternalInconsistency("characteristic polynomial is not integral")
         coeffs[n - k] = c
-        m = mat_add(am, mat_scale(identity(n), c))
-    return coeffs
+        for i in range(n):
+            am[i][i] += c
+        m = am
+    return [Q(c, den ** (n - j)) for j, c in enumerate(coeffs)]
 
 
 def solve_matrix(b, y):

@@ -25,13 +25,10 @@ from .linalg import (
     identity,
     independent_subset,
     intersect_spans,
-    mat_mul,
     mat_scale,
     mat_sub,
     nullspace,
     rank,
-    solve_matrix,
-    transpose,
 )
 from .rational import Poly, Q, factor_rational_quadratic, poly_gcd, qq, rational_roots
 from .bethe import table_eigenvalues
@@ -159,7 +156,7 @@ class TensorSystem:
         for d in self.dims:
             self.dim *= d
         self._leg_cache: dict[tuple[int, int, int], Sparse] = {}
-        self._ham_cache: dict[int, list[list[Fraction]]] = {}
+        self._ham_cache: dict[int, Sparse] = {}
         self._weights: list[tuple[Fraction, ...]] | None = None
 
     # -- basis bookkeeping ------------------------------------------------
@@ -227,51 +224,57 @@ class TensorSystem:
         return out
 
     def diagonal_op(self, a: int, b: int) -> Sparse:
-        total: Sparse = {}
+        acc: dict[int, dict[int, Fraction]] = {}
         for k in range(1, len(self.modules) + 1):
-            _sparse_add(total, self.leg_op(k, a, b))
-        return total
+            for col, entries in self.leg_op(k, a, b).items():
+                bucket = acc.setdefault(col, {})
+                for row, val in entries:
+                    bucket[row] = bucket.get(row, 0) + val
+        return _collected(acc)
 
-    def hamiltonian(self, r: int) -> list[list[Fraction]]:
-        """Quadratic Gaudin operator at site r (1-based), as a dense matrix."""
+    def sparse_hamiltonian(self, r: int) -> Sparse:
+        """Quadratic Gaudin operator at site r (1-based), column-sparse.
+
+        H_r = sum over k != r and a, b of (-1)^|b| e_ab^(r) e_ba^(k) / (z_r - z_k),
+        summed into one accumulator per column; each term's factor is
+        taken once per (k, a, b).
+        """
         if r in self._ham_cache:
             return self._ham_cache[r]
         size = self.m + self.n
-        total: Sparse = {}
+        acc: dict[int, dict[int, Fraction]] = {}
         for k in range(1, len(self.modules) + 1):
             if k == r:
                 continue
             weight = Q(1, 1) / (self.points[r - 1] - self.points[k - 1])
             for a in range(1, size + 1):
                 for b in range(1, size + 1):
-                    sign = 1 if b <= self.m else -1
-                    prod = _sparse_compose(
-                        self.leg_op(r, a, b), self.leg_op(k, b, a), self.dim
-                    )
-                    _sparse_add(total, prod, weight * sign)
-        dense = _sparse_to_dense(total, self.dim)
-        self._ham_cache[r] = dense
-        return dense
+                    left = self.leg_op(r, a, b)
+                    if not left:
+                        continue
+                    factor = weight if b <= self.m else -weight
+                    for col, entries in self.leg_op(k, b, a).items():
+                        bucket = acc.setdefault(col, {})
+                        for mid, v1 in entries:
+                            fv = factor * v1
+                            for row, v2 in left.get(mid, ()):
+                                bucket[row] = bucket.get(row, 0) + fv * v2
+        op = _collected(acc)
+        self._ham_cache[r] = op
+        return op
+
+    def hamiltonian(self, r: int) -> list[list[Fraction]]:
+        """Quadratic Gaudin operator at site r (1-based), as a dense matrix."""
+        return _sparse_to_dense(self.sparse_hamiltonian(r), self.dim)
 
 
-def _sparse_add(acc: Sparse, other: Sparse, factor=Q(1)):
-    for col, entries in other.items():
-        bucket = dict(acc.get(col, []))
-        for row, val in entries:
-            bucket[row] = bucket.get(row, Q(0)) + factor * val
-        acc[col] = [(r, v) for r, v in bucket.items() if v != 0]
-
-
-def _sparse_compose(a: Sparse, b: Sparse, dim) -> Sparse:
+def _collected(acc: dict[int, dict[int, Fraction]]) -> Sparse:
+    """Column-sparse operator from per-column row -> value sums, zeros dropped."""
     out: Sparse = {}
-    for col, entries in b.items():
-        bucket: dict[int, Fraction] = {}
-        for mid, v1 in entries:
-            for row, v2 in a.get(mid, []):
-                bucket[row] = bucket.get(row, Q(0)) + v1 * v2
-        lst = [(r, v) for r, v in bucket.items() if v != 0]
-        if lst:
-            out[col] = lst
+    for col, bucket in acc.items():
+        entries = [(row, val) for row, val in bucket.items() if val]
+        if entries:
+            out[col] = entries
     return out
 
 
@@ -469,29 +472,81 @@ def monic_divisors(f: Poly) -> list[Poly]:
     return sorted(set(out), key=lambda p: (p.degree, p.coeffs))
 
 
+def _echelon_rows(vectors) -> list[int]:
+    """Index of each vector's last nonzero entry.
+
+    On a nullspace basis from ``solve_linear`` that entry is the vector's
+    free column: it is 1 there and the other vectors are 0 there.
+    """
+    return [max(t for t, v in enumerate(vec) if v) for vec in vectors]
+
+
+def _coordinates(images, basis, rows):
+    """X with images[j] = sum_i X[i][j] basis[i], the basis in echelon form.
+
+    basis[i] is 1 at rows[i] and 0 at the other rows, so X[i][j] is
+    images[j] read at rows[i].  The sum is then checked on every entry:
+    an image outside the span raises.
+    """
+    x = [[img[r] for img in images] for r in rows]
+    supports = [[(t, v) for t, v in enumerate(vec) if v] for vec in basis]
+    for j, img in enumerate(images):
+        combo = [0] * len(img)
+        for i, support in enumerate(supports):
+            c = x[i][j]
+            if c:
+                for t, v in support:
+                    combo[t] += c * v
+        if combo != img:
+            raise InternalInconsistency("subspace is not invariant")
+    return x
+
+
+def _restricted_hamiltonians(system: TensorSystem, basis) -> list:
+    """Each Hamiltonian's matrix on the span of a nullspace basis.
+
+    The basis is in echelon form, as ``singular_space`` returns it, so
+    column j of the block for H_k is H_k basis[j] read at the basis rows.
+    """
+    rows = _echelon_rows(basis)
+    return [
+        _coordinates([sparse_apply(system.sparse_hamiltonian(k), v) for v in basis], basis, rows)
+        for k in range(1, len(system.modules) + 1)
+    ]
+
+
 def _joint_eigen_decomposition(mats):
     """Split a list of commuting rational matrices into joint eigenspaces.
 
     Returns (spaces, irrational_dim) where spaces is a list of
-    (eigenvalue_tuple, column_basis) with rational eigenvalues only.  Each
+    (eigenvalue_tuple, basis_vectors) with rational eigenvalues only.  Each
     tuple arises from one (parent space, root) pair, and the lifted
-    nullspace basis stays independent, so no regrouping is needed.
+    nullspace basis stays independent, so no regrouping is needed.  A
+    lifted basis stays in echelon form at the parent rows picked by the
+    nullspace's free columns, so each matrix acts on it by coordinates read
+    off those rows.
     """
     dim = len(mats[0]) if mats else 0
-    spaces = [((), identity(dim))]
+    spaces = [((), identity(dim), list(range(dim)))]
     irrational = 0
     for m in mats:
         new_spaces = []
-        for eigs, bmat in spaces:
-            action = solve_matrix(bmat, mat_mul(m, bmat))
+        for eigs, vectors, rows in spaces:
+            images = [[sum(x * y for x, y in zip(row, vec)) for row in m] for vec in vectors]
+            action = _coordinates(images, vectors, rows)
             roots, rem = rational_roots(Poly(charpoly_coeffs(action)))
             if rem.degree > 0:
                 irrational += rem.degree
             for root, _mult in roots:
                 null = nullspace(mat_sub(action, mat_scale(identity(len(action)), root)))
-                new_spaces.append((eigs + (root,), mat_mul(bmat, transpose(null))))
+                lifted = [
+                    [sum(c * vec[t] for c, vec in zip(coef, vectors)) for t in range(dim)]
+                    for coef in null
+                ]
+                free_rows = [rows[f] for f in _echelon_rows(null)]
+                new_spaces.append((eigs + (root,), lifted, free_rows))
         spaces = new_spaces
-    return spaces, irrational
+    return [(eigs, vectors) for eigs, vectors, _ in spaces], irrational
 
 
 def _has_jordan_defect(mats) -> bool:
@@ -551,12 +606,7 @@ def gl11_spectrum_report(system: TensorSystem) -> dict:
             "jordan_defect": False,
         }
         if sing:
-            basis = [[v[i] for v in sing] for i in range(system.dim)]
-            restricted = []
-            for k in range(1, n + 1):
-                h = system.hamiltonian(k)
-                hb = mat_mul(h, basis)
-                restricted.append(solve_matrix(basis, hb))
+            restricted = _restricted_hamiltonians(system, sing)
             spaces, irrational = _joint_eigen_decomposition(restricted)
             entry["eigenlines"] = len(spaces)
             entry["irrational_dim"] = irrational

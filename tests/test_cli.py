@@ -306,6 +306,34 @@ class TestGl11Spectrum:
         assert report["total_divisors"] == 4
         assert report["total_eigenlines"] == 4
 
+    def test_cancelling_levels_exit_one(self, tmp_path, capsys):
+        # h_1 + h_2 = 0: the master polynomial is 1, and the degree-1
+        # singular line (a Bethe root at infinity) has no divisor; pinned
+        # as it stands, not fixed
+        payload = {"weights": [["3", "-1"], ["-3", "1"]], "points": ["4", "-5"]}
+        inp = write(tmp_path, "in.json", payload)
+        assert main(["gl11-spectrum", "--input", inp]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["master_poly"] == ["1"]
+        assert report["counts_match"] is False
+        assert report["eigenvalues_match"] is True
+        assert (report["total_divisors"], report["total_eigenlines"]) == (1, 2)
+
+    def test_irreducible_cubic_exit_three(self, tmp_path, capsys):
+        payload = {
+            "weights": [["-3", "0"], ["0", "-3"], ["-2", "-3"], ["1", "0"]],
+            "points": ["-6", "2", "-3", "6"],
+        }
+        inp = write(tmp_path, "in.json", payload)
+        assert main(["gl11-spectrum", "--input", inp]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "unsupported: irreducible factor of degree 3: x^3 - 23/10*x^2 - 162/5*x + 18\n"
+        )
+
 
 class TestSelftest:
     def test_runs_clean(self, tmp_path):

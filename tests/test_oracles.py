@@ -287,8 +287,20 @@ def test_ratfun_arithmetic_matches_sympy_cancel():
 
 def random_matrix(rng, n, kind):
     """An n x n rational matrix: generic, singular (the last row a
-    combination of the others), or a conjugate P J Q of a block diagonal
-    matrix with a repeated eigenvalue and a Jordan block, Q = P^(-1)."""
+    combination of the others), a conjugate P J Q of a block diagonal
+    matrix with a repeated eigenvalue and a Jordan block, Q = P^(-1),
+    integer-only, or wide: Hamiltonian-like entries h / (z_r - z_k) at
+    points near 10^30, whose denominators are large and coprime."""
+    if kind == "ints":
+        return [[rng.randint(-40, 40) for _ in range(n)] for _ in range(n)]
+    if kind == "wide":
+        zs = [Q(10**30 + rng.randint(-10**6, 10**6), rng.choice([1, 3, 7, 11, 13])) for _ in range(n)]
+        while len(set(zs)) < n:
+            zs = [z + Q(1, rng.choice([17, 19])) for z in zs]
+        rows = [[random_scalar(rng) / (zs[r] - zs[c]) if r != c else Q(0) for c in range(n)] for r in range(n)]
+        for r in range(n):
+            rows[r][r] = -sum(rows[r], Q(0)) + random_scalar(rng)
+        return rows
     if kind == "repeated":
         eigen = [random_scalar(rng) for _ in range(rng.randint(1, n))]
         diag = sorted(eigen[i % len(eigen)] for i in range(n))
@@ -307,8 +319,9 @@ def random_matrix(rng, n, kind):
     return rows
 
 
-@pytest.mark.parametrize("kind", ["generic", "singular", "repeated"])
+@pytest.mark.parametrize("kind", ["generic", "singular", "repeated", "ints", "wide"])
 def test_charpoly_matches_sympy(kind):
+    assert charpoly_coeffs([]) == [1]
     for seed in range(30):
         rng = random.Random(seed)
         n = 1 + seed % 6
@@ -319,6 +332,8 @@ def test_charpoly_matches_sympy(kind):
         assert got == expected, (kind, seed)
         if kind == "singular":
             assert got[0] == 0, seed
+        if kind == "wide" and n > 1:
+            assert max(c.denominator for c in got) > 10**25, seed
 
 
 def from_rational(e) -> Q:

@@ -1,17 +1,20 @@
+import json
 import random
 from itertools import product
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
 from gaudin.bethe import table_eigenvalues
-from gaudin.errors import DegenerateInput, UnsupportedFactorization
+from gaudin.errors import DegenerateInput, InternalInconsistency, UnsupportedFactorization
 from gaudin.linalg import charpoly_coeffs, identity, mat_mul, mat_scale, mat_sub, rank, solve_matrix
 from gaudin.rational import Poly, rational_roots
 from gaudin.reps import (
     TensorSystem,
     _has_jordan_defect,
     _joint_eigen_decomposition,
+    _restricted_hamiltonians,
     check_lowering_bridge,
     gl11_module,
     gl11_nonpoly_report,
@@ -29,12 +32,73 @@ from conftest import mat_vec, random_gl11_system, solve_levels_for_roots
 
 X = Poly.x()
 S11 = ParitySequence.standard(1, 1)
+GOLDEN = Path(__file__).parent / "golden"
+GL11_GOLDEN = ["gl11_four_sites", "gl11_irrational", "gl11_double_root", "gl11_wide_roots"]
 
 
 def dense(system, a, b):
     from gaudin.reps import _sparse_to_dense
 
     return _sparse_to_dense(system.diagonal_op(a, b), system.dim)
+
+
+def _sparse_add(acc, other, factor=Q(1)):
+    for col, entries in other.items():
+        bucket = dict(acc.get(col, []))
+        for row, val in entries:
+            bucket[row] = bucket.get(row, Q(0)) + factor * val
+        acc[col] = [(r, v) for r, v in bucket.items() if v != 0]
+
+
+def _sparse_compose(a, b):
+    out = {}
+    for col, entries in b.items():
+        bucket = {}
+        for mid, v1 in entries:
+            for row, v2 in a.get(mid, []):
+                bucket[row] = bucket.get(row, Q(0)) + v1 * v2
+        lst = [(r, v) for r, v in bucket.items() if v != 0]
+        if lst:
+            out[col] = lst
+    return out
+
+
+def composed_hamiltonian(system, r):
+    """H_r as the sum of composed leg operators e_ab^(r) e_ba^(k), one
+    sparse sum per (k, a, b), made dense at the end."""
+    size = system.m + system.n
+    total = {}
+    for k in range(1, len(system.modules) + 1):
+        if k == r:
+            continue
+        weight = Q(1) / (system.points[r - 1] - system.points[k - 1])
+        for a in range(1, size + 1):
+            for b in range(1, size + 1):
+                sign = 1 if b <= system.m else -1
+                prod = _sparse_compose(system.leg_op(r, a, b), system.leg_op(k, b, a))
+                _sparse_add(total, prod, weight * sign)
+    rows = [[Q(0)] * system.dim for _ in range(system.dim)]
+    for col, entries in total.items():
+        for row, val in entries:
+            rows[row][col] += val
+    return rows
+
+
+def random_gl11_modules(rng, n):
+    """n two-dimensional (sometimes trivial) gl(1|1) modules at distinct points."""
+    modules = []
+    for _ in range(n):
+        if rng.random() < 0.1:
+            modules.append(gl11_module(0, 0))
+        else:
+            modules.append(gl11_module(Q(rng.randint(-6, 6), rng.randint(1, 3)), Q(rng.randint(-6, 6), rng.randint(1, 3))))
+    points = rng.sample(sorted({Q(a, b) for a in range(-7, 8) for b in (1, 2, 5)}), n)
+    return TensorSystem(modules, points)
+
+
+def golden_gl11_system(name):
+    data = json.loads((GOLDEN / f"{name}.json").read_text())
+    return TensorSystem([gl11_module(Q(p), Q(q)) for p, q in data["weights"]], [Q(z) for z in data["points"]])
 
 
 class TestModules:
@@ -164,6 +228,69 @@ class TestTensorSystem:
             assert tr_got == tr_disp and det_got == det_disp
 
 
+class TestHamiltonianBuild:
+    def test_gl11_matches_composed_build(self):
+        rng = random.Random(2811)
+        for n in (2, 3, 4, 2, 3, 4):
+            system = random_gl11_modules(rng, n)
+            for r in range(1, n + 1):
+                assert system.hamiltonian(r) == composed_hamiltonian(system, r), (n, r)
+
+    @pytest.mark.parametrize("m, n", [(2, 1), (1, 2)])
+    def test_vector_reps_match_composed_build(self, m, n):
+        for points in ([0, 1], [Q(-1, 2), 3, Q(7, 3)]):
+            system = TensorSystem([vector_rep(m, n)] * len(points), points)
+            for r in range(1, len(points) + 1):
+                assert system.hamiltonian(r) == composed_hamiltonian(system, r), (points, r)
+
+
+class TestRestriction:
+    def solve_blocks(self, system, sing):
+        basis = [list(row) for row in zip(*sing)]
+        return [
+            solve_matrix(basis, mat_mul(system.hamiltonian(k), basis))
+            for k in range(1, len(system.modules) + 1)
+        ]
+
+    def blocks_agree(self, system, parity=S11):
+        spaces = 0
+        for weight in sorted(set(system.all_weights())):
+            sing = singular_space(system, parity, weight)
+            if sing:
+                assert _restricted_hamiltonians(system, sing) == self.solve_blocks(system, sing), weight
+                spaces += 1
+        return spaces
+
+    @pytest.mark.parametrize("name", GL11_GOLDEN)
+    def test_golden_blocks_match_solve(self, name):
+        assert self.blocks_agree(golden_gl11_system(name)) > 0
+
+    def test_random_blocks_match_solve(self):
+        rng = random.Random(2812)
+        for n in (2, 3, 4, 2, 3, 4, 3, 4):
+            assert self.blocks_agree(random_gl11_modules(rng, n)) > 0
+
+    @pytest.mark.parametrize("m, n", [(2, 1), (1, 2)])
+    def test_vector_rep_blocks_match_solve(self, m, n):
+        system = TensorSystem([vector_rep(m, n)] * 3, [0, Q(1, 2), 3])
+        assert self.blocks_agree(system, ParitySequence.standard(m, n)) > 0
+
+    def test_non_invariant_basis_raises(self):
+        # one standard basis vector of the two-dimensional (p - 1, q + 1)
+        # weight space, which H_1 does not keep
+        system = TensorSystem([gl11_module(2, 1), gl11_module(1, 0)], [0, 1])
+        line = [Q(0)] * system.dim
+        line[system.index_of((1, 0))] = Q(1)
+        with pytest.raises(InternalInconsistency, match="^subspace is not invariant$"):
+            _restricted_hamiltonians(system, [line])
+
+    def test_non_commuting_pair_raises(self):
+        # diag(1, 2) splits into the coordinate lines, which the swap mixes
+        mats = [[[Q(1), Q(0)], [Q(0), Q(2)]], [[Q(0), Q(1)], [Q(1), Q(0)]]]
+        with pytest.raises(InternalInconsistency, match="^subspace is not invariant$"):
+            _joint_eigen_decomposition(mats)
+
+
 class TestWeightFunction:
     def test_empty_roots(self):
         system = TensorSystem([gl11_module(1, 0)] * 2, [0, 1])
@@ -180,8 +307,6 @@ class TestWeightFunction:
 
         def e21_at(u):
             out = {}
-            from gaudin.reps import _sparse_add
-
             for k in range(1, 4):
                 _sparse_add(out, system.leg_op(k, 2, 1), Q(1) / (u - system.points[k - 1]))
             return out
@@ -193,7 +318,6 @@ class TestWeightFunction:
 
     def test_anticommutation(self):
         system = TensorSystem([gl11_module(1, 0)] * 2, [0, 1])
-        from gaudin.reps import _sparse_add
 
         def e21_at(u):
             out = {}
