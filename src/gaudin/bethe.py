@@ -23,13 +23,12 @@ from .errors import (
 )
 from .rational import (
     Poly,
-    Q,
     RatFun,
     _convolve,
     _poly,
     _primitive,
     _pseudo_divmod,
-    multiplicity,
+    log_deriv,
     poly_gcd,
     qq,
     wronskian_partner,
@@ -224,10 +223,47 @@ def bae_check_criterion(point: BethePoint) -> bool:
     return True
 
 
-def bae_check_direct(problem: ProblemData, parity: ParitySequence, tlists) -> bool:
-    """Exact residue check of the Bethe equations for explicit rational roots.
+def bae_residue_holds(point: BethePoint) -> bool:
+    """Whether a tuple's roots solve the Bethe equations, read off y_i | num(E_i).
 
-    ``tlists`` groups the roots by colour.  Colours whose simple root pairs
+    For each colour i with deg y_i >= 1, E_i is the reduced rational function
+    -(s_i T_i'/T_i - s_{i+1} T_{i+1}'/T_{i+1}) + sum_{r != i} (alpha_r, alpha_i) y_r'/y_r
+    + (alpha_i, alpha_i) y_i''/(2 y_i'), whose T term is -sum_k (L_k, alpha_i)/(x - z_k)
+    when the problem has points.
+    At a simple root t of y_i, sum_{t' != t} 1/(t - t') = y_i''(t)/(2 y_i'(t)),
+    so E_i(t) is the left side of the Bethe equation of t.  When no root of
+    y_i is a pole of E_i (the input checks of :func:`bae_check_direct`),
+    y_i dividing the reduced numerator says that every root of y_i is a root
+    of E_i, and for colours with (alpha_i, alpha_i) = 0 that each one is at
+    most as repeated in y_i as in the numerator: the multiplicity rule.
+    No root of any y_r is computed.
+    """
+    return all(_residue_divides(point, i) for i in range(1, len(point.parity)))
+
+
+def _residue_divides(point: BethePoint, i: int) -> bool:
+    """Whether y_i divides the numerator of the E_i of :func:`bae_residue_holds`."""
+    s, y = point.parity, point.y(i)
+    if y.degree < 1:
+        return True
+    ts = point.ts()
+    e = s[i + 1] * log_deriv(ts[i]) - s[i] * log_deriv(ts[i - 1])
+    for r in range(1, len(s)):
+        pairing = cartan_pairing(s, r, i)
+        if r != i and pairing:
+            e += pairing * log_deriv(point.y(r))
+    if y.degree > 1 and cartan_pairing(s, i, i):
+        dy = y.derivative()
+        e += cartan_pairing(s, i, i) * RatFun(dy.derivative(), dy * 2)
+    return not e.num % y
+
+
+def bae_check_direct(problem: ProblemData, parity: ParitySequence, tlists) -> bool:
+    """Exact check of the Bethe equations for explicit rational roots.
+
+    ``tlists`` groups the roots by colour.  After the input checks, each
+    colour's verdict is that of :func:`bae_residue_holds` on the tuple of
+    monic polynomials with these roots, so colours whose simple root pairs
     to zero with itself follow the multiplicity convention: repeats are
     allowed up to the root's multiplicity in the single-variable equation.
     """
@@ -251,53 +287,14 @@ def bae_check_direct(problem: ProblemData, parity: ParitySequence, tlists) -> bo
         for k, z in enumerate(zs):
             if tj == z and cj in pairs[k]:
                 raise InvalidConfiguration("root collides with an evaluation point")
-    for colour in range(1, size + 1):
-        ts_c = tlists[colour - 1]
-        if not ts_c:
-            continue
-        if cartan_pairing(s, colour, colour) != 0:
-            if len(set(ts_c)) != len(ts_c):
-                raise InvalidConfiguration("repeated root of a self-interacting colour")
-            for j, tj in enumerate(ts_c):
-                total = Q(0)
-                for k, z in enumerate(zs):
-                    if colour in pairs[k]:
-                        total -= pairs[k][colour] / (tj - z)
-                for cr in range(1, size + 1):
-                    pairing = cartan_pairing(s, cr, colour)
-                    if pairing == 0:
-                        continue
-                    for r, tr in enumerate(tlists[cr - 1]):
-                        if cr == colour and r == j:
-                            continue
-                        total += pairing / (tj - tr)
-                if total != 0:
-                    return False
-        else:
-            # single-variable equation shared by the whole colour:
-            # sum of -c_k/(t-z_k) plus the cross-colour interaction terms
-            terms: list[tuple[Fraction, Fraction]] = []
-            for k, z in enumerate(zs):
-                if colour in pairs[k]:
-                    terms.append((-pairs[k][colour], z))
-            for cr in range(1, size + 1):
-                if cr == colour:
-                    continue
-                pairing = cartan_pairing(s, cr, colour)
-                if pairing == 0:
-                    continue
-                for tr in tlists[cr - 1]:
-                    terms.append((Q(pairing), tr))
-            num = Poly.zero()
-            den = Poly.one()
-            for c, pole in terms:
-                num = num * Poly((-pole, 1)) + c * den
-                den = den * Poly((-pole, 1))
-            if num.is_zero():
-                continue  # identically satisfied
-            for t in set(ts_c):
-                if ts_c.count(t) > multiplicity(num, Poly((-t, 1))):
-                    return False
+    point = BethePoint(problem, s, [Poly.from_roots(ts) for ts in tlists])
+    # colour by colour, as a repeated root of a self-interacting colour is
+    # reported only when every colour before it holds
+    for colour, ts_c in enumerate(tlists, start=1):
+        if cartan_pairing(s, colour, colour) != 0 and len(set(ts_c)) != len(ts_c):
+            raise InvalidConfiguration("repeated root of a self-interacting colour")
+        if not _residue_divides(point, colour):
+            return False
     return True
 
 

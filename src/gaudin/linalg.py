@@ -176,38 +176,3 @@ def solve_matrix(b, y):
             raise InternalInconsistency("subspace is not invariant")
         xcols.append(sol)
     return transpose(xcols)
-
-
-def column_span_contains(columns, vec) -> bool:
-    """Whether vec lies in the span of the given column vectors."""
-    if not columns:
-        return all(x == 0 for x in vec)
-    rows = transpose(columns)
-    sol, _ = solve_linear(rows, vec)
-    return sol is not None
-
-
-def intersect_spans(cols_a, cols_b):
-    """Basis (as column vectors) of the intersection of two column spans."""
-    if not cols_a or not cols_b:
-        return []
-    n = len(cols_a[0])
-    rows = [[cols_a[j][i] for j in range(len(cols_a))]
-            + [-cols_b[j][i] for j in range(len(cols_b))] for i in range(n)]
-    out = []
-    for vec in nullspace(rows):
-        coeffs = vec[: len(cols_a)]
-        combo = [sum((c * cols_a[j][i] for j, c in enumerate(coeffs)), Q(0)) for i in range(n)]
-        if any(x != 0 for x in combo):
-            out.append(combo)
-    # reduce to an independent set
-    return independent_subset(out)
-
-
-def independent_subset(vectors):
-    """Greedy maximal linearly independent subset of the given vectors."""
-    chosen = []
-    for v in vectors:
-        if not column_span_contains(chosen, v):
-            chosen.append(list(v))
-    return chosen

@@ -23,8 +23,6 @@ from .errors import (
 from .linalg import (
     charpoly_coeffs,
     identity,
-    independent_subset,
-    intersect_spans,
     mat_scale,
     mat_sub,
     nullspace,
@@ -678,15 +676,16 @@ def gl11_nonpoly_report(system: TensorSystem) -> dict:
         sing_all.extend(singular_space(system, parity, w))
     a, b = parity.sigma[1], parity.sigma[0]
     lower = system.diagonal_op(a, b)
-    image = independent_subset(
-        [sparse_apply(lower, [Q(1) if i == j else Q(0) for i in range(system.dim)]) for j in range(system.dim)]
-    )
-    overlap = intersect_spans(sing_all, image)
+    cols = [sparse_apply(lower, [Q(1) if i == j else Q(0) for i in range(system.dim)]) for j in range(system.dim)]
+    # singular spaces of distinct weights have disjoint supports, so sing_all
+    # is independent, and the dimension of its span's meet with the image of
+    # the lowering operator is dim A + dim B - dim(A + B)
+    overlap = len(sing_all) + rank(cols) - rank(sing_all + cols)
     return {
         "master_degree": nt.degree,
         "master_poly": nt,
         "weight_space_dims": dims,
         "singular_dim": len(sing_all),
-        "singular_image_overlap": len(overlap),
-        "singular_quotient_dim": len(sing_all) - len(overlap),
+        "singular_image_overlap": overlap,
+        "singular_quotient_dim": len(sing_all) - overlap,
     }

@@ -36,7 +36,7 @@ from gaudin.errors import (
     NotAdmissible,
     NotGeneric,
 )
-from gaudin.linalg import column_span_contains
+from gaudin.linalg import rank
 from gaudin.rational import Poly, RatFun, log_deriv
 from gaudin.reps import master_polynomial
 from gaudin.skew import DiffOp, OreFraction
@@ -350,7 +350,7 @@ class TestPopulate:
                 if cand.degree + 1 > width:
                     continue
                 vec = list(cand.coeffs) + [Q(0)] * (width - len(cand.coeffs))
-                if column_span_contains(span, vec):
+                if rank([*span, vec]) == rank(span):
                     return True
             return False
 

@@ -18,6 +18,19 @@ WORKED_PROBLEM = {
 }
 WORKED_SEED = {"parity": [1, 1, -1], "ys": [["1"], ["1"]]}
 GOLDEN = Path(__file__).parent / "golden"
+GL22 = json.loads((GOLDEN / "gl22.json").read_text())["problem"]
+GL32 = json.loads((GOLDEN / "gl32.json").read_text())["problem"]
+# at parity (1,-1,1) the sites' weights pair to (1, 0), (3, 0) and (3, -2)
+# with (alpha_1, alpha_2); colour 1's equation has a double root at 4 when
+# colour 2 has the root 3
+GL21_DOUBLE_ROOT = {
+    "M": 2,
+    "N": 1,
+    "weights": [["1", "0", "0"], ["3", "0", "0"], ["1", "1", "1"]],
+    "points": ["0", "8", "2"],
+}
+SATISFIED = '{\n  "satisfied": true\n}\n'
+NOT_SATISFIED = '{\n  "satisfied": false\n}\n'
 
 
 # JSON payloads for the emitter: strings with json's escapes (quotes,
@@ -251,6 +264,27 @@ class TestCheckBae:
             tmp_path, "in.json", {"problem": problem, "parity": [1, -1], "t": [["1/3"]]}
         )
         assert main(["check-bae", "--input", inp]) == 1
+
+    @pytest.mark.parametrize(
+        "problem, parity, t, code, out, err",
+        [
+            (GL22, [1, -1, 1, -1], [[], ["-12"], ["-6"]], 0, SATISFIED, ""),
+            (GL22, [1, -1, 1, -1], [[], ["-11"], ["-6"]], 1, NOT_SATISFIED, ""),
+            (GL32, [1, 1, -1, 1, -1], [[], ["-6"], ["-4"], []], 0, SATISFIED, ""),
+            # colour 1 pairs to zero with itself, and 4 is a double root of
+            # its equation: twice is within the multiplicity, three times beyond
+            (GL21_DOUBLE_ROOT, [1, -1, 1], [["4", "4"], ["3"]], 0, SATISFIED, ""),
+            (GL21_DOUBLE_ROOT, [1, -1, 1], [["4", "4", "4"], ["3"]], 1, NOT_SATISFIED, ""),
+            (GL21_DOUBLE_ROOT, [1, -1, 1], [["4"], ["3"]], 1, NOT_SATISFIED, ""),
+            (WORKED_PROBLEM, [1, 1, -1], [[], []], 2, "", "bad input: direct residue check needs rational evaluation points\n"),
+        ],
+        ids=["gl22", "gl22-off-root", "gl32", "double-root", "triple-root", "single-root", "Ts-only"],
+    )
+    def test_pinned_runs(self, tmp_path, capsys, problem, parity, t, code, out, err):
+        inp = write(tmp_path, "in.json", {"problem": problem, "parity": parity, "t": t})
+        assert main(["check-bae", "--input", inp]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out, err)
 
 
 class TestRpdoEqual:

@@ -3,8 +3,9 @@
 sympy is a test-only oracle here; the engine itself stays stdlib-only.
 The fraction-free Wronskian and the cross-multiplied edge comparison are
 also checked against elimination and arithmetic over reduced ``RatFun``s,
-and the integer mixed-parity reproduction against the ``Poly`` product
-formula it replaced.
+the integer mixed-parity reproduction against the ``Poly`` product
+formula it replaced, and the residue form of the Bethe equations against
+per-root sums, the reproduction criterion and sympy's algebraic roots.
 Inputs are seeded random rational polynomials, many of them built from
 shared and repeated factors so that gcds, radicals and root
 multiplicities are nontrivial.  The ring kernels, derivatives, monic forms
@@ -13,6 +14,7 @@ denominators, leading coefficients of either sign with several digits,
 and evaluation points with large denominators.
 """
 
+import collections
 import json
 import random
 from fractions import Fraction as Q
@@ -21,15 +23,31 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gaudin import bethe
-from gaudin.bethe import BethePoint, fermionic_reproduce, populate
+from gaudin.bethe import (
+    BethePoint,
+    bae_check_criterion,
+    bae_check_direct,
+    bae_residue_holds,
+    fermionic_reproduce,
+    genericity_check,
+    populate,
+)
 from gaudin.cli import build_parser
-from gaudin.errors import CriterionFailed, DegenerateReproduction, InternalInconsistency
+from gaudin.errors import (
+    CriterionFailed,
+    DegenerateReproduction,
+    InternalInconsistency,
+    InvalidConfiguration,
+    InvalidInput,
+)
 from gaudin.linalg import charpoly_coeffs, mat_mul, solve_linear
-from gaudin.weights import ParitySequence, ProblemData, Weight
+from gaudin.weights import ParitySequence, ProblemData, Weight, cartan_pairing, hook_weight, site_table
 from gaudin.rational import (
     Poly,
     RatFun,
+    multiplicity,
     poly_gcd,
+    qq,
     radical,
     rational_roots,
     squarefree_decomposition,
@@ -490,11 +508,11 @@ def product_fermionic_reproduce(point, i):
     return BethePoint(point.problem, point.parity.swapped(i), ys)
 
 
-def golden_populations():
-    """The populations of the golden ``population`` and ``space`` runs, each once."""
+def golden_populations(kinds=("population", "space")):
+    """The populations of the golden runs of the given commands, each once."""
     seen = set()
     for argv in (*COMMANDS.values(), BUDGETED[1]):
-        if argv[0] in ("population", "space") and tuple(argv[1:]) not in seen:
+        if argv[0] in kinds and tuple(argv[1:]) not in seen:
             seen.add(tuple(argv[1:]))
             args = build_parser().parse_args([str(GOLDEN / a) if a.endswith(".json") else a for a in argv])
             with open(args.input) as fh:
@@ -561,3 +579,261 @@ def test_fermionic_kernel_matches_product_formula():
                     assert ((p.y(i) * target.y(i)).monic() == rhs) is keeps
                     assert bethe._edge_keeps_operator(p, target, i) is keeps
     assert all(seen.values()), seen
+
+
+def bae_root_sums(problem, parity, tlists):
+    """The Bethe equations checked root by root: the check that
+    ``bethe.bae_check_direct`` made before it read each colour's verdict
+    off y_i | num(E_i).
+
+    A colour whose simple root pairs nonzero with itself sums the residues
+    at each of its roots; a colour whose simple root pairs to zero builds
+    the numerator of its single-variable equation and compares each root's
+    repeats with its multiplicity there.
+    """
+    if problem.points is None:
+        raise InvalidInput("direct residue check needs rational evaluation points")
+    s = parity
+    size = len(s) - 1
+    if len(tlists) != size:
+        raise InvalidInput("one root list per colour is required")
+    tlists = [[qq(t) for t in ts] for ts in tlists]
+    zs = problem.points
+    # pairs[k][i] is (L_k, alpha_i^s); a missing colour pairs to zero
+    pairs = [dict(pairings) for _, _, pairings in site_table(s, problem.weights, zs)]
+
+    # non-coincidence conditions
+    flat = [(t, c + 1) for c, ts in enumerate(tlists) for t in ts]
+    for j, (tj, cj) in enumerate(flat):
+        for r, (tr, cr) in enumerate(flat):
+            if r != j and cartan_pairing(s, cr, cj) != 0 and tj == tr and cr != cj:
+                raise InvalidConfiguration("roots of interacting colours coincide")
+        for k, z in enumerate(zs):
+            if tj == z and cj in pairs[k]:
+                raise InvalidConfiguration("root collides with an evaluation point")
+    for colour in range(1, size + 1):
+        ts_c = tlists[colour - 1]
+        if not ts_c:
+            continue
+        if cartan_pairing(s, colour, colour) != 0:
+            if len(set(ts_c)) != len(ts_c):
+                raise InvalidConfiguration("repeated root of a self-interacting colour")
+            for j, tj in enumerate(ts_c):
+                total = Q(0)
+                for k, z in enumerate(zs):
+                    if colour in pairs[k]:
+                        total -= pairs[k][colour] / (tj - z)
+                for cr in range(1, size + 1):
+                    pairing = cartan_pairing(s, cr, colour)
+                    if pairing == 0:
+                        continue
+                    for r, tr in enumerate(tlists[cr - 1]):
+                        if cr == colour and r == j:
+                            continue
+                        total += pairing / (tj - tr)
+                if total != 0:
+                    return False
+        else:
+            num = colour_numerator(problem, s, tlists, colour)
+            if num.is_zero():
+                continue  # identically satisfied
+            for t in set(ts_c):
+                if ts_c.count(t) > multiplicity(num, Poly((-t, 1))):
+                    return False
+    return True
+
+
+def colour_numerator(problem, parity, tlists, colour):
+    """Numerator of the single-variable equation of a colour whose simple
+    root pairs to zero with itself, over the product of its poles."""
+    # sum of -c_k/(t-z_k) plus the cross-colour interaction terms
+    terms: list[tuple[Q, Q]] = []
+    for z, _, pairings in site_table(parity, problem.weights, problem.points):
+        c = dict(pairings).get(colour)
+        if c is not None:
+            terms.append((-c, z))
+    for cr in range(1, len(parity)):
+        if cr == colour:
+            continue
+        pairing = cartan_pairing(parity, cr, colour)
+        if pairing == 0:
+            continue
+        for tr in tlists[cr - 1]:
+            terms.append((Q(pairing), tr))
+    num = Poly.zero()
+    den = Poly.one()
+    for c, pole in terms:
+        num = num * Poly((-pole, 1)) + c * den
+        den = den * Poly((-pole, 1))
+    return num
+
+
+def bae_outcome(check, problem, parity, tlists):
+    """The verdict of a direct check, or its exception's class and message."""
+    try:
+        return check(problem, parity, tlists)
+    except InvalidInput as exc:
+        return type(exc), str(exc)
+
+
+BAE_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3)]
+# roots around the points, so that some land on them
+BAE_ROOTS = sorted({Q(a, b) for a in range(-12, 13) for b in (1, 2, 3, 4)})
+
+
+@st.composite
+def bae_inputs(draw):
+    """A problem of 1-3 hook sites at distinct integer points, a parity of
+    its shape and one root list per colour, possibly empty or with repeats."""
+    m, n = draw(st.sampled_from(BAE_SHAPES))
+    sites = draw(st.integers(1, 3))
+    points = draw(st.lists(st.integers(-3, 3), min_size=sites, max_size=sites, unique=True))
+    parts = st.lists(st.integers(1, 3), max_size=4).map(lambda mu: sorted(mu, reverse=True))
+    hooks = parts.filter(lambda mu: len(mu) <= m or mu[m] <= n)
+    weights = [hook_weight(draw(hooks), m, n) for _ in points]
+    parity = draw(st.sampled_from(list(ParitySequence.all_sequences(m, n))))
+    # a repeated root half of the time
+    roots = st.one_of(
+        st.lists(st.sampled_from(BAE_ROOTS), max_size=2),
+        st.lists(st.sampled_from(BAE_ROOTS), min_size=1, max_size=2).map(lambda ts: ts + ts[:1]),
+    )
+    tlists = [draw(roots) for _ in range(m + n - 1)]
+    problem = ProblemData(m, n, weights, points=points)
+    zero = [c for c in range(1, m + n) if cartan_pairing(parity, c, c) == 0]
+    if zero and draw(st.booleans()):
+        # one such colour gets the rational roots of its equation, at their
+        # multiplicities or with one copy too many
+        c = draw(st.sampled_from(zero))
+        num = colour_numerator(problem, parity, tlists, c)
+        if num:
+            ts = [t for t, mult in rational_roots(num)[0] for _ in range(mult)]
+            tlists[c - 1] = ts + ts[:1] if draw(st.booleans()) else ts
+    return problem, parity, tlists
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(bae_inputs())
+def test_residue_form_matches_root_sums(case):
+    """``bae_check_direct`` decides like the root sums, or raises the same
+    exception with the same message."""
+    assert bae_outcome(bae_check_direct, *case) == bae_outcome(bae_root_sums, *case), case
+
+
+def rational_root_lists(point):
+    """Each entry's roots with repeats, or None if one is irrational."""
+    tlists = []
+    for y in point.ys:
+        roots, rest = rational_roots(y) if y.degree else ([], y)
+        if rest.degree:
+            return None
+        tlists.append([t for t, mult in roots for _ in range(mult)])
+    return tlists
+
+
+def test_residue_form_matches_root_sums_on_golden_nodes():
+    """Every golden node whose roots are all rational, and the same node with
+    one colour's roots moved by 1/7, gets the same outcome from both checks."""
+    outcomes = collections.Counter()
+    for pop in golden_populations():
+        for point in pop.points():
+            tlists = rational_root_lists(point)
+            if tlists is None:
+                continue
+            moved = [[[t + Q(1, 7) for t in ts] if c == i else ts for c, ts in enumerate(tlists)]
+                     for i, ts in enumerate(tlists) if ts]
+            for ts in (tlists, *moved):
+                case = point.problem, point.parity, ts
+                got = bae_outcome(bae_check_direct, *case)
+                assert got == bae_outcome(bae_root_sums, *case), case
+                outcomes[got if isinstance(got, bool) else got[0]] += 1
+    assert outcomes[True] and outcomes[False] and outcomes[InvalidConfiguration], outcomes
+
+
+def test_golden_space_nodes_hold_in_residue_form():
+    """Every generic node of the golden ``space`` runs solves the Bethe
+    equations in residue form, and 14 of the 167 non-generic nodes do.  Each
+    generic node with one nonconstant y_i raised by 1/7 that stays generic
+    gets the verdict of the reproduction criterion."""
+    counts = collections.Counter()
+    for pop in golden_populations(("space",)):
+        for point in pop.points():
+            holds = bae_residue_holds(point)
+            if not genericity_check(point)[0]:
+                counts["non-generic", holds] += 1
+                continue
+            assert holds, point
+            counts["generic"] += 1
+            for i, y in enumerate(point.ys):
+                ys = list(point.ys)
+                ys[i] = y + Q(1, 7)
+                mutant = BethePoint(point.problem, point.parity, ys)
+                if y.degree and genericity_check(mutant)[0]:
+                    holds = bae_residue_holds(mutant)
+                    assert holds == bae_check_criterion(mutant), mutant
+                    counts["mutant", holds] += 1
+    assert counts == {
+        "generic": 700,
+        ("non-generic", True): 14,
+        ("non-generic", False): 153,
+        ("mutant", True): 365,
+        ("mutant", False): 1167,
+    }
+
+
+def algebraic_bae_holds(point):
+    """The Bethe equations at sympy's exact algebraic roots of each y_i.
+
+    At a root t of multiplicity m of y_i, the equation's left side and its
+    first m - 1 derivatives must vanish, each checked as an algebraic number
+    whose minimal polynomial is x; m > 1 occurs only in colours whose simple
+    root pairs to zero with itself, which have no sum over their own roots.
+    """
+    s, ts = point.parity, point.ts()
+    size = len(s) - 1
+    roots = [to_sympy(y).all_roots() if y.degree else [] for y in point.ys]
+    for i in range(1, size + 1):
+        t_term = sympy.cancel(sum(
+            sign * to_sympy(ts[k]).diff(X).as_expr() / to_sympy(ts[k]).as_expr()
+            for k, sign in ((i - 1, -s[i]), (i, s[i + 1]))
+        ))
+        others = sum(
+            cartan_pairing(s, r, i) / (X - u) for r in range(1, size + 1) if r != i for u in roots[r - 1]
+        )
+        for t in set(roots[i - 1]):
+            mult = roots[i - 1].count(t)
+            lhs = t_term + others + sum(cartan_pairing(s, i, i) / (X - u) for u in roots[i - 1] if u != t)
+            for j in range(mult):
+                if sympy.minimal_polynomial(sympy.diff(lhs, X, j).subs(X, t), X) != X:
+                    return False
+    return True
+
+
+# nodes of the golden space runs with irrational roots (the first is given
+# by its weight polynomials alone, which bae_check_direct cannot take),
+# as entries' ascending coefficients
+IRRATIONAL_NODES = [
+    ("worked_gl21.json", (1, -1, 1), [[0, 1], [Q(-1, 4), 0, 0, 1]]),
+    ("gl31.json", (1, 1, -1, 1), [[1], [1], [Q(2, 3), -2, 1]]),
+    ("gl31.json", (1, 1, 1, -1), [[6, 1], [12, 12, 1], [1]]),
+]
+
+
+@pytest.mark.parametrize("name, parity, ys", IRRATIONAL_NODES)
+def test_residue_form_matches_algebraic_roots(name, parity, ys):
+    """Such a node holds at sympy's algebraic roots, and with one nonconstant
+    entry raised by 1/7 it gets the same verdict in residue form and at
+    those roots, which is a failure for at least one entry."""
+    args = build_parser().parse_args(["space", "--input", str(GOLDEN / name)])
+    with open(args.input) as fh:
+        problem = args.read(json.load(fh), args)[0].problem
+    node = BethePoint(problem, ParitySequence(parity), [Poly(c) for c in ys])
+    assert bae_residue_holds(node) and algebraic_bae_holds(node)
+    verdicts = []
+    for i, y in enumerate(node.ys):
+        if y.degree:
+            ys = list(node.ys)
+            ys[i] = y + Q(1, 7)
+            mutant = BethePoint(problem, node.parity, ys)
+            verdicts.append(bae_residue_holds(mutant))
+            assert verdicts[-1] == algebraic_bae_holds(mutant), mutant
+    assert not all(verdicts)
