@@ -288,14 +288,11 @@ def bae_check_direct(problem: ProblemData, parity: ParitySequence, tlists) -> bo
             if tj == z and cj in pairs[k]:
                 raise InvalidConfiguration("root collides with an evaluation point")
     point = BethePoint(problem, s, [Poly.from_roots(ts) for ts in tlists])
-    # colour by colour, as a repeated root of a self-interacting colour is
-    # reported only when every colour before it holds
+    # every colour's repeats are checked before any colour's verdict
     for colour, ts_c in enumerate(tlists, start=1):
         if cartan_pairing(s, colour, colour) != 0 and len(set(ts_c)) != len(ts_c):
             raise InvalidConfiguration("repeated root of a self-interacting colour")
-        if not _residue_divides(point, colour):
-            return False
-    return True
+    return bae_residue_holds(point)
 
 
 def population_factorization(point: BethePoint) -> CompleteFactorization:

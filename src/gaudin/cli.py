@@ -13,6 +13,7 @@ once, through :data:`EXIT_CODES`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -188,6 +189,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaudin",

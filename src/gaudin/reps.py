@@ -154,6 +154,7 @@ class TensorSystem:
         for d in self.dims:
             self.dim *= d
         self._leg_cache: dict[tuple[int, int, int], Sparse] = {}
+        self._casimir_cache: dict[tuple[int, int], Sparse] = {}
         self._ham_cache: dict[int, Sparse] = {}
         self._weights: list[tuple[Fraction, ...]] | None = None
 
@@ -230,33 +231,52 @@ class TensorSystem:
                     bucket[row] = bucket.get(row, 0) + val
         return _collected(acc)
 
+    def casimir(self, r: int, k: int) -> Sparse:
+        """Two-site Casimir sum over a, b of (-1)^|b| e_ab^(r) e_ba^(k), column-sparse.
+
+        It is symmetric in r and k: swapping the legs gives (-1)^(|a|+|b|),
+        and relabelling a <-> b cancels it.  So it is built once per
+        unordered pair of sites (1-based, r != k).
+        """
+        key = (min(r, k), max(r, k))
+        if key in self._casimir_cache:
+            return self._casimir_cache[key]
+        r, k = key
+        size = self.m + self.n
+        acc: dict[int, dict[int, Fraction]] = {}
+        for a in range(1, size + 1):
+            for b in range(1, size + 1):
+                left = self.leg_op(r, a, b)
+                if not left:
+                    continue
+                odd = b > self.m
+                for col, entries in self.leg_op(k, b, a).items():
+                    bucket = acc.setdefault(col, {})
+                    for mid, v1 in entries:
+                        fv = -v1 if odd else v1
+                        for row, v2 in left.get(mid, ()):
+                            bucket[row] = bucket.get(row, 0) + fv * v2
+        op = _collected(acc)
+        self._casimir_cache[key] = op
+        return op
+
     def sparse_hamiltonian(self, r: int) -> Sparse:
         """Quadratic Gaudin operator at site r (1-based), column-sparse.
 
-        H_r = sum over k != r and a, b of (-1)^|b| e_ab^(r) e_ba^(k) / (z_r - z_k),
-        summed into one accumulator per column; each term's factor is
-        taken once per (k, a, b).
+        H_r = sum over k != r of Omega_rk / (z_r - z_k), with Omega_rk the
+        two-site :meth:`casimir`, summed into one accumulator per column.
         """
         if r in self._ham_cache:
             return self._ham_cache[r]
-        size = self.m + self.n
         acc: dict[int, dict[int, Fraction]] = {}
         for k in range(1, len(self.modules) + 1):
             if k == r:
                 continue
             weight = Q(1, 1) / (self.points[r - 1] - self.points[k - 1])
-            for a in range(1, size + 1):
-                for b in range(1, size + 1):
-                    left = self.leg_op(r, a, b)
-                    if not left:
-                        continue
-                    factor = weight if b <= self.m else -weight
-                    for col, entries in self.leg_op(k, b, a).items():
-                        bucket = acc.setdefault(col, {})
-                        for mid, v1 in entries:
-                            fv = factor * v1
-                            for row, v2 in left.get(mid, ()):
-                                bucket[row] = bucket.get(row, 0) + fv * v2
+            for col, entries in self.casimir(r, k).items():
+                bucket = acc.setdefault(col, {})
+                for row, v in entries:
+                    bucket[row] = bucket.get(row, 0) + weight * v
         op = _collected(acc)
         self._ham_cache[r] = op
         return op
@@ -522,7 +542,8 @@ def _joint_eigen_decomposition(mats):
     nullspace basis stays independent, so no regrouping is needed.  A
     lifted basis stays in echelon form at the parent rows picked by the
     nullspace's free columns, so each matrix acts on it by coordinates read
-    off those rows.
+    off those rows.  A line is not split: once the invariance check has
+    passed, its one coordinate is the eigenvalue.
     """
     dim = len(mats[0]) if mats else 0
     spaces = [((), identity(dim), list(range(dim)))]
@@ -532,6 +553,9 @@ def _joint_eigen_decomposition(mats):
         for eigs, vectors, rows in spaces:
             images = [[sum(x * y for x, y in zip(row, vec)) for row in m] for vec in vectors]
             action = _coordinates(images, vectors, rows)
+            if len(vectors) == 1:
+                new_spaces.append((eigs + (action[0][0],), vectors, rows))
+                continue
             roots, rem = rational_roots(Poly(charpoly_coeffs(action)))
             if rem.degree > 0:
                 irrational += rem.degree

@@ -403,6 +403,9 @@ TS_BLOCK_RATIO = dict(WORKED_PROBLEM, Ts=[["1"], ["-1", "0", "0", "1"], ["1"]])
 # gl(2|1) with two (1,0,0) sites: root configurations that break the
 # non-coincidence conditions of the Bethe ansatz
 GL21_TWO_SITES = {"M": 2, "N": 1, "parity": [1, 1, -1], "weights": [["1", "0", "0"]] * 2, "points": ["0", "1"]}
+# colour 1 fails its Bethe equation, and colour 2, with (alpha_2, alpha_2) = 2
+# at parity (-1, 1, 1), repeats a root: the repeat is bad input all the same
+GL21_ONE_SITE = {"M": 2, "N": 1, "weights": [["1", "0", "0"]], "points": ["0"]}
 # tests/golden/rational_gl21.json's problem with seeds that fail genericity:
 # y_2 = x meets the weight-poly ratio, and y_1 = (x - 5)^2 has a repeated root
 RATIONAL_GL21 = json.loads((GOLDEN / "rational_gl21.json").read_text())["problem"]
@@ -460,6 +463,7 @@ class TestInputContract:
             ("check-bae", {"problem": GL21_TWO_SITES, "parity": [1, 1, -1], "t": [["0"], []]}, []),
             ("check-bae", {"problem": GL21_TWO_SITES, "parity": [1, 1, -1], "t": [["5", "5"], []]}, []),
             ("check-bae", {"problem": GL21_TWO_SITES, "parity": [1, 1, -1], "t": [["5"], ["5"]]}, []),
+            ("check-bae", {"problem": GL21_ONE_SITE, "parity": [-1, 1, 1], "t": [["-8"], ["-7", "-7"]]}, []),
             ("population", {"problem": RATIONAL_GL21, "seed": NOT_GENERIC_SEEDS[0]}, []),
             ("population", {"problem": RATIONAL_GL21, "seed": NOT_GENERIC_SEEDS[1]}, []),
         ],
@@ -508,6 +512,7 @@ class TestInputContract:
             "root-on-a-point",
             "repeated-root",
             "interacting-roots-coincide",
+            "repeated-root-after-failing-colour",
             "not-generic-seed-meets-ratio",
             "not-generic-seed-repeated-root",
         ],
@@ -565,6 +570,9 @@ class TestParser:
     def test_options_per_subcommand(self, command, options):
         args = build_parser().parse_args([command])
         assert set(vars(args)) - {"command", "read", "run"} == options
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
 
 
 class TestWireFormat:

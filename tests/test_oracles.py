@@ -589,7 +589,8 @@ def bae_root_sums(problem, parity, tlists):
     A colour whose simple root pairs nonzero with itself sums the residues
     at each of its roots; a colour whose simple root pairs to zero builds
     the numerator of its single-variable equation and compares each root's
-    repeats with its multiplicity there.
+    repeats with its multiplicity there.  All input checks, the repeats of
+    self-interacting colours included, run before any colour's verdict.
     """
     if problem.points is None:
         raise InvalidInput("direct residue check needs rational evaluation points")
@@ -611,13 +612,14 @@ def bae_root_sums(problem, parity, tlists):
         for k, z in enumerate(zs):
             if tj == z and cj in pairs[k]:
                 raise InvalidConfiguration("root collides with an evaluation point")
+    for colour, ts_c in enumerate(tlists, start=1):
+        if cartan_pairing(s, colour, colour) != 0 and len(set(ts_c)) != len(ts_c):
+            raise InvalidConfiguration("repeated root of a self-interacting colour")
     for colour in range(1, size + 1):
         ts_c = tlists[colour - 1]
         if not ts_c:
             continue
         if cartan_pairing(s, colour, colour) != 0:
-            if len(set(ts_c)) != len(ts_c):
-                raise InvalidConfiguration("repeated root of a self-interacting colour")
             for j, tj in enumerate(ts_c):
                 total = Q(0)
                 for k, z in enumerate(zs):

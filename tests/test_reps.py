@@ -15,6 +15,7 @@ from gaudin.reps import (
     _has_jordan_defect,
     _joint_eigen_decomposition,
     _restricted_hamiltonians,
+    _sparse_to_dense,
     check_lowering_bridge,
     gl11_module,
     gl11_nonpoly_report,
@@ -37,8 +38,6 @@ GL11_GOLDEN = ["gl11_four_sites", "gl11_irrational", "gl11_double_root", "gl11_w
 
 
 def dense(system, a, b):
-    from gaudin.reps import _sparse_to_dense
-
     return _sparse_to_dense(system.diagonal_op(a, b), system.dim)
 
 
@@ -82,6 +81,43 @@ def composed_hamiltonian(system, r):
         for row, val in entries:
             rows[row][col] += val
     return rows
+
+
+def per_site_hamiltonian(system, r):
+    """H_r built site by site: every (k, a, b) term of sum over k != r of
+    (-1)^|b| e_ab^(r) e_ba^(k) / (z_r - z_k) summed into one accumulator,
+    each two-site product made afresh for each r, made dense at the end."""
+    size = system.m + system.n
+    acc = {}
+    for k in range(1, len(system.modules) + 1):
+        if k == r:
+            continue
+        weight = Q(1) / (system.points[r - 1] - system.points[k - 1])
+        for a in range(1, size + 1):
+            for b in range(1, size + 1):
+                left = system.leg_op(r, a, b)
+                factor = weight if b <= system.m else -weight
+                for col, entries in system.leg_op(k, b, a).items():
+                    bucket = acc.setdefault(col, {})
+                    for mid, v1 in entries:
+                        for row, v2 in left.get(mid, ()):
+                            bucket[row] = bucket.get(row, 0) + factor * v1 * v2
+    rows = [[Q(0)] * system.dim for _ in range(system.dim)]
+    for col, bucket in acc.items():
+        for row, val in bucket.items():
+            rows[row][col] += val
+    return rows
+
+
+def ordered_casimir(system, r, k):
+    """sum over a, b of (-1)^|b| e_ab^(r) e_ba^(k) with the legs in the given order, dense."""
+    size = system.m + system.n
+    total = {}
+    for a in range(1, size + 1):
+        for b in range(1, size + 1):
+            sign = 1 if b <= system.m else -1
+            _sparse_add(total, _sparse_compose(system.leg_op(r, a, b), system.leg_op(k, b, a)), Q(sign))
+    return _sparse_to_dense(total, system.dim)
 
 
 def random_gl11_modules(rng, n):
@@ -244,6 +280,35 @@ class TestHamiltonianBuild:
                 assert system.hamiltonian(r) == composed_hamiltonian(system, r), (points, r)
 
 
+class TestPairCasimir:
+    def pair_systems(self):
+        rng = random.Random(3001)
+        for n in (2, 3, 4, 2, 3, 4):
+            yield random_gl11_modules(rng, n)
+        for m, n in ((2, 1), (1, 2)):
+            yield TensorSystem([vector_rep(m, n)] * 3, [Q(-1, 2), 3, Q(7, 3)])
+
+    def test_hamiltonians_match_per_site_build(self):
+        for system in self.pair_systems():
+            for r in range(1, len(system.modules) + 1):
+                assert system.hamiltonian(r) == per_site_hamiltonian(system, r), (system.dims, r)
+
+    def test_casimir_is_symmetric(self):
+        for system in self.pair_systems():
+            sites = range(1, len(system.modules) + 1)
+            for r, k in product(sites, sites):
+                if r < k:
+                    omega = ordered_casimir(system, r, k)
+                    assert omega == ordered_casimir(system, k, r), (system.dims, r, k)
+                    assert _sparse_to_dense(system.casimir(k, r), system.dim) == omega
+
+    def test_one_product_per_pair(self):
+        system = random_gl11_modules(random.Random(3002), 4)
+        for r in range(1, 5):
+            system.sparse_hamiltonian(r)
+        assert sorted(system._casimir_cache) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
 class TestRestriction:
     def solve_blocks(self, system, sing):
         basis = [list(row) for row in zip(*sing)]
@@ -283,6 +348,23 @@ class TestRestriction:
         line[system.index_of((1, 0))] = Q(1)
         with pytest.raises(InternalInconsistency, match="^subspace is not invariant$"):
             _restricted_hamiltonians(system, [line])
+
+    def test_non_invariant_line_raises(self, monkeypatch):
+        # diag(1, 2, 2) splits into the line e_1 and the plane (e_2, e_3);
+        # the second matrix keeps the plane but sends e_1 to e_1 + e_2, so
+        # the line is checked without a split and fails
+        import gaudin.reps
+
+        sizes = []
+        charpoly = gaudin.reps.charpoly_coeffs
+        monkeypatch.setattr(gaudin.reps, "charpoly_coeffs", lambda a: sizes.append(len(a)) or charpoly(a))
+        mats = [
+            [[Q(1), Q(0), Q(0)], [Q(0), Q(2), Q(0)], [Q(0), Q(0), Q(2)]],
+            [[Q(1), Q(0), Q(0)], [Q(1), Q(1), Q(0)], [Q(0), Q(0), Q(1)]],
+        ]
+        with pytest.raises(InternalInconsistency, match="^subspace is not invariant$"):
+            _joint_eigen_decomposition(mats)
+        assert 1 not in sizes
 
     def test_non_commuting_pair_raises(self):
         # diag(1, 2) splits into the coordinate lines, which the swap mixes
@@ -540,7 +622,9 @@ class TestJordanDefect:
         system = TensorSystem([gl11_module(p, q) for p, q in pqs], [-2, -1, 0, 3])
         report = gl11_spectrum_report(system)
         assert report["counts_match"] and not report["jordan_defect"]
-        assert len([d for d in degrees if d > 0]) <= 28
+        # the two 3x3 blocks of weight 1 and 2 under H_1; every other block
+        # is split into lines, which are read without a root search
+        assert len([d for d in degrees if d > 0]) == 2
 
 
 class TestBridge:
