@@ -33,6 +33,9 @@ COMMANDS = {
     "space_rational_gl21": ["space", "--input", "rational_gl21.json"],
     "space_rational_gl21_point_1e50_depth3": ["space", "--input", "rational_gl21_point_1e50.json", "--max-depth", "3"],
     "population_gl22_depth4": ["population", "--input", "gl22.json", "--max-depth", "4"],
+    "population_gl22_pole_depth4": ["population", "--input", "gl22_pole.json", "--max-depth", "4"],
+    "population_gl13_depth3": ["population", "--input", "gl13.json", "--max-depth", "3"],
+    "population_gl32_depth3": ["population", "--input", "gl32.json", "--max-depth", "3"],
     "space_gl22_depth4": ["space", "--input", "gl22.json", "--max-depth", "4"],
     "space_gl22_pole_depth4": ["space", "--input", "gl22_pole.json", "--max-depth", "4"],
     "space_gl13_depth3": ["space", "--input", "gl13.json", "--max-depth", "3"],
