@@ -60,6 +60,16 @@ class BethePoint:
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "ys", ys)
 
+    @classmethod
+    def _trusted(cls, problem: ProblemData, parity: ParitySequence, ys: tuple) -> "BethePoint":
+        """A tuple whose entries are already monic nonzero ``Poly``s of the
+        right count, built without the input checks (reproductions only)."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "problem", problem)
+        object.__setattr__(point, "parity", parity)
+        object.__setattr__(point, "ys", ys)
+        return point
+
     def y(self, i: int) -> Poly:
         """Entry y_i with the boundary convention y_0 = y_{M+N} = 1."""
         if i == 0 or i == self.problem.m + self.problem.n:
@@ -180,9 +190,13 @@ def bosonic_reproduce(point: BethePoint, i: int) -> ReproductionFamily:
     s = point.parity
     if s[i] != s[i + 1]:
         raise InvalidInput(f"direction {i} is not same-parity")
+    return _family(point, i, bosonic_rhs(point, i))
+
+
+def _family(point: BethePoint, i: int, rhs: Poly) -> ReproductionFamily:
+    """:func:`bosonic_reproduce` given its right side ``rhs`` = :func:`bosonic_rhs`."""
     y = point.y(i)
     # y w' - y' w = rhs; the homogeneous solutions are the multiples of y
-    rhs = bosonic_rhs(point, i)
     particular = wronskian_partner(y, rhs)
     if particular is None:
         raise CriterionFailed(f"no polynomial Wronskian partner in direction {i}")
@@ -197,9 +211,9 @@ def fermionic_reproduce(point: BethePoint, i: int) -> BethePoint:
     quo, rem, _ = _pseudo_divmod(_fermionic_ints(point, i)[0], point.y(i).ints)
     if rem:
         raise CriterionFailed(f"entry y_{i} does not divide the partner product")
-    ys = list(point.ys)
-    ys[i - 1] = _poly(quo, quo[-1])
-    return BethePoint(point.problem, s.swapped(i), ys)
+    # the quotient is nonzero, as the right side is, and made monic here
+    ys = point.ys[: i - 1] + (_poly(quo, quo[-1]),) + point.ys[i:]
+    return BethePoint._trusted(point.problem, s.swapped(i), ys)
 
 
 def bae_check_criterion(point: BethePoint) -> bool:
@@ -370,19 +384,23 @@ def _on_wronskian_line(y: Poly, cand: Poly, line: Poly) -> bool:
     return not w or w.monic() == line
 
 
-def _family_sibling_exists(pop: Population, point: BethePoint, i: int, family: ReproductionFamily) -> bool:
-    """Whether another known node already lies on this family's projective line.
+def _family_sibling_exists(pop: Population, point: BethePoint, i: int, rhs: Poly) -> bool:
+    """Whether another known node already lies on the projective line of the
+    family of ``point`` in direction i, whose right side is ``rhs``.
 
     Re-sampling such a family from a second basepoint would scatter fresh
     points over the same line forever, so exploration stops once the line
-    is witnessed by any other member.  The line is span(particular, y) and
-    W(y, particular) = rhs, a nonzero polynomial (``wronskian_partner``
-    checks every row of that equation exactly), so a candidate lies on it
-    exactly when W(y, cand) is 0 or a scalar multiple of rhs.
+    is witnessed by any other member.  The line is span(particular, y) with
+    y = y_i and W(y, particular) = rhs, a nonzero polynomial, so a candidate
+    lies on it exactly when W(y, cand) is 0 or a scalar multiple of rhs.
+    The test needs no particular solution: a witness cand with
+    W(y, cand) = c rhs has c != 0 (else cand = y, the same node), so
+    cand / c is a polynomial partner and the family exists.
     """
-    line = family.rhs.monic()
+    line = rhs.monic()
+    y = point.y(i)
     return any(
-        _on_wronskian_line(family.homogeneous, other.ys[i - 1], line)
+        _on_wronskian_line(y, other.ys[i - 1], line)
         for other in pop._lines.get(_line_key(point, i), [])
         if other is not point
     )
@@ -393,7 +411,11 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
 
     Same-parity families are materialized at the supplied distinct samples
     (the degeneration member is the node itself); each projective family
-    line is sampled only once.  Reproductions are applied wherever the
+    line is sampled only once.  A node that a same-parity edge in direction
+    i reached lies on its source's line in direction i, which was sampled
+    when the source was expanded, so that direction is skipped there; on
+    other nodes the line is tested against the known nodes before the
+    partner is solved for.  Reproductions are applied wherever the
     defining formulas stay exact; a direction where no reproduction exists
     is recorded in ``diagnostics`` instead of aborting the whole
     exploration.  Only the seed is checked for genericity.
@@ -410,6 +432,8 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
     pop = Population(seed.problem)
     seed_key = pop.add(seed)
     frontier = [(seed_key, 0)]
+    # (node key, direction i) of each node that a same-parity edge in direction i reached
+    on_family_line = set()
     qpos = 0
     while qpos < len(frontier):
         key, depth = frontier[qpos]
@@ -419,26 +443,31 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
         point = pop.nodes[key]
         s = point.parity
 
-        def _record(child: BethePoint, direction: int, kind: str, scalar=None):
-            ckey = child.key()
-            if ckey not in pop.nodes:
+        def _record(child: BethePoint, direction: int, kind: str, scalar=None) -> tuple:
+            size = len(pop.nodes)
+            ckey = pop.add(child)
+            if len(pop.nodes) > size:
                 frontier.append((ckey, depth + 1))
-            pop.add(child)
             pop.edges.append(Edge(key, ckey, direction, kind, scalar))
+            return ckey
 
         for i in range(1, len(s)):
             if s[i] == s[i + 1]:
+                if (key, i) in on_family_line:
+                    continue
+                rhs = bosonic_rhs(point, i)
+                if _family_sibling_exists(pop, point, i, rhs):
+                    continue
                 try:
-                    family = bosonic_reproduce(point, i)
+                    family = _family(point, i, rhs)
                 except CriterionFailed as exc:
                     pop.diagnostics.append(f"{key} dir {i}: {exc}")
                     continue
-                if _family_sibling_exists(pop, point, i, family):
-                    continue
+                head, tail = point.ys[: i - 1], point.ys[i:]
                 for c in samples:
-                    ys = list(point.ys)
-                    ys[i - 1] = family.member(c)
-                    _record(BethePoint(point.problem, s, ys), i, "bosonic", c)
+                    # members are monic, and nonzero as particular is not a multiple of y_i
+                    child = BethePoint._trusted(point.problem, s, head + (family.member(c),) + tail)
+                    on_family_line.add((_record(child, i, "bosonic", c), i))
             else:
                 try:
                     child = fermionic_reproduce(point, i)
@@ -449,7 +478,7 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
     return pop
 
 
-def _edge_keeps_operator(source: BethePoint, target: BethePoint, i: int) -> bool:
+def _edge_keeps_operator(source: BethePoint, target: BethePoint, i: int, known=None) -> bool:
     """Whether a reproduction edge in direction i keeps R, checked as the
     reproduction relation of direction i, which is equivalent to it.
 
@@ -486,21 +515,32 @@ def _edge_keeps_operator(source: BethePoint, target: BethePoint, i: int) -> bool
     y~_i keeps R.  Otherwise, as A~ - B = ln'(pi y_{i-1} y_{i+1}), R is
     kept exactly when ln'(y_i y~_i) = ln'(pi y_{i-1} y_{i+1} S): when
     y_i y~_i is a nonzero constant times :func:`fermionic_rhs`.
+
+    The weight polynomials of both ends depend only on the problem, s and
+    i once the target's problem and parity are checked, so ``known``, a set
+    shared across calls, holds the (problem, parity entries, i) whose
+    weight polynomials already passed, and each is checked once.
     """
     s, size = source.parity, len(source.parity)
     if not 1 <= i < size:
         raise InternalInconsistency(f"edge direction {i} is out of range")
     mixed = s[i] != s[i + 1]
-    ts, tt = source.ts(), target.ts()
-    pis = source.problem.parity_data(s).radicals
     if (
         target.problem is not source.problem
         or target.parity != (s.swapped(i) if mixed else s)
         or any(source.y(j) != target.y(j) for j in range(1, size) if j != i)
-        or any(ts[j] != tt[j] for j in range(size) if j not in (i - 1, i))
-        or (mixed and (tt[i - 1], tt[i] * pis[i - 1]) != (ts[i] * pis[i - 1], ts[i - 1]))
     ):
         raise InternalInconsistency(f"an edge in direction {i} is not a reproduction")
+    known = set() if known is None else known
+    shape = (source.problem, s.entries, i)
+    if shape not in known:
+        ts, tt = source.ts(), target.ts()
+        pi = source.problem.parity_data(s).radicals[i - 1]
+        if any(ts[j] != tt[j] for j in range(size) if j not in (i - 1, i)) or (
+            mixed and (tt[i - 1], tt[i] * pi) != (ts[i] * pi, ts[i - 1])
+        ):
+            raise InternalInconsistency(f"an edge in direction {i} is not a reproduction")
+        known.add(shape)
     y, new = source.y(i), target.y(i)
     if not mixed:
         return _on_wronskian_line(y, new, bosonic_rhs(source, i).monic())
@@ -545,10 +585,12 @@ def verify_r_invariance(pop: Population) -> bool:
     :func:`discovery_edges` edge, so equality along the spanning tree is
     equality with the seed's R at every node.  A node no edge reaches, or
     an edge that is not a reproduction, raises
-    :class:`InternalInconsistency`.
+    :class:`InternalInconsistency`.  The weight polynomials' swap rule is
+    checked once per (parity, direction), not once per edge.
     """
+    known = set()
     for edge in discovery_edges(pop):
-        if not _edge_keeps_operator(pop.nodes[edge.source], pop.nodes[edge.target], edge.direction):
+        if not _edge_keeps_operator(pop.nodes[edge.source], pop.nodes[edge.target], edge.direction, known):
             return False
     return True
 

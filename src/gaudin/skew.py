@@ -198,9 +198,11 @@ class OreFraction:
             if not (rn.is_zero() and rd.is_zero()):
                 raise InternalInconsistency("right gcd does not divide exactly")
             num, den = qn, qd
-        # normalize the denominator monic by a right unit
-        unit = DiffOp.from_coeff(RatFun.one() / den.lc)
-        num, den = num * unit, den * unit
+        # normalize the denominator monic by a right unit, unless it already is
+        one = RatFun.one()
+        if den.lc != one:
+            unit = DiffOp.from_coeff(one / den.lc)
+            num, den = num * unit, den * unit
         return OreFraction(num, den, _minimal=True)
 
     def same_operator(self, other: "OreFraction") -> bool:

@@ -199,11 +199,15 @@ class Weight:
 
     def eps_at(self, s: ParitySequence) -> tuple[Fraction, ...]:
         """Standard-basis coordinates of the s-highest weight."""
-        cs = self.coords_at(s)
-        out = [Q(0)] * (self.m + self.n)
-        for i, v in enumerate(cs, start=1):
-            out[s.sigma[i - 1] - 1] = v
-        return tuple(out)
+        return _standard_coords(self.coords_at(s), s)
+
+
+def _standard_coords(coords_s, s: ParitySequence) -> tuple[Fraction, ...]:
+    """Standard-basis coordinates of a weight from its s-coordinate sequence."""
+    out = [Q(0)] * len(coords_s)
+    for i, v in enumerate(coords_s, start=1):
+        out[s.sigma[i - 1] - 1] = v
+    return tuple(out)
 
 
 def swap_coords(coords, s: ParitySequence, i: int):
@@ -395,14 +399,15 @@ def site_table(s: ParitySequence, weights, points) -> tuple:
     The k-th row is (z_k, sum_{r != k} (L_k, L_r) / (z_k - z_r), the nonzero
     pairings (i, (L_k, alpha_i^s))) with L the s-highest weights.
     """
-    eps = [w.eps_at(s) for w in weights]
+    coords = [w.coords_at(s) for w in weights]
+    eps = [_standard_coords(cs, s) for cs in coords]
     rows = []
-    for k, (w, zk) in enumerate(zip(weights, points)):
+    for k, (cs, zk) in enumerate(zip(coords, points)):
         total = Q(0)
         for r, zr in enumerate(points):
             if r != k:
                 total += pair_eps(eps[k], eps[r], s.m) / (zk - zr)
-        pairings = ((i, pair_weight_alpha(w.coords_at(s), s, i)) for i in range(1, len(s)))
+        pairings = ((i, pair_weight_alpha(cs, s, i)) for i in range(1, len(s)))
         rows.append((zk, total, tuple((i, c) for i, c in pairings if c != 0)))
     return tuple(rows)
 

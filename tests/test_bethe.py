@@ -238,7 +238,7 @@ class TestBosonic:
                 y, particular = family.homogeneous, family.particular
                 assert family.rhs == bosonic_rhs(point, i)
                 assert y * particular.derivative() - y.derivative() * particular == family.rhs
-                found = _family_sibling_exists(pop, point, i, family)
+                found = _family_sibling_exists(pop, point, i, family.rhs)
                 assert found == recomputed_sibling_exists(pop, point, i, family), (point, i)
                 verdicts.append(found)
         assert set(verdicts) == outcomes
@@ -365,7 +365,7 @@ class TestPopulate:
                     family = bosonic_reproduce(point, i)
                 except CriterionFailed:
                     continue
-                found = _family_sibling_exists(pop, point, i, family)
+                found = _family_sibling_exists(pop, point, i, family.rhs)
                 assert found == full_scan(pop, point, i, family), (point, i)
                 outcomes.add(found)
         assert outcomes == {True, False}
@@ -633,6 +633,25 @@ class TestRInvariance:
         with pytest.raises(InternalInconsistency, match="not a reproduction"):
             bethe._edge_keeps_operator(source, target, i)
 
+    def test_swap_rule_checked_once_per_parity_and_direction(self, monkeypatch):
+        pop = gl22_population()
+        shapes = {(pop.nodes[e.source].parity.entries, e.direction) for e in discovery_edges(pop).values()}
+        reads = []
+        ts = BethePoint.ts
+        monkeypatch.setattr(BethePoint, "ts", lambda p: reads.append(p) or ts(p))
+        assert verify_r_invariance(pop)
+        # the weight polynomials of the source and the target, once per shape
+        assert len(reads) == 2 * len(shapes) < len(discovery_edges(pop))
+
+    def test_population_off_the_swap_rule_is_inconsistent(self):
+        pop = golden_population("worked_gl21.json")
+        edge = next(e for e in discovery_edges(pop).values() if e.kind == "fermionic")
+        target = pop.nodes[edge.target]
+        data = pop.problem.parity_data(target.parity)
+        pop.problem._parity_data[target.parity.entries] = data._replace(ts=data.ts[::-1])
+        with pytest.raises(InternalInconsistency, match="not a reproduction"):
+            verify_r_invariance(pop)
+
     @pytest.mark.parametrize("direction", [0, 3])
     def test_direction_out_of_range_is_inconsistent(self, worked_seed, direction):
         with pytest.raises(InternalInconsistency, match="out of range"):
@@ -758,6 +777,134 @@ class TestEdgeRelationOracle:
             assert bethe._edge_keeps_operator(source, target, 1)
             assert second_order_keeps_operator(source, target, 1)
             assert population_operator(target).same_operator(population_operator(source))
+
+
+# the golden populations, grown as their recordings are
+GOLDEN_POPULATIONS = {
+    "worked-gl21": lambda: golden_population("worked_gl21.json"),
+    "rational-gl21": lambda: golden_population("rational_gl21.json"),
+    "gl31-depth-3": lambda: gl31_population(3),
+    "gl22-depth-4": lambda: golden_population("gl22.json", max_depth=4),
+    "gl22-pole-depth-4": lambda: golden_population("gl22_pole.json", max_depth=4),
+    "gl13-depth-3": lambda: golden_population("gl13.json", max_depth=3),
+    "gl32-depth-3": lambda: golden_population("gl32.json", max_depth=3),
+}
+
+
+def zero_weight_gl31_seed():
+    """gl(3|1) with one zero weight at 3: some odd directions have a
+    constant logarithmic-derivative argument, so the population records
+    diagnostics."""
+    prob = ProblemData(3, 1, [Weight(3, 1, (0, 0, 0, 0))], points=[3])
+    return BethePoint(prob, ParitySequence.standard(3, 1), [Poly.one()] * 3)
+
+
+def old_order_populate(seed, samples, max_depth):
+    """The breadth-first loop with each direction's work in its first order:
+    every same-parity direction solves for its family, then asks whether a
+    known node witnesses the family's line (the recomputed oracle above),
+    and every child is built through the checked ``BethePoint(...)``."""
+    samples = [Q(c) for c in samples]
+    pop = Population(seed.problem)
+    frontier = [(pop.add(seed), 0)]
+    for key, depth in frontier:  # the loop also visits the nodes appended to it
+        if depth >= max_depth:
+            continue
+        point = pop.nodes[key]
+        s = point.parity
+        for i in range(1, len(s)):
+            if s[i] == s[i + 1]:
+                try:
+                    family = bosonic_reproduce(point, i)
+                except CriterionFailed as exc:
+                    pop.diagnostics.append(f"{key} dir {i}: {exc}")
+                    continue
+                if recomputed_sibling_exists(pop, point, i, family):
+                    continue
+                children = []
+                for c in samples:
+                    ys = list(point.ys)
+                    ys[i - 1] = family.member(c)
+                    children.append((BethePoint(point.problem, s, ys), "bosonic", c))
+            else:
+                try:
+                    child = fermionic_reproduce(point, i)
+                except (CriterionFailed, DegenerateReproduction) as exc:
+                    pop.diagnostics.append(f"{key} dir {i}: {exc}")
+                    continue
+                children = [(BethePoint(point.problem, child.parity, child.ys), "fermionic", None)]
+            for child, kind, scalar in children:
+                ckey = child.key()
+                if ckey not in pop.nodes:
+                    frontier.append((ckey, depth + 1))
+                pop.add(child)
+                pop.edges.append(bethe.Edge(key, ckey, i, kind, scalar))
+    return pop
+
+
+class TestPopulateWorkOnce:
+    """``populate`` builds children without the input checks, tests a
+    family's line before solving for its partner, and skips the line a node
+    was reached along; none of it may change a node, an edge or a diagnostic."""
+
+    @pytest.mark.parametrize("grow", GOLDEN_POPULATIONS.values(), ids=GOLDEN_POPULATIONS.keys())
+    def test_nodes_equal_their_checked_rebuild(self, grow):
+        for key, point in grow().nodes.items():
+            assert type(point.ys) is tuple and all(type(y) is Poly for y in point.ys)
+            rebuilt = BethePoint(point.problem, point.parity, point.ys)
+            assert rebuilt.key() == key == point.key()
+
+    @pytest.mark.parametrize(
+        "seed, samples, depth",
+        [
+            (lambda: golden_seed("worked_gl21.json"), (0, 1, 2), 16),
+            (lambda: golden_seed("worked_gl21.json"), (5, 7), 16),
+            (lambda: golden_seed("rational_gl21.json"), (0, 1, 2), 16),
+            (lambda: golden_seed("gl31.json"), (-6, -5, 1), 3),
+            (lambda: golden_seed("gl31.json"), (-6, -5, 1), 4),
+            (lambda: golden_seed("gl22.json"), (0, 1, 2), 4),
+            (lambda: golden_seed("gl22_pole.json"), (0, 1, 2), 4),
+            (lambda: golden_seed("gl13.json"), (0, 1, 2), 3),
+            (lambda: golden_seed("gl32.json"), (0, 1, 2), 3),
+            (zero_weight_gl31_seed, (0, 1, 2), 3),
+        ],
+        ids=[
+            "worked", "worked-samples-5-7", "rational", "gl31-depth-3", "gl31-depth-4",
+            "gl22-depth-4", "gl22-pole-depth-4", "gl13-depth-3", "gl32-depth-3", "gl31-zero-weight",
+        ],
+    )
+    def test_same_population_as_the_old_order(self, seed, samples, depth):
+        pop = populate(seed(), samples, max_depth=depth)
+        old = old_order_populate(seed(), samples, depth)
+        assert list(pop.nodes) == list(old.nodes)
+        assert pop.edges == old.edges
+        assert pop.diagnostics == old.diagnostics
+
+    def test_old_order_oracle_records_diagnostics(self):
+        # the comparison above is not vacuous on diagnostics
+        old = old_order_populate(zero_weight_gl31_seed(), (0, 1, 2), 3)
+        assert len(old.nodes) == 94
+        assert len(old.diagnostics) == 7
+        assert all("constant logarithmic-derivative" in d for d in old.diagnostics)
+
+    def test_partner_solves_counted(self, monkeypatch):
+        calls = {"bosonic_rhs": 0, "wronskian_partner": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(bethe, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(bethe, name, counted)
+        prob = ProblemData(3, 1, [Weight(3, 1, (1, 1, 1, 0))] * 3, points=[0, 1, 2])
+        seed = BethePoint(prob, ParitySequence.standard(3, 1), [Poly.one()] * 3)
+        assert bae_check_criterion(seed)
+        # the seed's Bethe criterion solves its two same-parity directions
+        assert calls == {"bosonic_rhs": 2, "wronskian_partner": 2}
+        pop = populate(seed, [Q(-6), Q(-5), Q(1)], max_depth=4)
+        assert (len(pop.nodes), len(pop.edges)) == (352, 384)
+        # the same criterion again, then 114 line tests and 80 partner solves
+        # in the loop (192 of each in the old order)
+        assert calls == {"bosonic_rhs": 2 + 2 + 114, "wronskian_partner": 2 + 2 + 80}
 
 
 class TestEigenvalues:

@@ -261,6 +261,18 @@ class TestOreFraction:
             assert stripped.minimal() is stripped
             assert stripped.same_operator(OreFraction(d0, d1))
 
+    def test_minimal_with_and_without_a_monic_denominator(self):
+        # a right unit u changes the pair, not the operator: n d^(-1) = (n u)(d u)^(-1)
+        rng = random.Random(41)
+        unit = DiffOp.from_coeff(RatFun(X + 3, X - 2))
+        for _ in range(10):
+            num, den = rand_op(rng, 2), rand_op(rng, 1, monic=True)
+            monic, scaled = OreFraction(num, den), OreFraction(num * unit, den * unit)
+            assert monic.den.lc == RatFun.one() and scaled.den.lc != RatFun.one()
+            a, b = monic.minimal(), scaled.minimal()
+            assert (a.num, a.den) == (b.num, b.den)
+            assert a.den.lc == RatFun.one()
+
     def test_unequal(self):
         assert not OreFraction(D).same_operator(OreFraction(D - DiffOp.one()))
 

@@ -15,7 +15,10 @@ from gaudin.weights import (
     collision_poly,
     dominant,
     hook_weight,
+    pair_eps,
+    pair_weight_alpha,
     ratio_poly,
+    site_table,
     swap_coords,
     typical_sequence,
     weight_at_infinity,
@@ -306,6 +309,44 @@ class TestWeightAtInfinity:
         rhs = weight_at_infinity(st_, ws, [lt])
         al = alpha_eps(s, 1)
         assert lhs == tuple(r + a for r, a in zip(rhs, al))
+
+
+def site_table_per_colour(s, weights, points):
+    """:func:`site_table` with each weight's s-coordinates walked again for
+    every colour's pairing: the oracle."""
+    eps = [w.eps_at(s) for w in weights]
+    rows = []
+    for k, (w, zk) in enumerate(zip(weights, points)):
+        total = sum((pair_eps(eps[k], eps[r], s.m) / (zk - zr) for r, zr in enumerate(points) if r != k), Q(0))
+        pairings = [(i, pair_weight_alpha(w.coords_at(s), s, i)) for i in range(1, len(s))]
+        rows.append((zk, total, tuple((i, c) for i, c in pairings if c != 0)))
+    return tuple(rows)
+
+
+class TestSiteTable:
+    @pytest.mark.parametrize(
+        "m, n, coords, points",
+        [
+            # typical, atypical, fractional and negative weights side by side
+            (2, 2, [(3, 1, 2, 0), (1, 1, 0, 0), (Q(1, 2), -1, 0, 3), (0, 0, 0, 0)], [0, 1, Q(-3, 2), 5]),
+            (3, 2, [(2, 2, 2, 0, 0), (1, 0, 0, 0, 0), (4, 1, -2, Q(5, 3), 1)], [0, 1, -4]),
+        ],
+        ids=["gl22", "gl32"],
+    )
+    def test_rows_match_the_per_colour_walk(self, monkeypatch, m, n, coords, points):
+        weights = [Weight(m, n, c) for c in coords]
+        points = [Q(z) for z in points]
+        walks = []
+        coords_at = Weight.coords_at
+        monkeypatch.setattr(Weight, "coords_at", lambda w, s: walks.append(w) or coords_at(w, s))
+        sequences = list(ParitySequence.all_sequences(m, n))
+        for s in sequences:
+            walks.clear()
+            table = site_table(s, weights, points)
+            # one walk of each weight's coordinates, not one per weight and colour
+            assert walks == weights
+            assert table == site_table_per_colour(s, weights, points)
+        assert len(sequences) == {(2, 2): 6, (3, 2): 10}[(m, n)]
 
 
 class TestProblemData:
