@@ -138,6 +138,17 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def integer_scaled(a) -> tuple[list[list[int]], int]:
+    """(D A, D) for a rational matrix A, D the lcm of its entries' denominators."""
+    den = lcm(*[x.denominator for row in a for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+
+
+def int_mat_mul(a, b):
+    """Product of integer matrices, with no Fraction on the way."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def charpoly_coeffs(a) -> list[Fraction]:
     """Characteristic polynomial det(tI - A), ascending coefficients.
 
@@ -147,13 +158,12 @@ def charpoly_coeffs(a) -> list[Fraction]:
     coefficients, so each division by k in the recursion is exact.
     """
     n = len(a)
-    den = lcm(*[x.denominator for row in a for x in row])
-    b = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    b, den = integer_scaled(a)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in b]
+        am = int_mat_mul(b, m)
         tr = sum(am[i][i] for i in range(n))
         c, rem = divmod(-tr, k)
         if rem:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DegenerateInput,
@@ -23,6 +24,8 @@ from .errors import (
 from .linalg import (
     charpoly_coeffs,
     identity,
+    int_mat_mul,
+    integer_scaled,
     mat_scale,
     mat_sub,
     nullspace,
@@ -33,6 +36,7 @@ from .bethe import table_eigenvalues
 from .weights import ParitySequence, Weight, site_table, swap_coords, weight_at_infinity
 
 Sparse = dict[int, list[tuple[int, Fraction]]]
+IntSparse = dict[int, list[tuple[int, int]]]
 
 
 class SuperModule:
@@ -40,7 +44,8 @@ class SuperModule:
 
     ``action[(a, b)]`` holds the matrix of e_ab as a column-sparse map;
     ``parities`` lists the basis parities as +-1; basis vector 0 is the
-    standard-parity highest weight vector.
+    standard-parity highest weight vector.  ``den`` is the lcm of the
+    denominators of all matrix entries, so den * e_ab is an integer matrix.
     """
 
     def __init__(self, m, n, dim, parities, action, weight: Weight):
@@ -50,6 +55,7 @@ class SuperModule:
         self.parities = tuple(parities)
         self.action = action
         self.weight = weight
+        self.den = lcm(*(v.denominator for op in action.values() for col in op.values() for _, v in col))
 
     def matrix(self, a: int, b: int) -> Sparse:
         return self.action.get((a, b), {})
@@ -153,9 +159,11 @@ class TensorSystem:
         self.dim = 1
         for d in self.dims:
             self.dim *= d
-        self._leg_cache: dict[tuple[int, int, int], Sparse] = {}
-        self._casimir_cache: dict[tuple[int, int], Sparse] = {}
-        self._ham_cache: dict[int, Sparse] = {}
+        # the operators in integers, each an IntSparse map over one denominator
+        self._leg_cache: dict[tuple[int, int, int], IntSparse] = {}
+        self._diagonal_cache: dict[tuple[int, int], tuple[IntSparse, int]] = {}
+        self._casimir_cache: dict[tuple[int, int], IntSparse] = {}
+        self._ham_cache: dict[int, tuple[IntSparse, int]] = {}
         self._weights: list[tuple[Fraction, ...]] | None = None
 
     # -- basis bookkeeping ------------------------------------------------
@@ -193,15 +201,21 @@ class TensorSystem:
 
     # -- operators ---------------------------------------------------------
 
-    def leg_op(self, k: int, a: int, b: int) -> Sparse:
-        """e_ab acting on tensor leg k (1-based) with the sign rule."""
+    def _leg(self, k: int, a: int, b: int) -> IntSparse:
+        """e_ab acting on tensor leg k (1-based) with the sign rule, times D_k.
+
+        D_k is module k's ``den``, so the map is an integer one.
+        """
         key = (k, a, b)
         if key in self._leg_cache:
             return self._leg_cache[key]
         mod = self.modules[k - 1]
-        local = mod.matrix(a, b)
+        local = {
+            comp: [(row, v.numerator * (mod.den // v.denominator)) for row, v in entries]
+            for comp, entries in mod.matrix(a, b).items()
+        }
         odd_op = mod.op_parity(a, b) == -1
-        out: Sparse = {}
+        out: IntSparse = {}
         for tup in self.index_tuples():
             comp = tup[k - 1]
             entries = local.get(comp)
@@ -222,35 +236,48 @@ class TensorSystem:
         self._leg_cache[key] = out
         return out
 
-    def diagonal_op(self, a: int, b: int) -> Sparse:
-        acc: dict[int, dict[int, Fraction]] = {}
-        for k in range(1, len(self.modules) + 1):
-            for col, entries in self.leg_op(k, a, b).items():
+    def _diagonal(self, a: int, b: int) -> tuple[IntSparse, int]:
+        """The diagonal action sum over k of e_ab^(k) as (integer map, D).
+
+        The operator is the map over D, the lcm of the modules' ``den``;
+        it is built once per (a, b).
+        """
+        key = (a, b)
+        if key in self._diagonal_cache:
+            return self._diagonal_cache[key]
+        den = lcm(*(mod.den for mod in self.modules))
+        acc: dict[int, dict[int, int]] = {}
+        for k, mod in enumerate(self.modules, start=1):
+            scale = den // mod.den
+            for col, entries in self._leg(k, a, b).items():
                 bucket = acc.setdefault(col, {})
                 for row, val in entries:
-                    bucket[row] = bucket.get(row, 0) + val
-        return _collected(acc)
+                    bucket[row] = bucket.get(row, 0) + scale * val
+        op = (_collected(acc), den)
+        self._diagonal_cache[key] = op
+        return op
 
-    def casimir(self, r: int, k: int) -> Sparse:
-        """Two-site Casimir sum over a, b of (-1)^|b| e_ab^(r) e_ba^(k), column-sparse.
+    def _casimir(self, r: int, k: int) -> IntSparse:
+        """Two-site Casimir sum over a, b of (-1)^|b| e_ab^(r) e_ba^(k), times D_r D_k.
 
-        It is symmetric in r and k: swapping the legs gives (-1)^(|a|+|b|),
-        and relabelling a <-> b cancels it.  So it is built once per
-        unordered pair of sites (1-based, r != k).
+        The product of the integer legs is an integer map over D_r D_k.  It
+        is symmetric in r and k: swapping the legs gives (-1)^(|a|+|b|), and
+        relabelling a <-> b cancels it.  So it is built once per unordered
+        pair of sites (1-based, r != k).
         """
         key = (min(r, k), max(r, k))
         if key in self._casimir_cache:
             return self._casimir_cache[key]
         r, k = key
         size = self.m + self.n
-        acc: dict[int, dict[int, Fraction]] = {}
+        acc: dict[int, dict[int, int]] = {}
         for a in range(1, size + 1):
             for b in range(1, size + 1):
-                left = self.leg_op(r, a, b)
+                left = self._leg(r, a, b)
                 if not left:
                     continue
                 odd = b > self.m
-                for col, entries in self.leg_op(k, b, a).items():
+                for col, entries in self._leg(k, b, a).items():
                     bucket = acc.setdefault(col, {})
                     for mid, v1 in entries:
                         fv = -v1 if odd else v1
@@ -260,35 +287,43 @@ class TensorSystem:
         self._casimir_cache[key] = op
         return op
 
-    def sparse_hamiltonian(self, r: int) -> Sparse:
-        """Quadratic Gaudin operator at site r (1-based), column-sparse.
+    def _hamiltonian(self, r: int) -> tuple[IntSparse, int]:
+        """Quadratic Gaudin operator at site r (1-based) as (integer map, L_r).
 
-        H_r = sum over k != r of Omega_rk / (z_r - z_k), with Omega_rk the
-        two-site :meth:`casimir`, summed into one accumulator per column.
+        H_r = sum over k != r of Omega_rk / (z_r - z_k).  With the integer
+        :meth:`_casimir` C_rk = D_r D_k Omega_rk, term k is C_rk c_k for the
+        rational c_k = 1 / (D_r D_k (z_r - z_k)); L_r is the lcm of the
+        c_k's denominators, and H_r is the map sum over k of
+        C_rk c_k L_r over L_r.
         """
         if r in self._ham_cache:
             return self._ham_cache[r]
-        acc: dict[int, dict[int, Fraction]] = {}
-        for k in range(1, len(self.modules) + 1):
-            if k == r:
-                continue
-            weight = Q(1, 1) / (self.points[r - 1] - self.points[k - 1])
-            for col, entries in self.casimir(r, k).items():
+        den_r, z_r = self.modules[r - 1].den, self.points[r - 1]
+        coeffs = {
+            k: 1 / (den_r * mod.den * (z_r - z))
+            for k, (mod, z) in enumerate(zip(self.modules, self.points), start=1)
+            if k != r
+        }
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        acc: dict[int, dict[int, int]] = {}
+        for k, c in coeffs.items():
+            factor = c.numerator * (den // c.denominator)
+            for col, entries in self._casimir(r, k).items():
                 bucket = acc.setdefault(col, {})
                 for row, v in entries:
-                    bucket[row] = bucket.get(row, 0) + weight * v
-        op = _collected(acc)
+                    bucket[row] = bucket.get(row, 0) + factor * v
+        op = (_collected(acc), den)
         self._ham_cache[r] = op
         return op
 
     def hamiltonian(self, r: int) -> list[list[Fraction]]:
         """Quadratic Gaudin operator at site r (1-based), as a dense matrix."""
-        return _sparse_to_dense(self.sparse_hamiltonian(r), self.dim)
+        return _sparse_to_dense(*self._hamiltonian(r), self.dim)
 
 
-def _collected(acc: dict[int, dict[int, Fraction]]) -> Sparse:
+def _collected(acc: dict[int, dict[int, int]]) -> IntSparse:
     """Column-sparse operator from per-column row -> value sums, zeros dropped."""
-    out: Sparse = {}
+    out: IntSparse = {}
     for col, bucket in acc.items():
         entries = [(row, val) for row, val in bucket.items() if val]
         if entries:
@@ -296,15 +331,16 @@ def _collected(acc: dict[int, dict[int, Fraction]]) -> Sparse:
     return out
 
 
-def _sparse_to_dense(op: Sparse, dim):
+def _sparse_to_dense(op: IntSparse, den: int, dim):
+    """The dense Fraction matrix of the integer map ``op`` over ``den``."""
     rows = [[Q(0)] * dim for _ in range(dim)]
     for col, entries in op.items():
         for row, val in entries:
-            rows[row][col] += val
+            rows[row][col] = Q(val, den)
     return rows
 
 
-def sparse_apply(op: Sparse, vec):
+def sparse_apply(op: Sparse | IntSparse, vec):
     out = [Q(0)] * len(vec)
     for col, entries in op.items():
         v = vec[col]
@@ -434,11 +470,11 @@ def singular_space(system: TensorSystem, parity: ParitySequence, weight_eps):
     rows = []
     for i in range(1, system.m + system.n):
         a, b = parity.sigma[i - 1], parity.sigma[i]  # e^s_{i, i+1}
-        op = system.diagonal_op(a, b)
+        op, _ = system._diagonal(a, b)  # a scaled operator has the same kernel
         cols = {c: dict(entries) for c, entries in op.items()}
         touched = sorted({r for c in sel for r in cols.get(c, {})})
         for r in touched:
-            rows.append([cols.get(c, {}).get(r, Q(0)) for c in sel])
+            rows.append([cols.get(c, {}).get(r, 0) for c in sel])
     if not rows:
         coeff_vectors = [[Q(1) if j == i else Q(0) for j in range(len(sel))] for i in range(len(sel))]
     else:
@@ -523,14 +559,43 @@ def _coordinates(images, basis, rows):
 def _restricted_hamiltonians(system: TensorSystem, basis) -> list:
     """Each Hamiltonian's matrix on the span of a nullspace basis.
 
-    The basis is in echelon form, as ``singular_space`` returns it, so
-    column j of the block for H_k is H_k basis[j] read at the basis rows.
+    The basis is in echelon form, as ``singular_space`` returns it: v_i is 1
+    at rows[i] and 0 at the other rows.  Each v_j is scaled to the integer
+    vector w_j = d_j v_j, d_j the lcm of its denominators.  With H_r the
+    integer map M over L (``TensorSystem._hamiltonian``), M w_j is
+    L d_j H_r v_j, so block entry X_ij is (M w_j)[rows[i]] / (L d_j).
+    Invariance, H_r v_j = sum_i X_ij v_i, is checked on every coordinate in
+    integers: with D the lcm of the d_i, D M w_j must equal
+    sum_i (M w_j)[rows[i]] (D / d_i) w_i.
     """
     rows = _echelon_rows(basis)
-    return [
-        _coordinates([sparse_apply(system.sparse_hamiltonian(k), v) for v in basis], basis, rows)
-        for k in range(1, len(system.modules) + 1)
+    dens = [lcm(*(x.denominator for x in vec)) for vec in basis]
+    ints = [
+        [(t, x.numerator * (d // x.denominator)) for t, x in enumerate(vec) if x]
+        for vec, d in zip(basis, dens)
     ]
+    big = lcm(*dens)
+    spans = [[(t, w * (big // d)) for t, w in support] for support, d in zip(ints, dens)]
+    blocks = []
+    for r in range(1, len(system.modules) + 1):
+        op, den = system._hamiltonian(r)
+        columns = []
+        for support, d in zip(ints, dens):
+            img = [0] * system.dim
+            for t, w in support:
+                for row, h in op.get(t, ()):
+                    img[row] += h * w
+            combo = [0] * system.dim
+            for ri, span in zip(rows, spans):
+                c = img[ri]
+                if c:
+                    for t, w in span:
+                        combo[t] += c * w
+            if combo != [big * v for v in img]:
+                raise InternalInconsistency("subspace is not invariant")
+            columns.append([Fraction(img[ri], den * d) for ri in rows])
+        blocks.append([list(row) for row in zip(*columns)])
+    return blocks
 
 
 def _joint_eigen_decomposition(mats):
@@ -544,10 +609,15 @@ def _joint_eigen_decomposition(mats):
     nullspace's free columns, so each matrix acts on it by coordinates read
     off those rows.  A line is not split: once the invariance check has
     passed, its one coordinate is the eigenvalue.
+
+    Also returns the first matrix's characteristic polynomial, which the
+    first pass computes on the whole space, or None when the space is at
+    most a line: ``(spaces, irrational_dim, first_charpoly)``.
     """
     dim = len(mats[0]) if mats else 0
     spaces = [((), identity(dim), list(range(dim)))]
     irrational = 0
+    first = None
     for m in mats:
         new_spaces = []
         for eigs, vectors, rows in spaces:
@@ -556,7 +626,10 @@ def _joint_eigen_decomposition(mats):
             if len(vectors) == 1:
                 new_spaces.append((eigs + (action[0][0],), vectors, rows))
                 continue
-            roots, rem = rational_roots(Poly(charpoly_coeffs(action)))
+            f = Poly(charpoly_coeffs(action))
+            if first is None:
+                first = f
+            roots, rem = rational_roots(f)
             if rem.degree > 0:
                 irrational += rem.degree
             for root, _mult in roots:
@@ -568,14 +641,32 @@ def _joint_eigen_decomposition(mats):
                 free_rows = [rows[f] for f in _echelon_rows(null)]
                 new_spaces.append((eigs + (root,), lifted, free_rows))
         spaces = new_spaces
-    return [(eigs, vectors) for eigs, vectors, _ in spaces], irrational
+    return [(eigs, vectors) for eigs, vectors, _ in spaces], irrational, first
 
 
-def _has_jordan_defect(mats) -> bool:
+def _has_jordan_defect(mats, first) -> bool:
     """Whether some rational eigenvalue has fewer eigenvectors than its
-    multiplicity.  Only repeated roots can fail: a root of multiplicity mu
-    in the characteristic polynomial f is a root of gcd(f, f') of
-    multiplicity mu - 1."""
+    multiplicity, for commuting matrices.
+
+    ``first`` is the first matrix's characteristic polynomial as
+    :func:`_joint_eigen_decomposition` returns it (None for a line, which
+    has no defect).  When it is squarefree the first matrix has a simple
+    spectrum over the algebraic closure, so each matrix that commutes with
+    it is a polynomial in it and diagonalizable: no defect.  The
+    commutation is checked on the integer multiples of the matrices, and
+    raises when it fails.  Otherwise each matrix is checked.  Only repeated
+    roots can fail: a root of multiplicity mu in the characteristic
+    polynomial f is a root of gcd(f, f') of multiplicity mu - 1.
+    """
+    if first is None:
+        return False
+    if poly_gcd(first, first.derivative()).degree == 0:
+        head, _ = integer_scaled(mats[0])
+        for m in mats[1:]:
+            other, _ = integer_scaled(m)
+            if int_mat_mul(head, other) != int_mat_mul(other, head):
+                raise InternalInconsistency("restricted Hamiltonians do not commute")
+        return False
     for m in mats:
         f = Poly(charpoly_coeffs(m))
         roots, _ = rational_roots(poly_gcd(f, f.derivative()))
@@ -629,10 +720,10 @@ def gl11_spectrum_report(system: TensorSystem) -> dict:
         }
         if sing:
             restricted = _restricted_hamiltonians(system, sing)
-            spaces, irrational = _joint_eigen_decomposition(restricted)
+            spaces, irrational, first = _joint_eigen_decomposition(restricted)
             entry["eigenlines"] = len(spaces)
             entry["irrational_dim"] = irrational
-            entry["jordan_defect"] = _has_jordan_defect(restricted)
+            entry["jordan_defect"] = _has_jordan_defect(restricted, first)
             eig_tuples = {eigs for eigs, _ in spaces}
             for d in degl:
                 # d divides the master polynomial, which is h_k prod_{j != k}
@@ -675,7 +766,8 @@ def check_lowering_bridge(system: TensorSystem, parity: ParitySequence, tlists, 
     """
     w = weight_function(system, parity, tlists)
     a, b = parity.sigma[1], parity.sigma[0]  # e^s_{21}
-    lowered = sparse_apply(system.diagonal_op(a, b), w)
+    lower, _ = system._diagonal(a, b)  # scaled, which keeps zeros and ranks
+    lowered = sparse_apply(lower, w)
     partner = weight_function(system, parity.swapped(1), partner_tlists)
     if all(v == 0 for v in lowered) or all(v == 0 for v in partner):
         raise InconclusiveGeneric("zero weight-function value")
@@ -699,7 +791,7 @@ def gl11_nonpoly_report(system: TensorSystem) -> dict:
     for w in seen_weights:
         sing_all.extend(singular_space(system, parity, w))
     a, b = parity.sigma[1], parity.sigma[0]
-    lower = system.diagonal_op(a, b)
+    lower, _ = system._diagonal(a, b)  # scaled, which keeps ranks
     cols = [sparse_apply(lower, [Q(1) if i == j else Q(0) for i in range(system.dim)]) for j in range(system.dim)]
     # singular spaces of distinct weights have disjoint supports, so sing_all
     # is independent, and the dimension of its span's meet with the image of

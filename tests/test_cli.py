@@ -1,4 +1,7 @@
+import hashlib
+import io
 import json
+import random
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -321,6 +324,25 @@ class TestRpdoEqual:
         assert json.loads(capsys.readouterr().out) == {"equal": True}
 
 
+def seeded_gl11_payload(rng):
+    """A random 2-4-site gl(1|1) system with rational weights and points.
+
+    Now and then a module is trivial or a point repeats (exit 2), the
+    levels p + q sum to zero (exit 1 on the cancelled degree), or the master
+    polynomial has an irreducible cubic factor (exit 3).
+    """
+    n = rng.randint(2, 4)
+
+    def scalar(dens):
+        return Q(rng.randint(-6, 6), rng.choice(dens))
+
+    weights = [[0, 0] if rng.random() < 0.05 else [scalar((1, 1, 2, 3, 7)), scalar((1, 1, 2, 5))] for _ in range(n)]
+    if rng.random() < 0.25:
+        weights[-1][1] = -weights[-1][0] - sum(p + q for p, q in weights[:-1])
+    points = [scalar((1, 1, 1, 2)) for _ in range(n)]
+    return {"weights": [[str(p), str(q)] for p, q in weights], "points": [str(z) for z in points]}
+
+
 class TestGl11Spectrum:
     def test_generic(self, tmp_path):
         from conftest import solve_levels_for_roots
@@ -367,6 +389,23 @@ class TestGl11Spectrum:
         assert captured.err == (
             "unsupported: irreducible factor of degree 3: x^3 - 23/10*x^2 - 162/5*x + 18\n"
         )
+
+    def test_seeded_reports_keep_their_bytes(self, monkeypatch, capsys):
+        # one sha256 over payload, exit code, stdout and stderr of 60 seeded
+        # systems, recorded with the Hamiltonians built on Fractions; the
+        # integer build must give the same bytes
+        rng = random.Random("gl11-spectrum bytes")
+        digest = hashlib.sha256()
+        codes = []
+        for _ in range(60):
+            text = json.dumps(seeded_gl11_payload(rng))
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code = main(["gl11-spectrum", "--input", "-"])
+            captured = capsys.readouterr()
+            digest.update(json.dumps([text, code, captured.out, captured.err]).encode())
+            codes.append(code)
+        assert sorted(set(codes)) == [0, 1, 2, 3]
+        assert digest.hexdigest() == "9125473a36dbb769ce624bc7b5b73fcb026583eeec25f65a94b2ff8b480c3980"
 
 
 class TestSelftest:

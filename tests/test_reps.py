@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaudin.bethe import table_eigenvalues
 from gaudin.errors import DegenerateInput, InternalInconsistency, UnsupportedFactorization
@@ -38,7 +39,27 @@ GL11_GOLDEN = ["gl11_four_sites", "gl11_irrational", "gl11_double_root", "gl11_w
 
 
 def dense(system, a, b):
-    return _sparse_to_dense(system.diagonal_op(a, b), system.dim)
+    return _sparse_to_dense(*system._diagonal(a, b), system.dim)
+
+
+def fraction_leg(system, k, a, b):
+    """e_ab on tensor leg k with the sign rule, built on Fractions from the
+    module's matrix: the odd operator picks up the parity of every leg to
+    the left of k."""
+    mod = system.modules[k - 1]
+    local = mod.matrix(a, b)
+    out = {}
+    for tup in system.index_tuples():
+        entries = local.get(tup[k - 1])
+        if not entries:
+            continue
+        sign = 1
+        if mod.op_parity(a, b) == -1:
+            sign = (-1) ** sum(1 for j in range(k - 1) if system.modules[j].parities[tup[j]] == -1)
+        out[system.index_of(tup)] = [
+            (system.index_of(tup[: k - 1] + (row,) + tup[k:]), sign * val) for row, val in entries
+        ]
+    return out
 
 
 def _sparse_add(acc, other, factor=Q(1)):
@@ -62,6 +83,15 @@ def _sparse_compose(a, b):
     return out
 
 
+def dense_of(op, dim):
+    """A Fraction column-sparse map as a dense matrix."""
+    rows = [[Q(0)] * dim for _ in range(dim)]
+    for col, entries in op.items():
+        for row, val in entries:
+            rows[row][col] += val
+    return rows
+
+
 def composed_hamiltonian(system, r):
     """H_r as the sum of composed leg operators e_ab^(r) e_ba^(k), one
     sparse sum per (k, a, b), made dense at the end."""
@@ -74,13 +104,9 @@ def composed_hamiltonian(system, r):
         for a in range(1, size + 1):
             for b in range(1, size + 1):
                 sign = 1 if b <= system.m else -1
-                prod = _sparse_compose(system.leg_op(r, a, b), system.leg_op(k, b, a))
+                prod = _sparse_compose(fraction_leg(system, r, a, b), fraction_leg(system, k, b, a))
                 _sparse_add(total, prod, weight * sign)
-    rows = [[Q(0)] * system.dim for _ in range(system.dim)]
-    for col, entries in total.items():
-        for row, val in entries:
-            rows[row][col] += val
-    return rows
+    return dense_of(total, system.dim)
 
 
 def per_site_hamiltonian(system, r):
@@ -95,9 +121,9 @@ def per_site_hamiltonian(system, r):
         weight = Q(1) / (system.points[r - 1] - system.points[k - 1])
         for a in range(1, size + 1):
             for b in range(1, size + 1):
-                left = system.leg_op(r, a, b)
+                left = fraction_leg(system, r, a, b)
                 factor = weight if b <= system.m else -weight
-                for col, entries in system.leg_op(k, b, a).items():
+                for col, entries in fraction_leg(system, k, b, a).items():
                     bucket = acc.setdefault(col, {})
                     for mid, v1 in entries:
                         for row, v2 in left.get(mid, ()):
@@ -116,8 +142,8 @@ def ordered_casimir(system, r, k):
     for a in range(1, size + 1):
         for b in range(1, size + 1):
             sign = 1 if b <= system.m else -1
-            _sparse_add(total, _sparse_compose(system.leg_op(r, a, b), system.leg_op(k, b, a)), Q(sign))
-    return _sparse_to_dense(total, system.dim)
+            _sparse_add(total, _sparse_compose(fraction_leg(system, r, a, b), fraction_leg(system, k, b, a)), Q(sign))
+    return dense_of(total, system.dim)
 
 
 def random_gl11_modules(rng, n):
@@ -300,45 +326,108 @@ class TestPairCasimir:
                 if r < k:
                     omega = ordered_casimir(system, r, k)
                     assert omega == ordered_casimir(system, k, r), (system.dims, r, k)
-                    assert _sparse_to_dense(system.casimir(k, r), system.dim) == omega
+                    den = system.modules[r - 1].den * system.modules[k - 1].den
+                    assert _sparse_to_dense(system._casimir(k, r), den, system.dim) == omega
 
     def test_one_product_per_pair(self):
         system = random_gl11_modules(random.Random(3002), 4)
         for r in range(1, 5):
-            system.sparse_hamiltonian(r)
+            system._hamiltonian(r)
         assert sorted(system._casimir_cache) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
+def solve_blocks(system, sing):
+    basis = [list(row) for row in zip(*sing)]
+    return [
+        solve_matrix(basis, mat_mul(system.hamiltonian(k), basis))
+        for k in range(1, len(system.modules) + 1)
+    ]
+
+
+def blocks_agree(system, parity=S11):
+    """Every singular space's blocks against solve_blocks; the number of spaces."""
+    spaces = 0
+    for weight in sorted(set(system.all_weights())):
+        sing = singular_space(system, parity, weight)
+        if sing:
+            assert _restricted_hamiltonians(system, sing) == solve_blocks(system, sing), weight
+            spaces += 1
+    return spaces
+
+
+SMALL_FRACTIONS = st.builds(Q, st.integers(-6, 6), st.integers(1, 7))
+GL11_WEIGHTS = st.one_of(st.just((Q(0), Q(0))), st.tuples(SMALL_FRACTIONS, SMALL_FRACTIONS))
+
+
+@st.composite
+def gl11_systems(draw):
+    """2-4 gl(1|1) modules, weights with denominators up to 7 (some trivial),
+    at distinct rational points."""
+    n = draw(st.integers(2, 4))
+    weights = draw(st.lists(GL11_WEIGHTS, min_size=n, max_size=n))
+    points = draw(st.lists(SMALL_FRACTIONS, min_size=n, max_size=n, unique=True))
+    return TensorSystem([gl11_module(p, q) for p, q in weights], points)
+
+
+@st.composite
+def vector_rep_systems(draw):
+    """Three vector representations of gl(2|1) or gl(1|2) at distinct rational points."""
+    m, n = draw(st.sampled_from([(2, 1), (1, 2)]))
+    points = draw(st.lists(SMALL_FRACTIONS, min_size=3, max_size=3, unique=True))
+    return TensorSystem([vector_rep(m, n)] * 3, points), ParitySequence.standard(m, n)
+
+
+class TestIntegerLayer:
+    """The integer maps read back as Fractions against the Fraction oracles."""
+
+    def check_operators(self, system):
+        for k, mod in enumerate(system.modules, start=1):
+            for a, b in product(range(1, system.m + system.n + 1), repeat=2):
+                leg = system._leg(k, a, b)
+                assert all(isinstance(v, int) for col in leg.values() for _, v in col)
+                assert {
+                    col: [(row, Q(v, mod.den)) for row, v in entries] for col, entries in leg.items()
+                } == fraction_leg(system, k, a, b)
+        for r in range(1, len(system.modules) + 1):
+            op, _ = system._hamiltonian(r)
+            assert all(isinstance(v, int) for col in op.values() for _, v in col)
+            assert system.hamiltonian(r) == per_site_hamiltonian(system, r) == composed_hamiltonian(system, r)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(gl11_systems())
+    def test_gl11_operators_match_oracles(self, system):
+        self.check_operators(system)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(gl11_systems())
+    def test_gl11_blocks_match_solve(self, system):
+        assert blocks_agree(system) > 0
+
+    @settings(max_examples=10, derandomize=True, deadline=None, database=None)
+    @given(vector_rep_systems())
+    def test_vector_rep_operators_match_oracles(self, case):
+        self.check_operators(case[0])
+
+    @settings(max_examples=10, derandomize=True, deadline=None, database=None)
+    @given(vector_rep_systems())
+    def test_vector_rep_blocks_match_solve(self, case):
+        assert blocks_agree(*case) > 0
+
+
 class TestRestriction:
-    def solve_blocks(self, system, sing):
-        basis = [list(row) for row in zip(*sing)]
-        return [
-            solve_matrix(basis, mat_mul(system.hamiltonian(k), basis))
-            for k in range(1, len(system.modules) + 1)
-        ]
-
-    def blocks_agree(self, system, parity=S11):
-        spaces = 0
-        for weight in sorted(set(system.all_weights())):
-            sing = singular_space(system, parity, weight)
-            if sing:
-                assert _restricted_hamiltonians(system, sing) == self.solve_blocks(system, sing), weight
-                spaces += 1
-        return spaces
-
     @pytest.mark.parametrize("name", GL11_GOLDEN)
     def test_golden_blocks_match_solve(self, name):
-        assert self.blocks_agree(golden_gl11_system(name)) > 0
+        assert blocks_agree(golden_gl11_system(name)) > 0
 
     def test_random_blocks_match_solve(self):
         rng = random.Random(2812)
         for n in (2, 3, 4, 2, 3, 4, 3, 4):
-            assert self.blocks_agree(random_gl11_modules(rng, n)) > 0
+            assert blocks_agree(random_gl11_modules(rng, n)) > 0
 
     @pytest.mark.parametrize("m, n", [(2, 1), (1, 2)])
     def test_vector_rep_blocks_match_solve(self, m, n):
         system = TensorSystem([vector_rep(m, n)] * 3, [0, Q(1, 2), 3])
-        assert self.blocks_agree(system, ParitySequence.standard(m, n)) > 0
+        assert blocks_agree(system, ParitySequence.standard(m, n)) > 0
 
     def test_non_invariant_basis_raises(self):
         # one standard basis vector of the two-dimensional (p - 1, q + 1)
@@ -385,12 +474,11 @@ class TestWeightFunction:
         system = TensorSystem([gl11_module(2, 1)] * 3, [0, 1, 5])
         t1, t2 = Q(7), Q(9)
         got = weight_function(system, S11, [[t1, t2]])
-        lower = system.diagonal_op(2, 1)
 
         def e21_at(u):
             out = {}
             for k in range(1, 4):
-                _sparse_add(out, system.leg_op(k, 2, 1), Q(1) / (u - system.points[k - 1]))
+                _sparse_add(out, fraction_leg(system, k, 2, 1), Q(1) / (u - system.points[k - 1]))
             return out
 
         v = [Q(0)] * system.dim
@@ -404,7 +492,7 @@ class TestWeightFunction:
         def e21_at(u):
             out = {}
             for k in (1, 2):
-                _sparse_add(out, system.leg_op(k, 2, 1), Q(1) / (u - system.points[k - 1]))
+                _sparse_add(out, fraction_leg(system, k, 2, 1), Q(1) / (u - system.points[k - 1]))
             return out
 
         u, v = Q(3), Q(5)
@@ -512,7 +600,7 @@ class TestSpectrumReport:
         sing = singular_space(system, S11, weight_at_infinity(S11, weights, [1]))
         basis = [list(row) for row in zip(*sing)]
         restricted = [solve_matrix(basis, mat_mul(system.hamiltonian(k), basis)) for k in (1, 2, 3)]
-        spaces, _ = _joint_eigen_decomposition(restricted)
+        spaces, _, _ = _joint_eigen_decomposition(restricted)
         assert list(values) == [1, 2, 3]
         assert tuple(values.values()) in {eigs for eigs, _ in spaces}
 
@@ -596,17 +684,62 @@ def planted_matrix(rng):
     return mat_mul(mat_mul(pmat, jmat), solve_matrix(pmat, identity(size))), planted
 
 
+def jordan_defect(mats):
+    """_has_jordan_defect with the first characteristic polynomial the split returns."""
+    _, _, first = _joint_eigen_decomposition(mats)
+    assert first == Poly(charpoly_coeffs(mats[0]))
+    return _has_jordan_defect(mats, first)
+
+
 class TestJordanDefect:
     def test_agrees_with_rank_of_square(self):
+        # a planted matrix alone, or beside a polynomial in it (which
+        # commutes with it) in either order
         rng = random.Random(1907)
         outcomes = set()
         for _ in range(40):
-            mats = [planted_matrix(rng) for _ in range(rng.randint(1, 2))]
-            got = _has_jordan_defect([m for m, _ in mats])
-            assert got == rank_of_square_defect([m for m, _ in mats])
-            assert got == any(planted for _, planted in mats)
-            outcomes.add(got)
-        assert outcomes == {True, False}
+            a, planted = planted_matrix(rng)
+            mats = [a]
+            if rng.random() < 0.6:
+                c0, c1, c2 = (Q(rng.randint(-2, 2)) for _ in range(3))
+                square = mat_mul(a, a)
+                b = [
+                    [c0 * (i == j) + c1 * a[i][j] + c2 * square[i][j] for j in range(len(a))]
+                    for i in range(len(a))
+                ]
+                mats = rng.choice([[a, b], [b, a]])
+            got = jordan_defect(mats)
+            assert got == rank_of_square_defect(mats)
+            if len(mats) == 1:
+                assert got == planted
+            else:
+                assert got or not planted
+            outcomes.add((got, len(mats)))
+        assert outcomes == {(True, 1), (False, 1), (True, 2), (False, 2)}
+
+    def test_defect_only_in_a_later_matrix(self):
+        # B = (A - 1)^2 is diagonal with the double eigenvalue 0, so its
+        # characteristic polynomial is not squarefree; A = J_2(1) + (3) has
+        # the defect, which only the check of every matrix finds
+        a = [[Q(1), Q(1), Q(0)], [Q(0), Q(1), Q(0)], [Q(0), Q(0), Q(3)]]
+        shifted = mat_sub(a, identity(3))
+        b = mat_mul(shifted, shifted)
+        assert b == [[0, 0, 0], [0, 0, 0], [0, 0, 4]]
+        assert jordan_defect([b, a])
+        assert not jordan_defect([b, b])
+
+    def test_squarefree_first_needs_commuting_matrices(self):
+        # diag(1, 2) has a simple spectrum, but the nilpotent e_12 does not
+        # commute with it, so no conclusion is drawn from the first matrix
+        mats = [[[Q(1), Q(0)], [Q(0), Q(2)]], [[Q(0), Q(1)], [Q(0), Q(0)]]]
+        first = Poly(charpoly_coeffs(mats[0]))
+        with pytest.raises(InternalInconsistency, match="^restricted Hamiltonians do not commute$"):
+            _has_jordan_defect(mats, first)
+
+    def test_line_has_no_defect(self):
+        mats = [[[Q(2)]], [[Q(-1, 3)]]]
+        assert _joint_eigen_decomposition(mats)[2] is None
+        assert not _has_jordan_defect(mats, None)
 
     def test_root_searches_on_four_sites(self, monkeypatch):
         # the bench-pool system of tests/golden/gl11_four_sites.json; a
