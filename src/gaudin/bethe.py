@@ -644,14 +644,6 @@ def gaudin_eigenvalue(point: BethePoint, k: int) -> Fraction:
     return value
 
 
-def gaudin_eigenvalues(point: BethePoint) -> list[Fraction]:
-    values = site_eigenvalues(point)
-    for k in range(1, point.problem.n_points + 1):
-        if k not in values:
-            raise NotAdmissible(k)
-    return list(values.values())
-
-
 def eigenvalue_conservation(pop: Population) -> bool:
     """Eigenvalue equality across every edge, at mutually admissible sites."""
     return _conserved(pop, {key: site_eigenvalues(point) for key, point in pop.nodes.items()})

@@ -46,6 +46,7 @@ class SuperModule:
     ``parities`` lists the basis parities as +-1; basis vector 0 is the
     standard-parity highest weight vector.  ``den`` is the lcm of the
     denominators of all matrix entries, so den * e_ab is an integer matrix.
+    ``basis_weights[i]`` is basis vector i's weight, read off the diagonal e_jj.
     """
 
     def __init__(self, m, n, dim, parities, action, weight: Weight):
@@ -56,6 +57,8 @@ class SuperModule:
         self.action = action
         self.weight = weight
         self.den = lcm(*(v.denominator for op in action.values() for col in op.values() for _, v in col))
+        diagonals = [self.matrix(j, j) for j in range(1, m + n + 1)]
+        self.basis_weights = [tuple(dict(op.get(i, ())).get(i, Q(0)) for op in diagonals) for i in range(dim)]
 
     def matrix(self, a: int, b: int) -> Sparse:
         return self.action.get((a, b), {})
@@ -66,24 +69,14 @@ class SuperModule:
         pb = 1 if b <= self.m else -1
         return pa * pb
 
-    def diag_weight(self, idx: int) -> tuple[Fraction, ...]:
-        out = []
-        for j in range(1, self.m + self.n + 1):
-            col = self.matrix(j, j).get(idx, [])
-            val = Q(0)
-            for row, v in col:
-                if row == idx:
-                    val = v
-            out.append(val)
-        return tuple(out)
 
-
-def _dense_to_sparse(rows) -> Sparse:
-    out: Sparse = {}
+def _dense_to_sparse(rows) -> Sparse | IntSparse:
+    """The column-sparse map of a dense matrix, its entries kept as they are."""
+    out: dict = {}
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
             if v != 0:
-                out.setdefault(c, []).append((r, Q(v)))
+                out.setdefault(c, []).append((r, v))
     return out
 
 
@@ -112,7 +105,7 @@ def gl11_module(p, q) -> SuperModule:
     action = {
         (1, 1): _dense_to_sparse([[p, 0], [0, p - 1]]),
         (2, 2): _dense_to_sparse([[q, 0], [0, q + 1]]),
-        (2, 1): _dense_to_sparse([[0, 0], [1, 0]]),
+        (2, 1): _dense_to_sparse([[0, 0], [Q(1), 0]]),
         (1, 2): _dense_to_sparse([[0, p + q], [0, 0]]),
     }
     return SuperModule(1, 1, 2, [1, -1], action, Weight(1, 1, (p, q)))
@@ -177,26 +170,11 @@ class TensorSystem:
             idx = idx * d + t
         return idx
 
-    def tuple_of(self, idx: int):
-        out = []
-        for d in reversed(self.dims):
-            out.append(idx % d)
-            idx //= d
-        return tuple(reversed(out))
-
-    def basis_weight(self, idx: int) -> tuple[Fraction, ...]:
-        tup = self.tuple_of(idx)
-        size = self.m + self.n
-        out = [Q(0)] * size
-        for mod, comp in zip(self.modules, tup):
-            w = mod.diag_weight(comp)
-            for j in range(size):
-                out[j] += w[j]
-        return tuple(out)
-
     def all_weights(self):
+        """Each basis vector's weight, in :meth:`index_of` order: the sum of its legs'."""
         if self._weights is None:
-            self._weights = [self.basis_weight(i) for i in range(self.dim)]
+            legs = itertools.product(*(mod.basis_weights for mod in self.modules))
+            self._weights = [tuple(map(sum, zip(*ws))) for ws in legs]
         return self._weights
 
     # -- operators ---------------------------------------------------------
@@ -243,19 +221,11 @@ class TensorSystem:
         it is built once per (a, b).
         """
         key = (a, b)
-        if key in self._diagonal_cache:
-            return self._diagonal_cache[key]
-        den = lcm(*(mod.den for mod in self.modules))
-        acc: dict[int, dict[int, int]] = {}
-        for k, mod in enumerate(self.modules, start=1):
-            scale = den // mod.den
-            for col, entries in self._leg(k, a, b).items():
-                bucket = acc.setdefault(col, {})
-                for row, val in entries:
-                    bucket[row] = bucket.get(row, 0) + scale * val
-        op = (_collected(acc), den)
-        self._diagonal_cache[key] = op
-        return op
+        if key not in self._diagonal_cache:
+            self._diagonal_cache[key] = _scaled_sum(
+                (Q(1, mod.den), self._leg(k, a, b)) for k, mod in enumerate(self.modules, start=1)
+            )
+        return self._diagonal_cache[key]
 
     def _casimir(self, r: int, k: int) -> IntSparse:
         """Two-site Casimir sum over a, b of (-1)^|b| e_ab^(r) e_ba^(k), times D_r D_k.
@@ -292,33 +262,38 @@ class TensorSystem:
 
         H_r = sum over k != r of Omega_rk / (z_r - z_k).  With the integer
         :meth:`_casimir` C_rk = D_r D_k Omega_rk, term k is C_rk c_k for the
-        rational c_k = 1 / (D_r D_k (z_r - z_k)); L_r is the lcm of the
-        c_k's denominators, and H_r is the map sum over k of
-        C_rk c_k L_r over L_r.
+        rational c_k = 1 / (D_r D_k (z_r - z_k)), summed by :func:`_scaled_sum`.
         """
-        if r in self._ham_cache:
-            return self._ham_cache[r]
-        den_r, z_r = self.modules[r - 1].den, self.points[r - 1]
-        coeffs = {
-            k: 1 / (den_r * mod.den * (z_r - z))
-            for k, (mod, z) in enumerate(zip(self.modules, self.points), start=1)
-            if k != r
-        }
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        acc: dict[int, dict[int, int]] = {}
-        for k, c in coeffs.items():
-            factor = c.numerator * (den // c.denominator)
-            for col, entries in self._casimir(r, k).items():
-                bucket = acc.setdefault(col, {})
-                for row, v in entries:
-                    bucket[row] = bucket.get(row, 0) + factor * v
-        op = (_collected(acc), den)
-        self._ham_cache[r] = op
-        return op
+        if r not in self._ham_cache:
+            den_r, z_r = self.modules[r - 1].den, self.points[r - 1]
+            self._ham_cache[r] = _scaled_sum(
+                (1 / (den_r * mod.den * (z_r - z)), self._casimir(r, k))
+                for k, (mod, z) in enumerate(zip(self.modules, self.points), start=1)
+                if k != r
+            )
+        return self._ham_cache[r]
 
     def hamiltonian(self, r: int) -> list[list[Fraction]]:
         """Quadratic Gaudin operator at site r (1-based), as a dense matrix."""
         return _sparse_to_dense(*self._hamiltonian(r), self.dim)
+
+
+def _scaled_sum(terms) -> tuple[IntSparse, int]:
+    """Sum of c M over (c, M) pairs, c rational and M an integer map, as (map, L).
+
+    L is the lcm of the c's denominators, so each c L is an integer and the
+    sum is the integer map sum of (c L) M over L.
+    """
+    terms = list(terms)
+    den = lcm(*(c.denominator for c, _ in terms))
+    acc: dict[int, dict[int, int]] = {}
+    for c, op in terms:
+        factor = c.numerator * (den // c.denominator)
+        for col, entries in op.items():
+            bucket = acc.setdefault(col, {})
+            for row, val in entries:
+                bucket[row] = bucket.get(row, 0) + factor * val
+    return _collected(acc), den
 
 
 def _collected(acc: dict[int, dict[int, int]]) -> IntSparse:
@@ -535,40 +510,19 @@ def _echelon_rows(vectors) -> list[int]:
     return [max(t for t, v in enumerate(vec) if v) for vec in vectors]
 
 
-def _coordinates(images, basis, rows):
-    """X with images[j] = sum_i X[i][j] basis[i], the basis in echelon form.
+def _restrict(ops, basis, rows) -> list:
+    """Each operator's matrix on the span of an echelon basis.
 
-    basis[i] is 1 at rows[i] and 0 at the other rows, so X[i][j] is
-    images[j] read at rows[i].  The sum is then checked on every entry:
-    an image outside the span raises.
-    """
-    x = [[img[r] for img in images] for r in rows]
-    supports = [[(t, v) for t, v in enumerate(vec) if v] for vec in basis]
-    for j, img in enumerate(images):
-        combo = [0] * len(img)
-        for i, support in enumerate(supports):
-            c = x[i][j]
-            if c:
-                for t, v in support:
-                    combo[t] += c * v
-        if combo != img:
-            raise InternalInconsistency("subspace is not invariant")
-    return x
-
-
-def _restricted_hamiltonians(system: TensorSystem, basis) -> list:
-    """Each Hamiltonian's matrix on the span of a nullspace basis.
-
-    The basis is in echelon form, as ``singular_space`` returns it: v_i is 1
-    at rows[i] and 0 at the other rows.  Each v_j is scaled to the integer
-    vector w_j = d_j v_j, d_j the lcm of its denominators.  With H_r the
-    integer map M over L (``TensorSystem._hamiltonian``), M w_j is
-    L d_j H_r v_j, so block entry X_ij is (M w_j)[rows[i]] / (L d_j).
-    Invariance, H_r v_j = sum_i X_ij v_i, is checked on every coordinate in
+    ``ops`` holds (integer column-sparse map M, denominator L) pairs, the
+    operator being M over L.  v_i = basis[i] is 1 at rows[i] and 0 at the
+    other rows, so block entry X_ij is (H v_j)[rows[i]].  Each v_j is scaled
+    to the integer vector w_j = d_j v_j, d_j the lcm of its denominators;
+    M w_j is L d_j H v_j, so X_ij is (M w_j)[rows[i]] / (L d_j).
+    Invariance, H v_j = sum_i X_ij v_i, is checked on every coordinate in
     integers: with D the lcm of the d_i, D M w_j must equal
     sum_i (M w_j)[rows[i]] (D / d_i) w_i.
     """
-    rows = _echelon_rows(basis)
+    dim = len(basis[0]) if basis else 0
     dens = [lcm(*(x.denominator for x in vec)) for vec in basis]
     ints = [
         [(t, x.numerator * (d // x.denominator)) for t, x in enumerate(vec) if x]
@@ -577,15 +531,14 @@ def _restricted_hamiltonians(system: TensorSystem, basis) -> list:
     big = lcm(*dens)
     spans = [[(t, w * (big // d)) for t, w in support] for support, d in zip(ints, dens)]
     blocks = []
-    for r in range(1, len(system.modules) + 1):
-        op, den = system._hamiltonian(r)
+    for op, den in ops:
         columns = []
         for support, d in zip(ints, dens):
-            img = [0] * system.dim
+            img = [0] * dim
             for t, w in support:
                 for row, h in op.get(t, ()):
                     img[row] += h * w
-            combo = [0] * system.dim
+            combo = [0] * dim
             for ri, span in zip(rows, spans):
                 c = img[ri]
                 if c:
@@ -598,6 +551,13 @@ def _restricted_hamiltonians(system: TensorSystem, basis) -> list:
     return blocks
 
 
+def _restricted_hamiltonians(system: TensorSystem, basis) -> list:
+    """Each Hamiltonian's :func:`_restrict` block on the span of a
+    ``singular_space`` basis, which is in echelon form."""
+    hams = (system._hamiltonian(r) for r in range(1, len(system.modules) + 1))
+    return _restrict(hams, basis, _echelon_rows(basis))
+
+
 def _joint_eigen_decomposition(mats):
     """Split a list of commuting rational matrices into joint eigenspaces.
 
@@ -606,9 +566,9 @@ def _joint_eigen_decomposition(mats):
     tuple arises from one (parent space, root) pair, and the lifted
     nullspace basis stays independent, so no regrouping is needed.  A
     lifted basis stays in echelon form at the parent rows picked by the
-    nullspace's free columns, so each matrix acts on it by coordinates read
-    off those rows.  A line is not split: once the invariance check has
-    passed, its one coordinate is the eigenvalue.
+    nullspace's free columns, so each matrix, taken once as an integer map,
+    acts on it by :func:`_restrict`.  A line is not split: once the
+    invariance check has passed, its one coordinate is the eigenvalue.
 
     Also returns the first matrix's characteristic polynomial, which the
     first pass computes on the whole space, or None when the space is at
@@ -618,11 +578,11 @@ def _joint_eigen_decomposition(mats):
     spaces = [((), identity(dim), list(range(dim)))]
     irrational = 0
     first = None
-    for m in mats:
+    for scaled, den in map(integer_scaled, mats):
+        op = [(_dense_to_sparse(scaled), den)]
         new_spaces = []
         for eigs, vectors, rows in spaces:
-            images = [[sum(x * y for x, y in zip(row, vec)) for row in m] for vec in vectors]
-            action = _coordinates(images, vectors, rows)
+            [action] = _restrict(op, vectors, rows)
             if len(vectors) == 1:
                 new_spaces.append((eigs + (action[0][0],), vectors, rows))
                 continue

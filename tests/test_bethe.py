@@ -20,7 +20,6 @@ from gaudin.bethe import (
     fermionic_reproduce,
     fermionic_rhs,
     gaudin_eigenvalue,
-    gaudin_eigenvalues,
     genericity_check,
     populate,
     population_operator,
@@ -905,6 +904,16 @@ class TestPopulateWorkOnce:
         # the same criterion again, then 114 line tests and 80 partner solves
         # in the loop (192 of each in the old order)
         assert calls == {"bosonic_rhs": 2 + 2 + 114, "wronskian_partner": 2 + 2 + 80}
+
+
+def gaudin_eigenvalues(point):
+    """Every site's eigenvalue in site order; NotAdmissible at the first
+    site that is not admissible."""
+    values = site_eigenvalues(point)
+    for k in range(1, point.problem.n_points + 1):
+        if k not in values:
+            raise NotAdmissible(k)
+    return list(values.values())
 
 
 class TestEigenvalues:

@@ -390,6 +390,15 @@ class TestGl11Spectrum:
             "unsupported: irreducible factor of degree 3: x^3 - 23/10*x^2 - 162/5*x + 18\n"
         )
 
+    def test_five_sites_exit_three(self, tmp_path, capsys):
+        # the n <= 4 guard, pinned so that moving it is a deliberate change
+        payload = {"weights": [["1", "0"]] * 5, "points": ["0", "1", "2", "3", "4"]}
+        inp = write(tmp_path, "in.json", payload)
+        assert main(["gl11-spectrum", "--input", inp]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "unsupported: spectrum report guard: n <= 4\n"
+
     def test_seeded_reports_keep_their_bytes(self, monkeypatch, capsys):
         # one sha256 over payload, exit code, stdout and stderr of 60 seeded
         # systems, recorded with the Hamiltonians built on Fractions; the

@@ -12,6 +12,7 @@ from gaudin.errors import DegenerateInput, InternalInconsistency, UnsupportedFac
 from gaudin.linalg import charpoly_coeffs, identity, mat_mul, mat_scale, mat_sub, rank, solve_matrix
 from gaudin.rational import Poly, rational_roots
 from gaudin.reps import (
+    SuperModule,
     TensorSystem,
     _has_jordan_defect,
     _joint_eigen_decomposition,
@@ -29,7 +30,7 @@ from gaudin.reps import (
     vector_rep,
     weight_function,
 )
-from gaudin.weights import ParitySequence, site_table, weight_at_infinity
+from gaudin.weights import ParitySequence, Weight, site_table, weight_at_infinity
 from conftest import mat_vec, random_gl11_system, solve_levels_for_roots
 
 X = Poly.x()
@@ -377,6 +378,59 @@ def vector_rep_systems(draw):
     return TensorSystem([vector_rep(m, n)] * 3, points), ParitySequence.standard(m, n)
 
 
+def per_index_weights(system):
+    """Each basis vector's weight built index by index: the index split into
+    leg components, each leg's weight read off its module's diagonal e_jj."""
+    size = system.m + system.n
+    out = []
+    for idx in range(system.dim):
+        comps = []
+        for d in reversed(system.dims):
+            comps.append(idx % d)
+            idx //= d
+        total = [Q(0)] * size
+        for mod, comp in zip(system.modules, reversed(comps)):
+            for j in range(size):
+                total[j] += dict(mod.matrix(j + 1, j + 1).get(comp, [])).get(comp, Q(0))
+        out.append(tuple(total))
+    return out
+
+
+class TestBasisWeights:
+    """all_weights, summed per module, against the per-index build."""
+
+    def test_trivial_module(self):
+        system = TensorSystem([gl11_module(2, 1), gl11_module(0, 0), gl11_module(Q(1, 2), -3)], [0, 1, 2])
+        assert system.dims == [2, 1, 2]
+        assert system.all_weights() == per_index_weights(system)
+        assert system.all_weights()[system.index_of((1, 0, 1))] == (Q(1, 2), Q(0))
+
+    def test_legs_in_index_order(self):
+        # gl(1|1) modules alone cannot tell the legs apart: their basis
+        # weights differ by -alpha = (-1, 1) within each module.  A direct
+        # sum of the characters (1, -1) and (3, -3) differs by (2, -2).
+        pair = SuperModule(
+            1, 1, 2, [1, 1], {(1, 1): {0: [(0, Q(1))], 1: [(1, Q(3))]}, (2, 2): {0: [(0, Q(-1))], 1: [(1, Q(-3))]}},
+            Weight(1, 1, (1, -1)),
+        )
+        system = TensorSystem([pair, gl11_module(2, 1)], [0, 1])
+        assert system.all_weights() == per_index_weights(system)
+        assert system.all_weights() == [(Q(3), Q(0)), (Q(2), Q(1)), (Q(5), Q(-2)), (Q(4), Q(-1))]
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(gl11_systems())
+    def test_gl11(self, system):
+        assert system.all_weights() == per_index_weights(system)
+
+    @pytest.mark.parametrize("m, n", [(2, 1), (1, 2)])
+    def test_vector_rep(self, m, n):
+        system = TensorSystem([vector_rep(m, n)] * 3, [0, Q(1, 2), 3])
+        # basis vector j of the vector representation has weight epsilon_j
+        assert system.all_weights() == per_index_weights(system) == [
+            tuple(comps.count(j) for j in range(m + n)) for comps in product(range(m + n), repeat=3)
+        ]
+
+
 class TestIntegerLayer:
     """The integer maps read back as Fractions against the Fraction oracles."""
 
@@ -454,6 +508,17 @@ class TestRestriction:
         with pytest.raises(InternalInconsistency, match="^subspace is not invariant$"):
             _joint_eigen_decomposition(mats)
         assert 1 not in sizes
+
+    def test_non_invariant_plane_raises(self):
+        # diag(1, 1, 2) splits into the plane (e_1, e_2) and the line e_3;
+        # the second matrix sends e_1 to e_3 and e_3 to 0, so the line
+        # holds and only the plane's check can raise
+        mats = [
+            [[Q(1), Q(0), Q(0)], [Q(0), Q(1), Q(0)], [Q(0), Q(0), Q(2)]],
+            [[Q(0), Q(0), Q(0)], [Q(0), Q(0), Q(0)], [Q(1), Q(0), Q(0)]],
+        ]
+        with pytest.raises(InternalInconsistency, match="^subspace is not invariant$"):
+            _joint_eigen_decomposition(mats)
 
     def test_non_commuting_pair_raises(self):
         # diag(1, 2) splits into the coordinate lines, which the swap mixes
