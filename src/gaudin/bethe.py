@@ -9,6 +9,7 @@ a single partner by exact division and flip the parity.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -222,19 +223,37 @@ def bae_check_criterion(point: BethePoint) -> bool:
     This is the reformulated Bethe-ansatz check for generic tuples; a
     non-generic input raises :class:`NotGeneric`.
     """
+    return _reproductions(point) is not None
+
+
+def _reproductions(point: BethePoint) -> dict | None:
+    """The reproductions :func:`bae_check_criterion` solves, by direction:
+    a :class:`ReproductionFamily`, a fermionic child, or the
+    :class:`DegenerateReproduction` a direction raised; None when a
+    direction fails the criterion."""
     ok, failures = genericity_check(point)
     if not ok:
         raise NotGeneric("; ".join(failures))
     s = point.parity
+    out = {}
     for i in range(1, len(s)):
         reproduce = bosonic_reproduce if s[i] == s[i + 1] else fermionic_reproduce
         try:
-            reproduce(point, i)
+            out[i] = reproduce(point, i)
         except CriterionFailed:
-            return False
-        except DegenerateReproduction:
-            continue  # zero right side: the zero polynomial solves the relation
-    return True
+            return None
+        except DegenerateReproduction as exc:
+            out[i] = exc  # zero right side: the zero polynomial solves the relation
+    return out
+
+
+def _solved(known: dict, i: int, solve, *args):
+    """``known[i]``, raised if it is an exception, or else ``solve(*args)``."""
+    if i not in known:
+        return solve(*args)
+    if isinstance(known[i], Exception):
+        raise known[i]
+    return known[i]
 
 
 def bae_residue_holds(point: BethePoint) -> bool:
@@ -318,9 +337,15 @@ def population_factorization(point: BethePoint) -> CompleteFactorization:
 
 def node_primitives(point: BethePoint) -> tuple[RatFun, ...]:
     """Primitive (T_i^s y_{i-1} / y_i)^(s_i) of each factor i."""
+    return tuple(RatFun(top, bottom) for top, bottom in _primitive_pairs(point))
+
+
+def _primitive_pairs(point: BethePoint) -> tuple[tuple[Poly, Poly], ...]:
+    """Each primitive of :func:`node_primitives` as the unreduced pair
+    (top, bottom) = (T_i^s y_{i-1}, y_i), swapped when s_i = -1."""
     ts, s = point.ts(), point.parity
-    ratios = (RatFun(ts[i - 1] * point.y(i - 1), point.y(i)) for i in range(1, len(s) + 1))
-    return tuple(g if sign == 1 else RatFun.one() / g for g, sign in zip(ratios, s.entries))
+    pairs = ((ts[i - 1] * point.y(i - 1), point.y(i)) for i in range(1, len(s) + 1))
+    return tuple(pair if sign == 1 else pair[::-1] for pair, sign in zip(pairs, s.entries))
 
 
 def population_operator(point: BethePoint) -> OreFraction:
@@ -418,7 +443,8 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
     partner is solved for.  Reproductions are applied wherever the
     defining formulas stay exact; a direction where no reproduction exists
     is recorded in ``diagnostics`` instead of aborting the whole
-    exploration.  Only the seed is checked for genericity.
+    exploration.  Only the seed is checked for genericity, and its
+    expansion reuses the families and children its Bethe criterion solved.
     """
     if max_depth < 0:
         raise InvalidInput(f"max_depth must be at least 0, got {max_depth}")
@@ -427,7 +453,8 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
         raise InvalidInput("population runs need at least one sample scalar")
     if len(set(samples)) != len(samples):
         raise InvalidInput("sample scalars must be pairwise distinct")
-    if not bae_check_criterion(seed):
+    seed_reproductions = _reproductions(seed)
+    if seed_reproductions is None:
         raise CriterionFailed("seed fails the Bethe criterion")
     pop = Population(seed.problem)
     seed_key = pop.add(seed)
@@ -442,6 +469,7 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
             continue
         point = pop.nodes[key]
         s = point.parity
+        known = seed_reproductions if key == seed_key else {}
 
         def _record(child: BethePoint, direction: int, kind: str, scalar=None) -> tuple:
             size = len(pop.nodes)
@@ -455,11 +483,11 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
             if s[i] == s[i + 1]:
                 if (key, i) in on_family_line:
                     continue
-                rhs = bosonic_rhs(point, i)
+                rhs = known[i].rhs if i in known else bosonic_rhs(point, i)
                 if _family_sibling_exists(pop, point, i, rhs):
                     continue
                 try:
-                    family = _family(point, i, rhs)
+                    family = _solved(known, i, _family, point, i, rhs)
                 except CriterionFailed as exc:
                     pop.diagnostics.append(f"{key} dir {i}: {exc}")
                     continue
@@ -470,7 +498,7 @@ def populate(seed: BethePoint, samples, max_depth: int = 16) -> Population:
                     on_family_line.add((_record(child, i, "bosonic", c), i))
             else:
                 try:
-                    child = fermionic_reproduce(point, i)
+                    child = _solved(known, i, fermionic_reproduce, point, i)
                 except (CriterionFailed, DegenerateReproduction) as exc:
                     pop.diagnostics.append(f"{key} dir {i}: {exc}")
                     continue
@@ -603,8 +631,14 @@ def table_eigenvalues(sites, ys) -> dict[int, Fraction]:
     some y_i whose simple root pairs nonzero with the site's weight
     vanishes there.  Root sums enter through logarithmic derivatives of the
     y-entries, so no root extraction is needed.  Each site's value is
-    summed as one integer fraction num/den and reduced once, at the end.
+    :func:`_site_fractions`' integer fraction, reduced once.
     """
+    return {k: Fraction(num, den) for k, (num, den) in _site_fractions(sites, ys).items()}
+
+
+def _site_fractions(sites, ys) -> dict[int, tuple[int, int]]:
+    """:func:`table_eigenvalues` as unreduced integer fractions (num, den),
+    den nonzero of either sign, summed in one integer pass per site."""
     out = {}
     for k, (z, total, pairings) in enumerate(sites, start=1):
         a, b = z.numerator, z.denominator
@@ -625,15 +659,20 @@ def table_eigenvalues(sites, ys) -> dict[int, Fraction]:
             num = num * pd * h0 - pn * b * h1 * den
             den *= pd * h0
         else:
-            out[k] = Fraction(num, den)
+            out[k] = (num, den)
     return out
 
 
 def site_eigenvalues(point: BethePoint) -> dict[int, Fraction]:
     """:func:`table_eigenvalues` of a tuple at its problem's sites."""
+    return table_eigenvalues(_sites(point), point.ys)
+
+
+def _sites(point: BethePoint):
+    """The site table of a tuple's problem at its parity."""
     if point.problem.points is None:
         raise InvalidInput("eigenvalues need rational evaluation points")
-    return table_eigenvalues(point.problem.parity_data(point.parity).sites, point.ys)
+    return point.problem.parity_data(point.parity).sites
 
 
 def gaudin_eigenvalue(point: BethePoint, k: int) -> Fraction:
@@ -645,15 +684,21 @@ def gaudin_eigenvalue(point: BethePoint, k: int) -> Fraction:
 
 
 def eigenvalue_conservation(pop: Population) -> bool:
-    """Eigenvalue equality across every edge, at mutually admissible sites."""
-    return _conserved(pop, {key: site_eigenvalues(point) for key, point in pop.nodes.items()})
+    """Eigenvalue equality across every edge, at mutually admissible sites.
+
+    Each node's values stay the unreduced integer fractions of
+    :func:`_site_fractions`, compared by cross-multiplication.
+    """
+    values = {key: _site_fractions(_sites(point), point.ys) for key, point in pop.nodes.items()}
+    return _conserved(pop, values, lambda a, b: a[0] * b[1] == b[0] * a[1])
 
 
-def _conserved(pop: Population, values: dict) -> bool:
-    """:func:`eigenvalue_conservation` on each node's :func:`site_eigenvalues`,
-    given by node key."""
+def _conserved(pop: Population, values: dict, equal=operator.eq) -> bool:
+    """:func:`eigenvalue_conservation` on each node's site values, given by
+    node key and compared by ``equal``; ``==`` suits the Fractions of
+    :func:`site_eigenvalues`."""
     for edge in pop.edges:
         source, target = values[edge.source], values[edge.target]
-        if any(source[k] != target[k] for k in source.keys() & target.keys()):
+        if not all(equal(source[k], target[k]) for k in source.keys() & target.keys()):
             return False
     return True

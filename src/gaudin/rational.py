@@ -368,16 +368,24 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic()
     if a.degree == 0 or b.degree == 0:
         return Poly.one()
-    u = _primitive(a.ints)
-    v = _primitive(b.ints)
+    g = _primitive_gcd(a.ints, b.ints)
+    return _poly(g, g[-1])
+
+
+def _primitive_gcd(u, v) -> list[int]:
+    """A primitive integer gcd of two nonzero trimmed integer vectors, of
+    either sign; [1] when they are coprime.  This is :func:`poly_gcd`'s
+    sequence of primitive pseudo-remainders."""
+    u = _primitive(u)
+    v = _primitive(v)
     if len(u) < len(v):
         u, v = v, u
     while len(v) > 1:
         r = _pseudo_divmod(u, v)[1]
         if not r:
-            return _poly(v, v[-1])
+            return v
         u, v = v, _primitive(r)
-    return Poly.one()
+    return [1]
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:

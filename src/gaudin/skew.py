@@ -20,6 +20,8 @@ are derived from primitives only where an operator is built.
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .errors import (
     DegenerateInput,
     DegenerateSwap,
@@ -28,7 +30,18 @@ from .errors import (
     NonRationalKernel,
     NonRationalAntiderivative,
 )
-from .rational import Poly, RatFun, log_deriv, rational_antiderivative
+from .rational import (
+    Poly,
+    RatFun,
+    _convolve,
+    _poly,
+    _primitive,
+    _primitive_gcd,
+    _pseudo_divmod,
+    log_deriv,
+    poly_lcm,
+    rational_antiderivative,
+)
 from .weights import ParitySequence
 
 
@@ -160,12 +173,110 @@ def right_divide(a: DiffOp, b: DiffOp) -> tuple[DiffOp, DiffOp]:
 
 
 def right_gcd(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Monic greatest common right divisor."""
+    """Monic greatest common right divisor, fraction-free.
+
+    A left unit does not change a right gcd, so each operand is cleared to
+    polynomial coefficients on the left (:func:`_cleared`) and the Euclid
+    runs on integer vectors: the primitive pseudo-remainder sequence of
+    :func:`~gaudin.rational.poly_gcd`, carried over to operators.  Each
+    step of :func:`_right_prem` takes beta P - alpha D^k Q, alpha and beta
+    the leading coefficients, and divides out the polynomial content.  A
+    nonzero remainder of order 0 is a unit, so the gcd is 1 there;
+    otherwise the last nonzero remainder, made monic, is the gcd.
+    """
     if a.is_zero() and b.is_zero():
         raise DegenerateInput("gcd of two zero operators")
-    while not b.is_zero():
-        a, b = b, right_divide(a, b)[1]
-    return a.monic()
+    if a.order < b.order:
+        a, b = b, a
+    if b.is_zero():
+        return a.monic()
+    u, v = _content_free(_cleared(a)), _content_free(_cleared(b))
+    while len(v) > 1:
+        r = _right_prem(u, v)
+        if not r:
+            lc = _poly(v[-1], 1)
+            return DiffOp([RatFun(_poly(c, 1), lc) for c in v])
+        u, v = v, r
+    return DiffOp.one()
+
+
+def _cleared(op: DiffOp) -> list[list[int]]:
+    """Integer coefficient vectors, by power of D, of the nonzero ``op``
+    times the lcm of its coefficients' denominators and an integer, both
+    on the left."""
+    den = Poly.one()
+    for c in op.coeffs:
+        if c.den.degree > 0 and c.den != den:
+            den = poly_lcm(den, c.den)
+    polys = [c.num * den.exact_div(c.den) for c in op.coeffs]
+    scale = lcm(*(p.den for p in polys))
+    return [[x * (scale // p.den) for x in p.ints] for p in polys]
+
+
+def _content_free(op: list[list[int]]) -> list[list[int]]:
+    """A nonzero integer operator divided by the polynomial gcd of its
+    coefficients and by the gcd of their integers."""
+    g = None
+    for c in op:
+        if c:
+            g = _primitive(c) if g is None else _primitive_gcd(g, c)
+            if len(g) == 1:
+                break
+    if len(g) > 1:
+        quotients = []
+        for c in op:
+            q, r, s = _pseudo_divmod(c, g) if c else ([], [], 1)
+            if r or s != 1:
+                raise InternalInconsistency("polynomial content does not divide exactly")
+            quotients.append(q)
+        op = quotients
+    n = 0
+    for c in op:
+        for x in c:
+            n = gcd(n, x)
+            if n == 1:
+                return op
+    return [[x // n for x in c] for c in op]
+
+
+def _combine(p: list[int], q: list[int], c: int) -> list[int]:
+    """p + c q for integer vectors, trimmed."""
+    out = list(p) + [0] * (len(q) - len(p))
+    for k, x in enumerate(q):
+        out[k] += c * x
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _derivation_times(op: list[list[int]]) -> list[list[int]]:
+    """D times an integer operator: D (sum_j b_j D^j) = sum_j (b_j' + b_(j-1)) D^j."""
+    derivs = [[k * c[k] for k in range(1, len(c))] for c in op]
+    return [derivs[0], *(_combine(d, b, 1) for d, b in zip(derivs[1:], op)), op[-1]]
+
+
+def _right_prem(u: list[list[int]], v: list[list[int]]) -> list[list[int]]:
+    """A content-free right pseudo-remainder of u by v, of order below v's.
+
+    Each step replaces u, of order n >= ord v = m, by beta u - alpha D^k v
+    with k = n - m, alpha = lc(u) and beta = lc(v): the left multiple
+    beta u changes no right gcd, and D^k v has leading coefficient beta,
+    so the order drops.  The D^k v are stepped as in :meth:`DiffOp.__mul__`.
+    """
+    m = len(v) - 1
+    beta = v[-1]
+    shifted = [v]
+    while len(u) > m:
+        k = len(u) - 1 - m
+        while len(shifted) <= k:
+            shifted.append(_derivation_times(shifted[-1]))
+        alpha = u[-1]
+        u = [_combine(_convolve(beta, x), _convolve(alpha, y), -1) for x, y in zip(u, shifted[k])]
+        while u and not u[-1]:
+            u.pop()
+        if u:
+            u = _content_free(u)
+    return u
 
 
 class OreFraction:

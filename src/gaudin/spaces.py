@@ -12,7 +12,14 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 
-from .bethe import BethePoint, Population, discovery_edges, node_primitives, population_factorization
+from .bethe import (
+    BethePoint,
+    Population,
+    _primitive_pairs,
+    discovery_edges,
+    node_primitives,
+    population_factorization,
+)
 from .errors import (
     AtypicalUnsupported,
     InternalInconsistency,
@@ -26,6 +33,7 @@ from .rational import (
     Poly,
     Q,
     RatFun,
+    _convolve,
     coprime_basis,
     order_at_place,
     poly_gcd,
@@ -356,22 +364,27 @@ def flag_factorization(space: RationalSpace, flag: SuperFlag) -> CompleteFactori
     return CompleteFactorization.from_primitives(flag.parity, prims)
 
 
-def _flag_matches(flag: SuperFlag, prims) -> bool:
+def _flag_matches(flag: SuperFlag, pairs) -> bool:
     """Whether the flag's factorization has the coefficients of the
-    factorization with primitives ``prims`` at the flag's parity.
+    factorization at the flag's parity whose primitive i is
+    pairs[i][0] / pairs[i][1], a pair of nonzero polynomials.
 
     For nonzero f, g in Q(x), f'/f = g'/g holds exactly when (f/g)' = 0,
     that is when f/g is a nonzero constant.  So the coefficients agree
     slot by slot exactly when the primitives are proportional.  With the
-    flag primitive top / bottom and the node primitive g, that is the
-    proportionality of P = top.num bottom.den g.den and
-    Q = top.den bottom.num g.num, tested as P lc(Q) == Q lc(P) with no
-    log-derivative and no gcd.
+    flag primitive top / bottom and the pair (g, h), that is the
+    proportionality of P = top.num bottom.den h and
+    Q = top.den bottom.num g, tested on their integer vectors as
+    P lc(Q) == Q lc(P) with no log-derivative and no gcd.  A factor common
+    to g and h multiplies P and Q alike, so the pair need not be reduced.
     """
-    for (top, bottom), g in zip(_flag_ratios(flag), prims):
-        p = top.num * bottom.den * g.den
-        q = top.den * bottom.num * g.num
-        if p * q.lc != q * p.lc:
+    for (top, bottom), (g, h) in zip(_flag_ratios(flag), pairs):
+        p = _convolve(_convolve(top.num.ints, bottom.den.ints), h.ints)
+        q = _convolve(_convolve(top.den.ints, bottom.num.ints), g.ints)
+        if len(p) != len(q):
+            return False
+        lp, lq = p[-1], q[-1]
+        if any(a * lq != b * lp for a, b in zip(p, q)):
             return False
     return True
 
@@ -496,8 +509,9 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
     parities agree by construction, so the fractions then agree too).  Two
     nonzero primitives have the same logarithmic derivative exactly when
     their ratio is constant, so :func:`_flag_matches` decides that
-    equality against :func:`node_primitives` by proportionality, and no
-    factorization is built on either side.
+    equality by proportionality, against the node's primitives as the
+    unreduced integer pairs of :func:`~gaudin.bethe._primitive_pairs`:
+    no factorization is built on either side, and no gcd is taken.
 
     Only the seed's flag is built from its primitives, by :func:`_flag`.
     Every other node's flag is carried from its parent's along its
@@ -543,7 +557,7 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
         flag = flags[key]
         if generating_tuple(space, flag) != point.ys:
             raise TheoremViolation(f"generating map mismatch at {point!r}")
-        if not _flag_matches(flag, node_primitives(point)):
+        if not _flag_matches(flag, _primitive_pairs(point)):
             raise TheoremViolation(f"factorization mismatch at {point!r}")
         report["nodes"].append({"parity": list(point.parity.entries), "matched": True})
     return report

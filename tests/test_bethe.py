@@ -901,9 +901,10 @@ class TestPopulateWorkOnce:
         assert calls == {"bosonic_rhs": 2, "wronskian_partner": 2}
         pop = populate(seed, [Q(-6), Q(-5), Q(1)], max_depth=4)
         assert (len(pop.nodes), len(pop.edges)) == (352, 384)
-        # the same criterion again, then 114 line tests and 80 partner solves
-        # in the loop (192 of each in the old order)
-        assert calls == {"bosonic_rhs": 2 + 2 + 114, "wronskian_partner": 2 + 2 + 80}
+        # the same criterion again, whose two families the seed's expansion
+        # reuses, then 112 line tests and 78 partner solves for the other
+        # nodes in the loop (the old order's loop takes 192 of each)
+        assert calls == {"bosonic_rhs": 2 + 2 + 112, "wronskian_partner": 2 + 2 + 78}
 
 
 def gaudin_eigenvalues(point):

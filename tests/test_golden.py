@@ -49,6 +49,8 @@ COMMANDS = {
     "space_worked_gl21_nonstandard_seed_depth3": [
         "space", "--input", "worked_gl21_nonstandard_seed.json", "--max-depth", "3",
     ],
+    # each side's standard pair is (D - a, D - a): a right gcd of order 1
+    "rpdo_equal_cancelling": ["rpdo-equal", "--input", "rpdo_equal_cancelling.json"],
 }
 # recorded too, but run by test_large_point_output_and_budget under a time budget
 BUDGETED = (

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -129,7 +130,47 @@ class TestRightDivide:
             assert r.is_zero() or r.order < b.order
 
 
+def euclid_right_gcd(a, b):
+    """The monic right gcd by the Euclidean algorithm over rational functions."""
+    while not b.is_zero():
+        a, b = b, right_divide(a, b)[1]
+    return a.monic()
+
+
+small_poly = st.builds(
+    lambda ints, den: Poly([Fraction(c, den) for c in ints]),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    st.integers(1, 3),
+)
+coefficient = st.builds(RatFun, small_poly, small_poly.filter(bool))
+nonzero_coefficient = coefficient.filter(bool)
+
+
+@st.composite
+def operators(draw):
+    """A nonzero operator of order 0 to 2 with rational-function
+    coefficients, their denominators polynomials of degree up to 2."""
+    order = draw(st.sampled_from((2, 1, 0)))
+    return DiffOp([draw(coefficient) for _ in range(order)] + [draw(nonzero_coefficient)])
+
+
 class TestRightGcd:
+    @given(left=st.tuples(operators(), operators()), common=operators(), zero=st.integers(0, 4))
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    def test_agrees_with_euclid(self, left, common, zero):
+        """L G and M G with G of order 0-2, the first replaced by zero in
+        one draw of five; both argument orders are checked."""
+        a, b = (op * common for op in left)
+        if not zero:
+            a = DiffOp.zero()
+        expected = euclid_right_gcd(a, b)
+        assert right_gcd(a, b) == expected == right_gcd(b, a)
+        assert expected.order >= common.order
+
+    def test_two_zeros_rejected(self):
+        with pytest.raises(DegenerateInput):
+            right_gcd(DiffOp.zero(), DiffOp.zero())
+
     def test_shared_factor(self):
         rng = random.Random(23)
         g = rand_op(rng, 1, monic=True)

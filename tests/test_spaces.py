@@ -11,6 +11,7 @@ from gaudin import cli, jsonio, skew, spaces
 from gaudin.bethe import (
     BethePoint,
     Population,
+    _primitive_pairs,
     node_primitives,
     populate,
     population_factorization,
@@ -686,33 +687,47 @@ class TestFlagFactorization:
         assert len(calls) == len(set(calls))
 
 
-def scaled_primitive(fac, slot, factor):
-    """``fac`` rebuilt with primitive ``slot`` multiplied by ``factor``."""
-    prims = list(fac.primitives)
-    prims[slot] = prims[slot] * factor
-    return CompleteFactorization.from_primitives(fac.parity, prims)
+def scaled_pair(pairs, slot, top, bottom=1):
+    """Primitive pairs with slot's entries multiplied by ``top`` and ``bottom``."""
+    out = list(pairs)
+    g, h = out[slot]
+    out[slot] = (g * top, h * bottom)
+    return tuple(out)
+
+
+def pair_coefficients(parity, pairs):
+    """Coefficients of the factorization whose primitive i is pairs[i][0] / pairs[i][1]."""
+    return CompleteFactorization.from_primitives(parity, [RatFun(g, h) for g, h in pairs]).coefficients
 
 
 class TestFlagMatchOracle:
-    """Proportional primitives against the retired comparison of the flag
-    factorization's coefficients with the node factorization's."""
+    """Proportional primitives, passed as unreduced polynomial pairs, against
+    the retired comparison of the flag factorization's coefficients with the
+    node factorization's."""
 
     @pytest.mark.parametrize("name", GOLDEN_SPACE_RUNS)
     def test_every_golden_node(self, name):
         pop = golden_population(*GOLDEN_SPACE_RUNS[name])
         space = kernel_spaces(pop)
         for k, point in enumerate(pop.points()):
-            fac = population_factorization(point)
+            fac, pairs = population_factorization(point), _primitive_pairs(point)
+            assert tuple(RatFun(g, h) for g, h in pairs) == fac.primitives
             flag = flag_from_factorization(space, fac)
             coefficients = flag_factorization(space, flag).coefficients
-            slot = k % len(fac.parity)
+            slot = k % len(point.parity)
+            common = POLES[k % len(POLES)]
             cases = [
-                (fac, True),
-                (scaled_primitive(fac, slot, RatFun.const(Q(-3, 2))), True),
-                (scaled_primitive(fac, slot, RatFun(X - 17)), False),
+                (pairs, True),
+                # a factor common to both entries: the pair is not reduced
+                (scaled_pair(pairs, slot, common, common), True),
+                (scaled_pair(pairs, slot, Q(-3, 2)), True),
+                (scaled_pair(pairs, slot, Q(-3, 2) * common, common), True),
+                (scaled_pair(pairs, slot, X - 17), False),
+                (scaled_pair(pairs, slot, common, common * (X - 17)), False),
             ]
             for other, expected in cases:
-                assert spaces._flag_matches(flag, other.primitives) == (coefficients == other.coefficients) == expected
+                matched = spaces._flag_matches(flag, other)
+                assert matched == (coefficients == pair_coefficients(point.parity, other)) == expected
 
 
 class TestWronskiIdentity:
@@ -762,19 +777,17 @@ class TestBijection:
 
     @staticmethod
     def _scale_node_primitive(monkeypatch, factor):
-        """Every node's primitives with the last one times ``factor``; each
-        flag is still rebuilt from the node's own primitives."""
-        own = {}
+        """Every node's primitive pairs with the last primitive times the
+        rational function ``factor``; the flags are still built from the
+        nodes' own primitives."""
+        pairs = spaces._primitive_pairs
 
         def scaled(point):
-            prims = node_primitives(point)
-            out = prims[:-1] + (prims[-1] * factor,)
-            own[out] = prims
-            return out
+            out = pairs(point)
+            g, h = out[-1]
+            return out[:-1] + ((g * factor.num, h * factor.den),)
 
-        flag = spaces._flag
-        monkeypatch.setattr(spaces, "node_primitives", scaled)
-        monkeypatch.setattr(spaces, "_flag", lambda space, parity, prims: flag(space, parity, own[prims]))
+        monkeypatch.setattr(spaces, "_primitive_pairs", scaled)
 
     def test_nonconstant_primitive_factor_raises(self, worked_population, monkeypatch):
         space = kernel_spaces(worked_population)
