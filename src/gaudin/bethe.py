@@ -27,7 +27,7 @@ from .rational import (
     RatFun,
     _convolve,
     _poly,
-    _primitive,
+    _proportional,
     _pseudo_divmod,
     log_deriv,
     poly_gcd,
@@ -403,10 +403,10 @@ class Population:
         return self._operator
 
 
-def _on_wronskian_line(y: Poly, cand: Poly, line: Poly) -> bool:
-    """Whether W(y, cand) = y cand' - y' cand is 0 or a multiple of the monic ``line``."""
+def _on_wronskian_line(y: Poly, cand: Poly, rhs: Poly) -> bool:
+    """Whether W(y, cand) = y cand' - y' cand is 0 or a multiple of the nonzero ``rhs``."""
     w = y * cand.derivative() - y.derivative() * cand
-    return not w or w.monic() == line
+    return not w or _proportional(w.ints, rhs.ints)
 
 
 def _family_sibling_exists(pop: Population, point: BethePoint, i: int, rhs: Poly) -> bool:
@@ -422,10 +422,9 @@ def _family_sibling_exists(pop: Population, point: BethePoint, i: int, rhs: Poly
     W(y, cand) = c rhs has c != 0 (else cand = y, the same node), so
     cand / c is a polynomial partner and the family exists.
     """
-    line = rhs.monic()
     y = point.y(i)
     return any(
-        _on_wronskian_line(y, other.ys[i - 1], line)
+        _on_wronskian_line(y, other.ys[i - 1], rhs)
         for other in pop._lines.get(_line_key(point, i), [])
         if other is not point
     )
@@ -571,14 +570,12 @@ def _edge_keeps_operator(source: BethePoint, target: BethePoint, i: int, known=N
         known.add(shape)
     y, new = source.y(i), target.y(i)
     if not mixed:
-        return _on_wronskian_line(y, new, bosonic_rhs(source, i).monic())
+        return _on_wronskian_line(y, new, bosonic_rhs(source, i))
     try:
-        rhs = _primitive(_fermionic_ints(source, i)[0])
+        rhs = _fermionic_ints(source, i)[0]
     except DegenerateReproduction:
         return True
-    # proportional integer vectors have equal primitive parts up to sign
-    prod = _primitive(_convolve(y.ints, new.ints))
-    return prod == rhs or prod == [-c for c in rhs]
+    return _proportional(_convolve(y.ints, new.ints), rhs)
 
 
 def discovery_edges(pop: Population):

@@ -10,9 +10,10 @@ functions never modify their arguments.  Every solver here goes through
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import InternalInconsistency
+from .rational import _primitive, _scaled
 
 Q = Fraction
 
@@ -33,7 +34,7 @@ def solve_linear(rows, rhs):
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    aug = [_primitive_row([*row, b]) for row, b in zip(rows, rhs)]
+    aug = [_primitive(_scaled([*row, b])[0]) for row, b in zip(rows, rhs)]
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -50,7 +51,7 @@ def solve_linear(rows, rhs):
         for i in range(m):
             f = aug[i][c]
             if i != r and f:
-                aug[i] = _divided_by_content([p * x - f * y for x, y in zip(aug[i], prow)])
+                aug[i] = _primitive([p * x - f * y for x, y in zip(aug[i], prow)])
         pivots.append(c)
         r += 1
         if r == m:
@@ -70,19 +71,6 @@ def solve_linear(rows, rhs):
     for i, pc in enumerate(pivots):
         sol[pc] = Fraction(aug[i][n], aug[i][pc])
     return sol, null_basis
-
-
-def _primitive_row(row) -> list[int]:
-    """Integers proportional to a row of ints and Fractions, with content 1."""
-    den = lcm(*[x.denominator for x in row])
-    return _divided_by_content([x.numerator * (den // x.denominator) for x in row])
-
-
-def _divided_by_content(row: list[int]) -> list[int]:
-    g = gcd(*row)
-    if g > 1:
-        return [x // g for x in row]
-    return row
 
 
 def nullspace(rows):

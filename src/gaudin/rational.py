@@ -250,7 +250,7 @@ def _as_poly(value) -> Poly:
 
 
 def _scaled(coeffs) -> tuple[list[int], int]:
-    """Integers over one common denominator: coeffs[i] == ints[i] / den."""
+    """Ints and Fractions as integers over their lcm denominator: coeffs[i] == ints[i] / den."""
     den = 1
     for c in coeffs:
         d = c.denominator
@@ -342,13 +342,22 @@ def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
 
 
 def _primitive(ints):
-    """The integer vector divided by the gcd of its entries (nonzero input)."""
+    """The integer vector divided by the gcd of its entries; a zero vector comes back unchanged."""
     g = 0
     for c in ints:
         g = gcd(g, c)
         if g == 1:
             return ints
-    return [c // g for c in ints]
+    return [c // g for c in ints] if g else ints
+
+
+def _proportional(p, q) -> bool:
+    """Whether the nonzero trimmed integer vectors p and q are nonzero multiples
+    of each other: equal lengths and p[k] lc(q) == q[k] lc(p) in every slot."""
+    if len(p) != len(q):
+        return False
+    lp, lq = p[-1], q[-1]
+    return all(a * lq == b * lp for a, b in zip(p, q))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

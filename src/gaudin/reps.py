@@ -31,7 +31,7 @@ from .linalg import (
     nullspace,
     rank,
 )
-from .rational import Poly, Q, factor_rational_quadratic, poly_gcd, qq, rational_roots
+from .rational import Poly, Q, _scaled, factor_rational_quadratic, poly_gcd, qq, rational_roots
 from .bethe import table_eigenvalues
 from .weights import ParitySequence, Weight, site_table, swap_coords, weight_at_infinity
 
@@ -285,10 +285,9 @@ def _scaled_sum(terms) -> tuple[IntSparse, int]:
     sum is the integer map sum of (c L) M over L.
     """
     terms = list(terms)
-    den = lcm(*(c.denominator for c, _ in terms))
+    factors, den = _scaled([c for c, _ in terms])
     acc: dict[int, dict[int, int]] = {}
-    for c, op in terms:
-        factor = c.numerator * (den // c.denominator)
+    for factor, (_, op) in zip(factors, terms):
         for col, entries in op.items():
             bucket = acc.setdefault(col, {})
             for row, val in entries:
@@ -511,29 +510,26 @@ def _echelon_rows(vectors) -> list[int]:
 
 
 def _restrict(ops, basis, rows) -> list:
-    """Each operator's matrix on the span of an echelon basis.
+    """Each operator's matrix on the span of an integer echelon basis.
 
     ``ops`` holds (integer column-sparse map M, denominator L) pairs, the
-    operator being M over L.  v_i = basis[i] is 1 at rows[i] and 0 at the
-    other rows, so block entry X_ij is (H v_j)[rows[i]].  Each v_j is scaled
-    to the integer vector w_j = d_j v_j, d_j the lcm of its denominators;
-    M w_j is L d_j H v_j, so X_ij is (M w_j)[rows[i]] / (L d_j).
-    Invariance, H v_j = sum_i X_ij v_i, is checked on every coordinate in
-    integers: with D the lcm of the d_i, D M w_j must equal
+    operator being M over L.  w_j = basis[j] is an integer vector, nonzero
+    at rows[j] and 0 at the other rows, so with d_j = w_j[rows[j]] the
+    vectors v_j = w_j / d_j are 1 at their own rows, and block entry X_ij
+    is (H v_j)[rows[i]] = (M w_j)[rows[i]] / (L d_j).  Invariance,
+    H v_j = sum_i X_ij v_i, is checked on every coordinate in integers:
+    with D the lcm of the d_i, D M w_j must equal
     sum_i (M w_j)[rows[i]] (D / d_i) w_i.
     """
     dim = len(basis[0]) if basis else 0
-    dens = [lcm(*(x.denominator for x in vec)) for vec in basis]
-    ints = [
-        [(t, x.numerator * (d // x.denominator)) for t, x in enumerate(vec) if x]
-        for vec, d in zip(basis, dens)
-    ]
+    dens = [w[r] for w, r in zip(basis, rows)]
+    supports = [[(t, x) for t, x in enumerate(w) if x] for w in basis]
     big = lcm(*dens)
-    spans = [[(t, w * (big // d)) for t, w in support] for support, d in zip(ints, dens)]
+    spans = [[(t, x * (big // d)) for t, x in support] for support, d in zip(supports, dens)]
     blocks = []
     for op, den in ops:
         columns = []
-        for support, d in zip(ints, dens):
+        for support, d in zip(supports, dens):
             img = [0] * dim
             for t, w in support:
                 for row, h in op.get(t, ()):
@@ -553,18 +549,23 @@ def _restrict(ops, basis, rows) -> list:
 
 def _restricted_hamiltonians(system: TensorSystem, basis) -> list:
     """Each Hamiltonian's :func:`_restrict` block on the span of a
-    ``singular_space`` basis, which is in echelon form."""
+    ``singular_space`` basis, which is in echelon form; the basis is
+    cleared to integers once."""
     hams = (system._hamiltonian(r) for r in range(1, len(system.modules) + 1))
-    return _restrict(hams, basis, _echelon_rows(basis))
+    return _restrict(hams, [_scaled(v)[0] for v in basis], _echelon_rows(basis))
 
 
 def _joint_eigen_decomposition(mats):
     """Split a list of commuting rational matrices into joint eigenspaces.
 
     Returns (spaces, irrational_dim) where spaces is a list of
-    (eigenvalue_tuple, basis_vectors) with rational eigenvalues only.  Each
-    tuple arises from one (parent space, root) pair, and the lifted
-    nullspace basis stays independent, so no regrouping is needed.  A
+    (eigenvalue_tuple, basis_vectors) with rational eigenvalues only, each
+    basis vector an integer one.  Each tuple arises from one (parent space,
+    root) pair, and the lifted nullspace basis stays independent, so no
+    regrouping is needed.  The split starts from the integer identity.  A
+    nullspace vector c of a block on the echelon basis w_i (v_i = w_i / d_i
+    as in :func:`_restrict`) lifts to sum_i c_i v_i = sum_i (c_i / d_i) w_i,
+    cleared to integers by the lcm of the c_i / d_i's denominators.  The
     lifted basis stays in echelon form at the parent rows picked by the
     nullspace's free columns, so each matrix, taken once as an integer map,
     acts on it by :func:`_restrict`.  A line is not split: once the
@@ -575,7 +576,7 @@ def _joint_eigen_decomposition(mats):
     most a line: ``(spaces, irrational_dim, first_charpoly)``.
     """
     dim = len(mats[0]) if mats else 0
-    spaces = [((), identity(dim), list(range(dim)))]
+    spaces = [((), [[int(i == j) for j in range(dim)] for i in range(dim)], list(range(dim)))]
     irrational = 0
     first = None
     for scaled, den in map(integer_scaled, mats):
@@ -594,10 +595,10 @@ def _joint_eigen_decomposition(mats):
                 irrational += rem.degree
             for root, _mult in roots:
                 null = nullspace(mat_sub(action, mat_scale(identity(len(action)), root)))
-                lifted = [
-                    [sum(c * vec[t] for c, vec in zip(coef, vectors)) for t in range(dim)]
-                    for coef in null
-                ]
+                lifted = []
+                for coef in null:
+                    ks, _ = _scaled([c / w[r] for c, w, r in zip(coef, vectors, rows)])
+                    lifted.append([sum(k * w[t] for k, w in zip(ks, vectors) if k) for t in range(dim)])
                 free_rows = [rows[f] for f in _echelon_rows(null)]
                 new_spaces.append((eigs + (root,), lifted, free_rows))
         spaces = new_spaces

@@ -33,6 +33,7 @@ from .errors import (
 from .rational import (
     Poly,
     RatFun,
+    _as_ratfun,
     _convolve,
     _poly,
     _primitive,
@@ -45,19 +46,13 @@ from .rational import (
 from .weights import ParitySequence
 
 
-def _as_coeff(c) -> RatFun:
-    if isinstance(c, RatFun):
-        return c
-    return RatFun(c) if isinstance(c, Poly) else RatFun(Poly.const(c))
-
-
 class DiffOp:
     """Differential operator with rational-function coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_as_coeff(c) for c in coeffs]
+        cs = [_as_ratfun(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -73,11 +68,11 @@ class DiffOp:
     @staticmethod
     def first_order(a) -> "DiffOp":
         """The operator  D - a."""
-        return DiffOp((-_as_coeff(a), RatFun.one()))
+        return DiffOp((-_as_ratfun(a), RatFun.one()))
 
     @staticmethod
     def from_coeff(f) -> "DiffOp":
-        return DiffOp((_as_coeff(f),))
+        return DiffOp((_as_ratfun(f),))
 
     @property
     def order(self) -> int:
@@ -119,7 +114,7 @@ class DiffOp:
 
     def scale(self, f) -> "DiffOp":
         """Left multiplication by a function: coefficients scale in place."""
-        f = _as_coeff(f)
+        f = _as_ratfun(f)
         return DiffOp([f * c for c in self.coeffs])
 
     def monic(self) -> "DiffOp":
@@ -147,7 +142,7 @@ class DiffOp:
 
     def apply(self, f) -> RatFun:
         """Action on a rational function."""
-        f = _as_coeff(f)
+        f = _as_ratfun(f)
         out = RatFun.zero()
         deriv = f
         for c in self.coeffs:
@@ -328,7 +323,7 @@ def ore_swap(a: RatFun, b: RatFun, *, backward: bool = False) -> tuple[RatFun, R
     Forward direction: given (D-a)(D-b)^(-1), produce (c, d) with
     (D-a)(D-b)^(-1) = (D-c)^(-1)(D-d).  Backward inverts the move.
     """
-    a, b = _as_coeff(a), _as_coeff(b)
+    a, b = _as_ratfun(a), _as_ratfun(b)
     diff = a - b
     if diff.is_zero():
         raise DegenerateSwap("exchange undefined for equal coefficients")
@@ -352,7 +347,7 @@ class CompleteFactorization:
     __slots__ = ("parity", "coefficients", "primitives")
 
     def __init__(self, parity: ParitySequence, coefficients):
-        coefficients = tuple(_as_coeff(c) for c in coefficients)
+        coefficients = tuple(_as_ratfun(c) for c in coefficients)
         if len(coefficients) != len(parity):
             raise DegenerateInput("factor count must match parity length")
         object.__setattr__(self, "parity", parity)
@@ -361,7 +356,7 @@ class CompleteFactorization:
 
     @staticmethod
     def from_primitives(parity: ParitySequence, primitives) -> "CompleteFactorization":
-        primitives = tuple(_as_coeff(g) for g in primitives)
+        primitives = tuple(_as_ratfun(g) for g in primitives)
         fac = CompleteFactorization(parity, [log_deriv(g) for g in primitives])
         object.__setattr__(fac, "primitives", primitives)
         return fac
@@ -458,7 +453,7 @@ def rational_kernel(primitives) -> list[RatFun]:
     solves a Wronskian equation with the same back-substitution as bosonic
     reproduction.
     """
-    prims = [_as_coeff(g) for g in primitives]
+    prims = [_as_ratfun(g) for g in primitives]
     m = len(prims)
     basis: list[RatFun] = []
     for k in range(m - 1, -1, -1):

@@ -34,6 +34,7 @@ from .rational import (
     Q,
     RatFun,
     _convolve,
+    _proportional,
     coprime_basis,
     order_at_place,
     poly_gcd,
@@ -330,7 +331,7 @@ def flag_polynomial(space: RationalSpace, flag: SuperFlag, a: int, b: int) -> Po
 
 def _partial(s: ParitySequence, i: int) -> tuple[int, int]:
     """(a, b) of the i-th partial flag: the +1 entries of s after position i, the -1 ones up to it."""
-    return s.ones_after(i), s.minus_before(i + 1)
+    return s.partials[i]
 
 
 def generating_tuple(space: RationalSpace, flag: SuperFlag) -> tuple[Poly, ...]:
@@ -381,10 +382,7 @@ def _flag_matches(flag: SuperFlag, pairs) -> bool:
     for (top, bottom), (g, h) in zip(_flag_ratios(flag), pairs):
         p = _convolve(_convolve(top.num.ints, bottom.den.ints), h.ints)
         q = _convolve(_convolve(top.den.ints, bottom.num.ints), g.ints)
-        if len(p) != len(q):
-            return False
-        lp, lq = p[-1], q[-1]
-        if any(a * lq != b * lp for a, b in zip(p, q)):
+        if not _proportional(p, q):
             return False
     return True
 

@@ -95,6 +95,11 @@ class ParitySequence:
         """Count of -1 entries strictly before position i (1-based)."""
         return sum(1 for e in self.entries[: i - 1] if e == -1)
 
+    @cached_property
+    def partials(self) -> tuple[tuple[int, int], ...]:
+        """(ones_after(i), minus_before(i + 1)) for i = 0..len(self), counted once."""
+        return tuple((self.ones_after(i), self.minus_before(i + 1)) for i in range(len(self) + 1))
+
     def swapped(self, i: int) -> "ParitySequence":
         """Sequence with positions i, i+1 exchanged (1-based)."""
         e = list(self.entries)
@@ -175,11 +180,8 @@ class Weight:
         if any(c[m + i] < c[m + i + 1] for i in range(n - 1)):
             return False
         nonzero_odd = sum(1 for i in range(n) if c[m + i] != 0)
-        if m and c[m - 1] < nonzero_odd:
-            return False
-        if m == 0 and nonzero_odd > 0:
-            return False
-        return True
+        # with M = 0 the odd coordinates need only form a partition
+        return m == 0 or c[m - 1] >= nonzero_odd
 
     def is_typical(self) -> bool:
         """Typicality of a polynomial weight: last even coordinate >= N."""

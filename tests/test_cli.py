@@ -240,6 +240,22 @@ class TestSpaceCommand:
         assert captured.out == ""
         assert captured.err == "unsupported: kernel spaces need a typical weight sequence\n"
 
+    def test_gl02_vector_sites(self, tmp_path, capsys):
+        # two vector modules of gl(0|2), weight (1, 0): polynomial, so the
+        # population runs; every gl(0|N) weight is atypical, so the space does not
+        problem = {"M": 0, "N": 2, "weights": [["1", "0"], ["1", "0"]], "points": ["0", "1"]}
+        seed = {"parity": [-1, -1], "ys": [["1"]]}
+        inp = write(tmp_path, "in.json", {"problem": problem, "seed": seed})
+        out = tmp_path / "out.json"
+        assert main(["population", "--input", inp, "--out", str(out), "--max-depth", "3"]) == 0
+        payload = json.loads(out.read_text())
+        assert len(payload["nodes"]) == 4
+        assert payload["R_invariant"] and payload["eigenvalues_conserved"]
+        assert main(["space", "--input", inp, "--max-depth", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "unsupported: kernel spaces need a typical weight sequence\n"
+
 
 class TestCheckBae:
     def test_satisfied(self, tmp_path):

@@ -3,13 +3,15 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gaudin.errors import DegenerateInput, NonRationalAntiderivative
 from gaudin.linalg import solve_linear
 from gaudin.rational import (
     Poly,
     RatFun,
+    _primitive,
+    _proportional,
     coprime_basis,
     factor_rational_quadratic,
     _poly_antiderivative,
@@ -554,6 +556,67 @@ class TestOrderAt:
         assert order_at_place(RatFun(X**3 - 1), X - 2) == 0
 
 
+def primitive_parts_agree(p, q):
+    """The proportionality test before ``_proportional``: equal primitive
+    parts up to sign.  The oracle for it."""
+    a = [c // gcd(*p) for c in p]
+    b = [c // gcd(*q) for c in q]
+    return a == b or a == [-c for c in b]
+
+
+NONZERO_INTS = st.integers(-6, 6).filter(bool)
+TRIMMED_INTS = st.builds(lambda head, lc: head + [lc], st.lists(st.integers(-6, 6), max_size=4), NONZERO_INTS)
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two nonzero trimmed integer vectors: a·r and b·r for one r, with q
+    then lengthened, negated or changed in one slot, or drawn on its own."""
+    r = draw(TRIMMED_INTS)
+    a, b = draw(NONZERO_INTS), draw(NONZERO_INTS)
+    p, q = [a * c for c in r], [b * c for c in r]
+    kind = draw(st.sampled_from(["multiple", "longer", "one sign", "one slot", "independent"]))
+    if kind == "one sign":
+        k = draw(st.sampled_from([k for k, c in enumerate(q) if c]))
+        q[k] = -q[k]
+    elif kind == "longer":
+        q = [draw(st.integers(-6, 6)) for _ in range(draw(st.integers(1, 2)))] + q
+    elif kind == "one slot":
+        k = draw(st.integers(0, len(q) - 1))
+        q[k] += draw(NONZERO_INTS)
+        while q and not q[-1]:
+            q.pop()
+        assume(q)
+    elif kind == "independent":
+        q = draw(TRIMMED_INTS)
+    return (q, p, kind) if draw(st.booleans()) else (p, q, kind)
+
+
+class TestIntegerKernel:
+    @given(vector_pairs())
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    def test_proportional_matches_primitive_parts(self, pair):
+        p, q, kind = pair
+        assert _proportional(p, q) == primitive_parts_agree(p, q) == _proportional(q, p)
+        if kind == "multiple":
+            assert _proportional(p, q)
+        if kind == "longer":
+            assert not _proportional(p, q)
+
+    def test_proportional_by_hand(self):
+        r = [3, 0, -5, 1]
+        assert _proportional([2 * c for c in r], [-3 * c for c in r])
+        assert _proportional([7], [-2])
+        assert not _proportional([1, 1], [-1, 1])
+        assert not _proportional([2, 1], [1, 1])
+        assert not _proportional([0, 1], [0, 0, 1])
+
+    def test_primitive_of_zero(self):
+        assert _primitive([0, 0, 0]) == [0, 0, 0]
+        assert _primitive([]) == []
+        assert _primitive([0, -4, 6]) == [0, -2, 3]
+
+
 class TestSolveLinear:
     def test_identity(self):
         sol, null = solve_linear([[1, 0], [0, 1]], [3, 4])
@@ -566,6 +629,22 @@ class TestSolveLinear:
     def test_underdetermined(self):
         sol, null = solve_linear([[1, 1]], [0])
         assert sol == [0, 0] and len(null) == 1
+
+    def test_zero_row(self):
+        rows, rhs = [[0, 0, 0], [Q(1, 2), 1, Q(-3, 4)], [0, 0, 0]], [0, 2, 0]
+        sol, null = solve_linear(rows, rhs)
+        assert (sol, null) == _fraction_gauss_jordan(rows, rhs)
+        assert sol == [4, 0, 0] and null == [[-2, 1, 0], [Q(3, 2), 0, 1]]
+        assert solve_linear([[0, 0]], [0]) == ([0, 0], [[1, 0], [0, 1]])
+
+    def test_dependent_row(self):
+        # the second row is -2/3 times the first, and eliminates to zero
+        rows, rhs = [[3, Q(3, 2), 6], [-2, -1, -4], [0, 1, 1]], [Q(9, 2), -3, 2]
+        sol, null = solve_linear(rows, rhs)
+        assert (sol, null) == _fraction_gauss_jordan(rows, rhs)
+        assert sol == [Q(1, 2), 2, 0] and null == [[Q(-3, 2), -1, 1]]
+        sol, _ = solve_linear(rows, [Q(9, 2), -2, 2])
+        assert sol is None
 
     def test_cramer_oracle(self):
         rng = random.Random(20260808)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gaudin.bethe import table_eigenvalues
 from gaudin.errors import DegenerateInput, InternalInconsistency, UnsupportedFactorization
-from gaudin.linalg import charpoly_coeffs, identity, mat_mul, mat_scale, mat_sub, rank, solve_matrix
+from gaudin.linalg import charpoly_coeffs, identity, mat_mul, mat_scale, mat_sub, nullspace, rank, solve_matrix
 from gaudin.rational import Poly, rational_roots
 from gaudin.reps import (
     SuperModule,
@@ -525,6 +525,77 @@ class TestRestriction:
         mats = [[[Q(1), Q(0)], [Q(0), Q(2)]], [[Q(0), Q(1)], [Q(1), Q(0)]]]
         with pytest.raises(InternalInconsistency, match="^subspace is not invariant$"):
             _joint_eigen_decomposition(mats)
+
+
+def fraction_split(mats):
+    """The joint eigenspaces with each lifted basis kept as dense Fraction
+    vectors and each block solved for: the oracle for the integer lift.
+
+    Returns (eigenvalue tuple, basis) pairs in the split's order.
+    """
+    dim = len(mats[0])
+    spaces = [((), identity(dim))]
+    for m in mats:
+        new_spaces = []
+        for eigs, vectors in spaces:
+            columns = [list(col) for col in zip(*vectors)]
+            action = solve_matrix(columns, mat_mul(m, columns))
+            for root, _mult in rational_roots(Poly(charpoly_coeffs(action)))[0]:
+                null = nullspace(mat_sub(action, mat_scale(identity(len(action)), root)))
+                lifted = [[sum(c * vec[t] for c, vec in zip(coef, vectors)) for t in range(dim)] for coef in null]
+                new_spaces.append((eigs + (root,), lifted))
+        spaces = new_spaces
+    return spaces
+
+
+def conjugated(pmat, diagonals):
+    """P D P^-1 for each diagonal D: commuting matrices with a planted joint spectrum."""
+    inverse = solve_matrix(pmat, identity(len(pmat)))
+    out = []
+    for diag in diagonals:
+        dmat = [[d if i == j else Q(0) for j in range(len(diag))] for i, d in enumerate(diag)]
+        out.append(mat_mul(mat_mul(pmat, dmat), inverse))
+    return out
+
+
+def assert_split_matches_oracle(mats):
+    spaces, irrational, _ = _joint_eigen_decomposition(mats)
+    oracle = fraction_split(mats)
+    assert irrational == 0
+    assert [(eigs, len(vs)) for eigs, vs in spaces] == [(eigs, len(vs)) for eigs, vs in oracle]
+    for (eigs, vectors), (_, fractions) in zip(spaces, oracle):
+        assert all(type(x) is int for v in vectors for x in v)
+        for m, value in zip(mats, eigs):
+            for v in vectors:
+                assert mat_vec(m, v) == [value * x for x in v]
+        assert rank(vectors + fractions) == len(vectors)
+    return spaces
+
+
+class TestSplitLift:
+    def test_plane_split_by_the_second_matrix(self):
+        # A has the eigenvalue 1 on a plane, which B splits into 5 and 7
+        pmat = [[Q(x) for x in row] for row in [[1, 2, 0, -1], [0, 1, 3, 1], [2, 0, 1, 1], [1, -1, 1, 2]]]
+        mats = conjugated(pmat, [[1, 1, Q(-1, 2), 3], [5, 7, 5, Q(2, 3)]])
+        spaces = assert_split_matches_oracle(mats)
+        assert [eigs for eigs, _ in spaces] == [(Q(-1, 2), 5), (1, 5), (1, 7), (3, Q(2, 3))]
+        assert all(len(vs) == 1 for _, vs in spaces)
+
+    def test_planted_pairs(self):
+        # random P, and diagonals drawn from small pools so that A has
+        # repeated eigenvalues and B splits some of their eigenspaces
+        rng = random.Random(35)
+        splits = 0
+        for _ in range(12):
+            size = rng.randint(3, 5)
+            while True:
+                pmat = [[Q(rng.randint(-2, 2)) for _ in range(size)] for _ in range(size)]
+                if rank(pmat) == size:
+                    break
+            diagonals = [[Q(rng.choice([-1, 2]), rng.choice([1, 3])) for _ in range(size)] for _ in range(2)]
+            spaces = assert_split_matches_oracle(conjugated(pmat, diagonals))
+            splits += len({eigs[0] for eigs, _ in spaces}) < len(spaces)
+        assert splits > 0
 
 
 class TestWeightFunction:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -150,14 +151,18 @@ class TestHookWeights:
             hook_weight([3, 3, 3], 1, 2)
 
     def test_polynomial_flag(self):
+        # every M, N in 0..3; with M = 0 a hook partition has parts at most
+        # N, and its weight is the conjugate partition, at most N parts
         rng = random.Random(13)
-        for _ in range(20):
-            m, n = rng.randint(1, 3), rng.randint(1, 3)
-            mu = sorted((rng.randint(0, 5) for _ in range(m)), reverse=True)
-            mu += sorted((rng.randint(0, n) for _ in range(3)), reverse=True)
-            mu = sorted(mu, reverse=True)
-            w = hook_weight(mu, m, n)
-            assert w.is_polynomial()
+        for m, n in itertools.product(range(4), repeat=2):
+            for _ in range(20):
+                mu = sorted((rng.randint(0, 5) for _ in range(m)), reverse=True)
+                mu += sorted((rng.randint(0, n) for _ in range(3)), reverse=True)
+                mu = sorted(mu, reverse=True)
+                w = hook_weight(mu, m, n)
+                assert w.is_polynomial(), (m, n, mu)
+        assert hook_weight([1], 0, 2).coords == (1, 0)
+        assert hook_weight([2, 1], 0, 2).coords == (2, 1)
 
 
 class TestTypicality:
