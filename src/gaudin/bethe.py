@@ -29,6 +29,7 @@ from .rational import (
     _poly,
     _proportional,
     _pseudo_divmod,
+    _wronskian_ints,
     log_deriv,
     poly_gcd,
     qq,
@@ -405,8 +406,8 @@ class Population:
 
 def _on_wronskian_line(y: Poly, cand: Poly, rhs: Poly) -> bool:
     """Whether W(y, cand) = y cand' - y' cand is 0 or a multiple of the nonzero ``rhs``."""
-    w = y * cand.derivative() - y.derivative() * cand
-    return not w or _proportional(w.ints, rhs.ints)
+    w = _wronskian_ints([y.ints, cand.ints])
+    return not w or _proportional(w, rhs.ints)
 
 
 def _family_sibling_exists(pop: Population, point: BethePoint, i: int, rhs: Poly) -> bool:

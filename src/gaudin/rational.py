@@ -360,6 +360,76 @@ def _proportional(p, q) -> bool:
     return all(a * lq == b * lp for a, b in zip(p, q))
 
 
+def _combine(p, q, c: int) -> list[int]:
+    """p + c q for integer vectors, trimmed."""
+    out = list(p) + [0] * (len(q) - len(p))
+    for k, x in enumerate(q):
+        out[k] += c * x
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _exact_quotient(a, b) -> list[int]:
+    """a / b for trimmed integer vectors, b nonzero, when b divides a in Z[x]:
+    a pseudo-division that leaves a remainder or scales by lc(b) raises
+    :class:`InternalInconsistency`."""
+    q, r, s = _pseudo_divmod(a, b)
+    if r or s != 1:
+        raise InternalInconsistency(f"a degree {len(b) - 1} divisor does not divide exactly in Z[x]")
+    return q
+
+
+def _cleared(fs) -> tuple[list[list[int]], list[int], int]:
+    """Rational functions f_j over one denominator: (vectors, q, c) with
+    vectors[j] the integer vector of c q f_j, q the lcm of the denominators
+    as a primitive integer vector with positive leading coefficient, and c
+    a positive integer.  A monic denominator's vector is primitive, so by
+    Gauss's lemma q is their lcm in Z[x], and each of them divides it there."""
+    q = [1]
+    for f in fs:
+        d = f.den.ints
+        if len(d) > 1:
+            q = _convolve(q, _exact_quotient(d, _primitive_gcd(q, d)))
+    if q[-1] < 0:
+        q = [-x for x in q]
+    # c q f = (q / D) N d (c / n) for f = (N / n) / (D / d)
+    c = lcm(*(f.num.den for f in fs))
+    vectors = []
+    for f in fs:
+        scale = c // f.num.den * f.den.den
+        vectors.append([x * scale for x in _convolve(_exact_quotient(q, f.den.ints), f.num.ints)])
+    return vectors, q, c
+
+
+def _wronskian_ints(cols) -> list[int]:
+    """The Wronskian det (c_j^(i-1))_{i,j} of trimmed integer vectors c_j, trimmed.
+
+    Bareiss's fraction-free elimination (Math. Comp. 22, 1968) on the
+    integer vectors and their derivatives: each step's entries are divided
+    by the previous pivot, exactly in Z[x] by Sylvester's identity.  A zero
+    pivot gives the empty vector.
+    """
+    r = len(cols)
+    mat = [list(cols)]
+    for _ in range(r - 1):
+        mat.append([[k * c[k] for k in range(1, len(c))] for c in mat[-1]])
+    prev = [1]
+    for k in range(r - 1):
+        pivot, top = mat[k][k], mat[k]
+        if not pivot:
+            # pivot k is the leading minor W(c_1, ..., c_(k+1)), zero only
+            # when those members are linearly dependent, and then so is the
+            # whole family: no row swap can make the determinant nonzero
+            return []
+        for row in mat[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, r):
+                row[j] = _exact_quotient(_combine(_convolve(pivot, row[j]), _convolve(lead, top[j]), -1), prev)
+        prev = pivot
+    return mat[-1][-1]
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor by the primitive pseudo-remainder sequence.
 
@@ -395,12 +465,6 @@ def _primitive_gcd(u, v) -> list[int]:
             return v
         u, v = v, _primitive(r)
     return [1]
-
-
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly.zero()
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
 
 
 def radical(f: Poly) -> Poly:
@@ -753,38 +817,17 @@ def log_deriv(f) -> RatFun:
 def wronskian(fs) -> RatFun:
     """Determinant of the derivative matrix (f_j^(i-1))_{i,j}.
 
-    W(g f_1, ..., g f_r) = g^r W(f_1, ..., f_r), so with q the lcm of the
-    denominators W is the determinant of the polynomials q f_j and their
-    derivatives over q^r.  Bareiss's fraction-free elimination (Math. Comp.
-    22, 1968) finds that determinant in polynomial arithmetic: each step
-    divides exactly by the previous pivot, so the only gcds are those of
-    the lcm and the one that reduces the result.
+    W(g f_1, ..., g f_r) = g^r W(f_1, ..., f_r), so with c q f_j the
+    members cleared by :func:`_cleared`, W is the Wronskian of their
+    integer vectors, by :func:`_wronskian_ints`, over (c q)^r.  The only
+    gcds are those of the clearing and the one that reduces the result.
     """
     fs = [_as_ratfun(f) for f in fs]
     if not fs:
         raise DegenerateInput("Wronskian of an empty family")
+    cols, q, c = _cleared(fs)
     r = len(fs)
-    q = _ONE
-    for f in fs:
-        if f.den.degree > 0:
-            q = poly_lcm(q, f.den)
-    mat = [[f.num * (q if f.den.degree < 1 else q.exact_div(f.den)) for f in fs]]
-    for _ in range(r - 1):
-        mat.append([p.derivative() for p in mat[-1]])
-    prev = _ONE
-    for k in range(r - 1):
-        pivot, top = mat[k][k], mat[k]
-        if not pivot:
-            # pivot k is the leading minor W(q f_1, ..., q f_(k+1)), zero only
-            # when those members are linearly dependent, and then so is the
-            # whole family: no row swap can make the determinant nonzero
-            return RatFun.zero()
-        for row in mat[k + 1 :]:
-            lead = row[k]
-            for j in range(k + 1, r):
-                row[j] = (pivot * row[j] - lead * top[j]).exact_div(prev)
-        prev = pivot
-    return RatFun(mat[-1][-1], q**r)
+    return RatFun(_poly(_wronskian_ints(cols), c**r), _poly(q, 1) ** r if len(q) > 1 else _ONE)
 
 
 def zero_pole_radical(f) -> Poly:

@@ -20,7 +20,7 @@ are derived from primitives only where an operator is built.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     DegenerateInput,
@@ -31,16 +31,16 @@ from .errors import (
     NonRationalAntiderivative,
 )
 from .rational import (
-    Poly,
     RatFun,
     _as_ratfun,
+    _cleared,
+    _combine,
     _convolve,
+    _exact_quotient,
     _poly,
     _primitive,
     _primitive_gcd,
-    _pseudo_divmod,
     log_deriv,
-    poly_lcm,
     rational_antiderivative,
 )
 from .weights import ParitySequence
@@ -170,9 +170,10 @@ def right_divide(a: DiffOp, b: DiffOp) -> tuple[DiffOp, DiffOp]:
 def right_gcd(a: DiffOp, b: DiffOp) -> DiffOp:
     """Monic greatest common right divisor, fraction-free.
 
-    A left unit does not change a right gcd, so each operand is cleared to
-    polynomial coefficients on the left (:func:`_cleared`) and the Euclid
-    runs on integer vectors: the primitive pseudo-remainder sequence of
+    A left unit does not change a right gcd, so each operand's coefficients
+    are cleared on the left to integer vectors over one denominator, by
+    the shared :func:`~gaudin.rational._cleared`, and the Euclid runs on
+    integer vectors: the primitive pseudo-remainder sequence of
     :func:`~gaudin.rational.poly_gcd`, carried over to operators.  Each
     step of :func:`_right_prem` takes beta P - alpha D^k Q, alpha and beta
     the leading coefficients, and divides out the polynomial content.  A
@@ -185,7 +186,7 @@ def right_gcd(a: DiffOp, b: DiffOp) -> DiffOp:
         a, b = b, a
     if b.is_zero():
         return a.monic()
-    u, v = _content_free(_cleared(a)), _content_free(_cleared(b))
+    u, v = _content_free(_cleared(a.coeffs)[0]), _content_free(_cleared(b.coeffs)[0])
     while len(v) > 1:
         r = _right_prem(u, v)
         if not r:
@@ -193,19 +194,6 @@ def right_gcd(a: DiffOp, b: DiffOp) -> DiffOp:
             return DiffOp([RatFun(_poly(c, 1), lc) for c in v])
         u, v = v, r
     return DiffOp.one()
-
-
-def _cleared(op: DiffOp) -> list[list[int]]:
-    """Integer coefficient vectors, by power of D, of the nonzero ``op``
-    times the lcm of its coefficients' denominators and an integer, both
-    on the left."""
-    den = Poly.one()
-    for c in op.coeffs:
-        if c.den.degree > 0 and c.den != den:
-            den = poly_lcm(den, c.den)
-    polys = [c.num * den.exact_div(c.den) for c in op.coeffs]
-    scale = lcm(*(p.den for p in polys))
-    return [[x * (scale // p.den) for x in p.ints] for p in polys]
 
 
 def _content_free(op: list[list[int]]) -> list[list[int]]:
@@ -218,13 +206,7 @@ def _content_free(op: list[list[int]]) -> list[list[int]]:
             if len(g) == 1:
                 break
     if len(g) > 1:
-        quotients = []
-        for c in op:
-            q, r, s = _pseudo_divmod(c, g) if c else ([], [], 1)
-            if r or s != 1:
-                raise InternalInconsistency("polynomial content does not divide exactly")
-            quotients.append(q)
-        op = quotients
+        op = [_exact_quotient(c, g) for c in op]
     n = 0
     for c in op:
         for x in c:
@@ -232,16 +214,6 @@ def _content_free(op: list[list[int]]) -> list[list[int]]:
             if n == 1:
                 return op
     return [[x // n for x in c] for c in op]
-
-
-def _combine(p: list[int], q: list[int], c: int) -> list[int]:
-    """p + c q for integer vectors, trimmed."""
-    out = list(p) + [0] * (len(q) - len(p))
-    for k, x in enumerate(q):
-        out[k] += c * x
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def _derivation_times(op: list[list[int]]) -> list[list[int]]:

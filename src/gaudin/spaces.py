@@ -33,12 +33,12 @@ from .rational import (
     Poly,
     Q,
     RatFun,
+    _cleared,
     _convolve,
     _proportional,
     coprime_basis,
     order_at_place,
     poly_gcd,
-    poly_lcm,
     qq,
     wronskian,
 )
@@ -282,19 +282,6 @@ class SuperFlag:
         return f"SuperFlag(parity={list(self.parity.entries)})"
 
 
-def interleave_basis(parity: ParitySequence, vorder, uorder):
-    """Homogeneous ordered basis: position i takes v_{s_i^+ +1} or u_{s_i^- +1}."""
-    if len(vorder) != parity.m or len(uorder) != parity.n:
-        raise InvalidInput("basis sizes must match the parity sequence")
-    out = []
-    for i in range(1, len(parity) + 1):
-        if parity[i] == 1:
-            out.append(vorder[parity.ones_after(i)])
-        else:
-            out.append(uorder[parity.minus_before(i)])
-    return out
-
-
 def _generic_order(space: RationalSpace, pl: Poly, a: int, b: int) -> int:
     """Order of place pl in the divisor of the (a, b) partial Wronskian.
 
@@ -329,15 +316,10 @@ def flag_polynomial(space: RationalSpace, flag: SuperFlag, a: int, b: int) -> Po
     return val.monic()
 
 
-def _partial(s: ParitySequence, i: int) -> tuple[int, int]:
-    """(a, b) of the i-th partial flag: the +1 entries of s after position i, the -1 ones up to it."""
-    return s.partials[i]
-
-
 def generating_tuple(space: RationalSpace, flag: SuperFlag) -> tuple[Poly, ...]:
     """Monic tuple the generating map assigns to a superflag."""
     s = flag.parity
-    return tuple(flag_polynomial(space, flag, *_partial(s, i)) for i in range(1, len(s)))
+    return tuple(flag_polynomial(space, flag, *s.partials[i]) for i in range(1, len(s)))
 
 
 def generating_map(space: RationalSpace, flag: SuperFlag) -> BethePoint:
@@ -352,7 +334,7 @@ def _flag_ratios(flag: SuperFlag):
     i-th partial flag."""
     s = flag.parity
     for i in range(1, len(s) + 1):
-        outer, inner = flag.wronskian(*_partial(s, i - 1)), flag.wronskian(*_partial(s, i))
+        outer, inner = flag.wronskian(*s.partials[i - 1]), flag.wronskian(*s.partials[i])
         if outer.is_zero() or inner.is_zero():
             raise InvalidFlag("dependent flag members")
         yield (outer, inner) if s[i] == 1 else (inner, outer)
@@ -425,14 +407,12 @@ def _flag(space: RationalSpace, parity: ParitySequence, prims) -> SuperFlag:
 
 
 def _assert_direct_sum(vbasis, ubasis):
-    fams = list(vbasis) + list(ubasis)
-    den = Poly.one()
-    for f in fams:
-        den = poly_lcm(den, f.den)
-    cleared = [(f * RatFun(den)).as_poly() for f in fams]
-    width = max(p.degree for p in cleared) + 1
-    rows = [list(p.coeffs) + [Q(0)] * (width - len(p.coeffs)) for p in cleared]
-    if rank(rows) != len(fams):
+    """Raise :class:`AtypicalUnsupported` unless the even and odd bases
+    together are linearly independent: the rank of their integer vectors
+    over one denominator."""
+    vectors = _cleared([*vbasis, *ubasis])[0]
+    width = max(map(len, vectors))
+    if rank([v + [0] * (width - len(v)) for v in vectors]) != len(vectors):
         raise AtypicalUnsupported("even and odd kernels intersect")
 
 
@@ -445,14 +425,14 @@ def _pencil(space: RationalSpace, s: ParitySequence, i: int, y: Poly, w: RatFun,
     """The unique (alpha, beta) with alpha w + beta w2 equal to y times each
     place to its :func:`_generic_order` for partial i at s: the (a, b)
     Wronskian, up to a constant, of a flag whose generating-map entry i is
-    y.  The denominators are cleared by cross-multiplication, and the
-    coefficients solved for; no solution, or more than one, raises
-    :class:`TheoremViolation`."""
-    zeros, poles = space.place_divisors[_partial(s, i)]
-    sides = (w.num * w2.den * poles, w2.num * w.den * poles, y * zeros * w.den * w2.den)
-    width = max(p.degree for p in sides) + 1
-    rows = [[p.coeff(k) for p in sides[:2]] for k in range(width)]
-    sol, null = solve_linear(rows, [sides[2].coeff(k) for k in range(width)])
+    y.  The three sides are cleared to integer vectors over one
+    denominator, and the coefficients solved for; no solution, or more
+    than one, raises :class:`TheoremViolation`."""
+    zeros, poles = space.place_divisors[s.partials[i]]
+    sides = _cleared([w, w2, RatFun(y * zeros, poles)])[0]
+    width = max(map(len, sides))
+    u, v, t = (p + [0] * (width - len(p)) for p in sides)
+    sol, null = solve_linear(list(zip(u, v)), t)
     if sol is None or null:
         raise TheoremViolation(f"no unique flag of the pencil has entry y_{i} = {y.to_str()}")
     return sol
@@ -467,7 +447,7 @@ def _carried_flag(space: RationalSpace, flag: SuperFlag, i: int, y: Poly) -> Sup
         child = SuperFlag(s.swapped(i), flag.vorder, flag.uorder)
         child._wronskians = flag._wronskians
         return child
-    a, b = _partial(s, i)
+    a, b = s.partials[i]
     even = s[i] == 1
     k = a if even else b
     order = list(flag.vorder if even else flag.uorder)
@@ -520,7 +500,7 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
     - a fermionic edge in direction i keeps both flags and swaps s_i and
       s_(i+1).  W(a, b) depends only on the members, so the two flags
       share their Wronskians;
-    - a bosonic edge in direction i, with (a, b) = ``_partial(s, i)``,
+    - a bosonic edge in direction i, with (a, b) = ``s.partials[i]``,
       moves only partial flag i, inside the pencil between partial flags
       i - 1 and i + 1.  If s_i = +1 it moves the a-th even member m_a,
       with m_(a+1) next to it; if s_i = -1, the b-th odd member.  By

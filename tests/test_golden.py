@@ -6,6 +6,7 @@ any of them changes the documented wire format or a result, and must
 re-record them on purpose.
 """
 
+import hashlib
 import json
 import shlex
 import sys
@@ -57,6 +58,12 @@ BUDGETED = (
     "population_rational_gl21_point_1e50_depth3",
     ["population", "--input", "rational_gl21_point_1e50.json", "--max-depth", "3"],
 )
+# too large to record (275,913 bytes), so pinned by its sha256: 1,992 nodes,
+# the run with the most flag Wronskians
+DIGESTED = (
+    "fb6205bb91d2241469e02a4c672e121f764c4ee9eedd19974c1941314e14f16f",
+    ["space", "--input", "gl32.json", "--max-depth", "5"],
+)
 WORKFLOW = Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml"
 
 
@@ -85,6 +92,14 @@ def test_large_point_output_and_budget(capsys):
     assert captured.err == ""
     assert captured.out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
     assert elapsed < 3.0
+
+
+def test_digested_stdout(capsys):
+    digest, args = DIGESTED
+    assert main([str(GOLDEN / a) if a.endswith(".json") else a for a in args]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
 def test_output_beyond_the_int_text_limit(tmp_path, capsys):
@@ -128,8 +143,10 @@ def workflow_golden_runs():
 
 
 def test_workflow_compares_every_recording():
-    """The workflow's list of recordings, COMMANDS and tests/golden/ agree."""
+    """The workflow's list of recordings, COMMANDS and tests/golden/ agree,
+    and the workflow checks the digested run's sha256."""
     name, args = BUDGETED
     expected = {**COMMANDS, name: args}
     assert workflow_golden_runs() == expected
     assert {p.stem for p in GOLDEN.glob("*.stdout")} == set(expected)
+    assert f"{DIGESTED[0]}  " in WORKFLOW.read_text()

@@ -3,6 +3,7 @@
 sympy is a test-only oracle here; the engine itself stays stdlib-only.
 The fraction-free Wronskian and the cross-multiplied edge comparison are
 also checked against elimination and arithmetic over reduced ``RatFun``s,
+the integer Wronskian of a family line against its ``Poly`` formula,
 the integer mixed-parity reproduction against the ``Poly`` product
 formula it replaced, and the residue form of the Bethe equations against
 per-root sums, the reproduction criterion and sympy's algebraic roots.
@@ -417,20 +418,36 @@ small_poly = st.lists(small, min_size=1, max_size=4).map(Poly)
 nonzero_small_poly = small_poly.filter(bool)
 
 
+BIG = 10**30
+big_den = st.integers(BIG, BIG + 10**6)
+
+
 @st.composite
 def wronskian_family(draw):
-    """r = 1..4 members, each a polynomial or a fraction of polynomials, all
-    sharing one factor; some families start with a constant or repeat a member."""
+    """r = 1..5 members, each a polynomial or a fraction of polynomials, all
+    sharing one factor.  Some families start with a constant, repeat a
+    member or end with a combination of two others.  In "wide" ones each
+    member takes a scalar whose denominator is its own integer of 31
+    digits, the last also a pole x + 1/e, e another such integer, and
+    the first, if not the last, is a constant over such an integer."""
     shared = draw(nonzero_small_poly)
     fs = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 5))):
         num = draw(nonzero_small_poly) * shared
         fs.append(num if draw(st.booleans()) else RatFun(num, draw(nonzero_small_poly)))
-    shape = draw(st.sampled_from(["plain", "constant first", "repeated"]))
+    shape = draw(st.sampled_from(["plain", "constant first", "repeated", "combined", "wide"]))
     if shape == "constant first":
         fs[0] = Poly.const(draw(small.filter(bool)))
     elif shape == "repeated" and len(fs) > 1:
         fs[-1] = fs[draw(st.integers(0, len(fs) - 2))]
+    elif shape == "combined" and len(fs) > 2:
+        fs[-1] = RatFun.one() * fs[0] * draw(small) + RatFun.one() * fs[1] * draw(small)
+    elif shape == "wide":
+        dens = draw(st.lists(big_den, min_size=len(fs) + 1, max_size=len(fs) + 1, unique=True))
+        fs = [RatFun.one() * f * Q(draw(st.integers(1, 10**6)), e) for f, e in zip(fs, dens)]
+        fs[-1] = fs[-1] / Poly([Q(1, dens[-1]), 1])
+        if len(fs) > 1:
+            fs[0] = Poly.const(Q(draw(st.integers(1, 10**6)), dens[0]))
     return fs
 
 
@@ -442,6 +459,10 @@ PX = Poly.x()  # X is sympy's symbol
 @example(fs=[Poly.const(3), RatFun(PX + 1, PX - 1), RatFun(PX**2, (PX - 1) ** 2)])
 @example(fs=[RatFun(PX, PX + 2), PX**2 + 1, RatFun(PX, PX + 2)])
 @example(fs=[PX * (PX - 1), 2 * PX * (PX - 1), RatFun(PX - 1, PX)])
+@example(fs=[RatFun(PX * Q(7, BIG + 1), Poly([Q(1, BIG + 3), 1]))])
+@example(fs=[Poly.const(Q(1, BIG + 1)), RatFun(PX, Poly([Q(1, BIG + 3), 1])), PX**2 * Q(5, BIG + 9),
+             RatFun(Q(2, BIG + 11), Poly([Q(1, BIG + 3), 1]) ** 2), PX**4 + Q(1, BIG + 13)])
+@example(fs=[RatFun(PX, PX + 2), PX**2 * Q(1, BIG + 1), RatFun(PX, PX + 2) * 3 + PX**2 * Q(1, BIG + 7)])
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
 def test_wronskian_matches_gaussian_elimination(fs):
     got, want = wronskian(fs), gauss_wronskian(fs)
@@ -451,6 +472,27 @@ def test_wronskian_matches_gaussian_elimination(fs):
         want.den.ints,
         want.den.den,
     )
+
+
+@st.composite
+def wronskian_lines(draw):
+    """(y, cand, rhs) with y and rhs nonzero: cand a multiple of y or drawn on
+    its own, and rhs a multiple of y cand' - y' cand, when that is nonzero,
+    or drawn on its own."""
+    y = draw(nonzero_small_poly)
+    cand = y * draw(small) if draw(st.booleans()) else draw(small_poly)
+    w = y * cand.derivative() - y.derivative() * cand
+    if w and draw(st.booleans()):
+        return y, cand, w * draw(small.filter(bool))
+    return y, cand, draw(nonzero_small_poly)
+
+
+@given(line=wronskian_lines())
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+def test_on_wronskian_line_matches_poly_wronskian(line):
+    y, cand, rhs = line
+    w = y * cand.derivative() - y.derivative() * cand
+    assert bethe._on_wronskian_line(y, cand, rhs) == (w.is_zero() or w.monic() == rhs.monic())
 
 
 def two_factorizations(phi, psi):

@@ -5,11 +5,14 @@ from math import gcd, lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gaudin.errors import DegenerateInput, NonRationalAntiderivative
+from gaudin.errors import DegenerateInput, InternalInconsistency, NonRationalAntiderivative
 from gaudin.linalg import solve_linear
 from gaudin.rational import (
     Poly,
     RatFun,
+    _cleared,
+    _exact_quotient,
+    _poly,
     _primitive,
     _proportional,
     coprime_basis,
@@ -615,6 +618,33 @@ class TestIntegerKernel:
         assert _primitive([0, 0, 0]) == [0, 0, 0]
         assert _primitive([]) == []
         assert _primitive([0, -4, 6]) == [0, -2, 3]
+
+    def test_exact_quotient(self):
+        assert _exact_quotient([-2, 1, 1], [-1, 1]) == [2, 1]
+        assert _exact_quotient([6, -4], [-2]) == [-3, 2]
+        assert _exact_quotient([], [3, 1]) == []
+        # exact in Q[x] only (the pseudo-quotients are [1, 2] and [2]), then
+        # remainders, one of them a dividend shorter than the divisor
+        for a, b in [([1, 2], [2]), ([1, 2], [2, 4]), ([1, 0, 1], [-1, 1]), ([1], [0, 1])]:
+            with pytest.raises(InternalInconsistency):
+                _exact_quotient(a, b)
+
+    def test_cleared(self):
+        big = 10**30 + 1
+        third = X - Q(1, 3)
+        fs = [
+            RatFun(Poly([Q(1, big), 2]), X * third),
+            RatFun(Q(5, 7), third**2),
+            RatFun.zero(),
+            RatFun(X**2 * Q(3, big + 2)),
+        ]
+        vectors, q, c = _cleared(fs)
+        assert c > 0 and q[-1] > 0 and _primitive(q) == q
+        assert _poly(q, q[-1]) == X * third**2
+        assert vectors[2] == []
+        for v, f in zip(vectors, fs):
+            assert all(isinstance(x, int) for x in v)
+            assert RatFun(_poly(v, c), _poly(q, 1)) == f
 
 
 class TestSolveLinear:

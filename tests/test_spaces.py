@@ -35,14 +35,12 @@ from gaudin.spaces import (
     RationalSpace,
     SuperFlag,
     _generic_order,
-    _partial,
     exponents,
     flag_factorization,
     flag_from_factorization,
     flag_polynomial,
     generating_map,
     generating_tuple,
-    interleave_basis,
     is_gl_space,
     kernel_spaces,
     space_weight_polys,
@@ -248,6 +246,19 @@ class TestKernelSpaces:
         with pytest.raises(AtypicalUnsupported):
             kernel_spaces(pop)
 
+    def test_direct_sum_check(self, worked_population):
+        space = kernel_spaces(worked_population)
+        v0, v1 = space.vbasis
+        spaces._assert_direct_sum(space.vbasis, space.ubasis)
+        for ubasis in [(v1,), (v0 * Q(3, 7) - v1 * Q(10**30 + 1, 2),)]:
+            with pytest.raises(AtypicalUnsupported):
+                spaces._assert_direct_sum(space.vbasis, ubasis)
+        # members with poles, cleared over x(x - 1)
+        a, b = RatFun(1, X), RatFun(Q(1, 3), X - 1)
+        spaces._assert_direct_sum([a, b], [RatFun.one()])
+        with pytest.raises(AtypicalUnsupported):
+            spaces._assert_direct_sum([a, b], [a + b * 5])
+
     def test_empty_population_rejected(self, worked_problem):
         with pytest.raises(InvalidInput):
             kernel_spaces(Population(worked_problem))
@@ -400,28 +411,24 @@ class TestIsGlSpace:
 
 
 class TestInterleave:
+    """Position i of the homogeneous basis takes v_(s_i^+ + 1) or u_(s_i^- + 1)."""
+
+    @staticmethod
+    def interleaved(s):
+        return [
+            f"v{s.ones_after(i) + 1}" if s[i] == 1 else f"u{s.minus_before(i) + 1}"
+            for i in range(1, len(s) + 1)
+        ]
+
     def test_paper_example(self):
         s = ParitySequence((1, -1, -1, 1, 1, -1, 1, -1))
-        v = [f"v{i}" for i in range(1, 5)]
-        u = [f"u{i}" for i in range(1, 5)]
-        got = [
-            f"v{s.ones_after(i) + 1}" if s[i] == 1 else f"u{s.minus_before(i) + 1}"
-            for i in range(1, 9)
-        ]
-        assert got == ["v4", "u1", "u2", "v3", "v2", "u3", "v1", "u4"]
-        objs = interleave_basis(s, [RatFun.const(i) for i in (1, 2, 3, 4)],
-                                [RatFun.const(i) for i in (10, 20, 30, 40)])
-        assert [f.num.coeff(0) for f in objs] == [4, 10, 20, 3, 2, 30, 1, 40]
+        assert self.interleaved(s) == ["v4", "u1", "u2", "v3", "v2", "u3", "v1", "u4"]
 
     def test_standard(self):
-        s = ParitySequence.standard(2, 1)
-        got = interleave_basis(s, [RatFun.const(1), RatFun.const(2)], [RatFun.const(9)])
-        assert [f.num.coeff(0) for f in got] == [2, 1, 9]
+        assert self.interleaved(ParitySequence.standard(2, 1)) == ["v2", "v1", "u1"]
 
     def test_even_only_reversed(self):
-        s = ParitySequence.standard(3, 0)
-        got = interleave_basis(s, [RatFun.const(i) for i in (1, 2, 3)], [])
-        assert [f.num.coeff(0) for f in got] == [3, 2, 1]
+        assert self.interleaved(ParitySequence.standard(3, 0)) == ["v3", "v2", "v1"]
 
 
 class TestFlagPolynomialAndGeneratingMap:
@@ -606,7 +613,7 @@ class TestFlagPolynomialOracle:
         for point in pop.points():
             flag = flag_from_factorization(space, population_factorization(point))
             for i in range(1, len(flag.parity)):
-                a, b = _partial(flag.parity, i)
+                a, b = flag.parity.partials[i]
                 got = flag_polynomial(space, flag, a, b)
                 assert got == collision_flag_polynomial(space, flag, a, b) == point.ys[i - 1]
 
@@ -632,7 +639,7 @@ class TestFlagPolynomialOracle:
         space = oracle_space(name)
         s = ParitySequence.standard(space.m, space.n)
         for i in range(1, space.m + space.n + 1):
-            outer, inner = _partial(s, i - 1), _partial(s, i)
+            outer, inner = s.partials[i - 1], s.partials[i]
             step = RatFun.one()
             for pl in space.places:
                 drop = _generic_order(space, pl, *outer) - _generic_order(space, pl, *inner)
