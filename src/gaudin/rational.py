@@ -179,14 +179,14 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Poly.one()
-        base = self
-        while n:
+        out, base = Poly.one(), self
+        while True:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base  # only while bits remain
 
     def __divmod__(self, other):
         other = _as_poly(other)
@@ -206,11 +206,13 @@ class Poly:
         return divmod(self, other)[1]
 
     def try_exact_div(self, other):
-        """Quotient when ``other`` divides exactly, else None."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            return None
-        return q
+        """Quotient when ``other`` divides exactly, else None; the integer
+        remainder decides before any quotient is built (see :meth:`__divmod__`)."""
+        other = _as_poly(other)
+        if other.is_zero():
+            raise DegenerateInput("division by the zero polynomial")
+        q, r, s = _pseudo_divmod(self.ints, other.ints)
+        return None if r else _poly([c * other.den for c in q], s * self.den)
 
     def exact_div(self, other) -> "Poly":
         q = self.try_exact_div(other)

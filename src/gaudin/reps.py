@@ -615,9 +615,10 @@ def _has_jordan_defect(mats, first) -> bool:
     spectrum over the algebraic closure, so each matrix that commutes with
     it is a polynomial in it and diagonalizable: no defect.  The
     commutation is checked on the integer multiples of the matrices, and
-    raises when it fails.  Otherwise each matrix is checked.  Only repeated
-    roots can fail: a root of multiplicity mu in the characteristic
-    polynomial f is a root of gcd(f, f') of multiplicity mu - 1.
+    raises when it fails.  Otherwise each matrix is checked, the first on
+    ``first``.  Only repeated roots can fail: a root of multiplicity mu in
+    the characteristic polynomial f is a root of gcd(f, f') of multiplicity
+    mu - 1.
     """
     if first is None:
         return False
@@ -628,8 +629,8 @@ def _has_jordan_defect(mats, first) -> bool:
             if int_mat_mul(head, other) != int_mat_mul(other, head):
                 raise InternalInconsistency("restricted Hamiltonians do not commute")
         return False
-    for m in mats:
-        f = Poly(charpoly_coeffs(m))
+    for k, m in enumerate(mats):
+        f = Poly(charpoly_coeffs(m)) if k else first
         roots, _ = rational_roots(poly_gcd(f, f.derivative()))
         for root, mult in roots:
             if len(nullspace(mat_sub(m, mat_scale(identity(len(m)), root)))) <= mult:

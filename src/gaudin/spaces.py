@@ -38,7 +38,6 @@ from .rational import (
     _proportional,
     coprime_basis,
     order_at_place,
-    poly_gcd,
     qq,
     wronskian,
 )
@@ -109,45 +108,57 @@ class RationalSpace:
         return _exponent_table(self.wronskians[1], self.places)
 
     @cached_property
+    def pole_orders(self) -> dict[Poly, tuple[int, int]]:
+        """(c_V, c_U) at each place: the even and the odd part's pole
+        orders, max(0, -e_0) and max(0, -f_0) of the two ladders."""
+        ev, od = self.even_exponents, self.odd_exponents
+        return {pl: tuple(max(0, -t[pl][0]) if pl in t else 0 for t in (ev, od)) for pl in self.places}
+
+    @cached_property
     def even_denominator(self) -> Poly:
-        return _denominator_from_exponents(self.even_exponents)
+        return _place_product({pl: cv for pl, (cv, _) in self.pole_orders.items()})[0]
 
     @cached_property
     def odd_denominator(self) -> Poly:
-        return _denominator_from_exponents(self.odd_exponents)
+        return _place_product({pl: cu for pl, (_, cu) in self.pole_orders.items()})[0]
 
     @cached_property
     def place_divisors(self) -> dict[tuple[int, int], tuple[Poly, Poly]]:
         """(zeros, poles) for each partial (a, b): the product of each place
         to its :func:`_generic_order`, as zeros / poles."""
-        out = {}
-        for a in range(self.m + 1):
-            for b in range(self.n + 1):
-                zeros = poles = Poly.one()
-                for pl in self.places:
-                    g = _generic_order(self, pl, a, b)
-                    zeros, poles = (zeros * pl**g, poles) if g >= 0 else (zeros, poles * pl**-g)
-                out[a, b] = zeros, poles
-        return out
+        return {
+            (a, b): _place_product({pl: _generic_order(self, pl, a, b) for pl in self.places})
+            for a in range(self.m + 1)
+            for b in range(self.n + 1)
+        }
 
     @cached_property
     def weight_polys(self) -> tuple[Poly, ...]:
         """See :func:`space_weight_polys`."""
         m, n = self.m, self.n
-        ev, od = self.even_exponents, self.odd_exponents
-        pv, pu = self.even_denominator, self.odd_denominator
-
-        out: list[Poly] = []
-        for i in range(1, m):
-            out.append(_staircase(ev, m - i, 1).as_poly())
+        ev, od, cs = self.even_exponents, self.odd_exponents, self.pole_orders
+        entries = [{pl: ev[pl][m - i] - (m - i) for pl in cs} for i in range(1, m)]
         if m:
-            out.append((_staircase(ev, 0, 1) * RatFun(pv)).as_poly())
+            entries.append({pl: max(ev[pl][0], 0) for pl in cs})
         if n:
-            ratio = RatFun(pu) / RatFun(pv)
-            out.append(ratio.as_poly())
-            for i in range(2, n + 1):
-                out.append(_staircase(od, i - 1, -1).as_poly())
-        return tuple(p.monic() if not p.is_zero() else p for p in out)
+            entries.append({pl: cu - cv for pl, (cv, cu) in cs.items()})
+            entries += [{pl: (i - 1) - od[pl][i - 1] for pl in cs} for i in range(2, n + 1)]
+        if any(g < 0 for orders in entries for g in orders.values()):
+            raise InternalInconsistency("a weight polynomial of the space has a pole")
+        return tuple(_place_product(orders)[0] for orders in entries)
+
+
+def _place_product(orders) -> tuple[Poly, Poly]:
+    """(zeros, poles) of a dict from places to integer orders: the product
+    of each place to its order where that is positive, and to minus it
+    where it is negative."""
+    zeros = poles = Poly.one()
+    for pl, g in orders.items():
+        if g > 0:
+            zeros = zeros * pl**g
+        elif g < 0:
+            poles = poles * pl**-g
+    return zeros, poles
 
 
 def detect_places(space: RationalSpace) -> list[Poly]:
@@ -192,23 +203,6 @@ def _exponent_table(by_size, places) -> dict[Poly, list[int]]:
     return table
 
 
-def _staircase(table, j: int, sign: int) -> RatFun:
-    """Product over the places of place^(sign * (e_j - j)), e_j the 0-based
-    j-th exponent of each ladder in the table."""
-    out = RatFun.one()
-    for pl, ladder in table.items():
-        out = out * RatFun(pl) ** (sign * (ladder[j] - j))
-    return out
-
-
-def _denominator_from_exponents(table) -> Poly:
-    p = Poly.one()
-    for pl, ladder in table.items():
-        if ladder[0] < 0:
-            p = p * pl ** (-ladder[0])
-    return p
-
-
 def space_weight_polys(space: RationalSpace) -> list[Poly]:
     """The weight polynomials a graded space of rational functions carries.
 
@@ -224,36 +218,34 @@ def is_gl_space(space: RationalSpace) -> tuple[bool, list[str]]:
     """The four equivalent membership conditions, with failure reports.
 
     Clearing a basis by a polynomial g multiplies each k-subset Wronskian
-    by g^k, so every exponent at a place shifts by the order of g there;
-    the cleared parts are read off the space's own exponent tables, and
-    the pair Wronskians off its Wronskian table.
+    by g^k, so every exponent at a place shifts by the order of g there.
+    So each condition is an integer test, at every place, on the space's
+    own exponent ladders and pole orders (c_V, c_U); the pair Wronskians
+    are read off its Wronskian table.
     """
     m, n = space.m, space.n
-    places, od = space.places, space.odd_exponents
-    pv, pu = space.even_denominator, space.odd_denominator
+    ev, od, cs = space.even_exponents, space.odd_exponents, space.pole_orders
     failures = []
-    ratio = RatFun(pu) / RatFun(pv)
-    if not ratio.is_polynomial():
+    # the denominator ratio pu / pv: a polynomial, coprime to pv
+    if any(cu < cv for cv, cu in cs.values()):
         failures.append("denominator ratio is not a polynomial")
-    elif pv.degree > 0 and ratio.as_poly().degree > 0:
-        if poly_gcd(ratio.as_poly(), pv).degree > 0:
-            failures.append("denominator ratio shares a root with the even denominator")
+    elif any(cu > cv > 0 for cv, cu in cs.values()):
+        failures.append("denominator ratio shares a root with the even denominator")
     # second staircase entry of the even part cleared by pv, divided by pv
-    if m >= 2 and not _staircase(space.even_exponents, 1, 1).is_polynomial():
+    if m >= 2 and any(ladder[1] < 1 for ladder in ev.values()):
         failures.append("second even staircase entry not divisible by the denominator")
     # The last odd staircase entry must be a polynomial.  The other odd
     # entries have no zero to match against the denominator ratio: a
     # strictly increasing ladder makes the i-th exponent cleared by pu at
     # least i - 1, so i - 1 minus it is never positive.
-    if n and not _staircase(od, n - 1, -1).is_polynomial():
+    if n and any(ladder[n - 1] > n - 1 for ladder in od.values()):
         failures.append("top odd exponent exceeds its staircase bound")
-    if m and n and pv.degree > 0:
-        pairs = [w * RatFun(pv) for w in space.wronskians[2] if not w.is_zero()]
-        for pl in places:
-            if order_at_place(RatFun(pv), pl) <= 0:
-                continue
+    # each pair Wronskian times pv is regular where pv vanishes
+    pairs = [w for w in space.wronskians[2] if not w.is_zero()]
+    for pl, (cv, _) in cs.items():
+        if cv > 0:
             for w in pairs:
-                if order_at_place(w, pl) < 0:
+                if order_at_place(w, pl) + cv < 0:
                     failures.append(f"pair Wronskian stays singular at {pl.to_str()}")
     return (not failures, failures)
 
@@ -297,7 +289,7 @@ def _generic_order(space: RationalSpace, pl: Poly, a: int, b: int) -> int:
     the exact division checks it.
     """
     ev, od = space.even_exponents.get(pl, []), space.odd_exponents.get(pl, [])
-    c = max(0, -ev[0]) if ev else 0
+    c = space.pole_orders[pl][0]
     lifted = [e + c * (j == 0) for ladder, k in ((ev, a), (od, b)) for j, e in enumerate(ladder[:k])]
     return sum(dominant(lifted)) - (a + b) * (a + b - 1) // 2 - c
 

@@ -43,6 +43,8 @@ COMMANDS = {
     "space_gl32_depth3": ["space", "--input", "gl32.json", "--max-depth", "3"],
     "space_gl22_even_pole_depth4": ["space", "--input", "gl22_even_pole.json", "--max-depth", "4"],
     "space_gl13_even_pole_depth3": ["space", "--input", "gl13_even_pole.json", "--max-depth", "3"],
+    # the one gl(1|1) space whose even part has a pole
+    "space_gl11_even_pole_depth3": ["space", "--input", "gl11_even_pole.json", "--max-depth", "3"],
     # a seed off the standard parity: its transport constants reach Vbasis and Ubasis
     "space_worked_gl21_nonstandard_seed_depth0": [
         "space", "--input", "worked_gl21_nonstandard_seed.json", "--max-depth", "0",

@@ -36,6 +36,7 @@ from gaudin.bethe import (
 from gaudin.cli import build_parser
 from gaudin.errors import (
     CriterionFailed,
+    DegenerateInput,
     DegenerateReproduction,
     InternalInconsistency,
     InvalidConfiguration,
@@ -177,6 +178,37 @@ def test_exact_div_matches_sympy():
         assert a.exact_div(b) == from_sympy(to_sympy(a).exquo(to_sympy(b))) == c, seed
         with pytest.raises(InternalInconsistency):
             (a + Poly.one()).exact_div(b)
+
+
+def sympy_multiplicity(f, q) -> int:
+    """How often sympy's div of f by q leaves no remainder in a row."""
+    count = 0
+    while True:
+        quo, rem = sympy.div(f, q)
+        if not rem.is_zero:
+            return count
+        f, count = quo, count + 1
+
+
+def test_try_exact_div_and_multiplicity_match_sympy():
+    # products of shared, repeated and non-monic rational factors, divided
+    # by a factor, its powers, a product of factors and an unshared factor
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        factors = [random_scalar(rng, False) * Poly([random_scalar(rng), random_scalar(rng, False)]) for _ in range(2)]
+        factors.append(random_poly(rng, 2) * random_scalar(rng, False))
+        f = Poly([random_scalar(rng, False)])
+        for g in factors:
+            f = f * g ** rng.randint(0, 3)
+        divisors = [g**k for g in factors for k in (1, 2)] + [factors[0] * factors[2], random_poly(rng, 1)]
+        for d in divisors:
+            quo, rem = sympy.div(to_sympy(f), to_sympy(d))
+            want = from_sympy(quo) if rem.is_zero else None
+            assert f.try_exact_div(d) == want, seed
+            if d.degree >= 1:
+                assert multiplicity(f, d) == sympy_multiplicity(to_sympy(f), to_sympy(d)), seed
+        with pytest.raises(DegenerateInput):
+            f.try_exact_div(Poly.zero())
 
 
 def test_squarefree_decomposition_matches_sympy():
@@ -816,11 +848,11 @@ def test_golden_space_nodes_hold_in_residue_form():
                     assert holds == bae_check_criterion(mutant), mutant
                     counts["mutant", holds] += 1
     assert counts == {
-        "generic": 700,
+        "generic": 702,
         ("non-generic", True): 14,
         ("non-generic", False): 153,
         ("mutant", True): 365,
-        ("mutant", False): 1167,
+        ("mutant", False): 1168,
     }
 
 

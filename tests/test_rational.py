@@ -77,6 +77,23 @@ class TestPolyBasics:
         p = 2 * X**3 - X + 5
         assert p(Q(1, 2)) == Q(2, 8) - Q(1, 2) + 5
 
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        # binary powering takes one product per set bit of n and one square
+        # per bit after the first; a square after the last bit would make
+        # it n.bit_length() + popcount(n)
+        base = 3 * X**2 - X + Q(1, 2)
+        mul = Poly.__mul__
+        for n in range(10):
+            calls = []
+            monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+            got = base**n
+            monkeypatch.setattr(Poly, "__mul__", mul)
+            assert len(calls) == max(n.bit_length() - 1, 0) + bin(n).count("1"), n
+            want = Poly.one()
+            for _ in range(n):
+                want = want * base
+            assert got == want, n
+
 
 def assert_canonical(p: Poly):
     assert p.den > 0

@@ -872,6 +872,21 @@ class TestJordanDefect:
         with pytest.raises(InternalInconsistency, match="^restricted Hamiltonians do not commute$"):
             _has_jordan_defect(mats, first)
 
+    def test_first_charpoly_is_not_recomputed(self, monkeypatch):
+        # diag(2, 2, 3) is not squarefree, so each matrix is checked; the
+        # first is checked on the characteristic polynomial passed in
+        import gaudin.reps
+
+        d = [[Q(2), Q(0), Q(0)], [Q(0), Q(2), Q(0)], [Q(0), Q(0), Q(3)]]
+        first = Poly(charpoly_coeffs(d))
+        calls = []
+        charpoly = gaudin.reps.charpoly_coeffs
+        monkeypatch.setattr(gaudin.reps, "charpoly_coeffs", lambda a: calls.append(a) or charpoly(a))
+        assert not _has_jordan_defect([d], first)
+        assert calls == []
+        assert not _has_jordan_defect([d, d], first)
+        assert len(calls) == 1
+
     def test_line_has_no_defect(self):
         mats = [[[Q(2)]], [[Q(-1, 3)]]]
         assert _joint_eigen_decomposition(mats)[2] is None

@@ -1,3 +1,4 @@
+import collections
 import json
 import random
 from fractions import Fraction as Q
@@ -58,6 +59,56 @@ def golden_population(name, samples, max_depth):
     data = json.loads((GOLDEN / name).read_text())
     seed = jsonio.point_from_json(jsonio.problem_from_json(data["problem"]), data["seed"])
     return populate(seed, samples, max_depth=max_depth)
+
+
+# the population of every `space` recording
+GOLDEN_SPACE_RUNS = {
+    "worked-gl21": ("worked_gl21.json", (0, 1, 2), 16),
+    "rational-gl21": ("rational_gl21.json", (0, 1, 2), 16),
+    "rational-gl21-1e50": ("rational_gl21_point_1e50.json", (0, 1, 2), 3),
+    "gl31": ("gl31.json", (-6, -5, 1), 3),
+    "gl22": ("gl22.json", (0, 1, 2), 4),
+    "gl22-pole": ("gl22_pole.json", (0, 1, 2), 4),
+    "gl13": ("gl13.json", (0, 1, 2), 3),
+    "gl32": ("gl32.json", (0, 1, 2), 3),
+    "gl22-even-pole": ("gl22_even_pole.json", (0, 1, 2), 4),
+    "gl13-even-pole": ("gl13_even_pole.json", (0, 1, 2), 3),
+    "gl11-even-pole": ("gl11_even_pole.json", (0, 1, 2), 3),
+}
+# spaces for the random flags: W is read off the seed, so depth 0 suffices.
+# The even-pole ones have a standard-parity seed with nonconstant y_M, the
+# even part's denominator; "gl22-pole" has a pole in U only.
+ORACLE_SPACES = (
+    "worked-gl21",
+    "rational-gl21",
+    "gl31",
+    "gl22",
+    "gl22-pole",
+    "gl13",
+    "gl32",
+    "gl20",
+    "gl22-even-pole",
+    "gl13-even-pole",
+    "gl11-even-pole",
+    "gl21-even-pole",
+)
+# inline seeds: M, N, weights at the points 0 and 1, and ys at the standard
+# parity; 1/2 is the root of (x(x - 1))', as in gl11_even_pole.json
+INLINE_SEEDS = {
+    "gl20": (2, 0, [(2, 0), (1, 0)], [Poly.one()]),
+    "gl21-even-pole": (2, 1, [(1, 1, 0), (1, 1, 0)], [Poly.one(), X - Q(1, 2)]),
+}
+
+
+@cache
+def oracle_space(name):
+    if name in INLINE_SEEDS:
+        m, n, coords, ys = INLINE_SEEDS[name]
+        prob = ProblemData(m, n, [Weight(m, n, c) for c in coords], points=[0, 1])
+        seed = BethePoint(prob, ParitySequence.standard(m, n), ys)
+        return kernel_spaces(populate(seed, [0], max_depth=0))
+    file, samples, _ = GOLDEN_SPACE_RUNS[name]
+    return kernel_spaces(golden_population(file, samples, 0))
 
 
 def cleared_rank(*bases):
@@ -130,6 +181,32 @@ def cleared_basis_is_gl_space(space):
                     if not w.is_zero() and order_at_place(w, pl) < 0:
                         failures.append(f"pair Wronskian stays singular at {pl.to_str()}")
     return (not failures, failures)
+
+
+def staircase(table, j: int, sign: int) -> RatFun:
+    """Product over the places of place^(sign * (e_j - j)), e_j the 0-based
+    j-th exponent of each ladder in the table."""
+    out = RatFun.one()
+    for pl, ladder in table.items():
+        out = out * RatFun(pl) ** (sign * (ladder[j] - j))
+    return out
+
+
+def staircase_weight_polys(space):
+    """Reference weight polynomials, assembled from ``RatFun`` staircases:
+    the even staircases with the last one times the even denominator pv,
+    the denominator ratio pu / pv, then the odd staircases.  pv and pu are
+    rebuilt from the first exponents of the two ladders."""
+    m, n = space.m, space.n
+    ev, od = space.even_exponents, space.odd_exponents
+    pv, pu = (staircase({pl: [max(0, -ladder[0])] for pl, ladder in t.items()}, 0, 1) for t in (ev, od))
+    out = [staircase(ev, m - i, 1).as_poly() for i in range(1, m)]
+    if m:
+        out.append((staircase(ev, 0, 1) * pv).as_poly())
+    if n:
+        out.append((pu / pv).as_poly())
+        out += [staircase(od, i - 1, -1).as_poly() for i in range(2, n + 1)]
+    return tuple(p.monic() for p in out)
 
 
 def count_wronskians(monkeypatch):
@@ -219,6 +296,47 @@ class TestSpaceWeightPolys:
         space = kernel_spaces(pop)
         assert space_weight_polys(space) == [t.monic() for t in prob.ts_standard]
 
+    @pytest.mark.parametrize("name", dict.fromkeys([*GOLDEN_SPACE_RUNS, *ORACLE_SPACES]))
+    def test_kernel_spaces_match_the_staircases(self, name):
+        # W is read off the seed, so each golden run's space is its seed's
+        space = oracle_space(name)
+        assert space.weight_polys == staircase_weight_polys(space)
+
+    def test_seeded_spaces_match_the_staircases(self):
+        # the same polynomials, or an InternalInconsistency from both
+        outcomes = collections.Counter()
+        for space in seeded_spaces():
+            try:
+                space.even_exponents, space.odd_exponents
+            except InvalidFlag:
+                continue
+            try:
+                want = staircase_weight_polys(space)
+            except InternalInconsistency:
+                with pytest.raises(InternalInconsistency):
+                    space.weight_polys
+                outcomes["raised"] += 1
+                continue
+            assert space.weight_polys == want
+            outcomes[space.even_denominator.degree > 0] += 1
+        assert set(outcomes) == {"raised", True, False}
+
+    @pytest.mark.parametrize("name", ["worked-gl21", "gl22-even-pole", "gl32"])
+    def test_no_gcd_once_the_ladders_are_read(self, name, monkeypatch):
+        # the weight polynomials and the membership test are integer work
+        # on the exponent ladders and pole orders
+        import gaudin.rational
+
+        cached = oracle_space(name)
+        space = RationalSpace(cached.vbasis, cached.ubasis, problem=cached.problem)
+        space.even_exponents, space.odd_exponents
+        calls = []
+        gcd = gaudin.rational.poly_gcd
+        monkeypatch.setattr(gaudin.rational, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+        assert space.weight_polys == cached.weight_polys
+        assert is_gl_space(space) == (True, [])
+        assert calls == []
+
 
 class TestKernelSpaces:
     def test_worked_example_bases(self, worked_population):
@@ -301,6 +419,22 @@ class TestKernelSpaces:
         assert reseeded > nonstandard > 0
 
 
+def seeded_spaces():
+    """41 spaces with random bases over random denominators, the odd one
+    mostly a multiple of the even one, and one whose even part vanishes
+    along an irreducible quadratic."""
+    rng = random.Random(3)
+    out = []
+    for _ in range(40):
+        dv = rand_den(rng)
+        du = dv * rand_den(rng) if rng.random() < 0.7 else rand_den(rng)
+        vs = [RatFun(rand_num(rng), dv) for _ in range(rng.randint(1, 2))]
+        out.append(RationalSpace(vs, [RatFun(rand_num(rng), du) for _ in range(rng.randint(1, 2))]))
+    q = X**2 + X + 1
+    out.append(RationalSpace([q, X * q], [RatFun(Poly.one(), q)]))
+    return out
+
+
 class TestIsGlSpace:
     def test_polynomial_pair(self):
         space = RationalSpace([X, X**2 + 1], [Poly.one()])
@@ -326,18 +460,8 @@ class TestIsGlSpace:
         assert not ok
 
     def test_agrees_with_cleared_bases(self):
-        rng = random.Random(3)
-        spaces = []
-        for _ in range(40):
-            dv = rand_den(rng)
-            du = dv * rand_den(rng) if rng.random() < 0.7 else rand_den(rng)
-            vs = [RatFun(rand_num(rng), dv) for _ in range(rng.randint(1, 2))]
-            spaces.append(RationalSpace(vs, [RatFun(rand_num(rng), du) for _ in range(rng.randint(1, 2))]))
-        # an even part vanishing along an irreducible quadratic
-        q = X**2 + X + 1
-        spaces.append(RationalSpace([q, X * q], [RatFun(Poly.one(), q)]))
         seen = set()
-        for space in spaces:
+        for space in seeded_spaces():
             try:
                 got = is_gl_space(space)
             except InvalidFlag:
@@ -522,56 +646,6 @@ def collision_flag_polynomial(space: RationalSpace, flag: SuperFlag, a: int, b: 
     if val is None:
         raise InternalInconsistency(f"flag polynomial is not polynomial at ({a},{b})")
     return val.monic()
-
-
-# the population of every `space` recording
-GOLDEN_SPACE_RUNS = {
-    "worked-gl21": ("worked_gl21.json", (0, 1, 2), 16),
-    "rational-gl21": ("rational_gl21.json", (0, 1, 2), 16),
-    "rational-gl21-1e50": ("rational_gl21_point_1e50.json", (0, 1, 2), 3),
-    "gl31": ("gl31.json", (-6, -5, 1), 3),
-    "gl22": ("gl22.json", (0, 1, 2), 4),
-    "gl22-pole": ("gl22_pole.json", (0, 1, 2), 4),
-    "gl13": ("gl13.json", (0, 1, 2), 3),
-    "gl32": ("gl32.json", (0, 1, 2), 3),
-    "gl22-even-pole": ("gl22_even_pole.json", (0, 1, 2), 4),
-    "gl13-even-pole": ("gl13_even_pole.json", (0, 1, 2), 3),
-}
-# spaces for the random flags: W is read off the seed, so depth 0 suffices.
-# The even-pole ones have a standard-parity seed with nonconstant y_M, the
-# even part's denominator; "gl22-pole" has a pole in U only.
-ORACLE_SPACES = (
-    "worked-gl21",
-    "rational-gl21",
-    "gl31",
-    "gl22",
-    "gl22-pole",
-    "gl13",
-    "gl32",
-    "gl20",
-    "gl22-even-pole",
-    "gl13-even-pole",
-    "gl11-even-pole",
-    "gl21-even-pole",
-)
-# inline seeds: M, N, weights at the points 0 and 1, and ys at the standard
-# parity; 1/2 is the root of (x(x - 1))'
-INLINE_SEEDS = {
-    "gl20": (2, 0, [(2, 0), (1, 0)], [Poly.one()]),
-    "gl11-even-pole": (1, 1, [(1, 0), (1, 0)], [X - Q(1, 2)]),
-    "gl21-even-pole": (2, 1, [(1, 1, 0), (1, 1, 0)], [Poly.one(), X - Q(1, 2)]),
-}
-
-
-@cache
-def oracle_space(name):
-    if name in INLINE_SEEDS:
-        m, n, coords, ys = INLINE_SEEDS[name]
-        prob = ProblemData(m, n, [Weight(m, n, c) for c in coords], points=[0, 1])
-        seed = BethePoint(prob, ParitySequence.standard(m, n), ys)
-        return kernel_spaces(populate(seed, [0], max_depth=0))
-    file, samples, _ = GOLDEN_SPACE_RUNS[name]
-    return kernel_spaces(golden_population(file, samples, 0))
 
 
 def outcome(route, space, flag, a, b):
