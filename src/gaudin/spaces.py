@@ -31,11 +31,16 @@ from .errors import (
 from .linalg import rank, solve_linear
 from .rational import (
     Poly,
-    Q,
     RatFun,
     _cleared,
+    _combine,
     _convolve,
+    _poly,
+    _primitive,
     _proportional,
+    _pseudo_divmod,
+    _scaled,
+    _wronskian_ints,
     coprime_basis,
     order_at_place,
     qq,
@@ -68,7 +73,7 @@ class RationalSpace:
     """Even/odd pair of rational-function bases, with optional problem data.
 
     The Wronskian table, the places, the even and odd exponent tables,
-    their denominators and the weight polynomials are computed on first use
+    their pole orders and the weight polynomials are computed on first use
     and cached, so the bases must not change afterwards.
     """
 
@@ -113,14 +118,6 @@ class RationalSpace:
         orders, max(0, -e_0) and max(0, -f_0) of the two ladders."""
         ev, od = self.even_exponents, self.odd_exponents
         return {pl: tuple(max(0, -t[pl][0]) if pl in t else 0 for t in (ev, od)) for pl in self.places}
-
-    @cached_property
-    def even_denominator(self) -> Poly:
-        return _place_product({pl: cv for pl, (cv, _) in self.pole_orders.items()})[0]
-
-    @cached_property
-    def odd_denominator(self) -> Poly:
-        return _place_product({pl: cu for pl, (_, cu) in self.pole_orders.items()})[0]
 
     @cached_property
     def place_divisors(self) -> dict[tuple[int, int], tuple[Poly, Poly]]:
@@ -251,24 +248,50 @@ def is_gl_space(space: RationalSpace) -> tuple[bool, list[str]]:
 
 
 class SuperFlag:
-    """Ordered even and odd bases plus the parity interleaving them."""
+    """Ordered even and odd bases plus the parity interleaving them, kept as
+    one cleared integer family: the members, even then odd, stored once as
+    ``ints``, the integer vectors of d f_j over the one polynomial d = c q,
+    ``den``, of :func:`~gaudin.rational._cleared`.  W(d f_1, ..., d f_r) =
+    d^r W(f_1, ..., f_r), so :meth:`det` holds each partial Wronskian as the
+    integer vector d^(a+b) W(a, b)."""
 
     def __init__(self, parity: ParitySequence, vorder, uorder):
-        self.parity = parity
-        self.vorder = tuple(f if isinstance(f, RatFun) else RatFun(f) for f in vorder)
-        self.uorder = tuple(f if isinstance(f, RatFun) else RatFun(f) for f in uorder)
-        if parity.m != len(self.vorder) or parity.n != len(self.uorder):
+        vorder, uorder = tuple(vorder), tuple(uorder)
+        if parity.m != len(vorder) or parity.n != len(uorder):
             raise InvalidInput("flag sizes must match the parity sequence")
-        self._wronskians: dict[tuple[int, int], RatFun] = {}
+        ints, q, c = _cleared([f if isinstance(f, RatFun) else RatFun(f) for f in vorder + uorder])
+        self.parity, self.ints, self.den = parity, ints, _poly([c * x for x in q], 1)
+        self._dets: dict[tuple[int, int], list[int]] = {}
 
-    def wronskian(self, a: int, b: int) -> RatFun:
-        """Wronskian of the first a even and first b odd members (1 when
-        both are 0), computed once per flag."""
+    @property
+    def vorder(self) -> tuple[RatFun, ...]:
+        return tuple(RatFun(_poly(v, 1), self.den) for v in self.ints[: self.parity.m])
+
+    @property
+    def uorder(self) -> tuple[RatFun, ...]:
+        return tuple(RatFun(_poly(v, 1), self.den) for v in self.ints[self.parity.m :])
+
+    def det(self, a: int, b: int) -> list[int]:
+        """d^(a+b) W(a, b), W(a, b) the Wronskian of the first a even and the
+        first b odd members: [1] when both are 0, empty when the members are
+        dependent.  Computed once per flag."""
         key = (a, b)
-        if key not in self._wronskians:
-            members = self.vorder[:a] + self.uorder[:b]
-            self._wronskians[key] = wronskian(members) if members else RatFun.one()
-        return self._wronskians[key]
+        if key not in self._dets:
+            cols = self.ints[:a] + self.ints[self.parity.m :][:b]
+            self._dets[key] = _wronskian_ints(cols) if cols else [1]
+        return self._dets[key]
+
+    def _carried(self, parity: ParitySequence, moved=None) -> SuperFlag:
+        """The flag at ``parity`` over the same d with the members in ``moved``
+        (index: integer vector) replaced, sharing this flag's dets when none
+        is, else keeping those of the partials that hold no moved member."""
+        child = object.__new__(SuperFlag)
+        child.parity, child.den, child.ints, child._dets = parity, self.den, self.ints, self._dets
+        if moved:
+            child.ints = [moved.get(j, v) for j, v in enumerate(self.ints)]
+            low, m = min(moved), self.parity.m
+            child._dets = {k: w for k, w in self._dets.items() if (k[0] <= low if low < m else k[1] <= low - m)}
+        return child
 
     def __repr__(self):
         return f"SuperFlag(parity={list(self.parity.entries)})"
@@ -297,15 +320,16 @@ def _generic_order(space: RationalSpace, pl: Poly, a: int, b: int) -> int:
 def flag_polynomial(space: RationalSpace, flag: SuperFlag, a: int, b: int) -> Poly:
     """Monic polynomial from the (a, b) partial Wronskian W of a flag: W
     divided by each place to its :func:`_generic_order`, by one exact
-    division.  Every pole of a flag member lies at a place."""
-    w = flag.wronskian(a, b)
-    if w.is_zero():
+    division of the integer det d^(a+b) W times the poles by d^(a+b) times
+    the zeros.  Every pole of a flag member lies at a place."""
+    det = flag.det(a, b)
+    if not det:
         raise InvalidFlag("dependent flag members")
     zeros, poles = space.place_divisors[a, b]
-    val = (w.num * poles).try_exact_div(w.den * zeros)
-    if val is None:
+    val, rem, _ = _pseudo_divmod(_convolve(det, poles.ints), _convolve((flag.den ** (a + b)).ints, zeros.ints))
+    if rem:
         raise InternalInconsistency(f"flag polynomial is not polynomial at ({a},{b})")
-    return val.monic()
+    return _poly(val, 1).monic()
 
 
 def generating_tuple(space: RationalSpace, flag: SuperFlag) -> tuple[Poly, ...]:
@@ -321,21 +345,23 @@ def generating_map(space: RationalSpace, flag: SuperFlag) -> BethePoint:
 
 
 def _flag_ratios(flag: SuperFlag):
-    """(top, bottom) of each primitive of a flag's factorization: primitive
-    i is top / bottom = (W_(i-1) / W_i)^(s_i), W_i the Wronskian of the
-    i-th partial flag."""
+    """(top, bottom) integer vectors of each primitive of a flag's
+    factorization: primitive i is (W_(i-1) / W_i)^(s_i), W_i the Wronskian
+    of the i-th partial flag, so the larger partial's W over the smaller's,
+    and with dets d^k W for k members, det(larger) / (d det(smaller))."""
     s = flag.parity
     for i in range(1, len(s) + 1):
-        outer, inner = flag.wronskian(*s.partials[i - 1]), flag.wronskian(*s.partials[i])
-        if outer.is_zero() or inner.is_zero():
+        outer, inner = flag.det(*s.partials[i - 1]), flag.det(*s.partials[i])
+        if not outer or not inner:
             raise InvalidFlag("dependent flag members")
-        yield (outer, inner) if s[i] == 1 else (inner, outer)
+        larger, smaller = (outer, inner) if s[i] == 1 else (inner, outer)
+        yield larger, _convolve(flag.den.ints, smaller)
 
 
 def flag_factorization(space: RationalSpace, flag: SuperFlag) -> CompleteFactorization:
     """Complete factorization attached to a superflag via Wronskian ratios:
     primitive i is (W_(i-1) / W_i)^(s_i), W_i that of the i-th partial flag."""
-    prims = [top / bottom for top, bottom in _flag_ratios(flag)]
+    prims = [RatFun(_poly(top, 1), _poly(bottom, 1)) for top, bottom in _flag_ratios(flag)]
     return CompleteFactorization.from_primitives(flag.parity, prims)
 
 
@@ -347,16 +373,14 @@ def _flag_matches(flag: SuperFlag, pairs) -> bool:
     For nonzero f, g in Q(x), f'/f = g'/g holds exactly when (f/g)' = 0,
     that is when f/g is a nonzero constant.  So the coefficients agree
     slot by slot exactly when the primitives are proportional.  With the
-    flag primitive top / bottom and the pair (g, h), that is the
-    proportionality of P = top.num bottom.den h and
-    Q = top.den bottom.num g, tested on their integer vectors as
-    P lc(Q) == Q lc(P) with no log-derivative and no gcd.  A factor common
-    to g and h multiplies P and Q alike, so the pair need not be reduced.
+    flag primitive top / bottom, a pair of integer vectors, and the pair
+    (g, h), that is the proportionality of P = top h and Q = bottom g,
+    tested on their integer vectors as P lc(Q) == Q lc(P) with no
+    log-derivative and no gcd.  A factor common to g and h, or to top and
+    bottom, multiplies P and Q alike, so neither pair need be reduced.
     """
     for (top, bottom), (g, h) in zip(_flag_ratios(flag), pairs):
-        p = _convolve(_convolve(top.num.ints, bottom.den.ints), h.ints)
-        q = _convolve(_convolve(top.den.ints, bottom.num.ints), g.ints)
-        if not _proportional(p, q):
+        if not _proportional(_convolve(top, h.ints), _convolve(bottom, g.ints)):
             return False
     return True
 
@@ -413,21 +437,23 @@ def flag_from_factorization(space: RationalSpace, fac: CompleteFactorization) ->
     return _flag(space, fac.parity, fac.primitives)
 
 
-def _pencil(space: RationalSpace, s: ParitySequence, i: int, y: Poly, w: RatFun, w2: RatFun) -> list[Q]:
-    """The unique (alpha, beta) with alpha w + beta w2 equal to y times each
-    place to its :func:`_generic_order` for partial i at s: the (a, b)
-    Wronskian, up to a constant, of a flag whose generating-map entry i is
-    y.  The three sides are cleared to integer vectors over one
-    denominator, and the coefficients solved for; no solution, or more
+def _pencil(space: RationalSpace, s: ParitySequence, i: int, y: Poly, flag: SuperFlag, w2) -> list[int]:
+    """Coprime integers (alpha, beta) with alpha W + beta W2 proportional to
+    y times each place to its :func:`_generic_order` for (a, b) =
+    ``s.partials[i]``: W is the flag's W(a, b), and W2 that of other
+    members, given as its det ``w2`` over the flag's d.  Times d^(a+b) and
+    the poles, the three sides are integer vectors; no solution, or more
     than one, raises :class:`TheoremViolation`."""
-    zeros, poles = space.place_divisors[s.partials[i]]
-    sides = _cleared([w, w2, RatFun(y * zeros, poles)])[0]
+    ab = s.partials[i]
+    zeros, poles = space.place_divisors[ab]
+    rhs = _convolve(_convolve((flag.den ** sum(ab)).ints, y.ints), zeros.ints)
+    sides = [_convolve(flag.det(*ab), poles.ints), _convolve(w2, poles.ints), rhs]
     width = max(map(len, sides))
     u, v, t = (p + [0] * (width - len(p)) for p in sides)
     sol, null = solve_linear(list(zip(u, v)), t)
     if sol is None or null:
         raise TheoremViolation(f"no unique flag of the pencil has entry y_{i} = {y.to_str()}")
-    return sol
+    return _primitive(_scaled(sol)[0])
 
 
 def _carried_flag(space: RationalSpace, flag: SuperFlag, i: int, y: Poly) -> SuperFlag:
@@ -436,23 +462,15 @@ def _carried_flag(space: RationalSpace, flag: SuperFlag, i: int, y: Poly) -> Sup
     :func:`verify_operator_to_population`)."""
     s = flag.parity
     if s[i] != s[i + 1]:
-        child = SuperFlag(s.swapped(i), flag.vorder, flag.uorder)
-        child._wronskians = flag._wronskians
-        return child
+        return flag._carried(s.swapped(i))
     a, b = s.partials[i]
-    even = s[i] == 1
-    k = a if even else b
-    order = list(flag.vorder if even else flag.uorder)
-    lo, hi = order[k - 1], order[k]
-    members = list(flag.vorder[:a] + flag.uorder[:b])
-    members[a - 1 if even else a + b - 1] = hi
-    alpha, beta = _pencil(space, s, i, y, flag.wronskian(a, b), wronskian(members))
-    order[k - 1] = lo * alpha + hi * beta
+    j = a - 1 if s[i] == 1 else s.m + b - 1  # the moved member, the last of its parity in partial (a, b)
+    lo, hi = flag.ints[j], flag.ints[j + 1]
+    alpha, beta = _pencil(space, s, i, y, flag, flag._carried(s, {j: hi}).det(a, b))
+    moved = {j: _combine([alpha * x for x in lo], hi, beta)}
     if alpha == 0:
-        order[k] = lo
-    child = SuperFlag(s, order, flag.uorder) if even else SuperFlag(s, flag.vorder, order)
-    child._wronskians = {key: w for key, w in flag._wronskians.items() if key[0 if even else 1] < k}
-    return child
+        moved[j + 1] = lo
+    return flag._carried(s, moved)
 
 
 def _node_flags(space: RationalSpace, pop: Population) -> dict[tuple, SuperFlag]:
@@ -481,7 +499,8 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
     their ratio is constant, so :func:`_flag_matches` decides that
     equality by proportionality, against the node's primitives as the
     unreduced integer pairs of :func:`~gaudin.bethe._primitive_pairs`:
-    no factorization is built on either side, and no gcd is taken.
+    no factorization is built on either side, and no gcd is taken.  Both
+    checks read the flag's integer Wronskians (see :class:`SuperFlag`).
 
     Only the seed's flag is built from its primitives, by :func:`_flag`.
     Every other node's flag is carried from its parent's along its
@@ -491,7 +510,7 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
 
     - a fermionic edge in direction i keeps both flags and swaps s_i and
       s_(i+1).  W(a, b) depends only on the members, so the two flags
-      share their Wronskians;
+      share their dets;
     - a bosonic edge in direction i, with (a, b) = ``s.partials[i]``,
       moves only partial flag i, inside the pencil between partial flags
       i - 1 and i + 1.  If s_i = +1 it moves the a-th even member m_a,
@@ -500,8 +519,9 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
       W(a, b) = alpha W + beta W', W' the Wronskian with m_a replaced by
       m_(a+1), and that must be the reached node's y_i times each place to
       its :func:`_generic_order`.  :func:`_pencil` solves for the one
-      (alpha, beta); when alpha = 0 the next member becomes m_a.  Only the
-      Wronskians whose members did not move are kept.
+      (alpha, beta), up to a constant, on the integer dets; when alpha = 0
+      the next member becomes m_a.  Only the dets whose members did not
+      move are kept.
 
     No Wronskian of the new flag is seeded from the solve's right side: the
     generating map recomputes W(a, b) from the members, so the check reads

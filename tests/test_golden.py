@@ -60,11 +60,18 @@ BUDGETED = (
     "population_rational_gl21_point_1e50_depth3",
     ["population", "--input", "rational_gl21_point_1e50.json", "--max-depth", "3"],
 )
-# too large to record (275,913 bytes), so pinned by its sha256: 1,992 nodes,
-# the run with the most flag Wronskians
+# too large to record, so pinned by their sha256: gl(3|2) (275,913 bytes,
+# 1,992 nodes) is the run with the most flag Wronskians, and gl(1|3) with an
+# even pole (830 nodes) the one whose flags clear a nonconstant denominator
 DIGESTED = (
-    "fb6205bb91d2241469e02a4c672e121f764c4ee9eedd19974c1941314e14f16f",
-    ["space", "--input", "gl32.json", "--max-depth", "5"],
+    (
+        "fb6205bb91d2241469e02a4c672e121f764c4ee9eedd19974c1941314e14f16f",
+        ["space", "--input", "gl32.json", "--max-depth", "5"],
+    ),
+    (
+        "2ca6f7976cd754502650d7d8c8268d9c1ab624410cc1090b1e82df13142dc6ec",
+        ["space", "--input", "gl13_even_pole.json", "--max-depth", "5"],
+    ),
 )
 WORKFLOW = Path(__file__).parent.parent / ".github" / "workflows" / "tests.yml"
 
@@ -97,11 +104,11 @@ def test_large_point_output_and_budget(capsys):
 
 
 def test_digested_stdout(capsys):
-    digest, args = DIGESTED
-    assert main([str(GOLDEN / a) if a.endswith(".json") else a for a in args]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    for digest, args in DIGESTED:
+        assert main([str(GOLDEN / a) if a.endswith(".json") else a for a in args]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest, args
 
 
 def test_output_beyond_the_int_text_limit(tmp_path, capsys):
@@ -146,9 +153,10 @@ def workflow_golden_runs():
 
 def test_workflow_compares_every_recording():
     """The workflow's list of recordings, COMMANDS and tests/golden/ agree,
-    and the workflow checks the digested run's sha256."""
+    and the workflow checks each digested run's sha256."""
     name, args = BUDGETED
     expected = {**COMMANDS, name: args}
     assert workflow_golden_runs() == expected
     assert {p.stem for p in GOLDEN.glob("*.stdout")} == set(expected)
-    assert f"{DIGESTED[0]}  " in WORKFLOW.read_text()
+    for digest, _ in DIGESTED:
+        assert f"{digest}  " in WORKFLOW.read_text()

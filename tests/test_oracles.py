@@ -3,6 +3,7 @@
 sympy is a test-only oracle here; the engine itself stays stdlib-only.
 The fraction-free Wronskian and the cross-multiplied edge comparison are
 also checked against elimination and arithmetic over reduced ``RatFun``s,
+a superflag's integer partial Wronskians against ``rational.wronskian``,
 the integer Wronskian of a family line against its ``Poly`` formula,
 the integer mixed-parity reproduction against the ``Poly`` product
 formula it replaced, and the residue form of the Bethe equations against
@@ -40,9 +41,11 @@ from gaudin.errors import (
     DegenerateReproduction,
     InternalInconsistency,
     InvalidConfiguration,
+    InvalidFlag,
     InvalidInput,
 )
 from gaudin.linalg import charpoly_coeffs, mat_mul, solve_linear
+from gaudin.spaces import RationalSpace, SuperFlag, flag_polynomial
 from gaudin.weights import ParitySequence, ProblemData, Weight, cartan_pairing, hook_weight, site_table
 from gaudin.rational import (
     Poly,
@@ -504,6 +507,30 @@ def test_wronskian_matches_gaussian_elimination(fs):
         want.den.ints,
         want.den.den,
     )
+
+
+@given(fs=wronskian_family(), split=st.integers(0, 5))
+@example(fs=[Poly.one(), PX, PX**2, PX**3], split=2)
+@example(fs=[RatFun(PX, PX + 2), PX**2 + 1, RatFun(PX, PX + 2)], split=1)
+@example(fs=[Poly.const(Q(1, BIG + 1)), RatFun(PX, Poly([Q(1, BIG + 3), 1])), PX**2 * Q(5, BIG + 9)], split=3)
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+def test_flag_dets_match_rational_wronskians(fs, split):
+    # a flag of the family, its first k members even and the rest odd
+    k = min(split, len(fs))
+    rats = tuple(f if isinstance(f, RatFun) else RatFun(f) for f in fs)
+    flag = SuperFlag(ParitySequence.standard(k, len(fs) - k), fs[:k], fs[k:])
+    assert (flag.vorder, flag.uorder) == (rats[:k], rats[k:])
+    den = flag.den
+    for a in range(k + 1):
+        for b in range(len(fs) - k + 1):
+            members = rats[:a] + rats[k : k + b]
+            want = wronskian(members) if members else RatFun.one()
+            # det / den^(a+b) == want, cross-multiplied
+            assert Poly(flag.det(a, b)) * want.den == den ** (a + b) * want.num
+    if wronskian(fs).is_zero():
+        assert flag.det(k, len(fs) - k) == []
+        with pytest.raises(InvalidFlag):
+            flag_polynomial(RationalSpace(fs[:k], fs[k:]), flag, k, len(fs) - k)
 
 
 @st.composite

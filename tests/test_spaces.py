@@ -30,7 +30,7 @@ from gaudin.errors import (
     TheoremViolation,
 )
 from gaudin.linalg import rank
-from gaudin.rational import Poly, RatFun, log_deriv, order_at_place, poly_gcd, wronskian
+from gaudin.rational import Poly, RatFun, _poly, log_deriv, order_at_place, poly_gcd, wronskian
 from gaudin.skew import CompleteFactorization, refactor_to_parity
 from gaudin.spaces import (
     RationalSpace,
@@ -136,12 +136,20 @@ def rand_den(rng):
     return den
 
 
+def basis_denominator(basis) -> Poly:
+    """The monic lcm of a basis's denominators."""
+    den = Poly.one()
+    for f in basis:
+        den = den * f.den.exact_div(poly_gcd(den, f.den))
+    return den
+
+
 def cleared_basis_is_gl_space(space):
     """Reference membership test: the exponents of the even and odd parts
     cleared by their denominators are computed from the cleared bases."""
     m, n = space.m, space.n
     places, od = space.places, space.odd_exponents
-    pv, pu = space.even_denominator, space.odd_denominator
+    pv, pu = basis_denominator(space.vbasis), basis_denominator(space.ubasis)
     failures = []
     ratio = RatFun(pu) / RatFun(pv)
     if not ratio.is_polynomial():
@@ -196,10 +204,10 @@ def staircase_weight_polys(space):
     """Reference weight polynomials, assembled from ``RatFun`` staircases:
     the even staircases with the last one times the even denominator pv,
     the denominator ratio pu / pv, then the odd staircases.  pv and pu are
-    rebuilt from the first exponents of the two ladders."""
+    the lcms of the two bases' denominators."""
     m, n = space.m, space.n
     ev, od = space.even_exponents, space.odd_exponents
-    pv, pu = (staircase({pl: [max(0, -ladder[0])] for pl, ladder in t.items()}, 0, 1) for t in (ev, od))
+    pv, pu = RatFun(basis_denominator(space.vbasis)), RatFun(basis_denominator(space.ubasis))
     out = [staircase(ev, m - i, 1).as_poly() for i in range(1, m)]
     if m:
         out.append((staircase(ev, 0, 1) * pv).as_poly())
@@ -318,7 +326,7 @@ class TestSpaceWeightPolys:
                 outcomes["raised"] += 1
                 continue
             assert space.weight_polys == want
-            outcomes[space.even_denominator.degree > 0] += 1
+            outcomes[basis_denominator(space.vbasis).degree > 0] += 1
         assert set(outcomes) == {"raised", True, False}
 
     @pytest.mark.parametrize("name", ["worked-gl21", "gl22-even-pole", "gl32"])
@@ -471,8 +479,8 @@ class TestIsGlSpace:
             assert got == cleared_basis_is_gl_space(RationalSpace(space.vbasis, space.ubasis))
             seen.add(got[0])
             seen.update(f.split(" at ")[0] for f in got[1])
-            seen.add(("pv", space.even_denominator.degree > 0))
-            seen.add(("pu", space.odd_denominator.degree > 0))
+            seen.add(("pv", basis_denominator(space.vbasis).degree > 0))
+            seen.add(("pu", basis_denominator(space.ubasis).degree > 0))
         # the odd staircase condition cannot fail: a strictly increasing
         # ladder cleared of its poles has its i-th exponent >= i - 1
         assert seen == {
@@ -501,7 +509,7 @@ class TestIsGlSpace:
         assert calls == []
         # the pair Wronskians too come from the table the ladders were read from
         is_gl_space(poles)
-        assert poles.even_denominator.degree > 0
+        assert basis_denominator(poles.vbasis).degree > 0
         assert calls == []
 
     def test_pair_condition_extends_bilinearly(self, worked_population):
@@ -512,9 +520,7 @@ class TestIsGlSpace:
         from gaudin.rational import order_at_place
 
         places = space.places
-        pv = space.even_denominator
-        if pv.degree == 0:
-            pv = Poly.one()
+        pv = basis_denominator(space.vbasis)
         for _ in range(6):
             v = sum(
                 (RatFun.const(rng.randint(-3, 3)) * b for b in space.vbasis),
@@ -633,10 +639,11 @@ def collision_flag_polynomial(space: RationalSpace, flag: SuperFlag, a: int, b: 
     """
     tw = space.weight_polys
     m, n = space.m, space.n
-    w = flag.wronskian(a, b)
+    members = flag.vorder[:a] + flag.uorder[:b]
+    w = wronskian(members) if members else RatFun.one()
     if w.is_zero():
         raise InvalidFlag("dependent flag members")
-    num = w.num * collision_poly(tw, m, n, a, b) * space.even_denominator
+    num = w.num * collision_poly(tw, m, n, a, b) * basis_denominator(space.vbasis)
     for j in range(1, b + 1):
         num = num * tw[m + j - 1]
     den = w.den
@@ -701,7 +708,7 @@ class TestFlagPolynomialOracle:
                     assert outcome(flag_polynomial, space, flag, a, b) == expected, (flag, a, b)
 
     def test_oracle_spaces_cover_even_poles(self):
-        poles = [name for name in ORACLE_SPACES if oracle_space(name).even_denominator != Poly.one()]
+        poles = [name for name in ORACLE_SPACES if basis_denominator(oracle_space(name).vbasis) != Poly.one()]
         assert poles == ["gl22-even-pole", "gl13-even-pole", "gl11-even-pole", "gl21-even-pole"]
 
     @pytest.mark.parametrize("name", ORACLE_SPACES)
@@ -752,20 +759,90 @@ class TestFlagFactorization:
 
 
     def test_flag_wronskians_built_once(self, worked_population, monkeypatch):
-        import gaudin.spaces
-
+        # each partial's integer Wronskian, once per flag, over the
+        # generating map and the factorization together
         space = kernel_spaces(worked_population)
         space.weight_polys  # the space's own Wronskians, computed before counting
-        flag = SuperFlag(ParitySequence((1, -1, 1)), space.vbasis, space.ubasis)
-        calls = []
-        wr = gaudin.spaces.wronskian
-        monkeypatch.setattr(
-            gaudin.spaces, "wronskian", lambda fs: calls.append(tuple(fs)) or wr(fs)
-        )
+        s = ParitySequence((1, -1, 1))
+        flag = SuperFlag(s, space.vbasis, space.ubasis)
+        calls = count_int_wronskians(monkeypatch)
         generating_tuple(space, flag)
         flag_factorization(space, flag)
-        assert calls
-        assert len(calls) == len(set(calls))
+        assert sorted(calls) == sorted(partial_columns(flag, ab) for ab in set(s.partials) - {(0, 0)})
+
+    def test_fermionic_carried_flag_reuses_its_parents_dets(self, worked_population, monkeypatch):
+        space = kernel_spaces(worked_population)
+        s = ParitySequence((1, -1, 1))
+        flag = SuperFlag(s, space.vbasis, space.ubasis)
+        calls = count_int_wronskians(monkeypatch)
+        generating_tuple(space, flag)
+        flag_factorization(space, flag)
+        parents = set(calls)
+        for i in (1, 2):
+            calls.clear()
+            child = spaces._carried_flag(space, flag, i, None)
+            assert child.parity == s.swapped(i)
+            generating_tuple(space, child)
+            flag_factorization(space, child)
+            # only the one partial the swap changes is new, and (0, 0) needs none
+            new = child.parity.partials[i]
+            assert calls == ([partial_columns(child, new)] if new != (0, 0) else [])
+            assert not parents & set(calls)
+
+    def test_bosonic_carried_flag_recomputes_only_moved_partials(self, monkeypatch):
+        pop = golden_population(*GOLDEN_SPACE_RUNS["gl32"])
+        space = kernel_spaces(pop)
+        flags = spaces._node_flags(space, pop)
+        calls = count_int_wronskians(monkeypatch)
+        moves = collections.Counter()
+        for edge in spaces.discovery_edges(pop):
+            parent, i = flags[edge.source], edge.direction
+            s = parent.parity
+            # three even and three odd moves
+            if s[i] != s[i + 1] or moves[s[i]] == 3:
+                continue
+            grid = [(a, b) for a in range(space.m + 1) for b in range(space.n + 1)]
+            for ab in grid:
+                parent.det(*ab)
+            child = spaces._carried_flag(space, parent, i, pop.nodes[edge.target].y(i))
+            # the partials that hold the moved member, the a-th even or b-th odd
+            side, k = (0, s.partials[i][0]) if s[i] == 1 else (1, s.partials[i][1])
+            fresh = SuperFlag(child.parity, child.vorder, child.uorder)
+            recomputed = set()
+            for ab in grid:
+                calls.clear()
+                got = child.det(*ab)
+                if calls:
+                    recomputed.add(ab)
+                # the same Wronskian W(a, b) over each flag's own d
+                assert _poly(got, 1) * fresh.den ** sum(ab) == _poly(fresh.det(*ab), 1) * child.den ** sum(ab)
+            assert recomputed == {ab for ab in grid if ab[side] >= k}
+            moves[s[i]] += 1
+        assert moves == {1: 3, -1: 3}
+
+    def test_depth_5_walk_builds_only_the_space_table(self, monkeypatch):
+        # 2^3 - 1 even and 2^2 - 1 odd subset Wronskians and 3 * 2 pairs;
+        # every flag Wronskian is an integer one
+        pop = golden_population("gl32.json", (0, 1, 2), 5)
+        calls = count_wronskians(monkeypatch)
+        verify_operator_to_population(pop)
+        assert len(calls) == 16
+        assert len(pop.nodes) == 1992
+
+
+def count_int_wronskians(monkeypatch):
+    """The columns of each integer Wronskian `spaces` computes, as tuples."""
+    calls = []
+    wr = spaces._wronskian_ints
+    monkeypatch.setattr(spaces, "_wronskian_ints", lambda cols: calls.append(tuple(map(tuple, cols))) or wr(cols))
+    return calls
+
+
+def partial_columns(flag, ab):
+    """The integer vectors of the (a, b) partial's members, as a tuple of tuples."""
+    a, b = ab
+    m = flag.parity.m
+    return tuple(map(tuple, flag.ints[:a] + flag.ints[m : m + b]))
 
 
 def scaled_pair(pairs, slot, top, bottom=1):
