@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import InternalInconsistency
 from .rational import _primitive, _scaled
@@ -134,24 +135,24 @@ def integer_scaled(a) -> tuple[list[list[int]], int]:
 
 def int_mat_mul(a, b):
     """Product of integer matrices, with no Fraction on the way."""
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def charpoly_coeffs(a) -> list[Fraction]:
-    """Characteristic polynomial det(tI - A), ascending coefficients.
+def int_charpoly(x) -> list[int]:
+    """det(tI - X) for an integer matrix X, ascending integer coefficients.
 
-    Faddeev-LeVerrier recursion on the integer matrix D A, D the lcm of the
-    entries' denominators.  det(tI - DA) = D^n det((t/D) I - A), so its
-    coefficient c_j of t^j is D^(n-j) times A's; it has integer
-    coefficients, so each division by k in the recursion is exact.
+    Faddeev-LeVerrier recursion: M_0 = I, and at step k the coefficient of
+    t^(n-k) is -tr(X M_(k-1)) / k and M_k = X M_(k-1) plus that coefficient
+    on the diagonal.  The coefficients are integers, so each division by k
+    is exact; one that is not raises.
     """
-    n = len(a)
-    b, den = integer_scaled(a)
+    n = len(x)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = int_mat_mul(b, m)
+        am = int_mat_mul(x, m)
         tr = sum(am[i][i] for i in range(n))
         c, rem = divmod(-tr, k)
         if rem:
@@ -160,7 +161,19 @@ def charpoly_coeffs(a) -> list[Fraction]:
         for i in range(n):
             am[i][i] += c
         m = am
-    return [Q(c, den ** (n - j)) for j, c in enumerate(coeffs)]
+    return coeffs
+
+
+def charpoly_coeffs(a) -> list[Fraction]:
+    """Characteristic polynomial det(tI - A), ascending coefficients.
+
+    :func:`int_charpoly` of the integer matrix D A, D the lcm of the
+    entries' denominators: det(tI - DA) = D^n det((t/D) I - A), so its
+    coefficient of t^j is D^(n-j) times A's.
+    """
+    b, den = integer_scaled(a)
+    n = len(a)
+    return [Q(c, den ** (n - j)) for j, c in enumerate(int_charpoly(b))]
 
 
 def solve_matrix(b, y):

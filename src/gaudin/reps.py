@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import (
     DegenerateInput,
@@ -21,19 +22,10 @@ from .errors import (
     InvalidPoints,
     TooLarge,
 )
-from .linalg import (
-    charpoly_coeffs,
-    identity,
-    int_mat_mul,
-    integer_scaled,
-    mat_scale,
-    mat_sub,
-    nullspace,
-    rank,
-)
-from .rational import Poly, Q, _scaled, factor_rational_quadratic, poly_gcd, qq, rational_roots
+from .linalg import int_charpoly, int_mat_mul, nullspace, rank
+from .rational import Poly, Q, _poly, _scaled, factor_rational_quadratic, poly_gcd, qq, rational_roots
 from .bethe import table_eigenvalues
-from .weights import ParitySequence, Weight, site_table, swap_coords, weight_at_infinity
+from .weights import ParitySequence, Weight, alpha_eps, site_table, swap_coords, weight_at_infinity
 
 Sparse = dict[int, list[tuple[int, Fraction]]]
 IntSparse = dict[int, list[tuple[int, int]]]
@@ -149,9 +141,13 @@ class TensorSystem:
         if any((mod.m, mod.n) != (self.m, self.n) for mod in self.modules):
             raise InvalidInput("all factors must share the same gl(M|N)")
         self.dims = [mod.dim for mod in self.modules]
-        self.dim = 1
-        for d in self.dims:
-            self.dim *= d
+        # leg k's component moves the index by _strides[k - 1], the product
+        # of the dimensions to its right
+        self._strides = [1] * len(self.dims)
+        for k in range(len(self.dims) - 1, 0, -1):
+            self._strides[k - 1] = self._strides[k] * self.dims[k]
+        self.dim = self._strides[0] * self.dims[0]
+        self._tuples = list(itertools.product(*[range(d) for d in self.dims]))
         # the operators in integers, each an IntSparse map over one denominator
         self._leg_cache: dict[tuple[int, int, int], IntSparse] = {}
         self._diagonal_cache: dict[tuple[int, int], tuple[IntSparse, int]] = {}
@@ -162,19 +158,22 @@ class TensorSystem:
     # -- basis bookkeeping ------------------------------------------------
 
     def index_tuples(self):
-        return list(itertools.product(*[range(d) for d in self.dims]))
+        """Each basis vector's leg components, in :meth:`index_of` order."""
+        return self._tuples
 
     def index_of(self, tup) -> int:
-        idx = 0
-        for t, d in zip(tup, self.dims):
-            idx = idx * d + t
-        return idx
+        return sum(map(mul, tup, self._strides))
 
     def all_weights(self):
-        """Each basis vector's weight, in :meth:`index_of` order: the sum of its legs'."""
+        """Each basis vector's weight, in :meth:`index_of` order: the sum of
+        its legs', summed as integers over one denominator."""
         if self._weights is None:
-            legs = itertools.product(*(mod.basis_weights for mod in self.modules))
-            self._weights = [tuple(map(sum, zip(*ws))) for ws in legs]
+            den = lcm(*(c.denominator for mod in self.modules for w in mod.basis_weights for c in w))
+            legs = [
+                [tuple(c.numerator * (den // c.denominator) for c in w) for w in mod.basis_weights]
+                for mod in self.modules
+            ]
+            self._weights = [tuple(Q(sum(col), den) for col in zip(*ws)) for ws in itertools.product(*legs)]
         return self._weights
 
     # -- operators ---------------------------------------------------------
@@ -182,7 +181,9 @@ class TensorSystem:
     def _leg(self, k: int, a: int, b: int) -> IntSparse:
         """e_ab acting on tensor leg k (1-based) with the sign rule, times D_k.
 
-        D_k is module k's ``den``, so the map is an integer one.
+        D_k is module k's ``den``, so the map is an integer one.  A column
+        whose leg-k component is comp sends comp to row r at the index
+        col + (r - comp) * stride, the stride of leg k.
         """
         key = (k, a, b)
         if key in self._leg_cache:
@@ -193,8 +194,9 @@ class TensorSystem:
             for comp, entries in mod.matrix(a, b).items()
         }
         odd_op = mod.op_parity(a, b) == -1
+        stride = self._strides[k - 1]
         out: IntSparse = {}
-        for tup in self.index_tuples():
+        for col, tup in enumerate(self._tuples):
             comp = tup[k - 1]
             entries = local.get(comp)
             if not entries:
@@ -204,13 +206,8 @@ class TensorSystem:
                 for j in range(k - 1):
                     if self.modules[j].parities[tup[j]] == -1:
                         sign = -sign
-            col = self.index_of(tup)
-            lst = []
-            for row_local, val in entries:
-                target = list(tup)
-                target[k - 1] = row_local
-                lst.append((self.index_of(tuple(target)), sign * val))
-            out[col] = lst
+            base = col - comp * stride
+            out[col] = [(base + row * stride, sign * val) for row, val in entries]
         self._leg_cache[key] = out
         return out
 
@@ -423,14 +420,14 @@ def weight_function(system: TensorSystem, parity: ParitySequence, tlists):
 
 def _tensor_of(system: TensorSystem, legs):
     out = [Q(0)] * system.dim
-    for tup in system.index_tuples():
+    for idx, tup in enumerate(system.index_tuples()):
         val = Q(1)
         for k, comp in enumerate(tup):
             val *= legs[k][comp]
             if val == 0:
                 break
         if val != 0:
-            out[system.index_of(tup)] = val
+            out[idx] = val
     return out
 
 
@@ -509,17 +506,19 @@ def _echelon_rows(vectors) -> list[int]:
     return [max(t for t, v in enumerate(vec) if v) for vec in vectors]
 
 
-def _restrict(ops, basis, rows) -> list:
-    """Each operator's matrix on the span of an integer echelon basis.
+def _restrict(ops, basis, rows) -> list[tuple[list[list[int]], int]]:
+    """Each operator's matrix on the span of an integer echelon basis, as
+    an integer block X over one denominator D.
 
     ``ops`` holds (integer column-sparse map M, denominator L) pairs, the
     operator being M over L.  w_j = basis[j] is an integer vector, nonzero
     at rows[j] and 0 at the other rows, so with d_j = w_j[rows[j]] the
-    vectors v_j = w_j / d_j are 1 at their own rows, and block entry X_ij
-    is (H v_j)[rows[i]] = (M w_j)[rows[i]] / (L d_j).  Invariance,
-    H v_j = sum_i X_ij v_i, is checked on every coordinate in integers:
-    with D the lcm of the d_i, D M w_j must equal
-    sum_i (M w_j)[rows[i]] (D / d_i) w_i.
+    vectors v_j = w_j / d_j are 1 at their own rows, and block entry
+    (H v_j)[rows[i]] is (M w_j)[rows[i]] / (L d_j).  With big the lcm of
+    the d_j, that is X_ij / D for X_ij = (M w_j)[rows[i]] (big / d_j) and
+    D = L big.  Invariance, H v_j = sum_i X_ij / D v_i, is checked on
+    every coordinate in integers: big M w_j must equal
+    sum_i (M w_j)[rows[i]] (big / d_i) w_i.
     """
     dim = len(basis[0]) if basis else 0
     dens = [w[r] for w, r in zip(basis, rows)]
@@ -542,98 +541,114 @@ def _restrict(ops, basis, rows) -> list:
                         combo[t] += c * w
             if combo != [big * v for v in img]:
                 raise InternalInconsistency("subspace is not invariant")
-            columns.append([Fraction(img[ri], den * d) for ri in rows])
-        blocks.append([list(row) for row in zip(*columns)])
+            scale = big // d
+            columns.append([img[ri] * scale for ri in rows])
+        blocks.append(([list(row) for row in zip(*columns)], den * big))
     return blocks
 
 
-def _restricted_hamiltonians(system: TensorSystem, basis) -> list:
-    """Each Hamiltonian's :func:`_restrict` block on the span of a
+def _restricted_hamiltonians(system: TensorSystem, basis) -> list[tuple[list[list[int]], int]]:
+    """Each Hamiltonian's :func:`_restrict` block (X, D) on the span of a
     ``singular_space`` basis, which is in echelon form; the basis is
     cleared to integers once."""
     hams = (system._hamiltonian(r) for r in range(1, len(system.modules) + 1))
     return _restrict(hams, [_scaled(v)[0] for v in basis], _echelon_rows(basis))
 
 
-def _joint_eigen_decomposition(mats):
-    """Split a list of commuting rational matrices into joint eigenspaces.
+def _shifted(x, root: Fraction) -> list[list[int]]:
+    """v X - u I for the root u / v: the integer rows whose nullspace is the
+    eigenspace of the integer matrix X at u / v."""
+    u, v = root.numerator, root.denominator
+    return [[v * a - u if i == j else v * a for j, a in enumerate(row)] for i, row in enumerate(x)]
+
+
+def _joint_eigen_decomposition(blocks):
+    """Split commuting matrices, each an integer block X over a denominator
+    D as :func:`_restrict` returns them, into joint eigenspaces.
 
     Returns (spaces, irrational_dim) where spaces is a list of
     (eigenvalue_tuple, basis_vectors) with rational eigenvalues only, each
     basis vector an integer one.  Each tuple arises from one (parent space,
     root) pair, and the lifted nullspace basis stays independent, so no
-    regrouping is needed.  The split starts from the integer identity.  A
-    nullspace vector c of a block on the echelon basis w_i (v_i = w_i / d_i
-    as in :func:`_restrict`) lifts to sum_i c_i v_i = sum_i (c_i / d_i) w_i,
+    regrouping is needed.  The split starts from the integer identity.  On
+    each space a matrix is its integer block X over D; a root mu of the
+    characteristic polynomial of X is the eigenvalue mu / D, made a
+    ``Fraction`` only as it enters the tuple, and its eigenspace is the
+    nullspace of the integer rows v X - u I for mu = u / v.  A nullspace
+    vector c of a block on the echelon basis w_i (v_i = w_i / d_i as in
+    :func:`_restrict`) lifts to sum_i c_i v_i = sum_i (c_i / d_i) w_i,
     cleared to integers by the lcm of the c_i / d_i's denominators.  The
     lifted basis stays in echelon form at the parent rows picked by the
     nullspace's free columns, so each matrix, taken once as an integer map,
     acts on it by :func:`_restrict`.  A line is not split: once the
-    invariance check has passed, its one coordinate is the eigenvalue.
+    invariance check has passed, its one coordinate X_00 / D is the
+    eigenvalue.
 
-    Also returns the first matrix's characteristic polynomial, which the
-    first pass computes on the whole space, or None when the space is at
-    most a line: ``(spaces, irrational_dim, first_charpoly)``.
+    Also returns the characteristic polynomial of the first integer block,
+    which the first pass computes on the whole space, or None when the
+    space is at most a line: ``(spaces, irrational_dim, first_charpoly)``.
     """
-    dim = len(mats[0]) if mats else 0
+    dim = len(blocks[0][0]) if blocks else 0
     spaces = [((), [[int(i == j) for j in range(dim)] for i in range(dim)], list(range(dim)))]
     irrational = 0
     first = None
-    for scaled, den in map(integer_scaled, mats):
-        op = [(_dense_to_sparse(scaled), den)]
+    for x, den in blocks:
+        op = [(_dense_to_sparse(x), den)]
         new_spaces = []
         for eigs, vectors, rows in spaces:
-            [action] = _restrict(op, vectors, rows)
+            [(block, d)] = _restrict(op, vectors, rows)
             if len(vectors) == 1:
-                new_spaces.append((eigs + (action[0][0],), vectors, rows))
+                new_spaces.append((eigs + (Q(block[0][0], d),), vectors, rows))
                 continue
-            f = Poly(charpoly_coeffs(action))
+            f = _poly(int_charpoly(block), 1)
             if first is None:
                 first = f
             roots, rem = rational_roots(f)
             if rem.degree > 0:
                 irrational += rem.degree
             for root, _mult in roots:
-                null = nullspace(mat_sub(action, mat_scale(identity(len(action)), root)))
+                null = nullspace(_shifted(block, root))
                 lifted = []
                 for coef in null:
                     ks, _ = _scaled([c / w[r] for c, w, r in zip(coef, vectors, rows)])
                     lifted.append([sum(k * w[t] for k, w in zip(ks, vectors) if k) for t in range(dim)])
                 free_rows = [rows[f] for f in _echelon_rows(null)]
-                new_spaces.append((eigs + (root,), lifted, free_rows))
+                new_spaces.append((eigs + (root / d,), lifted, free_rows))
         spaces = new_spaces
     return [(eigs, vectors) for eigs, vectors, _ in spaces], irrational, first
 
 
-def _has_jordan_defect(mats, first) -> bool:
+def _has_jordan_defect(blocks, first) -> bool:
     """Whether some rational eigenvalue has fewer eigenvectors than its
-    multiplicity, for commuting matrices.
+    multiplicity, for commuting matrices given as (integer block X,
+    denominator D) pairs.
 
-    ``first`` is the first matrix's characteristic polynomial as
+    ``first`` is the first block's characteristic polynomial as
     :func:`_joint_eigen_decomposition` returns it (None for a line, which
-    has no defect).  When it is squarefree the first matrix has a simple
-    spectrum over the algebraic closure, so each matrix that commutes with
-    it is a polynomial in it and diagonalizable: no defect.  The
-    commutation is checked on the integer multiples of the matrices, and
-    raises when it fails.  Otherwise each matrix is checked, the first on
-    ``first``.  Only repeated roots can fail: a root of multiplicity mu in
-    the characteristic polynomial f is a root of gcd(f, f') of multiplicity
+    has no defect).  Scaling by D keeps multiplicities and eigenspaces, so
+    each block X stands for its matrix.  When ``first`` is squarefree the
+    first matrix has a simple spectrum over the algebraic closure, so each
+    matrix that commutes with it is a polynomial in it and diagonalizable:
+    no defect.  The commutation is checked on the integer blocks, and
+    raises when it fails.  Otherwise each block is checked, the first on
+    ``first``, each root u / v on the integer rows v X - u I.  Only
+    repeated roots can fail: a root of multiplicity mu in the
+    characteristic polynomial f is a root of gcd(f, f') of multiplicity
     mu - 1.
     """
     if first is None:
         return False
     if poly_gcd(first, first.derivative()).degree == 0:
-        head, _ = integer_scaled(mats[0])
-        for m in mats[1:]:
-            other, _ = integer_scaled(m)
+        head = blocks[0][0]
+        for other, _ in blocks[1:]:
             if int_mat_mul(head, other) != int_mat_mul(other, head):
                 raise InternalInconsistency("restricted Hamiltonians do not commute")
         return False
-    for k, m in enumerate(mats):
-        f = Poly(charpoly_coeffs(m)) if k else first
+    for k, (x, _) in enumerate(blocks):
+        f = _poly(int_charpoly(x), 1) if k else first
         roots, _ = rational_roots(poly_gcd(f, f.derivative()))
         for root, mult in roots:
-            if len(nullspace(mat_sub(m, mat_scale(identity(len(m)), root)))) <= mult:
+            if len(nullspace(_shifted(x, root))) <= mult:
                 return True
     return False
 
@@ -652,6 +667,9 @@ def gl11_spectrum_report(system: TensorSystem) -> dict:
         raise InvalidInput("spectrum report is a gl(1|1) tool")
     parity = ParitySequence.standard(1, 1)
     weights = [mod.weight for mod in system.modules]
+    # the weight at infinity of degree l is top - l alpha_1, each module's
+    # coordinates read once
+    top, alpha = weight_at_infinity(parity, weights, [0]), alpha_eps(parity, 1)
     sites = site_table(parity, weights, system.points)
     hs = _levels(sites)
     if any(h == 0 for h in hs):
@@ -669,7 +687,7 @@ def gl11_spectrum_report(system: TensorSystem) -> dict:
     }
     for l in range(0, n):
         degl = [d for d in divisors if d.degree == l]
-        weight_eps = weight_at_infinity(parity, weights, [l])
+        weight_eps = tuple(t - l * a for t, a in zip(top, alpha))
         sing = singular_space(system, parity, weight_eps)
         entry = {
             "degree": l,
@@ -704,17 +722,19 @@ def gl11_spectrum_report(system: TensorSystem) -> dict:
 
 
 def _disc_identity(restricted, nt: Poly, hs, zs) -> bool:
-    """disc(charpoly of each restricted 2x2 block) against disc of the master poly."""
+    """disc(charpoly of each restricted 2x2 block) against disc of the master poly.
+
+    Each block is an integer X over D, whose discriminant is X's over D^2.
+    """
     b, c = nt.coeff(1), nt.coeff(0)
     disc_nt = b * b - 4 * c
-    for k, mat in enumerate(restricted, start=1):
-        if len(mat) != 2:
+    for k, (x, den) in enumerate(restricted, start=1):
+        if len(x) != 2:
             return False
-        tr = mat[0][0] + mat[1][1]
-        det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-        disc_h = tr * tr - 4 * det
+        tr = x[0][0] + x[1][1]
+        det = x[0][0] * x[1][1] - x[0][1] * x[1][0]
         scale = (hs[k - 1] / nt(zs[k - 1])) ** 2
-        if disc_h != scale * disc_nt:
+        if Q(tr * tr - 4 * det, den * den) != scale * disc_nt:
             return False
     return True
 

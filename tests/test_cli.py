@@ -415,22 +415,36 @@ class TestGl11Spectrum:
         assert captured.out == ""
         assert captured.err == "unsupported: spectrum report guard: n <= 4\n"
 
-    def test_seeded_reports_keep_their_bytes(self, monkeypatch, capsys):
-        # one sha256 over payload, exit code, stdout and stderr of 60 seeded
-        # systems, recorded with the Hamiltonians built on Fractions; the
-        # integer build must give the same bytes
-        rng = random.Random("gl11-spectrum bytes")
+    @staticmethod
+    def seeded_digest(monkeypatch, capsys, seed, count):
+        """One sha256 over payload, exit code, stdout and stderr of ``count``
+        seeded systems, and the exit codes seen."""
+        rng = random.Random(seed)
         digest = hashlib.sha256()
-        codes = []
-        for _ in range(60):
+        codes = set()
+        for _ in range(count):
             text = json.dumps(seeded_gl11_payload(rng))
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
             code = main(["gl11-spectrum", "--input", "-"])
             captured = capsys.readouterr()
             digest.update(json.dumps([text, code, captured.out, captured.err]).encode())
-            codes.append(code)
-        assert sorted(set(codes)) == [0, 1, 2, 3]
-        assert digest.hexdigest() == "9125473a36dbb769ce624bc7b5b73fcb026583eeec25f65a94b2ff8b480c3980"
+            codes.add(code)
+        return digest.hexdigest(), sorted(codes)
+
+    def test_seeded_reports_keep_their_bytes(self, monkeypatch, capsys):
+        # recorded with the Hamiltonians built on Fractions; the integer
+        # build must give the same bytes
+        digest, codes = self.seeded_digest(monkeypatch, capsys, "gl11-spectrum bytes", 60)
+        assert codes == [0, 1, 2, 3]
+        assert digest == "9125473a36dbb769ce624bc7b5b73fcb026583eeec25f65a94b2ff8b480c3980"
+
+    def test_320_seeded_reports_keep_their_bytes(self, monkeypatch, capsys):
+        # recorded with the blocks built as Fraction matrices and split by
+        # A - lambda I; the integer blocks, split by v X - u I, must give
+        # the same bytes
+        digest, codes = self.seeded_digest(monkeypatch, capsys, "gl11-spectrum bytes, 320 runs", 320)
+        assert codes == [0, 1, 2, 3]
+        assert digest == "74287391d7bfd36a5edbfa4f56ee517ad02b0a0bfe99ed6417c65ab83b2f4dc8"
 
 
 class TestSelftest:

@@ -8,6 +8,8 @@ the integer Wronskian of a family line against its ``Poly`` formula,
 the integer mixed-parity reproduction against the ``Poly`` product
 formula it replaced, and the residue form of the Bethe equations against
 per-root sums, the reproduction criterion and sympy's algebraic roots.
+The gl(1|1) spectrum split on (integer block, denominator) pairs is
+checked against a sympy split of commuting rational matrices.
 Inputs are seeded random rational polynomials, many of them built from
 shared and repeated factors so that gcds, radicals and root
 multiplicities are nontrivial.  The ring kernels, derivatives, monic forms
@@ -44,7 +46,8 @@ from gaudin.errors import (
     InvalidFlag,
     InvalidInput,
 )
-from gaudin.linalg import charpoly_coeffs, mat_mul, solve_linear
+from gaudin.linalg import charpoly_coeffs, integer_scaled, mat_mul, solve_linear
+from gaudin.reps import _has_jordan_defect, _joint_eigen_decomposition
 from gaudin.spaces import RationalSpace, SuperFlag, flag_polynomial
 from gaudin.weights import ParitySequence, ProblemData, Weight, cartan_pairing, hook_weight, site_table
 from gaudin.rational import (
@@ -380,7 +383,7 @@ def test_charpoly_matches_sympy(kind):
         rng = random.Random(seed)
         n = 1 + seed % 6
         a = random_matrix(rng, n, kind)
-        m = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in a])
+        m = to_sympy_matrix(a)
         expected = [Q(int(c.p), int(c.q)) for c in reversed(m.charpoly(X).all_coeffs())]
         got = charpoly_coeffs(a)
         assert got == expected, (kind, seed)
@@ -388,6 +391,124 @@ def test_charpoly_matches_sympy(kind):
             assert got[0] == 0, seed
         if kind == "wide" and n > 1:
             assert max(c.denominator for c in got) > 10**25, seed
+
+
+def to_sympy_matrix(a):
+    return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in a])
+
+
+SPLIT_VALUES = [Q(-3, 2), Q(-1, 3), Q(0), Q(1, 2), Q(2), Q(5, 3)]
+
+
+@st.composite
+def commuting_families(draw):
+    """Commuting rational matrices c0 + c1 B + c2 B^2 for one B = P J P^-1,
+    each given to the split as (X, D) with X = s D A and the denominator s D,
+    s drawn so that the pair need not be reduced.
+
+    J holds repeated rational eigenvalues (with denominators), optionally
+    the companion block of x^2 - r for a non-square r (an irrational pair)
+    and optionally a planted Jordan block J_2.  P = L diag(q) U for unit
+    triangular L and U, so it is invertible and P^-1 has denominators too.
+    """
+    values = draw(st.lists(st.sampled_from(SPLIT_VALUES), min_size=1, max_size=4))
+    values.append(values[0])  # one repeat at least
+    blocks = [[[v]] for v in values]
+    if draw(st.booleans()):
+        r = draw(st.sampled_from([Q(2), Q(3), Q(5, 4), Q(-1)]))
+        blocks.append([[Q(0), r], [Q(1), Q(0)]])
+    if draw(st.booleans()):
+        lam = draw(st.sampled_from(SPLIT_VALUES))
+        blocks.append([[lam, Q(1)], [Q(0), lam]])
+    blocks = draw(st.permutations(blocks))
+    n = sum(len(b) for b in blocks)
+    j = [[Q(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            j[at + i][at : at + len(row)] = row
+        at += len(b)
+    small = st.integers(-2, 2)
+    lower = [[Q(1) if r == c else Q(draw(small)) if c < r else Q(0) for c in range(n)] for r in range(n)]
+    upper = [[Q(1) if r == c else Q(draw(small)) if c > r else Q(0) for c in range(n)] for r in range(n)]
+    scales = [Q(draw(st.sampled_from([1, -1, 2, 3])), draw(st.sampled_from([1, 2, 5]))) for _ in range(n)]
+    pmat = mat_mul(lower, [[q * x for x in row] for q, row in zip(scales, upper)])
+    inverse = [[from_rational(e) for e in row] for row in to_sympy_matrix(pmat).inv().tolist()]
+    b = mat_mul(mat_mul(pmat, j), inverse)
+    square = mat_mul(b, b)
+    coefficient = st.builds(Q, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        c0, c1, c2 = draw(coefficient), draw(coefficient), draw(coefficient)
+        if not (c1 or c2):
+            c1 = Q(1)
+        mats.append([[c0 * (r == c) + c1 * b[r][c] + c2 * square[r][c] for c in range(n)] for r in range(n)])
+    pairs = []
+    for a in mats:
+        x, den = integer_scaled(a)
+        s = draw(st.sampled_from([1, 2, 6]))
+        pairs.append(([[s * v for v in row] for row in x], s * den))
+    return mats, pairs
+
+
+def sympy_rational_roots(m):
+    """(rational eigenvalue, algebraic multiplicity) pairs of a sympy matrix,
+    and the degree of the rest of its characteristic polynomial."""
+    _, factors = sympy.factor_list(m.charpoly(X).as_expr(), X)
+    roots, rest = [], 0
+    for factor, mult in factors:
+        if sympy.degree(factor, X) == 1:
+            roots.append((sympy.solve(factor, X)[0], mult))
+        else:
+            rest += sympy.degree(factor, X) * mult
+    return roots, rest
+
+
+def sympy_split(mats):
+    """The joint split by its definition, in sympy: each matrix restricted to
+    each space found so far, each rational root's eigenspace kept.  Returns
+    the sorted (eigenvalue tuple, dimension) pairs and the summed degree of
+    the non-rational parts of the restricted characteristic polynomials."""
+    n = len(mats[0])
+    spaces = [((), sympy.eye(n))]
+    irrational = 0
+    for a in map(to_sympy_matrix, mats):
+        new = []
+        for eigs, basis in spaces:
+            image = a * basis
+            block = (basis.T * basis).inv() * basis.T * image
+            assert basis * block == image
+            roots, rest = sympy_rational_roots(block)
+            irrational += rest
+            for root, _ in roots:
+                null = (block - root * sympy.eye(block.rows)).nullspace()
+                new.append((eigs + (from_rational(root),), sympy.Matrix.hstack(*(basis * v for v in null))))
+        spaces = new
+    return sorted((eigs, basis.cols) for eigs, basis in spaces), irrational
+
+
+def sympy_jordan_defect(mats):
+    """Whether some matrix has a rational eigenvalue of algebraic
+    multiplicity above its geometric one."""
+    for a in map(to_sympy_matrix, mats):
+        for root, mult in sympy_rational_roots(a)[0]:
+            if a.rows - (a - root * sympy.eye(a.rows)).rank() < mult:
+                return True
+    return False
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(commuting_families())
+def test_integer_split_matches_sympy(family):
+    # the spectrum report's split and Jordan test on (integer block,
+    # denominator) pairs: eigenvalue tuples mu / D, eigenspace dimensions,
+    # the irrational dimension and the Jordan verdict
+    mats, pairs = family
+    spaces, irrational, first = _joint_eigen_decomposition(pairs)
+    expected, expected_irrational = sympy_split(mats)
+    assert sorted((eigs, len(vectors)) for eigs, vectors in spaces) == expected
+    assert irrational == expected_irrational
+    assert _has_jordan_defect(pairs, first) == sympy_jordan_defect(mats)
 
 
 def from_rational(e) -> Q:

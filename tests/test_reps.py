@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import product
+from math import comb
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -9,7 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from gaudin.bethe import table_eigenvalues
 from gaudin.errors import DegenerateInput, InternalInconsistency, UnsupportedFactorization
-from gaudin.linalg import charpoly_coeffs, identity, mat_mul, mat_scale, mat_sub, nullspace, rank, solve_matrix
+from gaudin.linalg import (
+    charpoly_coeffs,
+    identity,
+    int_charpoly,
+    integer_scaled,
+    mat_mul,
+    mat_scale,
+    mat_sub,
+    nullspace,
+    rank,
+    solve_matrix,
+)
 from gaudin.rational import Poly, rational_roots
 from gaudin.reps import (
     SuperModule,
@@ -345,13 +357,26 @@ def solve_blocks(system, sing):
     ]
 
 
+def fraction_block(block):
+    """The Fraction matrix X / D of an (integer block X, denominator D) pair."""
+    x, den = block
+    assert all(type(v) is int for row in x for v in row) and type(den) is int
+    return [[Q(v, den) for v in row] for row in x]
+
+
+def integer_blocks(mats):
+    """Rational matrices as the (integer block, denominator) pairs the split reads."""
+    return [integer_scaled(m) for m in mats]
+
+
 def blocks_agree(system, parity=S11):
     """Every singular space's blocks against solve_blocks; the number of spaces."""
     spaces = 0
     for weight in sorted(set(system.all_weights())):
         sing = singular_space(system, parity, weight)
         if sing:
-            assert _restricted_hamiltonians(system, sing) == solve_blocks(system, sing), weight
+            blocks = [fraction_block(b) for b in _restricted_hamiltonians(system, sing)]
+            assert blocks == solve_blocks(system, sing), weight
             spaces += 1
     return spaces
 
@@ -499,14 +524,14 @@ class TestRestriction:
         import gaudin.reps
 
         sizes = []
-        charpoly = gaudin.reps.charpoly_coeffs
-        monkeypatch.setattr(gaudin.reps, "charpoly_coeffs", lambda a: sizes.append(len(a)) or charpoly(a))
+        charpoly = gaudin.reps.int_charpoly
+        monkeypatch.setattr(gaudin.reps, "int_charpoly", lambda a: sizes.append(len(a)) or charpoly(a))
         mats = [
             [[Q(1), Q(0), Q(0)], [Q(0), Q(2), Q(0)], [Q(0), Q(0), Q(2)]],
             [[Q(1), Q(0), Q(0)], [Q(1), Q(1), Q(0)], [Q(0), Q(0), Q(1)]],
         ]
         with pytest.raises(InternalInconsistency, match="^subspace is not invariant$"):
-            _joint_eigen_decomposition(mats)
+            _joint_eigen_decomposition(integer_blocks(mats))
         assert 1 not in sizes
 
     def test_non_invariant_plane_raises(self):
@@ -518,13 +543,13 @@ class TestRestriction:
             [[Q(0), Q(0), Q(0)], [Q(0), Q(0), Q(0)], [Q(1), Q(0), Q(0)]],
         ]
         with pytest.raises(InternalInconsistency, match="^subspace is not invariant$"):
-            _joint_eigen_decomposition(mats)
+            _joint_eigen_decomposition(integer_blocks(mats))
 
     def test_non_commuting_pair_raises(self):
         # diag(1, 2) splits into the coordinate lines, which the swap mixes
         mats = [[[Q(1), Q(0)], [Q(0), Q(2)]], [[Q(0), Q(1)], [Q(1), Q(0)]]]
         with pytest.raises(InternalInconsistency, match="^subspace is not invariant$"):
-            _joint_eigen_decomposition(mats)
+            _joint_eigen_decomposition(integer_blocks(mats))
 
 
 def fraction_split(mats):
@@ -559,7 +584,7 @@ def conjugated(pmat, diagonals):
 
 
 def assert_split_matches_oracle(mats):
-    spaces, irrational, _ = _joint_eigen_decomposition(mats)
+    spaces, irrational, _ = _joint_eigen_decomposition(integer_blocks(mats))
     oracle = fraction_split(mats)
     assert irrational == 0
     assert [(eigs, len(vs)) for eigs, vs in spaces] == [(eigs, len(vs)) for eigs, vs in oracle]
@@ -736,7 +761,7 @@ class TestSpectrumReport:
         sing = singular_space(system, S11, weight_at_infinity(S11, weights, [1]))
         basis = [list(row) for row in zip(*sing)]
         restricted = [solve_matrix(basis, mat_mul(system.hamiltonian(k), basis)) for k in (1, 2, 3)]
-        spaces, _, _ = _joint_eigen_decomposition(restricted)
+        spaces, _, _ = _joint_eigen_decomposition(integer_blocks(restricted))
         assert list(values) == [1, 2, 3]
         assert tuple(values.values()) in {eigs for eigs, _ in spaces}
 
@@ -770,6 +795,39 @@ class TestSpectrumReport:
         assert report["jordan_defect"]
         assert report["counts_match"]  # 3 divisors, 3 eigenlines
         assert report["total_divisors"] == 3
+
+
+class TestSixSites:
+    def test_split_matches_the_divisors_below_the_guard(self):
+        # master roots 1/2, 3/2, ..., 9/2 at the points 0, ..., 5, levels
+        # h_k = N(z_k) / prod_{j != k} (z_k - z_j): the report refuses six
+        # sites, so its steps are run one by one, on blocks up to 10 x 10
+        zs = [Q(k) for k in range(6)]
+        roots = [Q(2 * k + 1, 2) for k in range(5)]
+        hs = []
+        for k, z in enumerate(zs):
+            num = den = Q(1)
+            for t in roots:
+                num *= z - t
+            for j, w in enumerate(zs):
+                if j != k:
+                    den *= z - w
+            hs.append(num / den)
+        system = TensorSystem([gl11_module(h, 0) for h in hs], zs)
+        weights = [mod.weight for mod in system.modules]
+        sites = site_table(S11, weights, zs)
+        master = master_polynomial(hs, zs)
+        assert master == Poly.from_roots(roots)
+        divisors = monic_divisors(master)
+        for l in range(6):
+            sing = singular_space(system, S11, weight_at_infinity(S11, weights, [l]))
+            blocks = _restricted_hamiltonians(system, sing)
+            assert {len(x) for x, _ in blocks} == {comb(5, l)}
+            spaces, irrational, _ = _joint_eigen_decomposition(blocks)
+            expected = {tuple(table_eigenvalues(sites, (d,)).values()) for d in divisors if d.degree == l}
+            assert len(expected) == len(spaces) == comb(5, l), l
+            assert {eigs for eigs, _ in spaces} == expected, l
+            assert irrational == 0 and all(len(vs) == 1 for _, vs in spaces)
 
 
 def rank_of_square_defect(mats):
@@ -821,10 +879,15 @@ def planted_matrix(rng):
 
 
 def jordan_defect(mats):
-    """_has_jordan_defect with the first characteristic polynomial the split returns."""
-    _, _, first = _joint_eigen_decomposition(mats)
-    assert first == Poly(charpoly_coeffs(mats[0]))
-    return _has_jordan_defect(mats, first)
+    """_has_jordan_defect with the first characteristic polynomial the split
+    returns: that of the first integer block D A, whose coefficient of t^j
+    is D^(n-j) times A's."""
+    blocks = integer_blocks(mats)
+    _, _, first = _joint_eigen_decomposition(blocks)
+    (x, den), n = blocks[0], len(mats[0])
+    assert first == Poly(int_charpoly(x))
+    assert first == Poly([c * den ** (n - j) for j, c in enumerate(charpoly_coeffs(mats[0]))])
+    return _has_jordan_defect(blocks, first)
 
 
 class TestJordanDefect:
@@ -867,30 +930,30 @@ class TestJordanDefect:
     def test_squarefree_first_needs_commuting_matrices(self):
         # diag(1, 2) has a simple spectrum, but the nilpotent e_12 does not
         # commute with it, so no conclusion is drawn from the first matrix
-        mats = [[[Q(1), Q(0)], [Q(0), Q(2)]], [[Q(0), Q(1)], [Q(0), Q(0)]]]
-        first = Poly(charpoly_coeffs(mats[0]))
+        blocks = integer_blocks([[[Q(1), Q(0)], [Q(0), Q(2)]], [[Q(0), Q(1)], [Q(0), Q(0)]]])
+        first = Poly(int_charpoly(blocks[0][0]))
         with pytest.raises(InternalInconsistency, match="^restricted Hamiltonians do not commute$"):
-            _has_jordan_defect(mats, first)
+            _has_jordan_defect(blocks, first)
 
     def test_first_charpoly_is_not_recomputed(self, monkeypatch):
         # diag(2, 2, 3) is not squarefree, so each matrix is checked; the
         # first is checked on the characteristic polynomial passed in
         import gaudin.reps
 
-        d = [[Q(2), Q(0), Q(0)], [Q(0), Q(2), Q(0)], [Q(0), Q(0), Q(3)]]
-        first = Poly(charpoly_coeffs(d))
+        [d] = integer_blocks([[[Q(2), Q(0), Q(0)], [Q(0), Q(2), Q(0)], [Q(0), Q(0), Q(3)]]])
+        first = Poly(int_charpoly(d[0]))
         calls = []
-        charpoly = gaudin.reps.charpoly_coeffs
-        monkeypatch.setattr(gaudin.reps, "charpoly_coeffs", lambda a: calls.append(a) or charpoly(a))
+        charpoly = gaudin.reps.int_charpoly
+        monkeypatch.setattr(gaudin.reps, "int_charpoly", lambda a: calls.append(a) or charpoly(a))
         assert not _has_jordan_defect([d], first)
         assert calls == []
         assert not _has_jordan_defect([d, d], first)
         assert len(calls) == 1
 
     def test_line_has_no_defect(self):
-        mats = [[[Q(2)]], [[Q(-1, 3)]]]
-        assert _joint_eigen_decomposition(mats)[2] is None
-        assert not _has_jordan_defect(mats, None)
+        blocks = integer_blocks([[[Q(2)]], [[Q(-1, 3)]]])
+        assert _joint_eigen_decomposition(blocks)[2] is None
+        assert not _has_jordan_defect(blocks, None)
 
     def test_root_searches_on_four_sites(self, monkeypatch):
         # the bench-pool system of tests/golden/gl11_four_sites.json; a
