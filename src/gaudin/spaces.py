@@ -473,18 +473,21 @@ def _carried_flag(space: RationalSpace, flag: SuperFlag, i: int, y: Poly) -> Sup
     return flag._carried(s, moved)
 
 
-def _node_flags(space: RationalSpace, pop: Population) -> dict[tuple, SuperFlag]:
-    """Each node's flag by node key: the seed's built from its primitives,
-    every other one carried along its :func:`discovery_edges` edge (see
+def _node_flags(space: RationalSpace, pop: Population):
+    """Yield (key, flag) for each node, depth first: each child's flag is
+    carried from its parent's only once the parent has been yielded (see
     :func:`verify_operator_to_population`)."""
-    if not pop.nodes:
-        raise InvalidInput("empty population")
-    seed_key, seed = next(iter(pop.nodes.items()))
-    flags = {seed_key: _flag(space, seed.parity, node_primitives(seed))}
+    children: dict[tuple, list] = {}
     for edge in discovery_edges(pop):
-        y = pop.nodes[edge.target].y(edge.direction)
-        flags[edge.target] = _carried_flag(space, flags[edge.source], edge.direction, y)
-    return flags
+        children.setdefault(edge.source, []).append(edge)
+    seed_key, seed = next(iter(pop.nodes.items()))
+    stack = [(seed_key, _flag(space, seed.parity, node_primitives(seed)))]
+    while stack:
+        key, flag = stack.pop()
+        yield key, flag
+        for edge in children.get(key, ()):
+            y = pop.nodes[edge.target].y(edge.direction)
+            stack.append((edge.target, _carried_flag(space, flag, edge.direction, y)))
 
 
 def verify_operator_to_population(pop: Population, space: RationalSpace | None = None) -> dict:
@@ -503,10 +506,11 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
     checks read the flag's integer Wronskians (see :class:`SuperFlag`).
 
     Only the seed's flag is built from its primitives, by :func:`_flag`.
-    Every other node's flag is carried from its parent's along its
-    :func:`discovery_edges` edge, since reproductions are moves in the
-    superflag variety (Mukhin-Varchenko for gl(N); the paper's theorem for
-    gl(M|N)):
+    The walk is one depth-first pass (:func:`_node_flags`): a node is
+    checked, then each child's flag is carried from its flag along the
+    child's :func:`discovery_edges` edge, and the node's flag is dropped.
+    Carrying is sound since reproductions are moves in the superflag
+    variety (Mukhin-Varchenko for gl(N); the paper's theorem for gl(M|N)):
 
     - a fermionic edge in direction i keeps both flags and swaps s_i and
       s_(i+1).  W(a, b) depends only on the members, so the two flags
@@ -520,34 +524,30 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
       m_(a+1), and that must be the reached node's y_i times each place to
       its :func:`_generic_order`.  :func:`_pencil` solves for the one
       (alpha, beta), up to a constant, on the integer dets; when alpha = 0
-      the next member becomes m_a.  Only the dets whose members did not
-      move are kept.
+      the next member becomes m_a.  Of the parent's dets, which its checks
+      have all computed, those whose members did not move are kept.
 
     No Wronskian of the new flag is seeded from the solve's right side: the
     generating map recomputes W(a, b) from the members, so the check reads
     the flag, not its own input.  Any failure raises
     :class:`TheoremViolation`; a node no edge reaches raises
-    :class:`InternalInconsistency`.  ``space`` is ``kernel_spaces(pop)``,
-    built here when not given.
+    :class:`InternalInconsistency` before any node is checked.  The report
+    lists the nodes in ``pop.nodes`` order.  ``space`` is
+    ``kernel_spaces(pop)``, built here when not given.
     """
     if space is None:
         space = kernel_spaces(pop)
     expected = [t.monic() for t in pop.problem.ts_standard]
-    report = {
-        "space_polys_match": space_weight_polys(space) == expected,
-        "nodes": [],
-    }
-    if not report["space_polys_match"]:
+    if space_weight_polys(space) != expected:
         raise TheoremViolation("space weight polynomials do not match the problem data")
     ok, failures = is_gl_space(space)
     if not ok:
         raise TheoremViolation("space fails the membership conditions: " + "; ".join(failures))
-    flags = _node_flags(space, pop)
-    for key, point in pop.nodes.items():
-        flag = flags[key]
+    for key, flag in _node_flags(space, pop):
+        point = pop.nodes[key]
         if generating_tuple(space, flag) != point.ys:
             raise TheoremViolation(f"generating map mismatch at {point!r}")
         if not _flag_matches(flag, _primitive_pairs(point)):
             raise TheoremViolation(f"factorization mismatch at {point!r}")
-        report["nodes"].append({"parity": list(point.parity.entries), "matched": True})
-    return report
+    nodes = [{"parity": list(point.parity.entries), "matched": True} for point in pop.nodes.values()]
+    return {"space_polys_match": True, "nodes": nodes}

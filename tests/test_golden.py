@@ -8,9 +8,13 @@ re-record them on purpose.
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
 import sys
+import textwrap
 import time
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -129,19 +133,23 @@ def test_output_beyond_the_int_text_limit(tmp_path, capsys):
     assert limit() == before
 
 
+def workflow_step(name):
+    """The lines of the workflow step ``- name: <name>`` after that line, up
+    to the next step."""
+    lines = iter(WORKFLOW.read_text().splitlines())
+    for line in lines:
+        if line.strip() == f"- name: {name}":
+            break
+    else:
+        raise AssertionError(f"no step {name!r} in the workflow")
+    return list(takewhile(lambda line: not line.strip().startswith("- "), lines))
+
+
 def workflow_golden_runs():
     """``golden <name> <args>`` lines of the workflow step that compares CLI
     bytes without pytest, as {name: args} with ``$g/`` taken off file names."""
-    lines = iter(WORKFLOW.read_text().splitlines())
-    for line in lines:
-        if line.strip() == "- name: Golden CLI bytes without pytest":
-            break
-    else:
-        raise AssertionError("no golden step in the workflow")
     runs = {}
-    for line in map(str.strip, lines):
-        if line.startswith("- "):
-            break  # the next step
+    for line in map(str.strip, workflow_step("Golden CLI bytes without pytest")):
         if line.startswith("g="):
             assert line == "g=tests/golden"
         if line.startswith("golden "):
@@ -149,6 +157,21 @@ def workflow_golden_runs():
             assert name not in runs, name
             runs[name] = [a.removeprefix("$g/") for a in args]
     return runs
+
+
+def test_workflow_exit_codes(tmp_path):
+    """The workflow's "CLI exit codes" step, run as written from the repo
+    root with this interpreter as ``python``: every run there ends in its
+    documented exit code."""
+    lines = workflow_step("CLI exit codes")
+    start = [line.strip() for line in lines].index("run: |") + 1
+    body = textwrap.dedent("\n".join(lines[start:]))
+    bindir = tmp_path / "bin"
+    bindir.mkdir()
+    (bindir / "python").symlink_to(sys.executable)
+    env = {**os.environ, "RUNNER_TEMP": str(tmp_path), "PATH": f"{bindir}{os.pathsep}{os.environ['PATH']}"}
+    run = subprocess.run(["bash", "-e", "-c", body], cwd=WORKFLOW.parents[2], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 def test_workflow_compares_every_recording():

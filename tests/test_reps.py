@@ -508,6 +508,20 @@ class TestRestriction:
         system = TensorSystem([vector_rep(m, n)] * 3, [0, Q(1, 2), 3])
         assert blocks_agree(system, ParitySequence.standard(m, n)) > 0
 
+    def test_first_block_is_split_without_a_restriction(self, monkeypatch):
+        # four singular spaces, of dimensions 1, 3, 3, 1: one call each
+        # builds the blocks, and the split restricts only the three later
+        # Hamiltonians, to each of the two lines and of the six eigenlines
+        import gaudin.reps
+
+        calls = []
+        restrict = gaudin.reps._restrict
+        monkeypatch.setattr(gaudin.reps, "_restrict", lambda *args: calls.append(args) or restrict(*args))
+        report = gl11_spectrum_report(golden_gl11_system("gl11_four_sites"))
+        assert [w["singular_dim"] for w in report["weights"]] == [1, 3, 3, 1]
+        assert report["total_eigenlines"] == 8
+        assert len(calls) == 4 + 3 * (2 + 6)
+
     def test_non_invariant_basis_raises(self):
         # one standard basis vector of the two-dimensional (p - 1, q + 1)
         # weight space, which H_1 does not keep

@@ -1,6 +1,7 @@
 import collections
 import json
 import random
+import weakref
 from fractions import Fraction as Q
 from functools import cache
 from itertools import cycle, permutations
@@ -792,7 +793,7 @@ class TestFlagFactorization:
     def test_bosonic_carried_flag_recomputes_only_moved_partials(self, monkeypatch):
         pop = golden_population(*GOLDEN_SPACE_RUNS["gl32"])
         space = kernel_spaces(pop)
-        flags = spaces._node_flags(space, pop)
+        flags = dict(spaces._node_flags(space, pop))
         calls = count_int_wronskians(monkeypatch)
         moves = collections.Counter()
         for edge in spaces.discovery_edges(pop):
@@ -825,9 +826,25 @@ class TestFlagFactorization:
         # every flag Wronskian is an integer one
         pop = golden_population("gl32.json", (0, 1, 2), 5)
         calls = count_wronskians(monkeypatch)
+        int_calls = count_int_wronskians(monkeypatch)
+        alive, peak = weakref.WeakSet(), [0]
+        carried = spaces._carried_flag
+
+        def tracked(*args):
+            flag = carried(*args)
+            alive.add(flag)
+            peak[0] = max(peak[0], len(alive))
+            return flag
+
+        monkeypatch.setattr(spaces, "_carried_flag", tracked)
         verify_operator_to_population(pop)
         assert len(calls) == 16
         assert len(pop.nodes) == 1992
+        # each node is checked before its children are carried, so a child
+        # keeps every det of its parent that its move leaves alone
+        assert len(int_calls) == 4500
+        # a flag is dropped once its children are carried
+        assert peak[0] < 0.02 * len(pop.nodes)
 
 
 def count_int_wronskians(monkeypatch):
@@ -1012,6 +1029,38 @@ class TestBijection:
         verify_operator_to_population(worked_population, space)
         assert calls == []
 
+    def test_hand_built_population_reports_in_node_order(self):
+        # the nodes added out of discovery order, and the tree's edges in
+        # preorder, so that the seed's children are not adjacent
+        pop = golden_population(*GOLDEN_SPACE_RUNS["worked-gl21"])
+        seed, *others = pop.points()
+        hand = Population(pop.problem)
+        for point in [seed, *others[::-1]]:
+            hand.add(point)
+        tree = list(spaces.discovery_edges(pop))
+        children = collections.defaultdict(list)
+        for edge in tree:
+            children[edge.source].append(edge)
+
+        def preorder(key):
+            for edge in children[key]:
+                yield edge
+                yield from preorder(edge.target)
+
+        hand.edges = [*preorder(seed.key()), *(e for e in pop.edges if e not in tree)]
+        from_seed = [k for k, e in enumerate(hand.edges) if e.source == seed.key()]
+        assert from_seed[-1] - from_seed[0] >= len(from_seed)
+        walk = [hand.nodes[key] for key, _ in spaces._node_flags(kernel_spaces(hand), hand)]
+        parities = [list(p.parity.entries) for p in hand.points()]
+        assert [list(p.parity.entries) for p in walk] != parities
+        report = verify_operator_to_population(hand)
+        assert report["nodes"] == [{"parity": p, "matched": True} for p in parities]
+
+    def test_empty_population_raises(self, worked_population):
+        space = kernel_spaces(worked_population)
+        with pytest.raises(InvalidInput, match="empty population"):
+            verify_operator_to_population(Population(worked_population.problem), space)
+
     def test_space_outside_gl_raises(self, worked_population, monkeypatch):
         monkeypatch.setattr(spaces, "is_gl_space", lambda space: (False, ["forced failure"]))
         with pytest.raises(TheoremViolation, match="forced failure"):
@@ -1083,7 +1132,7 @@ def carried_flags(name):
     """The space and each node's carried flag of a `space` recording's population."""
     pop = golden_population(*GOLDEN_SPACE_RUNS[name])
     space = kernel_spaces(pop)
-    return space, spaces._node_flags(space, pop)
+    return space, dict(spaces._node_flags(space, pop))
 
 
 def own_flag_disagreements(name) -> int:
@@ -1178,8 +1227,12 @@ class TestCarriedFlags:
         hand.edges = [e for e in pop.edges if e.target != lost]
         with pytest.raises(InternalInconsistency, match="not reached"):
             verify_r_invariance(hand)
+        checked = []
+        tuples = spaces.generating_tuple
+        monkeypatch.setattr(spaces, "generating_tuple", lambda *args: checked.append(args) or tuples(*args))
         with pytest.raises(InternalInconsistency, match="not reached"):
             verify_operator_to_population(hand)
+        assert checked == []  # raised before any node is checked
         monkeypatch.setattr(cli, "populate", lambda *args, **kwargs: hand)
         assert main(["space", "--input", str(GOLDEN / "worked_gl21.json")]) == 1
         captured = capsys.readouterr()
