@@ -9,7 +9,6 @@ a single partner by exact division and flip the parity.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -688,15 +687,14 @@ def eigenvalue_conservation(pop: Population) -> bool:
     :func:`_site_fractions`, compared by cross-multiplication.
     """
     values = {key: _site_fractions(_sites(point), point.ys) for key, point in pop.nodes.items()}
-    return _conserved(pop, values, lambda a, b: a[0] * b[1] == b[0] * a[1])
+    return _conserved(pop, values)
 
 
-def _conserved(pop: Population, values: dict, equal=operator.eq) -> bool:
-    """:func:`eigenvalue_conservation` on each node's site values, given by
-    node key and compared by ``equal``; ``==`` suits the Fractions of
-    :func:`site_eigenvalues`."""
+def _conserved(pop: Population, values: dict) -> bool:
+    """:func:`eigenvalue_conservation` on each node's unreduced site
+    fractions (num, den) of :func:`_site_fractions`, given by node key."""
     for edge in pop.edges:
         source, target = values[edge.source], values[edge.target]
-        if not all(equal(source[k], target[k]) for k in source.keys() & target.keys()):
+        if any(source[k][0] * target[k][1] != target[k][0] * source[k][1] for k in source.keys() & target.keys()):
             return False
     return True

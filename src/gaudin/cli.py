@@ -16,14 +16,16 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 
 from . import jsonio
 from .bethe import (
     BethePoint,
     _conserved,
+    _site_fractions,
+    _sites,
     bae_check_direct,
     populate,
-    site_eigenvalues,
     verify_r_invariance,
 )
 from .errors import (
@@ -97,13 +99,13 @@ def run_population(seed, samples, max_depth):
         for parity, points in pop.by_parity().items()
     }
     if problem.points is not None:
-        by_node = {key: site_eigenvalues(point) for key, point in pop.nodes.items()}
+        by_node = {key: _site_fractions(_sites(point), point.ys) for key, point in pop.nodes.items()}
         # population_to_json lists the nodes in pop.nodes order
         payload["eigenvalue_table"] = [
             {
                 "node": node,
                 "admissible": list(values),
-                "eigenvalues": {str(k): jsonio.scalar_to_json(v) for k, v in values.items()}
+                "eigenvalues": {str(k): jsonio.scalar_to_json(Fraction(*v)) for k, v in values.items()}
                 if len(values) == problem.n_points
                 else None,
             }

@@ -570,19 +570,21 @@ def _joint_eigen_decomposition(blocks):
     (eigenvalue_tuple, basis_vectors) with rational eigenvalues only, each
     basis vector an integer one.  Each tuple arises from one (parent space,
     root) pair, and the lifted nullspace basis stays independent, so no
-    regrouping is needed.  The split starts from the whole space, on which
-    the first matrix is its own block.  On each space a matrix is its
-    integer block X over D; a root mu of the characteristic polynomial of
-    X is the eigenvalue mu / D, made a ``Fraction`` only as it enters the
-    tuple, and its eigenspace is the nullspace of the integer rows
-    v X - u I for mu = u / v.  A nullspace vector c of a block on the
-    echelon basis w_i (v_i = w_i / d_i as in :func:`_restrict`) lifts to
+    regrouping is needed.  The split starts from the whole space on its
+    standard basis.  On each space a matrix is its integer block X over D;
+    a root mu of the characteristic polynomial of X is the eigenvalue
+    mu / D, made a ``Fraction`` only as it enters the tuple, and its
+    eigenspace is the nullspace of the integer rows v X - u I for
+    mu = u / v.  A nullspace vector c of a block on the echelon basis w_i
+    (v_i = w_i / d_i as in :func:`_restrict`) lifts to
     sum_i c_i v_i = sum_i (c_i / d_i) w_i, cleared to integers by the lcm
     of the c_i / d_i's denominators.  The lifted basis stays in echelon
     form at the parent rows picked by the nullspace's free columns, so
     each later matrix, taken once as an integer map, acts on it by
-    :func:`_restrict`, which checks its invariance.  A line is not split:
-    its one coordinate X_00 / D is the eigenvalue.
+    :func:`_restrict`, which checks its invariance, on a proper subspace:
+    the whole space keeps its standard basis (a nullspace with no pivot is
+    the standard basis), on which each matrix is its own block.  A line is
+    not split: its one coordinate X_00 / D is the eigenvalue.
 
     Also returns the characteristic polynomial of the first integer block,
     which the first pass computes on the whole space, or None when the
@@ -592,11 +594,11 @@ def _joint_eigen_decomposition(blocks):
     spaces = [((), [[int(i == j) for j in range(dim)] for i in range(dim)], list(range(dim)))]
     irrational = 0
     first = None
-    for level, (x, den) in enumerate(blocks):
-        op = [(_dense_to_sparse(x), den)] if level else None
+    for x, den in blocks:
+        op = [(_dense_to_sparse(x), den)] if any(len(vectors) < dim for _, vectors, _ in spaces) else None
         new_spaces = []
         for eigs, vectors, rows in spaces:
-            [(block, d)] = _restrict(op, vectors, rows) if level else [(x, den)]
+            [(block, d)] = _restrict(op, vectors, rows) if len(vectors) < dim else [(x, den)]
             if len(vectors) == 1:
                 new_spaces.append((eigs + (Q(block[0][0], d),), vectors, rows))
                 continue

@@ -17,7 +17,6 @@ from .bethe import (
     Population,
     _primitive_pairs,
     discovery_edges,
-    node_primitives,
     population_factorization,
 )
 from .errors import (
@@ -42,39 +41,20 @@ from .rational import (
     _scaled,
     _wronskian_ints,
     coprime_basis,
-    order_at_place,
-    qq,
-    wronskian,
+    multiplicity,
 )
 from .skew import CompleteFactorization, rational_kernel, transport_primitives
 from .weights import ParitySequence, dominant
 
 
-def _as_place(place) -> Poly:
-    if isinstance(place, Poly):
-        return place.monic()
-    return Poly((-qq(place), 1))
-
-
-def exponents(basis, place) -> list[int]:
-    """Strictly increasing vanishing orders a space realizes at a place."""
-    place = _as_place(place)
-    if not basis:
-        raise InvalidInput("exponents of the empty space")
-    return _exponent_table(_subset_wronskians(basis), [place])[place]
-
-
-def _subset_wronskians(basis) -> list[list[RatFun]]:
-    """Wronskians of the k-subsets of a basis, grouped by k = 1..len(basis)."""
-    return [[wronskian(subset) for subset in combinations(basis, k)] for k in range(1, len(basis) + 1)]
-
-
 class RationalSpace:
     """Even/odd pair of rational-function bases, with optional problem data.
 
-    The Wronskian table, the places, the even and odd exponent tables,
-    their pole orders and the weight polynomials are computed on first use
-    and cached, so the bases must not change afterwards.
+    The bases are kept as one cleared integer family, ``family``: the
+    standard-parity :class:`SuperFlag` of the even then the odd basis, whose
+    integer vectors the Wronskian table, :func:`kernel_spaces`' direct-sum
+    check and the seed's flag all read.  Everything is computed on first
+    use and cached, so the bases must not change afterwards.
     """
 
     def __init__(self, vbasis, ubasis, problem=None):
@@ -94,11 +74,17 @@ class RationalSpace:
         return f"RationalSpace({self.m}|{self.n})"
 
     @cached_property
-    def wronskians(self) -> tuple[list[list[RatFun]], list[list[RatFun]], list[RatFun]]:
-        """The even and the odd subset Wronskians, grouped by subset size,
-        and the m*n even/odd pair Wronskians, each computed once."""
-        pairs = [wronskian([v, u]) for v in self.vbasis for u in self.ubasis]
-        return _subset_wronskians(self.vbasis), _subset_wronskians(self.ubasis), pairs
+    def family(self) -> SuperFlag:
+        return SuperFlag(ParitySequence.standard(self.m, self.n), self.vbasis, self.ubasis)
+
+    @cached_property
+    def wronskians(self) -> tuple[list[list[list[int]]], list[list[list[int]]], list[list[int]]]:
+        """d^k W(S) for each even and each odd k-subset S, grouped by k, and
+        d^2 W(v, u) for each even/odd pair: integer dets of the family's
+        vectors, d its ``den``, each computed once, empty when dependent."""
+        even, odd = self.family.ints[: self.m], self.family.ints[self.m :]
+        ev, od = ([[_wronskian_ints(s) for s in combinations(p, k)] for k in range(1, len(p) + 1)] for p in (even, odd))
+        return ev, od, [_wronskian_ints([v, u]) for v in even for u in odd]
 
     @cached_property
     def places(self) -> list[Poly]:
@@ -106,11 +92,11 @@ class RationalSpace:
 
     @cached_property
     def even_exponents(self) -> dict[Poly, list[int]]:
-        return _exponent_table(self.wronskians[0], self.places)
+        return _exponent_table(self.wronskians[0], self.places, self.family.den)
 
     @cached_property
     def odd_exponents(self) -> dict[Poly, list[int]]:
-        return _exponent_table(self.wronskians[1], self.places)
+        return _exponent_table(self.wronskians[1], self.places, self.family.den)
 
     @cached_property
     def pole_orders(self) -> dict[Poly, tuple[int, int]]:
@@ -161,36 +147,39 @@ def _place_product(orders) -> tuple[Poly, Poly]:
 def detect_places(space: RationalSpace) -> list[Poly]:
     """Coprime places where exponent data can be nontrivial.
 
-    Every subset Wronskian of each graded part (and every even/odd pair
-    Wronskian) seeds the refinement, so each resulting place carries one
-    uniform exponent ladder.
+    The integer dets d^k W of the space's Wronskian table, and d, seed the
+    refinement, so each place carries one uniform exponent ladder.  They
+    split the roots as the numerators and denominators of the W would: the
+    order of d at a place, the largest pole order of a member there, is
+    fixed by the singletons' dets d f_j.
     """
     even, odd, pairs = space.wronskians
-    polys = []
-    for w in [w for ws in even + odd for w in ws] + pairs:
-        polys += [w.num, w.den]
+    polys = [_poly(w, 1) for w in [w for ws in even + odd for w in ws] + pairs]
+    polys.append(space.family.den)
     if space.problem is not None and space.problem.points is not None:
         for z in space.problem.points:
             polys.append(Poly((-z, 1)))
-    return coprime_basis([p for p in polys if p.degree > 0])
+    return coprime_basis(polys)
 
 
-def _exponent_table(by_size, places) -> dict[Poly, list[int]]:
-    """Exponent ladder at each place of a basis with the given subset
-    Wronskians (see :func:`_subset_wronskians`).
+def _exponent_table(by_size, places, d: Poly) -> dict[Poly, list[int]]:
+    """Exponent ladder at each place of a basis whose k-subset Wronskians W
+    are given, by k = 1..len(basis), as the integer dets d^k W of
+    :attr:`RationalSpace.wronskians`.
 
     Uses the subset-Wronskian characterization: the minimum over k-subsets
     of a basis of (order of the subset Wronskian) equals e_1+...+e_k minus
-    the staircase correction, which pins the exponents one by one without
-    leaving exact rational arithmetic.
+    the staircase correction, which pins the exponents one by one.  The
+    order of W is that of its det less k times that of d.
     """
     if not by_size or not places:
         return {}
-    if any(w.is_zero() for ws in by_size for w in ws):
+    if any(not w for ws in by_size for w in ws):
         raise InvalidFlag("dependent basis in exponent computation")
     table = {}
     for pl in places:
-        mins = [0] + [min(order_at_place(w, pl) for w in ws) for ws in by_size]
+        dk = multiplicity(d, pl)
+        mins = [0] + [min(multiplicity(_poly(w, 1), pl) for w in ws) - k * dk for k, ws in enumerate(by_size, 1)]
         ladder = [mins[k] - mins[k - 1] + (k - 1) for k in range(1, len(mins))]
         if any(a >= b for a, b in zip(ladder, ladder[1:])):
             raise UnsupportedIrrationalRamification(
@@ -217,8 +206,8 @@ def is_gl_space(space: RationalSpace) -> tuple[bool, list[str]]:
     Clearing a basis by a polynomial g multiplies each k-subset Wronskian
     by g^k, so every exponent at a place shifts by the order of g there.
     So each condition is an integer test, at every place, on the space's
-    own exponent ladders and pole orders (c_V, c_U); the pair Wronskians
-    are read off its Wronskian table.
+    own exponent ladders and pole orders (c_V, c_U); the pair Wronskians'
+    orders, their dets' less twice d's, come from its Wronskian table.
     """
     m, n = space.m, space.n
     ev, od, cs = space.even_exponents, space.odd_exponents, space.pole_orders
@@ -238,11 +227,11 @@ def is_gl_space(space: RationalSpace) -> tuple[bool, list[str]]:
     if n and any(ladder[n - 1] > n - 1 for ladder in od.values()):
         failures.append("top odd exponent exceeds its staircase bound")
     # each pair Wronskian times pv is regular where pv vanishes
-    pairs = [w for w in space.wronskians[2] if not w.is_zero()]
+    pairs = [_poly(w, 1) for w in space.wronskians[2] if w]
     for pl, (cv, _) in cs.items():
         if cv > 0:
             for w in pairs:
-                if order_at_place(w, pl) + cv < 0:
+                if multiplicity(w, pl) - 2 * multiplicity(space.family.den, pl) + cv < 0:
                     failures.append(f"pair Wronskian stays singular at {pl.to_str()}")
     return (not failures, failures)
 
@@ -388,9 +377,10 @@ def _flag_matches(flag: SuperFlag, pairs) -> bool:
 def kernel_spaces(pop: Population) -> RationalSpace:
     """The space W = ker A + ker B of the population operator R = A * B^(-1).
 
-    R is the same at every node, so W is read off the seed.  Each kernel
-    chain is checked against the seed's own (A, B): the operator's order
-    is the chain's length and it annihilates every element.
+    R is the same at every node, so W is read off the seed: its basis is
+    the seed's kernel chains at the standard parity, integrated once here.
+    Each chain is checked against the seed's own (A, B): the operator's
+    order is the chain's length and it annihilates every element.
     """
     problem = pop.problem
     if not problem.typical():
@@ -403,8 +393,9 @@ def kernel_spaces(pop: Population) -> RationalSpace:
     for op, basis in zip(fac.standard_pair(), (vbasis, ubasis)):
         if op.order != len(basis) or not all(op.apply(f).is_zero() for f in basis):
             raise InternalInconsistency("kernel chain does not match the population operator")
-    _assert_direct_sum(vbasis, ubasis)
-    return RationalSpace(vbasis, ubasis, problem=problem)
+    space = RationalSpace(vbasis, ubasis, problem=problem)
+    _assert_direct_sum(space.family.ints)
+    return space
 
 
 def _kernel_chains(parity: ParitySequence, prims, m: int, n: int) -> tuple[list[RatFun], list[RatFun]]:
@@ -416,25 +407,18 @@ def _kernel_chains(parity: ParitySequence, prims, m: int, n: int) -> tuple[list[
     return rational_kernel(prims[:m]), rational_kernel(prims[m:][::-1])
 
 
-def _flag(space: RationalSpace, parity: ParitySequence, prims) -> SuperFlag:
-    """The flag whose Wronskian-ratio factorization has primitives ``prims``
-    at ``parity``: its kernel chains, at that parity."""
-    return SuperFlag(parity, *_kernel_chains(parity, prims, space.m, space.n))
-
-
-def _assert_direct_sum(vbasis, ubasis):
-    """Raise :class:`AtypicalUnsupported` unless the even and odd bases
-    together are linearly independent: the rank of their integer vectors
-    over one denominator."""
-    vectors = _cleared([*vbasis, *ubasis])[0]
+def _assert_direct_sum(vectors):
+    """Raise :class:`AtypicalUnsupported` unless the integer vectors of a
+    cleared family, the even then the odd basis over one denominator, are
+    linearly independent: their rank."""
     width = max(map(len, vectors))
     if rank([v + [0] * (width - len(v)) for v in vectors]) != len(vectors):
         raise AtypicalUnsupported("even and odd kernels intersect")
 
 
 def flag_from_factorization(space: RationalSpace, fac: CompleteFactorization) -> SuperFlag:
-    """Reconstruct the flag whose Wronskian-ratio factorization is given."""
-    return _flag(space, fac.parity, fac.primitives)
+    """The flag whose Wronskian-ratio factorization is given: its kernel chains."""
+    return SuperFlag(fac.parity, *_kernel_chains(fac.parity, fac.primitives, space.m, space.n))
 
 
 def _pencil(space: RationalSpace, s: ParitySequence, i: int, y: Poly, flag: SuperFlag, w2) -> list[int]:
@@ -481,7 +465,7 @@ def _node_flags(space: RationalSpace, pop: Population):
     for edge in discovery_edges(pop):
         children.setdefault(edge.source, []).append(edge)
     seed_key, seed = next(iter(pop.nodes.items()))
-    stack = [(seed_key, _flag(space, seed.parity, node_primitives(seed)))]
+    stack = [(seed_key, space.family._carried(seed.parity))]
     while stack:
         key, flag = stack.pop()
         yield key, flag
@@ -505,7 +489,10 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
     no factorization is built on either side, and no gcd is taken.  Both
     checks read the flag's integer Wronskians (see :class:`SuperFlag`).
 
-    Only the seed's flag is built from its primitives, by :func:`_flag`.
+    The seed's flag is the space's family at the seed's parity, so
+    ``space`` must be ``kernel_spaces(pop)`` (built here when not given),
+    whose basis is the seed's kernel chains: nothing is integrated or
+    transported here, and a space with another basis fails at the seed.
     The walk is one depth-first pass (:func:`_node_flags`): a node is
     checked, then each child's flag is carried from its flag along the
     child's :func:`discovery_edges` edge, and the node's flag is dropped.
@@ -532,8 +519,7 @@ def verify_operator_to_population(pop: Population, space: RationalSpace | None =
     the flag, not its own input.  Any failure raises
     :class:`TheoremViolation`; a node no edge reaches raises
     :class:`InternalInconsistency` before any node is checked.  The report
-    lists the nodes in ``pop.nodes`` order.  ``space`` is
-    ``kernel_spaces(pop)``, built here when not given.
+    lists the nodes in ``pop.nodes`` order.
     """
     if space is None:
         space = kernel_spaces(pop)

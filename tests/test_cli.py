@@ -131,17 +131,18 @@ class TestPopulationCommand:
         assert len(calls) == 1
 
     def test_node_eigenvalues_and_payloads_built_once(self, tmp_path, monkeypatch):
-        # the eigenvalue table and the conservation check share one dict per
-        # node, and the table reuses the node payloads of the population
+        # the eigenvalue table and the conservation check share one dict of
+        # unreduced site fractions per node, and the table reuses the node
+        # payloads of the population
         eigen, nodes = [], []
-        values, to_json = bethe.site_eigenvalues, jsonio.point_to_json
+        values, to_json = bethe._site_fractions, jsonio.point_to_json
 
-        def counted(point):
-            eigen.append(point)
-            return values(point)
+        def counted(sites, ys):
+            eigen.append(ys)
+            return values(sites, ys)
 
-        monkeypatch.setattr(bethe, "site_eigenvalues", counted)
-        monkeypatch.setattr(cli, "site_eigenvalues", counted)
+        monkeypatch.setattr(bethe, "_site_fractions", counted)
+        monkeypatch.setattr(cli, "_site_fractions", counted)
         monkeypatch.setattr(jsonio, "point_to_json", lambda p: nodes.append(p) or to_json(p))
         out = tmp_path / "out.json"
         assert main(["population", "--input", str(GOLDEN / "rational_gl21.json"), "--out", str(out)]) == 0
@@ -149,6 +150,24 @@ class TestPopulationCommand:
         assert payload["eigenvalues_conserved"] is True
         assert [row["node"] for row in payload["eigenvalue_table"]] == payload["nodes"]
         assert len(eigen) == len(nodes) == len(payload["nodes"]) > 1
+
+    @pytest.mark.parametrize("shift, conserved", [(0, True), (1, False)])
+    def test_conservation_compares_unreduced_site_fractions(self, shift, conserved, monkeypatch, capsys):
+        # every node's site fractions scaled by -3, and the seed's
+        # numerators shifted: the table prints them reduced, and the
+        # conservation check cross-multiplies them
+        fractions, seen = cli._site_fractions, []
+
+        def scaled(sites, ys):
+            seen.append(ys)
+            lift = shift if len(seen) == 1 else 0
+            return {k: (-3 * a + lift, -3 * b) for k, (a, b) in fractions(sites, ys).items()}
+
+        monkeypatch.setattr(cli, "_site_fractions", scaled)
+        assert main(["population", "--input", str(GOLDEN / "rational_gl21.json")]) == (0 if conserved else 1)
+        out = capsys.readouterr().out
+        assert json.loads(out)["eigenvalues_conserved"] is conserved
+        assert (out == (GOLDEN / "population_rational_gl21.stdout").read_text()) is conserved
 
     def test_negative_depth_exit_two(self, tmp_path, capsys):
         inp = write(tmp_path, "in.json", {"problem": WORKED_PROBLEM, "seed": WORKED_SEED})

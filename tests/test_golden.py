@@ -159,19 +159,34 @@ def workflow_golden_runs():
     return runs
 
 
-def test_workflow_exit_codes(tmp_path):
-    """The workflow's "CLI exit codes" step, run as written from the repo
-    root with this interpreter as ``python``: every run there ends in its
-    documented exit code."""
-    lines = workflow_step("CLI exit codes")
+def run_workflow_step(name, tmp_path) -> subprocess.CompletedProcess:
+    """The ``run: |`` body of a workflow step, run as written by bash -e from
+    the repo root, with ``tmp_path`` as ``RUNNER_TEMP`` and this
+    interpreter as ``python``."""
+    lines = workflow_step(name)
     start = [line.strip() for line in lines].index("run: |") + 1
     body = textwrap.dedent("\n".join(lines[start:]))
     bindir = tmp_path / "bin"
     bindir.mkdir()
     (bindir / "python").symlink_to(sys.executable)
     env = {**os.environ, "RUNNER_TEMP": str(tmp_path), "PATH": f"{bindir}{os.pathsep}{os.environ['PATH']}"}
-    run = subprocess.run(["bash", "-e", "-c", body], cwd=WORKFLOW.parents[2], env=env, capture_output=True, text=True)
+    root = WORKFLOW.parents[2]
+    return subprocess.run(["bash", "-e", "-c", body], cwd=root, env=env, capture_output=True, text=True)
+
+
+def test_workflow_exit_codes(tmp_path):
+    """The workflow's "CLI exit codes" step: every run there ends in its
+    documented exit code."""
+    run = run_workflow_step("CLI exit codes", tmp_path)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_workflow_golden_bytes(tmp_path):
+    """The workflow's "Golden CLI bytes without pytest" step: each recording
+    `cmp`-equal and both digested runs on their sha256."""
+    run = run_workflow_step("Golden CLI bytes without pytest", tmp_path)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.count(": OK\n") == len(DIGESTED), run.stdout
 
 
 def test_workflow_compares_every_recording():

@@ -511,7 +511,8 @@ class TestRestriction:
     def test_first_block_is_split_without_a_restriction(self, monkeypatch):
         # four singular spaces, of dimensions 1, 3, 3, 1: one call each
         # builds the blocks, and the split restricts only the three later
-        # Hamiltonians, to each of the two lines and of the six eigenlines
+        # Hamiltonians, to each of the six eigenlines of the two 3-spaces;
+        # the two 1-spaces are whole singular spaces, each matrix its block
         import gaudin.reps
 
         calls = []
@@ -520,7 +521,7 @@ class TestRestriction:
         report = gl11_spectrum_report(golden_gl11_system("gl11_four_sites"))
         assert [w["singular_dim"] for w in report["weights"]] == [1, 3, 3, 1]
         assert report["total_eigenlines"] == 8
-        assert len(calls) == 4 + 3 * (2 + 6)
+        assert len(calls) == 4 + 3 * 6
 
     def test_non_invariant_basis_raises(self):
         # one standard basis vector of the two-dimensional (p - 1, q + 1)

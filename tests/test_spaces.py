@@ -4,7 +4,7 @@ import random
 import weakref
 from fractions import Fraction as Q
 from functools import cache
-from itertools import cycle, permutations
+from itertools import combinations, cycle, permutations
 from pathlib import Path
 
 import pytest
@@ -14,7 +14,6 @@ from gaudin.bethe import (
     BethePoint,
     Population,
     _primitive_pairs,
-    node_primitives,
     populate,
     population_factorization,
     verify_r_invariance,
@@ -29,15 +28,15 @@ from gaudin.errors import (
     InvalidInput,
     NotGeneric,
     TheoremViolation,
+    UnsupportedIrrationalRamification,
 )
 from gaudin.linalg import rank
-from gaudin.rational import Poly, RatFun, _poly, log_deriv, order_at_place, poly_gcd, wronskian
+from gaudin.rational import Poly, RatFun, _poly, coprime_basis, log_deriv, order_at_place, poly_gcd, wronskian
 from gaudin.skew import CompleteFactorization, refactor_to_parity
 from gaudin.spaces import (
     RationalSpace,
     SuperFlag,
     _generic_order,
-    exponents,
     flag_factorization,
     flag_from_factorization,
     flag_polynomial,
@@ -218,12 +217,72 @@ def staircase_weight_polys(space):
     return tuple(p.monic() for p in out)
 
 
-def count_wronskians(monkeypatch):
-    import gaudin.spaces
+def as_place(place) -> Poly:
+    """A place given as a point or as a polynomial, as a monic polynomial."""
+    if isinstance(place, Poly):
+        return place.monic()
+    return Poly((-Q(place), 1))
+
+
+def exponents(basis, place) -> list[int]:
+    """The ``RatFun`` oracle of a space's integer exponent table: the
+    strictly increasing vanishing orders a basis realizes at a place, from
+    the minimum over its k-subsets S of the order of wronskian(S) there."""
+    place = as_place(place)
+    by_size = [[wronskian(s) for s in combinations(basis, k)] for k in range(1, len(basis) + 1)]
+    if any(w.is_zero() for ws in by_size for w in ws):
+        raise InvalidFlag("dependent basis in exponent computation")
+    mins = [0] + [min(order_at_place(w, place) for w in ws) for ws in by_size]
+    ladder = [mins[k] - mins[k - 1] + (k - 1) for k in range(1, len(mins))]
+    if any(a >= b for a, b in zip(ladder, ladder[1:])):
+        raise UnsupportedIrrationalRamification(f"inconsistent exponent ladder at place {place.to_str()}")
+    return ladder
+
+
+def oracle_places(space) -> list[Poly]:
+    """The coprime refinement of the numerators and denominators of the
+    ``RatFun`` Wronskians of a space's even and odd subsets and even/odd
+    pairs, with its problem's points."""
+    ws = [wronskian([v, u]) for v in space.vbasis for u in space.ubasis]
+    for part in (space.vbasis, space.ubasis):
+        ws += [wronskian(s) for k in range(1, len(part) + 1) for s in combinations(part, k)]
+    polys = [p for w in ws for p in (w.num, w.den)]
+    if space.problem is not None and space.problem.points is not None:
+        polys += [as_place(z) for z in space.problem.points]
+    return coprime_basis(polys)
+
+
+def table_or_error(table):
+    """``table()``, or the class of the engine error it raised."""
+    try:
+        return table()
+    except EngineError as exc:
+        return type(exc)
+
+
+def table_and_oracle(space):
+    """(the space's, the oracle's) even and odd exponent tables, each one or
+    the class of the error it raised, then, when neither of the space's
+    raised, the pole orders (c_V, c_U) at each place; the oracle's are the
+    largest pole orders of the members of each part there."""
+    bases = (space.vbasis, space.ubasis)
+    got = [table_or_error(lambda: space.even_exponents), table_or_error(lambda: space.odd_exponents)]
+    want = [table_or_error(lambda b=b: {pl: exponents(b, pl) for pl in space.places} if b else {}) for b in bases]
+    if all(isinstance(t, dict) for t in got):
+        got.append(space.pole_orders)
+        want.append({pl: tuple(max([0] + [-order_at_place(f, pl) for f in b]) for b in bases) for pl in space.places})
+    return got, want
+
+
+def count_ratfun_wronskians(monkeypatch):
+    """The number of members of each ``RatFun`` Wronskian computed: each
+    `rational.wronskian` call takes its det from the rational module's own
+    `_wronskian_ints`, which no other module reaches through that name."""
+    import gaudin.rational
 
     calls = []
-    wr = gaudin.spaces.wronskian
-    monkeypatch.setattr(gaudin.spaces, "wronskian", lambda fs: calls.append(tuple(fs)) or wr(fs))
+    wr = gaudin.rational._wronskian_ints
+    monkeypatch.setattr(gaudin.rational, "_wronskian_ints", lambda cols: calls.append(len(cols)) or wr(cols))
     return calls
 
 
@@ -282,10 +341,38 @@ class TestExponents:
             checked += 1
 
     def test_subset_wronskians_computed_once_per_space(self, worked_population, monkeypatch):
-        calls = count_wronskians(monkeypatch)
-        space_weight_polys(kernel_spaces(worked_population))
-        # one table: 2^2 - 1 + 2^1 - 1 subset and 2 pair Wronskians
-        assert len(calls) <= 6
+        calls = count_int_wronskians(monkeypatch)
+        ratfun = count_ratfun_wronskians(monkeypatch)
+        space = kernel_spaces(worked_population)
+        space_weight_polys(space)
+        is_gl_space(space)
+        # one integer table: 2^2 - 1 + 2^1 - 1 subset and 2 pair Wronskians
+        assert len(calls) == 6 and ratfun == []
+        assert not hasattr(spaces, "wronskian") and not hasattr(spaces, "order_at_place")
+
+
+class TestExponentTableOracle:
+    """The places, exponent ladders and pole orders read off the space's
+    integer Wronskian table, against the ``RatFun`` Wronskians' orders."""
+
+    @pytest.mark.parametrize("name", GOLDEN_SPACE_RUNS)
+    def test_golden_spaces(self, name):
+        space = oracle_space(name)
+        assert space.places == oracle_places(space)
+        got, want = table_and_oracle(space)
+        assert got == want and len(got) == 3
+
+    def test_seeded_spaces(self):
+        outcomes = collections.Counter()
+        for space in seeded_spaces():
+            assert space.places == oracle_places(space)
+            got, want = table_and_oracle(space)
+            assert got == want
+            if len(got) == 2:
+                outcomes["raised"] += 1
+            else:
+                outcomes[any(cv or cu for cv, cu in got[2].values())] += 1
+        assert set(outcomes) == {"raised", True, False}
 
 
 class TestSpaceWeightPolys:
@@ -374,17 +461,18 @@ class TestKernelSpaces:
             kernel_spaces(pop)
 
     def test_direct_sum_check(self, worked_population):
+        # on the integer vectors of each space's cleared family
         space = kernel_spaces(worked_population)
         v0, v1 = space.vbasis
-        spaces._assert_direct_sum(space.vbasis, space.ubasis)
+        spaces._assert_direct_sum(space.family.ints)
         for ubasis in [(v1,), (v0 * Q(3, 7) - v1 * Q(10**30 + 1, 2),)]:
             with pytest.raises(AtypicalUnsupported):
-                spaces._assert_direct_sum(space.vbasis, ubasis)
+                spaces._assert_direct_sum(RationalSpace(space.vbasis, ubasis).family.ints)
         # members with poles, cleared over x(x - 1)
         a, b = RatFun(1, X), RatFun(Q(1, 3), X - 1)
-        spaces._assert_direct_sum([a, b], [RatFun.one()])
+        spaces._assert_direct_sum(RationalSpace([a, b], [RatFun.one()]).family.ints)
         with pytest.raises(AtypicalUnsupported):
-            spaces._assert_direct_sum([a, b], [a + b * 5])
+            spaces._assert_direct_sum(RationalSpace([a, b], [a + b * 5]).family.ints)
 
     def test_empty_population_rejected(self, worked_problem):
         with pytest.raises(InvalidInput):
@@ -503,9 +591,12 @@ class TestIsGlSpace:
         poles = RationalSpace(
             [RatFun(Poly.one(), X), RatFun(X + 1, X**2)], [RatFun(X, (X - 1) * X**2), RatFun.one()]
         )
+        calls = count_int_wronskians(monkeypatch)
         for sp in (space, poles):
             sp.even_exponents, sp.odd_exponents
-        calls = count_wronskians(monkeypatch)
+        # the table of each: 3 + 1 subset and 2 pair dets, 3 + 3 and 4
+        assert len(calls) == 6 + 10
+        calls.clear()
         is_gl_space(space)
         assert calls == []
         # the pair Wronskians too come from the table the ladders were read from
@@ -822,10 +913,11 @@ class TestFlagFactorization:
         assert moves == {1: 3, -1: 3}
 
     def test_depth_5_walk_builds_only_the_space_table(self, monkeypatch):
-        # 2^3 - 1 even and 2^2 - 1 odd subset Wronskians and 3 * 2 pairs;
-        # every flag Wronskian is an integer one
+        # no RatFun Wronskian: the space's table is 2^3 - 1 even and 2^2 - 1
+        # odd subset dets and 3 * 2 pairs, and every flag Wronskian is an
+        # integer one too
         pop = golden_population("gl32.json", (0, 1, 2), 5)
-        calls = count_wronskians(monkeypatch)
+        calls = count_ratfun_wronskians(monkeypatch)
         int_calls = count_int_wronskians(monkeypatch)
         alive, peak = weakref.WeakSet(), [0]
         carried = spaces._carried_flag
@@ -838,11 +930,11 @@ class TestFlagFactorization:
 
         monkeypatch.setattr(spaces, "_carried_flag", tracked)
         verify_operator_to_population(pop)
-        assert len(calls) == 16
+        assert calls == []
         assert len(pop.nodes) == 1992
         # each node is checked before its children are carried, so a child
         # keeps every det of its parent that its move leaves alone
-        assert len(int_calls) == 4500
+        assert len(int_calls) == 16 + 4500
         # a flag is dropped once its children are carried
         assert peak[0] < 0.02 * len(pop.nodes)
 
@@ -983,9 +1075,9 @@ class TestBijection:
         ids=["worked-gl21", "gl13", "gl22-pole", "gl32", "nonstandard-seed"],
     )
     def test_one_log_derivative_per_factor_and_exchange(self, run, monkeypatch):
-        # only the seed's flag is built from primitives: one per exchange
-        # on its bubble path to the standard parity.  Every other flag is
-        # carried along an edge, off the standard parity too
+        # none: the seed's flag is the space's family at the seed's parity,
+        # whose chains kernel_spaces has transported, and every other flag
+        # is carried along an edge, off the standard parity too
         pop = golden_population(*run)
         space = kernel_spaces(pop)
         standard = ParitySequence.standard(space.m, space.n)
@@ -995,24 +1087,41 @@ class TestBijection:
         log_deriv = skew.log_deriv
         monkeypatch.setattr(skew, "log_deriv", lambda f: calls.append(f) or log_deriv(f))
         verify_operator_to_population(pop, space)
-        assert len(calls) == len(seed.parity.path_to(standard))
+        assert calls == []
 
     def test_kernel_chains_built_once_per_run(self, monkeypatch):
-        # the seed's even and odd chains, one transport, and nothing per node
+        # the seed's even and odd chains and one transport in kernel_spaces,
+        # and none in the walk, not even for the seed
         pop = golden_population(*GOLDEN_SPACE_RUNS["gl32"])
-        space = kernel_spaces(pop)
         kernels, transports = [], []
         kernel, transport = spaces.rational_kernel, spaces.transport_primitives
         monkeypatch.setattr(spaces, "rational_kernel", lambda prims: kernels.append(len(prims)) or kernel(prims))
         monkeypatch.setattr(
             spaces, "transport_primitives", lambda *args: transports.append(args) or transport(*args)
         )
+        space = kernel_spaces(pop)
+        assert kernels == [space.m, space.n] and len(transports) == 1
         for _ in range(2):
             kernels.clear()
             transports.clear()
             verify_operator_to_population(pop, space)
-            assert kernels == [space.m, space.n] and len(transports) == 1
+            assert kernels == [] and transports == []
         assert len(pop.nodes) > 100
+
+    def test_space_from_another_node_fails_at_the_seed(self, worked_population, monkeypatch):
+        # the same W with another node's flag for its basis: it passes the
+        # space checks, and the seed's flag, the family at the seed's
+        # parity, is not the seed's
+        seed, *others = worked_population.points()
+        point = next(p for p in others if p.parity == seed.parity)
+        other = kernel_spaces(populate(point, [0], max_depth=0))
+        assert space_weight_polys(other) == space_weight_polys(kernel_spaces(worked_population))
+        checked = []
+        tuples = spaces.generating_tuple
+        monkeypatch.setattr(spaces, "generating_tuple", lambda *args: checked.append(args[1]) or tuples(*args))
+        with pytest.raises(TheoremViolation, match="mismatch at"):
+            verify_operator_to_population(worked_population, other)
+        assert len(checked) == 1 and checked[0].parity == seed.parity
 
     def test_one_population_factorization_for_the_seed(self, worked_population, monkeypatch):
         calls = []
@@ -1136,14 +1245,14 @@ def carried_flags(name):
 
 
 def own_flag_disagreements(name) -> int:
-    """Nodes whose carried flag is not the flag `_flag` rebuilds from the
-    node's own primitives, or where that rebuild fails."""
+    """Nodes whose carried flag is not the flag `flag_from_factorization`
+    rebuilds from the node's own primitives, or where that rebuild fails."""
     space, flags = carried_flags(name)
     pop = golden_population(*GOLDEN_SPACE_RUNS[name])
     out = 0
     for key, point in pop.nodes.items():
         try:
-            own = spaces._flag(space, point.parity, node_primitives(point))
+            own = flag_from_factorization(space, population_factorization(point))
         except EngineError:
             out += 1
             continue
